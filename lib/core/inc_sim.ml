@@ -21,6 +21,7 @@ type t = {
   blen : int array;
   queued : bool array;
   st : Wsim.Inc.stats;
+  read : (int -> Bit.t) array; (* per component, reading [s] *)
   att : Pdf_obs.Attrib.sheet option;
   mutable lo : int;
   mutable hi : int;
@@ -51,6 +52,7 @@ let create ?attrib ?gate_mask c ~s =
     blen = Array.make (Array.length lg) 0;
     queued = Array.make ng false;
     st = { Wsim.Inc.assigns = 0; resim_gates = 0; early_stops = 0 };
+    read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
     att = attrib;
     lo = max_int;
     hi = -1;
@@ -116,7 +118,7 @@ let propagate t =
       let changed = ref false in
       for k = 0 to 2 do
         let sk = t.s.(k) in
-        let v = Logic_sim.eval_gate_get g (fun net -> sk.(net)) in
+        let v = Logic_sim.eval_gate_get g t.read.(k) in
         if not (Bit.equal v sk.(out)) then begin
           changed := true;
           sk.(out) <- v

@@ -1,5 +1,4 @@
 module Bit = Pdf_values.Bit
-module Req = Pdf_values.Req
 module Circuit = Pdf_circuit.Circuit
 module Rng = Pdf_util.Rng
 module Two_pattern = Pdf_sim.Two_pattern
@@ -112,55 +111,78 @@ exception No_test
 (* Component indices: 0 = first pattern, 1 = intermediate, 2 = second. *)
 let comp_of_pattern = function 1 -> 0 | 3 -> 2 | _ -> invalid_arg "pattern"
 
+(* A trial's private view of the values: the nets it changed, stamped
+   with its id; every other net reads through to the persistent state. *)
+type overlay = {
+  tval : Bit.t array array;
+  tstamp : int array array;
+  mutable id : int; (* the current trial *)
+}
+
+(* The component-[k] reader of overlay [ov] over persistent state [s]. *)
+let overlay_reader ov s k =
+  let tk = ov.tstamp.(k) and vk = ov.tval.(k) and sk = s.(k) in
+  fun net -> if tk.(net) = ov.id then vk.(net) else sk.(net)
+
+(* The gates a trial pass still has to evaluate: a binary min-heap of
+   cone gate indices, deduplicated by stamping each gate with the pass
+   that queued it.  At most every cone gate is queued once per pass, so
+   the heap never outgrows the cone.  ([Pdf_util.Heap] would allocate an
+   option per pop.) *)
+type worklist = {
+  heap : int array;
+  mutable len : int;
+  queued : int array; (* per gate: the pass that last queued it *)
+  mutable pass : int;
+}
+
+let push wl gi =
+  let h = wl.heap in
+  let i = ref wl.len in
+  wl.len <- wl.len + 1;
+  while !i > 0 && h.((!i - 1) / 2) > gi do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- gi
+
+let pop wl =
+  let h = wl.heap in
+  let top = h.(0) in
+  let n = wl.len - 1 in
+  wl.len <- n;
+  let last = h.(n) in
+  let i = ref 0 and sifting = ref (n > 0) in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let child = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+    if child < n && h.(child) < last then begin
+      h.(!i) <- h.(child);
+      i := child
+    end
+    else sifting := false
+  done;
+  if n > 0 then h.(!i) <- last;
+  top
+
 type search = {
   c : Circuit.t;
   eng : t; (* owning engine: effort accounting and forensics *)
   rng : Rng.t;
-  r : Bit.t array array; (* requirements, 3 x nets; X = unconstrained *)
-  req_nets : int array;
-  cone_gates : int array; (* ascending gate indices, topological *)
-  cone_pis : int array;
+  cone : Req_cone.t;
   a1 : Bit.t array; (* per PI *)
   a3 : Bit.t array;
   s : Bit.t array array; (* persistent simulation, 3 x nets *)
   inc : Inc_sim.t option; (* incremental maintainer of [s], cone-masked *)
-  tval : Bit.t array array; (* trial overlay *)
-  tstamp : int array array;
-  mutable trial_id : int;
+  ov : overlay;
+  read : (int -> Bit.t) array; (* per component, overlay over [s] *)
+  wl : worklist;
+  mutable evals : int; (* trial gate evaluations, flushed per search *)
   mutable unspecified : int;
   mutable resims : int; (* resimulation calls, for deferred attribution *)
 }
 
-let mismatch req value =
-  match req, value with
-  | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One) -> not (Bit.equal req value)
-  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> false
-
 let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
-
-(* Fan-in cone of the requirement nets: only these gates can influence a
-   requirement, and only these PIs are worth searching. *)
-let compute_cone c req_nets =
-  let n = Circuit.num_nets c in
-  let in_cone = Array.make n false in
-  let rec visit net =
-    if not in_cone.(net) then begin
-      in_cone.(net) <- true;
-      match Circuit.gate_of_net c net with
-      | None -> ()
-      | Some g -> Array.iter visit (c : Circuit.t).gates.(g).Circuit.fanins
-    end
-  in
-  Array.iter visit req_nets;
-  let cone_gates = ref [] in
-  for g = Circuit.num_gates c - 1 downto 0 do
-    if in_cone.(Circuit.net_of_gate c g) then cone_gates := g :: !cone_gates
-  done;
-  let cone_pis = ref [] in
-  for pi = c.Circuit.num_pis - 1 downto 0 do
-    if in_cone.(pi) then cone_pis := pi :: !cone_pis
-  done;
-  (Array.of_list !cone_gates, Array.of_list !cone_pis)
 
 (* Bring [st.s] up to date with [st.a1]/[st.a3].  Incrementally when the
    engine is enabled: only cone PIs whose assignment actually changed
@@ -168,19 +190,21 @@ let compute_cone c req_nets =
    of the full cone pass below — same fixpoint, so the search (and every
    test it emits) is byte-identical either way. *)
 let resim st =
+  let cone = st.cone in
   (* Semantic cost: a full pass over the cone, whichever engine runs.
      Charged per call so the global counter, the per-engine counter and
      (via [record_search]) the per-net attribution stay conserved and
      engine-invariant. *)
+  let cost = Array.length cone.Req_cone.gates in
   st.resims <- st.resims + 1;
   st.eng.e_resim_calls <- st.eng.e_resim_calls + 1;
-  st.eng.e_resim_gates <- st.eng.e_resim_gates + Array.length st.cone_gates;
-  Metrics.add m_resim_gates (Array.length st.cone_gates);
+  st.eng.e_resim_gates <- st.eng.e_resim_gates + cost;
+  Metrics.add m_resim_gates cost;
   match st.inc with
   | Some inc ->
     Array.iter
       (fun pi -> Inc_sim.set_pi inc pi ~v1:st.a1.(pi) ~v3:st.a3.(pi))
-      st.cone_pis;
+      cone.Req_cone.pis;
     Inc_sim.propagate inc
   | None ->
     let middle = Two_pattern.middle_of_pair in
@@ -189,7 +213,7 @@ let resim st =
         st.s.(0).(pi) <- st.a1.(pi);
         st.s.(2).(pi) <- st.a3.(pi);
         st.s.(1).(pi) <- middle st.a1.(pi) st.a3.(pi))
-      st.cone_pis;
+      cone.Req_cone.pis;
     Array.iter
       (fun gi ->
         let g = st.c.Circuit.gates.(gi) in
@@ -197,101 +221,86 @@ let resim st =
         for k = 0 to 2 do
           st.s.(k).(out) <- eval_gate_get g (fun net -> st.s.(k).(net))
         done)
-      st.cone_gates
-
-(* First requirement net whose persistent value contradicts it — the
-   net blamed when an assignment's resimulation reveals a conflict. *)
-let conflict_net st =
-  let n = Array.length st.req_nets in
-  let rec go i =
-    if i >= n then None
-    else
-      let net = st.req_nets.(i) in
-      if
-        mismatch st.r.(0).(net) st.s.(0).(net)
-        || mismatch st.r.(1).(net) st.s.(1).(net)
-        || mismatch st.r.(2).(net) st.s.(2).(net)
-      then Some net
-      else go (i + 1)
-  in
-  go 0
-
-
-let satisfied_now st =
-  let ok k net =
-    match st.r.(k).(net) with
-    | Bit.X -> true
-    | (Bit.Zero | Bit.One) as v -> Bit.equal st.s.(k).(net) v
-  in
-  Array.for_all (fun net -> ok 0 net && ok 1 net && ok 2 net) st.req_nets
+      cone.Req_cone.gates
 
 exception Trial_conflict
 
+(* Record a trial value in the overlay; a definite value contradicting
+   a requirement ends the trial with a conflict. *)
+let write engine st k net v =
+  let ov = st.ov in
+  ov.tval.(k).(net) <- v;
+  ov.tstamp.(k).(net) <- ov.id;
+  if Req_cone.mismatch st.cone.Req_cone.r.(k).(net) v then begin
+    note_conflict engine net;
+    raise_notrace Trial_conflict
+  end
+
+let queue_fanouts st net =
+  let wl = st.wl and in_cone = st.cone.Req_cone.in_cone in
+  let fanouts = st.c.Circuit.fanouts.(net) in
+  for i = 0 to Array.length fanouts - 1 do
+    let gi, _pin = fanouts.(i) in
+    if in_cone.(st.c.Circuit.num_pis + gi) && wl.queued.(gi) <> wl.pass
+    then begin
+      wl.queued.(gi) <- wl.pass;
+      push wl gi
+    end
+  done
+
+(* One component's pass of a trial, event-driven from the tried PI.
+   Gates pop in ascending gate index — the order of a full topological
+   scan of the cone, which evaluates exactly the gates with a changed
+   fanin — so the evaluation count (in the profile) and the first
+   conflict (in the ledger's forensics) are those of that scan
+   (DESIGN.md §13.2 says why not level order). *)
+let propagate engine st k pi =
+  let wl = st.wl in
+  wl.len <- 0;
+  wl.pass <- wl.pass + 1;
+  if st.ov.tstamp.(k).(pi) = st.ov.id then queue_fanouts st pi;
+  let read = st.read.(k) and sk = st.s.(k) in
+  while wl.len > 0 do
+    let gi = pop wl in
+    let out = st.c.Circuit.num_pis + gi in
+    st.evals <- st.evals + 1;
+    (match engine.att with
+    | Some a ->
+      a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
+      a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
+    | None -> ());
+    let v = eval_gate_get st.c.Circuit.gates.(gi) read in
+    if not (Bit.equal v sk.(out)) then begin
+      write engine st k out v;
+      queue_fanouts st out
+    end
+  done
+
 (* Trial-assign pattern bit [j] of PI [pi] to [b] and propagate through the
-   cone using an overlay (values stamped with the trial id); any definite
-   value contradicting a requirement aborts with a conflict.  The
-   persistent state is untouched. *)
+   cone in the overlay, first in the bit's own component, then in the
+   intermediate one; [true] when the trial conflicts with a requirement.
+   The persistent state is untouched, and nothing is allocated. *)
 let trial engine st pi j b =
   Metrics.incr m_trials;
   engine.e_trials <- engine.e_trials + 1;
-  let att = engine.att in
-  (match att with
+  (match engine.att with
   | Some a ->
     a.Attrib.trials.(pi) <- a.Attrib.trials.(pi) + 1;
     a.Attrib.t_trials <- a.Attrib.t_trials + 1
   | None -> ());
-  st.trial_id <- st.trial_id + 1;
-  let id = st.trial_id in
-  let evals = ref 0 in
-  let read k net =
-    if st.tstamp.(k).(net) = id then st.tval.(k).(net) else st.s.(k).(net)
-  in
-  let write k net v =
-    st.tval.(k).(net) <- v;
-    st.tstamp.(k).(net) <- id;
-    if mismatch st.r.(k).(net) v then begin
-      note_conflict engine net;
-      raise Trial_conflict
-    end
-  in
+  st.ov.id <- st.ov.id + 1;
   let kj = comp_of_pattern j in
-  let conflicted =
-    try
-      let newv = Bit.of_bool b in
-      if not (Bit.equal st.s.(kj).(pi) newv) then write kj pi newv;
-      let b1 = if j = 1 then newv else st.a1.(pi) in
-      let b3 = if j = 3 then newv else st.a3.(pi) in
-      let mid = Two_pattern.middle_of_pair b1 b3 in
-      if not (Bit.equal st.s.(1).(pi) mid) then write 1 pi mid;
-      let propagate k =
-        Array.iter
-          (fun gi ->
-            let g = st.c.Circuit.gates.(gi) in
-            let touched =
-              Array.exists
-                (fun fanin -> st.tstamp.(k).(fanin) = id)
-                g.Circuit.fanins
-            in
-            if touched then begin
-              let out = Circuit.net_of_gate st.c gi in
-              incr evals;
-              (match att with
-              | Some a ->
-                a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
-                a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
-              | None -> ());
-              let v = eval_gate_get g (read k) in
-              if not (Bit.equal v st.s.(k).(out)) then write k out v
-            end)
-          st.cone_gates
-      in
-      propagate kj;
-      propagate 1;
-      false
-    with Trial_conflict -> true
-  in
-  if !evals > 0 then Metrics.add m_trial_evals !evals;
-  conflicted
+  let newv = Bit.of_bool b in
+  let b1 = if j = 1 then newv else st.a1.(pi) in
+  let b3 = if j = 3 then newv else st.a3.(pi) in
+  let mid = Two_pattern.middle_of_pair b1 b3 in
+  try
+    if not (Bit.equal st.s.(kj).(pi) newv) then write engine st kj pi newv;
+    if not (Bit.equal st.s.(1).(pi) mid) then write engine st 1 pi mid;
+    propagate engine st kj pi;
+    propagate engine st 1 pi;
+    false
+  with Trial_conflict -> true
 
 let assign engine st pi j b =
   (match j with
@@ -300,45 +309,44 @@ let assign engine st pi j b =
   | _ -> invalid_arg "pattern");
   st.unspecified <- st.unspecified - 1;
   resim st;
-  match conflict_net st with
+  match Req_cone.conflict_net st.cone st.s with
   | Some net ->
     note_conflict engine net;
     raise No_test
   | None -> ()
 
+(* Trial both values of pattern bit [j] of [pi] if it is open, and
+   assign the other value when exactly one conflicts; [true] when a
+   value was assigned. *)
+let necessary_bit engine st pi j =
+  let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
+  if not (Bit.equal current Bit.X) then false
+  else
+    let c0 = trial engine st pi j false in
+    let c1 = trial engine st pi j true in
+    if c0 && c1 then raise No_test;
+    (* the value that did not conflict: 1 exactly when 0 did *)
+    if c0 || c1 then assign engine st pi j c0;
+    c0 || c1
+
 (* One pass over all unspecified cone bits, excluding values whose trial
    conflicts; repeated until no new value is assigned. *)
 let necessary_values engine st =
+  let pis = st.cone.Req_cone.pis in
   let continue = ref true in
   while !continue do
     continue := false;
-    Array.iter
-      (fun pi ->
-        List.iter
-          (fun j ->
-            let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
-            if Bit.equal current Bit.X then begin
-              let c0 = trial engine st pi j false in
-              let c1 = trial engine st pi j true in
-              if c0 && c1 then raise No_test
-              else if c0 then begin
-                assign engine st pi j true;
-                continue := true
-              end
-              else if c1 then begin
-                assign engine st pi j false;
-                continue := true
-              end
-            end)
-          [ 1; 3 ])
-      st.cone_pis
+    for i = 0 to Array.length pis - 1 do
+      if necessary_bit engine st pis.(i) 1 then continue := true;
+      if necessary_bit engine st pis.(i) 3 then continue := true
+    done
   done
 
 (* Decision step: prefer making a half-specified input stable (the paper's
    rule), otherwise specify a random unspecified bit randomly. *)
 let decide engine st =
   let half_specified =
-    Array.to_list st.cone_pis
+    Array.to_list st.cone.Req_cone.pis
     |> List.find_opt (fun pi ->
            Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
   in
@@ -349,7 +357,7 @@ let decide engine st =
     else assign engine st pi 1 (Bit.equal st.a3.(pi) Bit.One)
   | None ->
     let unspecified =
-      Array.to_list st.cone_pis
+      Array.to_list st.cone.Req_cone.pis
       |> List.concat_map (fun pi ->
              let open_bits = ref [] in
              if Bit.equal st.a1.(pi) Bit.X then open_bits := (pi, 1) :: !open_bits;
@@ -361,24 +369,6 @@ let decide engine st =
     | bits ->
       let pi, j = List.nth bits (Rng.int st.rng (List.length bits)) in
       assign engine st pi j (Rng.bool st.rng))
-
-let merge_reqs reqs =
-  let acc = Hashtbl.create 16 in
-  let ok =
-    List.for_all
-      (fun (net, req) ->
-        let current =
-          match Hashtbl.find_opt acc net with Some r -> r | None -> Req.any
-        in
-        match Req.merge current req with
-        | Some merged ->
-          Hashtbl.replace acc net merged;
-          true
-        | None -> false)
-      reqs
-  in
-  if ok then Some (Hashtbl.fold (fun net req l -> (net, req) :: l) acc [])
-  else None
 
 let random_pattern rng n = Array.init n (fun _ -> Rng.bool rng)
 
@@ -393,51 +383,52 @@ let build_test st =
       match Bit.to_bool st.a3.(pi) with
       | Some b -> v3.(pi) <- b
       | None -> assert false)
-    st.cone_pis;
+    st.cone.Req_cone.pis;
   Test_pair.create v1 v3
 
-(* Shared state construction for both search strategies. *)
+(* Shared state construction for both search strategies.  Everything a
+   trial touches is allocated here, once per search. *)
 let make_search engine rng merged =
   let c = engine.circuit in
   let n = Circuit.num_nets c in
-  let req_nets = Array.of_list (List.map fst merged) in
-  let r = Array.init 3 (fun _ -> Array.make n Bit.X) in
-  List.iter
-    (fun (net, (req : Req.t)) ->
-      let comp_bit = function
-        | Req.Any -> Bit.X
-        | Req.Must b -> Bit.of_bool b
-      in
-      r.(0).(net) <- comp_bit req.Req.r1;
-      r.(1).(net) <- comp_bit req.Req.r2;
-      r.(2).(net) <- comp_bit req.Req.r3)
-    merged;
-  let cone_gates, cone_pis = compute_cone c req_nets in
+  let cone = Req_cone.make c merged in
   let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   let inc =
-    if Wsim.incsim_enabled () then begin
-      let mask = Array.make (Circuit.num_gates c) false in
-      Array.iter (fun gi -> mask.(gi) <- true) cone_gates;
+    if Wsim.incsim_enabled () then
+      (* gate [g] drives net [num_pis + g] *)
+      let mask =
+        Array.sub cone.Req_cone.in_cone c.Circuit.num_pis (Circuit.num_gates c)
+      in
       Some (Inc_sim.create ?attrib:engine.att ~gate_mask:mask c ~s)
-    end
     else None
+  in
+  let ov =
+    {
+      tval = Array.init 3 (fun _ -> Array.make n Bit.X);
+      tstamp = Array.init 3 (fun _ -> Array.make n 0);
+      id = 0;
+    }
   in
   {
     c;
     eng = engine;
     rng;
-    r;
-    req_nets;
-    cone_gates;
-    cone_pis;
+    cone;
     a1 = Array.make c.Circuit.num_pis Bit.X;
     a3 = Array.make c.Circuit.num_pis Bit.X;
     s;
     inc;
-    tval = Array.init 3 (fun _ -> Array.make n Bit.X);
-    tstamp = Array.init 3 (fun _ -> Array.make n 0);
-    trial_id = 0;
-    unspecified = 2 * Array.length cone_pis;
+    ov;
+    read = Array.init 3 (overlay_reader ov s);
+    wl =
+      {
+        heap = Array.make (Array.length cone.Req_cone.gates) 0;
+        len = 0;
+        queued = Array.make (Circuit.num_gates c) 0;
+        pass = 0;
+      };
+    evals = 0;
+    unspecified = 2 * Array.length cone.Req_cone.pis;
     resims = 0;
   }
 
@@ -446,22 +437,25 @@ let make_search engine rng merged =
    [resim] would have evaluated per call.  When the engine carries an
    attribution sheet, the search's resimulation effort is flushed here
    in one O(cone) pass — [resims x cone] charged to every cone gate's
-   output net — instead of a per-call cone walk on the hot path. *)
+   output net — instead of a per-call cone walk on the hot path.  The
+   trial evaluation count reaches its metric here too. *)
 let record_search st =
+  let gates = st.cone.Req_cone.gates in
+  if st.evals > 0 then Metrics.add m_trial_evals st.evals;
   (match st.eng.att with
   | Some a when st.resims > 0 ->
     a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.resims;
     a.Attrib.t_resim_gates <-
-      a.Attrib.t_resim_gates + (st.resims * Array.length st.cone_gates);
+      a.Attrib.t_resim_gates + (st.resims * Array.length gates);
     Array.iter
       (fun gi ->
         let net = Circuit.net_of_gate st.c gi in
         a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.resims)
-      st.cone_gates
+      gates
   | Some _ | None -> ());
   match st.inc with
   | Some inc ->
-    Inc_sim.record ~num_gates:(Array.length st.cone_gates) (Inc_sim.stats inc)
+    Inc_sim.record ~num_gates:(Array.length gates) (Inc_sim.stats inc)
   | None -> ()
 
 type complete_outcome =
@@ -483,7 +477,7 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
   Span.with_ "justify" @@ fun () ->
   note_run engine;
   let c = engine.circuit in
-  match merge_reqs reqs with
+  match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
     Proved_unsatisfiable
@@ -523,7 +517,7 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
        take the first open bit with 0 before 1. *)
     let next_decision () =
       let half =
-        Array.to_list st.cone_pis
+        Array.to_list st.cone.Req_cone.pis
         |> List.find_opt (fun pi ->
                Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
       in
@@ -536,7 +530,7 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
           let b = Bit.equal st.a3.(pi) Bit.One in
           Some (pi, 1, [ b; not b ])
       | None ->
-        Array.to_list st.cone_pis
+        Array.to_list st.cone.Req_cone.pis
         |> List.find_map (fun pi ->
                if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, [ false; true ])
                else if Bit.equal st.a3.(pi) Bit.X then
@@ -554,7 +548,7 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
           match Bit.to_bool st.a3.(pi) with
           | Some b -> v3.(pi) <- b
           | None -> assert false)
-        st.cone_pis;
+        st.cone.Req_cone.pis;
       Test_pair.create v1 v3
     in
     (* DFS: returns Some test on success, None when this subtree is
@@ -569,7 +563,8 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
       | `Conflict -> None
       | `Ok -> (
         if st.unspecified = 0 then
-          if satisfied_now st then Some (build_deterministic_test ())
+          if Req_cone.satisfied st.cone st.s then
+            Some (build_deterministic_test ())
           else None
         else
           match next_decision () with
@@ -602,7 +597,7 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
     let outcome =
       try
         resim st;
-        match conflict_net st with
+        match Req_cone.conflict_net st.cone st.s with
         | Some net ->
           note_conflict engine net;
           Metrics.incr m_conflicts;
@@ -622,7 +617,7 @@ let run engine ~rng ~reqs =
   Span.with_ "justify" @@ fun () ->
   note_run engine;
   let c = engine.circuit in
-  match merge_reqs reqs with
+  match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
     None
@@ -636,7 +631,7 @@ let run engine ~rng ~reqs =
     let result =
       try
         resim st;
-        (match conflict_net st with
+        (match Req_cone.conflict_net st.cone st.s with
         | Some net ->
           note_conflict engine net;
           raise No_test
@@ -645,7 +640,7 @@ let run engine ~rng ~reqs =
           necessary_values engine st;
           if st.unspecified > 0 then decide engine st
         done;
-        if satisfied_now st then Some (build_test st) else None
+        if Req_cone.satisfied st.cone st.s then Some (build_test st) else None
       with No_test -> None
     in
     record_search st;

@@ -17,7 +17,18 @@
 
     Only inputs in the fan-in cone of the required lines are searched;
     the remaining inputs cannot affect any requirement and are filled
-    randomly (equivalent to the paper's random decisions on them). *)
+    randomly (equivalent to the paper's random decisions on them).
+
+    {b Cost.}  Trials dominate: both values of every open bit, each
+    simulated in an overlay over the persistent cone state.  A trial is
+    event-driven from the tried input: it evaluates only the cone gates
+    with a changed fanin, in ascending gate index — the order a full
+    cone scan would visit them, which fixes the evaluation count and
+    the first conflict the attribution sheet and the ledger record —
+    and allocates nothing (DESIGN.md §13.2).  An assignment
+    resimulates the cone incrementally ({!Inc_sim}).  Each call
+    allocates its search state once: a few arrays over the circuit's
+    nets and the cone. *)
 
 type t
 (** A justification engine for one circuit.  Engines hold per-engine
@@ -53,7 +64,8 @@ val runs : t -> int
 val trials : t -> int
 (** Trial simulations performed by {e this} engine (effort metric);
     per-engine, like {!runs} — the process-wide total is the
-    [justify.trials] metric. *)
+    [justify.trials] metric.  Their gate evaluations are counted by the
+    [justify.trial_evals] metric, added once per call. *)
 
 val backtracks : t -> int
 (** Backtracks spent by {e this} engine's {!run_complete} searches;

@@ -1,5 +1,4 @@
 module Bit = Pdf_values.Bit
-module Req = Pdf_values.Req
 module Circuit = Pdf_circuit.Circuit
 module Two_pattern = Pdf_sim.Two_pattern
 module Metrics = Pdf_obs.Metrics
@@ -127,61 +126,13 @@ let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
 type state = {
   c : Circuit.t;
   eng : t;
-  r : Bit.t array array;  (* requirements, 3 x nets; X = unconstrained *)
-  req_nets : int array;
-  cone_gates : int array;  (* ascending gate indices, topological *)
-  cone_pis : int array;
+  cone : Req_cone.t;
   a1 : Bit.t array;  (* per PI *)
   a3 : Bit.t array;
   s : Bit.t array array;  (* implied values, 3 x nets *)
+  read : (int -> Bit.t) array;  (* per component, reading [s] *)
   mutable implies : int;  (* implication passes, for deferred attribution *)
 }
-
-let mismatch req value =
-  match req, value with
-  | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One) -> not (Bit.equal req value)
-  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> false
-
-(* Fan-in cone of the requirement nets — identical to [Justify]'s. *)
-let compute_cone c req_nets =
-  let n = Circuit.num_nets c in
-  let in_cone = Array.make n false in
-  let rec visit net =
-    if not in_cone.(net) then begin
-      in_cone.(net) <- true;
-      match Circuit.gate_of_net c net with
-      | None -> ()
-      | Some g -> Array.iter visit (c : Circuit.t).gates.(g).Circuit.fanins
-    end
-  in
-  Array.iter visit req_nets;
-  let cone_gates = ref [] in
-  for g = Circuit.num_gates c - 1 downto 0 do
-    if in_cone.(Circuit.net_of_gate c g) then cone_gates := g :: !cone_gates
-  done;
-  let cone_pis = ref [] in
-  for pi = c.Circuit.num_pis - 1 downto 0 do
-    if in_cone.(pi) then cone_pis := pi :: !cone_pis
-  done;
-  (Array.of_list !cone_gates, Array.of_list !cone_pis)
-
-let merge_reqs reqs =
-  let acc = Hashtbl.create 16 in
-  let ok =
-    List.for_all
-      (fun (net, req) ->
-        let current =
-          match Hashtbl.find_opt acc net with Some r -> r | None -> Req.any
-        in
-        match Req.merge current req with
-        | Some merged ->
-          Hashtbl.replace acc net merged;
-          true
-        | None -> false)
-      reqs
-  in
-  if ok then Some (Hashtbl.fold (fun net req l -> (net, req) :: l) acc [])
-  else None
 
 (* Forward implication: one pass over the cone in topological order,
    all three components evaluated with the shared scalar gate evaluator.
@@ -190,59 +141,40 @@ let merge_reqs reqs =
    chronological backtracking a plain unassign-and-reimply. *)
 let imply st =
   let eng = st.eng in
+  let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
+  let cost = Array.length gates in
   st.implies <- st.implies + 1;
   eng.e_imply_calls <- eng.e_imply_calls + 1;
-  eng.e_imply_gates <- eng.e_imply_gates + Array.length st.cone_gates;
+  eng.e_imply_gates <- eng.e_imply_gates + cost;
   Metrics.incr m_implications;
-  Metrics.add m_imply_gates (Array.length st.cone_gates);
-  Metrics.add mj_resim_gates (Array.length st.cone_gates);
+  Metrics.add m_imply_gates cost;
+  Metrics.add mj_resim_gates cost;
   let bug = injected_bug_enabled () in
-  let middle = Two_pattern.middle_of_pair in
-  Array.iter
-    (fun pi ->
-      st.s.(0).(pi) <- st.a1.(pi);
-      st.s.(2).(pi) <- st.a3.(pi);
-      st.s.(1).(pi) <- middle st.a1.(pi) st.a3.(pi))
-    st.cone_pis;
-  Array.iter
-    (fun gi ->
-      let g = st.c.Circuit.gates.(gi) in
-      let out = Circuit.net_of_gate st.c gi in
-      for k = 0 to 2 do
-        let read =
-          if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
-            fun net ->
-              if net = g.Circuit.fanins.(0) then st.s.(0).(net)
-              else st.s.(2).(net)
-          else fun net -> st.s.(k).(net)
-        in
-        st.s.(k).(out) <- eval_gate_get g read
-      done)
-    st.cone_gates
+  for i = 0 to Array.length pis - 1 do
+    let pi = pis.(i) in
+    st.s.(0).(pi) <- st.a1.(pi);
+    st.s.(2).(pi) <- st.a3.(pi);
+    st.s.(1).(pi) <- Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi)
+  done;
+  for i = 0 to Array.length gates - 1 do
+    let g = st.c.Circuit.gates.(gates.(i)) in
+    let out = Circuit.net_of_gate st.c gates.(i) in
+    for k = 0 to 2 do
+      (* The state's readers allocate nothing; only the injected bug
+         builds one per gate. *)
+      let read =
+        if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
+          let f0 = g.Circuit.fanins.(0) in
+          fun net -> if net = f0 then st.s.(0).(net) else st.s.(2).(net)
+        else st.read.(k)
+      in
+      st.s.(k).(out) <- eval_gate_get g read
+    done
+  done
 
-(* First requirement net whose implied definite value contradicts it. *)
-let conflict_net st =
-  let n = Array.length st.req_nets in
-  let rec go i =
-    if i >= n then None
-    else
-      let net = st.req_nets.(i) in
-      if
-        mismatch st.r.(0).(net) st.s.(0).(net)
-        || mismatch st.r.(1).(net) st.s.(1).(net)
-        || mismatch st.r.(2).(net) st.s.(2).(net)
-      then Some net
-      else go (i + 1)
-  in
-  go 0
+let conflict_net st = Req_cone.conflict_net st.cone st.s
 
-let satisfied st =
-  let ok k net =
-    match st.r.(k).(net) with
-    | Bit.X -> true
-    | (Bit.Zero | Bit.One) as v -> Bit.equal st.s.(k).(net) v
-  in
-  Array.for_all (fun net -> ok 0 net && ok 1 net && ok 2 net) st.req_nets
+let satisfied st = Req_cone.satisfied st.cone st.s
 
 (* The objective frontier: requirement components pinned to a definite
    value whose implied value is still X.  This is the two-pattern
@@ -252,11 +184,12 @@ let satisfied st =
    (and absent a conflict) it is never empty, because an unsatisfied
    requirement is either a definite mismatch (a conflict) or an X. *)
 let frontier st =
-  Array.to_list st.req_nets
+  let r = st.cone.Req_cone.r in
+  Array.to_list st.cone.Req_cone.req_nets
   |> List.concat_map (fun net ->
          List.filter_map
            (fun k ->
-             match st.r.(k).(net) with
+             match r.(k).(net) with
              | Bit.X -> None
              | Bit.Zero | Bit.One ->
                if Bit.equal st.s.(k).(net) Bit.X then Some (net, k) else None)
@@ -267,7 +200,7 @@ let objective st =
   | [] -> None
   | (net, k) :: _ ->
     let v =
-      match st.r.(k).(net) with
+      match st.cone.Req_cone.r.(k).(net) with
       | Bit.One -> true
       | Bit.Zero -> false
       | Bit.X -> assert false
@@ -348,29 +281,15 @@ let clear_bit st pi j =
 let make_state eng merged =
   let c = eng.circuit in
   let n = Circuit.num_nets c in
-  let req_nets = Array.of_list (List.map fst merged) in
-  let r = Array.init 3 (fun _ -> Array.make n Bit.X) in
-  List.iter
-    (fun (net, (req : Req.t)) ->
-      let comp_bit = function
-        | Req.Any -> Bit.X
-        | Req.Must b -> Bit.of_bool b
-      in
-      r.(0).(net) <- comp_bit req.Req.r1;
-      r.(1).(net) <- comp_bit req.Req.r2;
-      r.(2).(net) <- comp_bit req.Req.r3)
-    merged;
-  let cone_gates, cone_pis = compute_cone c req_nets in
+  let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   {
     c;
     eng;
-    r;
-    req_nets;
-    cone_gates;
-    cone_pis;
+    cone = Req_cone.make c merged;
     a1 = Array.make c.Circuit.num_pis Bit.X;
     a3 = Array.make c.Circuit.num_pis Bit.X;
-    s = Array.init 3 (fun _ -> Array.make n Bit.X);
+    s;
+    read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
     implies = 0;
   }
 
@@ -378,16 +297,17 @@ let make_state eng merged =
    every implication pass charged its full cone cost to every cone
    gate's output net, in one O(cone) pass at the end of the run. *)
 let record_state st =
+  let gates = st.cone.Req_cone.gates in
   match st.eng.att with
   | Some a when st.implies > 0 ->
     a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.implies;
     a.Attrib.t_resim_gates <-
-      a.Attrib.t_resim_gates + (st.implies * Array.length st.cone_gates);
+      a.Attrib.t_resim_gates + (st.implies * Array.length gates);
     Array.iter
       (fun gi ->
         let net = Circuit.net_of_gate st.c gi in
         a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.implies)
-      st.cone_gates
+      gates
   | Some _ | None -> ()
 
 (* Fill unassigned bits with zeros, like [Justify.run_complete]: the
@@ -405,7 +325,7 @@ let build_test st =
       match Bit.to_bool st.a3.(pi) with
       | Some b -> v3.(pi) <- b
       | None -> ())
-    st.cone_pis;
+    st.cone.Req_cone.pis;
   Test_pair.create v1 v3
 
 type outcome =
@@ -434,7 +354,7 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
   Span.with_ "podem" @@ fun () ->
   note_run eng;
   let c = eng.circuit in
-  match merge_reqs reqs with
+  match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
     Proved_unsatisfiable
@@ -532,7 +452,7 @@ module Internal = struct
   type nonrec state = state
 
   let prepare eng ~reqs =
-    match merge_reqs reqs with
+    match Req_cone.merge reqs with
     | None -> None
     | Some merged ->
       let st = make_state eng merged in
@@ -545,7 +465,7 @@ module Internal = struct
   let satisfied = satisfied
   let objective = objective
   let backtrace = backtrace
-  let cone_pis st = st.cone_pis
+  let cone_pis st = st.cone.Req_cone.pis
 
   let assign st (pi, j, v) = set_bit st pi j v
   let unassign st (pi, j) = clear_bit st pi j

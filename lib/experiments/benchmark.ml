@@ -414,16 +414,21 @@ let justify_suite =
              timed faults, measured once at setup on fresh engines so the
              number is deterministic in (circuit, seed).  It rides in the
              report's "units" object, which the determinism projection
-             keeps — CI gates on it. *)
-          let sim_aborts =
+             keeps — CI gates on it.  The simulation engine's set-up run
+             also yields "words_per_trial": the words its domain
+             allocated over the timed faults, per trial simulation —
+             equally deterministic, and gated in CI. *)
+          let sim_aborts, words_per_trial =
             let e = Justify.create s.cs_circuit in
             let rng = Pdf_util.Rng.create params.seed in
             let n = ref 0 in
+            let w0 = Gc.minor_words () in
             for i = 0 to k_sim - 1 do
               if Justify.run e ~rng ~reqs:s.cs_faults.(i).Fault_sim.reqs = None
               then incr n
             done;
-            !n
+            let words = Gc.minor_words () -. w0 in
+            (!n, words /. float_of_int (max 1 (Justify.trials e)))
           in
           let podem_aborts =
             let e = Podem.create s.cs_circuit in
@@ -456,6 +461,7 @@ let justify_suite =
                 [
                   ("runs", float_of_int k_sim);
                   ("aborts", float_of_int sim_aborts);
+                  ("words_per_trial", words_per_trial);
                 ];
               thunk =
                 (fun () ->

@@ -1004,6 +1004,50 @@ let test_engine_records_name_winner () =
       (Justify.Portfolio, [ "podem"; "sim"; "sim-r1"; "sim-r2" ]);
     ]
 
+(* The simulation backend's trial evaluation order, pinned.  Trials
+   stop at their first conflicting net, so the order in which a trial
+   visits gates decides how many evaluations it charges and which net
+   the ledger's abort forensics blame — yet the goldens above (tests,
+   detections, aborts) would not notice a change of order.  The figures
+   are those of the CLI run [pdfatpg enrich s1488 --n-p 1000 --n-p0 100
+   --seed 2002 --justify sim] under attribution: trials pop their gates
+   in ascending gate index, as a full topological scan of the cone
+   visits them.  A level-ordered worklist reaches the same conflicts
+   but changes the evaluation count and the forensics digest. *)
+let test_trial_order_pinned () =
+  let profile = Option.get (Pdf_synth.Profiles.find "s1488") in
+  let c = Pdf_synth.Profiles.circuit profile in
+  let ledger = Ledger.create () in
+  let ts =
+    Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
+  in
+  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let n0 = List.length ts.Target_sets.p0 in
+  let p0 = List.init n0 Fun.id in
+  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let attrib = Pdf_obs.Attrib.create ~nets:(Circuit.num_nets c) in
+  ignore
+    (Atpg.enrich ~ledger ~attrib ~justify:Justify.Sim c ~seed:2002 ~faults
+       ~p0 ~p1
+      : Atpg.result);
+  let sheet = Pdf_obs.Attrib.snapshot attrib in
+  check Alcotest.int "trial evaluations" 220351
+    sheet.Pdf_obs.Attrib.t_trial_evals;
+  check Alcotest.int "conflicts" 2859 sheet.Pdf_obs.Attrib.t_conflicts;
+  let forensics = Ledger.create () in
+  List.iter
+    (fun r ->
+      match (Ledger.field r "id", Ledger.field r "last_conflict") with
+      | Some id, Some lc ->
+        Ledger.record forensics ~kind:"fault"
+          [ ("id", id); ("last_conflict", lc) ]
+      | _ -> ())
+    (Ledger.find ledger ~kind:"fault" (fun _ -> true));
+  check Alcotest.int "faults with a last conflict" 111 (Ledger.size forensics);
+  check Alcotest.string "last_conflict digest"
+    "702e976c244ef436b54b5a1210f303fa"
+    (Digest.to_hex (Digest.string (Ledger.to_jsonl forensics)))
+
 (* Cross-validation of the conservative hazard algebra against the
    event-driven ground truth: a definite middle value in the two-pattern
    simulation guarantees a hazard-free line in the timing waveform. *)
@@ -1311,6 +1355,8 @@ let () =
             test_portfolio_ledger_jobs_invariant;
           Alcotest.test_case "records name the winner" `Quick
             test_engine_records_name_winner;
+          Alcotest.test_case "sim trial order pinned on s1488" `Slow
+            test_trial_order_pinned;
         ] );
       ( "timing",
         [
