@@ -772,6 +772,153 @@ let check_attrib { circuit = c; seed } =
     end
 
 (* ------------------------------------------------------------------ *)
+(* implication: the event-driven engine vs the reference sweep          *)
+(* ------------------------------------------------------------------ *)
+
+module Implication = Pdf_sim.Implication
+
+let m_impl_sets = Metrics.counter "check.implication.sets"
+let m_impl_conflicts = Metrics.counter "check.implication.conflicts"
+let m_impl_extensions = Metrics.counter "check.implication.extensions"
+
+let implication_unions = 400
+
+(* The condition sets are the robust conditions of every enumerated fault
+   — the undetectability filter's input — and random unions of 2–4 of
+   them, drawn from the faults whose own set is consistent so that not
+   every union conflicts.  Each set is checked three ways against the
+   sweep: [infer] must give the same values, or the same conflicting
+   [net] and [component] (the filter writes both into the ledger); one
+   state, reused across all sets and reset before each, must give the
+   same conflict for a single fault's set, as the filter uses it; and
+   extending that state part by part must give the sweep's values for a
+   consistent union and a conflict for a conflicting one. *)
+let check_implication { circuit = c; seed } =
+  let enumeration =
+    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
+  in
+  let conds =
+    List.concat_map
+      (fun (path, _) ->
+        List.filter_map (Pdf_faults.Robust.conditions c) (Fault.both path))
+      enumeration.Pdf_paths.Enumerate.paths
+    |> Array.of_list
+  in
+  if Array.length conds = 0 then Skip "no fault without a direct conflict"
+  else begin
+    let rng = Rng.create seed in
+    let st = Implication.create c in
+    let violation = ref None in
+    let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
+    let describe = function
+      | None -> "consistent"
+      | Some (net, component) ->
+        Printf.sprintf "conflict on %s component %d" (Circuit.net_name c net)
+          component
+    in
+    let check_values what (want : Triple.t array) read =
+      Array.iteri
+        (fun net w ->
+          if !violation = None && not (Triple.equal w (read net)) then
+            fail "%s on %s: net %s is %s, the sweep says %s" what
+              c.Circuit.name (Circuit.net_name c net)
+              (Triple.to_string (read net)) (Triple.to_string w))
+        want
+    in
+    (* Returns whether the set is consistent. *)
+    let check_set what parts =
+      Metrics.incr m_impl_sets;
+      let reqs = List.concat parts in
+      let want = Implication_ref.infer c reqs in
+      let want_conflict =
+        match want with
+        | Implication_ref.Consistent _ -> None
+        | Implication_ref.Conflict { net; component } -> Some (net, component)
+      in
+      (match Implication.infer c reqs with
+      | Implication.Consistent g -> (
+        match want with
+        | Implication_ref.Consistent w ->
+          check_values ("implication of " ^ what) w (Array.get g)
+        | Implication_ref.Conflict _ ->
+          fail "implication of %s on %s is consistent, the sweep says %s"
+            what c.Circuit.name (describe want_conflict))
+      | Implication.Conflict { net; component } ->
+        if want_conflict = Some (net, component) then
+          Metrics.incr m_impl_conflicts
+        else
+          fail "implication of %s on %s: %s, the sweep says %s" what
+            c.Circuit.name
+            (describe (Some (net, component)))
+            (describe want_conflict));
+      if !violation = None then begin
+        Implication.reset st;
+        let conflict =
+          List.fold_left
+            (fun acc part ->
+              match acc with
+              | Some _ -> acc
+              | None ->
+                Option.map
+                  (fun { Implication.net; component } -> (net, component))
+                  (Implication.extend st part))
+            None parts
+        in
+        match want with
+        | Implication_ref.Conflict _ ->
+          if conflict = None then
+            fail "extending part by part %s on %s finds no conflict, the \
+                  sweep says %s"
+              what c.Circuit.name (describe want_conflict)
+          else if List.length parts = 1 && conflict <> want_conflict then
+            fail "the reused state for %s on %s: %s, the sweep says %s" what
+              c.Circuit.name (describe conflict) (describe want_conflict)
+        | Implication_ref.Consistent w ->
+          if conflict <> None then
+            fail "extending part by part %s on %s: %s, the sweep is \
+                  consistent"
+              what c.Circuit.name (describe conflict)
+          else begin
+            if List.length parts > 1 then Metrics.incr m_impl_extensions;
+            check_values ("extending part by part " ^ what) w (fun net ->
+                Triple.make
+                  (Implication.value st ~component:1 net)
+                  (Implication.value st ~component:2 net)
+                  (Implication.value st ~component:3 net))
+          end
+      end;
+      want_conflict = None
+    in
+    let consistent =
+      List.filter
+        (fun i ->
+          !violation = None
+          && check_set (Printf.sprintf "fault %d's conditions" i) [ conds.(i) ])
+        (List.init (Array.length conds) Fun.id)
+      |> Array.of_list
+    in
+    let pool =
+      if Array.length consistent = 0 then Array.init (Array.length conds) Fun.id
+      else consistent
+    in
+    for u = 1 to implication_unions do
+      if !violation = None then begin
+        let picks =
+          List.init (2 + Rng.int rng 3) (fun _ ->
+              pool.(Rng.int rng (Array.length pool)))
+        in
+        ignore
+          (check_set
+             (Printf.sprintf "union %d (faults %s)" u
+                (String.concat "+" (List.map string_of_int picks)))
+             (List.map (fun i -> conds.(i)) picks)
+            : bool)
+      end
+    done;
+    match !violation with Some m -> Fail m | None -> Pass
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Registry                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -815,6 +962,10 @@ let all =
       doc = "per-net effort attribution is conserved against the global \
              counters and jobs-invariant";
       check = check_attrib };
+    { name = "implication";
+      doc = "event-driven implication reaches the reference sweep's values \
+             and first conflict, also through reset and extension";
+      check = check_implication };
   ]
 
 let find name = List.find_opt (fun o -> String.equal o.name name) all

@@ -39,7 +39,13 @@
     - [enrich-p0] — a-posteriori invariants of the enrichment run: P0
       coverage equals [|P0| - primary_aborts], the incrementally
       maintained detection flags equal a from-scratch batch
-      re-simulation, and ledger fault dispositions match the flags.
+      re-simulation, and ledger fault dispositions match the flags;
+    - [implication] — the event-driven {!Pdf_sim.Implication} against the
+      reference sweep {!Implication_ref} on every enumerated fault's
+      robust conditions and on unions of 2–4 of them: the same values,
+      or the same conflicting net and component; the same conflict from
+      one state reset before each fault; and the sweep's values when a
+      consistent union is extended part by part.
 
     Oracles are deterministic in [(circuit, seed)]; any engine toggles
     they flip are restored on exit (including on exceptions). *)
@@ -63,8 +69,10 @@ type t = {
 }
 
 val all : t list
-(** The registry, cheapest first.  Order is part of the fuzz harness's
-    determinism contract — a round's RNG draws depend on it. *)
+(** The registry, cheapest first, except that [implication] comes last
+    so that adding it left every earlier oracle's seed unchanged.  Order
+    is part of the fuzz harness's determinism contract — a round's RNG
+    draws depend on it. *)
 
 val find : string -> t option
 (** Look up an oracle by {!field-name}. *)

@@ -2,6 +2,7 @@ module Req = Pdf_values.Req
 module Bit = Pdf_values.Bit
 module Triple = Pdf_values.Triple
 module Word = Pdf_values.Word
+module Implication = Pdf_sim.Implication
 module Wreq = Pdf_bitsim.Wreq
 module Wsim = Pdf_bitsim.Wsim
 module Circuit = Pdf_circuit.Circuit
@@ -80,9 +81,6 @@ let delta acc reqs =
     Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [], n)
   with Clash -> None
 
-let commit acc updates =
-  List.iter (fun (net, req) -> Hashtbl.replace acc net req) updates
-
 let reqs_with acc updates =
   Hashtbl.fold
     (fun net req l ->
@@ -124,20 +122,24 @@ type test_state = {
   mutable test : Test_pair.t;
   mutable values : Pdf_values.Triple.t array;
   acc : (int, Req.t) Hashtbl.t;
-  mutable implied : Pdf_values.Triple.t array;
-      (** line values implied by [acc]; candidates contradicting them are
-          provably un-addable and are rejected without a search *)
+  implied : Implication.t;
+      (** line values implied by [acc], extended on every acceptance;
+          candidates contradicting them are provably un-addable and are
+          rejected without a search *)
   mutable det_masks : int array;
       (** packed detection state of the current test against every target
           (one word per 63 faults), refreshed whenever [values] changes;
           [[||]] when the packed engine is disabled *)
 }
 
-let recompute_implied c acc =
-  let reqs = Hashtbl.fold (fun net req l -> (net, req) :: l) acc [] in
-  match Pdf_sim.Implication.infer c reqs with
-  | Pdf_sim.Implication.Consistent values -> values
-  | Pdf_sim.Implication.Conflict _ ->
+(* [acc] only grows within a test and its implied values are the least
+   fixpoint of its requirements, so extending them by each commit's
+   updates equals re-inferring them from the whole of [acc]. *)
+let commit st updates =
+  List.iter (fun (net, req) -> Hashtbl.replace st.acc net req) updates;
+  match Implication.extend st.implied updates with
+  | None -> ()
+  | Some _ ->
     (* [acc] is always witnessed satisfiable by the current test. *)
     assert false
 
@@ -146,11 +148,13 @@ let recompute_implied c acc =
 let contradicts_implied implied reqs =
   List.exists
     (fun (net, (req : Req.t)) ->
-      let (v : Pdf_values.Triple.t) = implied.(net) in
       not
-        (Req.compatible_bit v.Pdf_values.Triple.v1 req.Req.r1
-        && Req.compatible_bit v.Pdf_values.Triple.v2 req.Req.r2
-        && Req.compatible_bit v.Pdf_values.Triple.v3 req.Req.r3))
+        (Req.compatible_bit (Implication.value implied ~component:1 net)
+           req.Req.r1
+        && Req.compatible_bit (Implication.value implied ~component:2 net)
+             req.Req.r2
+        && Req.compatible_bit (Implication.value implied ~component:3 net)
+             req.Req.r3))
     reqs
 
 let generate ?ledger ?attrib ?justify c config ~faults ~primaries
@@ -167,6 +171,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     match justify with Some k -> k | None -> Justify.default_kind ()
   in
   let engine = Justify.Engine.create ?attrib:sheet ~kind:jkind c in
+  let implied = Implication.create c in
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
   (* Per-test value refresh.  Consecutive accepted tests within one
@@ -338,9 +343,6 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   and g_prog_detected =
     Metrics.gauge ("atpg." ^ ord_name ^ ".progress_detected")
   in
-  (* Try to add candidate [i] to the current test's fault set: free if the
-     test already detects it, otherwise re-justify the enlarged
-     requirement union.  Returns true when accepted. *)
   (* Attempt to add candidate [i] to the current test's fault set; on
      acceptance, return the requirement values newly pinned ([Delta]). *)
   let try_candidate st i =
@@ -352,8 +354,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       None
     | Some (updates, _) ->
       if detects st i then begin
-        commit st.acc updates;
-        st.implied <- recompute_implied c st.acc;
+        commit st updates;
         Metrics.incr m_free;
         Metrics.incr m_folded;
         incr folded_this_test;
@@ -374,8 +375,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
           st.test <- test;
           st.values <- simulate_test test;
           refresh_masks st;
-          commit st.acc updates;
-          st.implied <- recompute_implied c st.acc;
+          commit st updates;
           Metrics.incr m_folded;
           incr folded_this_test;
           note_folded i "justified";
@@ -491,16 +491,16 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
             test;
             values = simulate_test test;
             acc = Hashtbl.create 64;
-            implied = [||];
+            implied;
             det_masks = [||];
           }
         in
         refresh_masks st;
-        commit st.acc
+        Implication.reset implied;
+        commit st
           (match delta st.acc faults.(p0).Fault_sim.reqs with
           | Some (updates, _) -> updates
           | None -> assert false);
-        st.implied <- recompute_implied c st.acc;
         folded_this_test := 0;
         let id = !next_test_id in
         incr next_test_id;

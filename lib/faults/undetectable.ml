@@ -5,14 +5,18 @@ type verdict =
   | Direct_conflict
   | Implication_conflict of { net : int; component : int }
 
-let classify ?(criterion = Robust.Robust) c fault =
+let classify_in st ~criterion c fault =
   match Robust.conditions ~criterion c fault with
   | None -> Direct_conflict
   | Some reqs -> (
-    match Implication.infer c reqs with
-    | Implication.Consistent _ -> Maybe_detectable
-    | Implication.Conflict { net; component } ->
+    Implication.reset st;
+    match Implication.extend st reqs with
+    | None -> Maybe_detectable
+    | Some { Implication.net; component } ->
       Implication_conflict { net; component })
+
+let classify ?(criterion = Robust.Robust) c fault =
+  classify_in (Implication.create c) ~criterion c fault
 
 type stats = {
   kept : int;
@@ -42,10 +46,13 @@ let record_eliminated ledger c f = function
 
 let filter ?(criterion = Robust.Robust) ?ledger c faults =
   let direct = ref 0 and implied = ref 0 in
+  (* One implication state for every fault, reset per fault: a fresh
+     state per fault would allocate three layers of every net each. *)
+  let st = Implication.create c in
   let kept =
     List.filter
       (fun f ->
-        let verdict = classify ~criterion c f in
+        let verdict = classify_in st ~criterion c f in
         Option.iter (fun l -> record_eliminated l c f verdict) ledger;
         match verdict with
         | Maybe_detectable -> true

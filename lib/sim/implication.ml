@@ -8,20 +8,66 @@ type outcome =
   | Consistent of Triple.t array
   | Conflict of { net : int; component : int }
 
+type conflict = { net : int; component : int }
+
 exception Stop of int * int (* net, component *)
 
-type state = {
+(* Bitsets over gate and net indices, [bits] indices a word. *)
+let bits = 63
+
+(* Index of the single set bit of [p]: the powers 2^0 .. 2^61 are
+   distinct modulo 67 (2 is a primitive root of 67), and 2^62 is the
+   sign bit. *)
+let bit_index_table =
+  let t = Array.make 67 0 in
+  for k = 0 to bits - 2 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+let bit_index p = if p < 0 then bits - 1 else bit_index_table.(p mod 67)
+
+type t = {
   circuit : Circuit.t;
   layers : Bit.t array array; (* layers.(k) for component k+1 *)
-  mutable changed : bool;
+  gate_dirty : int array;
+      (* gates with a net changed since their last evaluation *)
+  net_dirty : int array; (* nets changed since their last coupling *)
+  trail : int array;
+      (* every X -> 0/1 assignment since the last reset, as
+         [(net lsl 2) lor (component - 1)] *)
+  mutable trail_len : int;
+  mutable current : int; (* gate under evaluation, or -1 *)
+  mutable failed : conflict option;
 }
+
+let mark_gate st g =
+  if g <> st.current then begin
+    let w = g / bits in
+    st.gate_dirty.(w) <- st.gate_dirty.(w) lor (1 lsl (g - (w * bits)))
+  end
+
+(* [net] just changed: it needs coupling at the end of this pass, and
+   every gate reading or driving it needs re-evaluation — in this pass if
+   its index is above the gate under evaluation, else in the next. *)
+let touch st net =
+  let w = net / bits in
+  st.net_dirty.(w) <- st.net_dirty.(w) lor (1 lsl (net - (w * bits)));
+  let c = st.circuit in
+  if net >= c.Circuit.num_pis then mark_gate st (net - c.Circuit.num_pis);
+  let fanouts = c.Circuit.fanouts.(net) in
+  for k = 0 to Array.length fanouts - 1 do
+    mark_gate st (fst fanouts.(k))
+  done
 
 let assign st ~component ~net value =
   let layer = st.layers.(component - 1) in
   match layer.(net), value with
   | Bit.X, (Bit.Zero | Bit.One) ->
     layer.(net) <- value;
-    st.changed <- true
+    st.trail.(st.trail_len) <- (net lsl 2) lor (component - 1);
+    st.trail_len <- st.trail_len + 1;
+    touch st net
   | (Bit.Zero | Bit.One | Bit.X), Bit.X -> ()
   | old, v -> if not (Bit.equal old v) then raise (Stop (net, component))
 
@@ -111,25 +157,23 @@ let imply_gate st ~component gate_index =
       if !count = 1 then
         assign st ~component ~net:!unknown (Bit.xor (apply_inv out_v) !acc))
 
-(* Coupling between layers: a definite intermediate value forces the same
-   end values anywhere; stable end values force the intermediate value on
-   PIs only. *)
-let imply_coupling st =
+(* Coupling between layers on one net: a definite intermediate value
+   forces the same end values anywhere; stable end values force the
+   intermediate value on PIs only. *)
+let imply_coupling st net =
   let c = st.circuit in
   let l1 = st.layers.(0) and l2 = st.layers.(1) and l3 = st.layers.(2) in
-  for net = 0 to Circuit.num_nets c - 1 do
-    (match l2.(net) with
-    | (Bit.Zero | Bit.One) as v ->
-      assign st ~component:1 ~net v;
-      assign st ~component:3 ~net v
-    | Bit.X -> ());
-    if Circuit.is_pi c net then
-      match l1.(net), l3.(net) with
-      | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One)
-        when Bit.equal l1.(net) l3.(net) ->
-        assign st ~component:2 ~net l1.(net)
-      | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> ()
-  done
+  (match l2.(net) with
+  | (Bit.Zero | Bit.One) as v ->
+    assign st ~component:1 ~net v;
+    assign st ~component:3 ~net v
+  | Bit.X -> ());
+  if Circuit.is_pi c net then
+    match l1.(net), l3.(net) with
+    | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One)
+      when Bit.equal l1.(net) l3.(net) ->
+      assign st ~component:2 ~net l1.(net)
+    | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> ()
 
 let seed st reqs =
   let comp_value = function
@@ -143,28 +187,93 @@ let seed st reqs =
       assign st ~component:3 ~net (comp_value r.Req.r3))
     reqs
 
-let infer c reqs =
+(* One pass: the dirty gates in ascending index, each on its three
+   layers.  [w] holds the word's bits above the last evaluated gate, so a
+   gate marked at or below it waits for the next pass. *)
+let gate_pass st =
+  let d = st.gate_dirty in
+  for wi = 0 to Array.length d - 1 do
+    let w = ref d.(wi) in
+    while !w <> 0 do
+      let low = !w land - !w in
+      d.(wi) <- d.(wi) lxor low;
+      let g = (wi * bits) + bit_index low in
+      st.current <- g;
+      imply_gate st ~component:1 g;
+      imply_gate st ~component:2 g;
+      imply_gate st ~component:3 g;
+      w := d.(wi) land -(low lsl 1)
+    done
+  done;
+  st.current <- -1
+
+(* The coupling rule over the nets changed since their last coupling, in
+   ascending order.  A net's bit is cleared after its rule ran: the rule
+   only changes that net, and running it again would change nothing. *)
+let coupling_pass st =
+  let d = st.net_dirty in
+  for wi = 0 to Array.length d - 1 do
+    let w = ref d.(wi) in
+    while !w <> 0 do
+      let low = !w land - !w in
+      imply_coupling st ((wi * bits) + bit_index low);
+      d.(wi) <- d.(wi) land lnot low;
+      w := d.(wi) land -(low lsl 1)
+    done
+  done
+
+(* No gate is dirty in a fresh state: every gate has a fanin
+   ([Gate.min_arity]), so no rule fires on all-X nets. *)
+let create c =
   let n = Circuit.num_nets c in
-  let st =
-    { circuit = c; layers = Array.init 3 (fun _ -> Array.make n Bit.X); changed = false }
-  in
-  try
-    seed st reqs;
-    st.changed <- true;
-    while st.changed do
-      st.changed <- false;
-      for gate_index = 0 to Circuit.num_gates c - 1 do
-        imply_gate st ~component:1 gate_index;
-        imply_gate st ~component:2 gate_index;
-        imply_gate st ~component:3 gate_index
-      done;
-      imply_coupling st
-    done;
+  let words k = (k + bits - 1) / bits in
+  {
+    circuit = c;
+    layers = Array.init 3 (fun _ -> Array.make n Bit.X);
+    gate_dirty = Array.make (words (Circuit.num_gates c)) 0;
+    net_dirty = Array.make (words n) 0;
+    trail = Array.make (3 * n) 0;
+    trail_len = 0;
+    current = -1;
+    failed = None;
+  }
+
+let reset st =
+  for i = 0 to st.trail_len - 1 do
+    let e = st.trail.(i) in
+    st.layers.(e land 3).(e lsr 2) <- Bit.X
+  done;
+  st.trail_len <- 0;
+  Array.fill st.gate_dirty 0 (Array.length st.gate_dirty) 0;
+  Array.fill st.net_dirty 0 (Array.length st.net_dirty) 0;
+  st.current <- -1;
+  st.failed <- None
+
+let extend st reqs =
+  (match st.failed with
+  | Some _ -> ()
+  | None -> (
+    try
+      seed st reqs;
+      gate_pass st;
+      coupling_pass st;
+      while Array.exists (fun w -> w <> 0) st.gate_dirty do
+        gate_pass st;
+        coupling_pass st
+      done
+    with Stop (net, component) -> st.failed <- Some { net; component }));
+  st.failed
+
+let value st ~component net = st.layers.(component - 1).(net)
+
+let infer c reqs =
+  let st = create c in
+  match extend st reqs with
+  | Some { net; component } -> Conflict { net; component }
+  | None ->
     Consistent
-      (Array.init n (fun net ->
+      (Array.init (Circuit.num_nets c) (fun net ->
            Triple.make st.layers.(0).(net) st.layers.(1).(net)
              st.layers.(2).(net)))
-  with Stop (net, component) -> Conflict { net; component }
 
-let consistent c reqs =
-  match infer c reqs with Consistent _ -> true | Conflict _ -> false
+let consistent c reqs = Option.is_none (extend (create c) reqs)

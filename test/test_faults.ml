@@ -12,6 +12,7 @@ module Fault = Pdf_faults.Fault
 module Robust = Pdf_faults.Robust
 module Undetectable = Pdf_faults.Undetectable
 module Target_sets = Pdf_faults.Target_sets
+module Ledger = Pdf_obs.Ledger
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -343,6 +344,34 @@ let test_filter_counts () =
         (Undetectable.classify s27 f = Undetectable.Maybe_detectable))
     kept
 
+(* The filter's ledger records name the first conflict the implication
+   schedule meets, so the schedule's visiting order is part of the
+   output.  Pinned at N_P = 1000, N_P0 = 100, as [pdfatpg enrich] builds
+   its target sets: a schedule that visits lower-index gates within a
+   pass reaches the same verdicts but changes these records. *)
+let test_undetectable_records_pinned () =
+  List.iter
+    (fun (name, count, digest) ->
+      let profile = Option.get (Pdf_synth.Profiles.find name) in
+      let c = Pdf_synth.Profiles.circuit profile in
+      let ledger = Ledger.create () in
+      ignore
+        (Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
+          : Target_sets.t);
+      let records = Ledger.create () in
+      List.iter
+        (fun (r : Ledger.record) ->
+          Ledger.record records ~kind:"undetectable" r.Ledger.fields)
+        (Ledger.find ledger ~kind:"undetectable" (fun _ -> true));
+      check Alcotest.int (name ^ " undetectable records") count
+        (Ledger.size records);
+      check Alcotest.string (name ^ " undetectable digest") digest
+        (Digest.to_hex (Digest.string (Ledger.to_jsonl records))))
+    [
+      ("s1488", 844, "5a53c2d22c06ec7df47bd833d7b2769b");
+      ("b09", 910, "f0402bd0c82cc963ea81427ea57a6169");
+    ]
+
 let test_filter_soundness_s27 () =
   (* Soundness: a fault removed by the filter must have no robust test.
      Exhaustive check over all 2^14 two-pattern input pairs of s27. *)
@@ -596,6 +625,8 @@ let () =
           Alcotest.test_case "filter counts" `Quick test_filter_counts;
           Alcotest.test_case "filter soundness (exhaustive s27)" `Slow
             test_filter_soundness_s27;
+          Alcotest.test_case "ledger records pinned (s1488, b09)" `Slow
+            test_undetectable_records_pinned;
         ] );
       ( "criterion",
         [

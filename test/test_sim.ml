@@ -306,6 +306,109 @@ let test_implication_agrees_with_filter () =
           implication_says filter_says)
     faults
 
+(* ------------------------------------------------------------------ *)
+(* Implication state: reset, extension, brute force                     *)
+(* ------------------------------------------------------------------ *)
+
+let req_kinds =
+  [| Req.stable false; Req.stable true; Req.initial false; Req.initial true;
+     Req.final false; Req.final true; Req.rising; Req.falling |]
+
+(* One to four parts of one to three requirements on random nets. *)
+let arb_parts c =
+  let req =
+    QCheck.Gen.(pair (int_bound (Circuit.num_nets c - 1)) (oneofa req_kinds))
+  in
+  let show_part p =
+    String.concat ","
+      (List.map
+         (fun (net, r) ->
+           Printf.sprintf "%s=%s" (Circuit.net_name c net) (Req.to_string r))
+         p)
+  in
+  QCheck.make
+    ~print:(fun parts -> String.concat " | " (List.map show_part parts))
+    QCheck.Gen.(list_size (int_range 1 4) (list_size (int_range 1 3) req))
+
+let extend_parts st parts =
+  List.fold_left
+    (fun acc part ->
+      match acc with Some _ -> acc | None -> Implication.extend st part)
+    None parts
+
+let state_values c st =
+  Array.init (Circuit.num_nets c) (fun net ->
+      Triple.make
+        (Implication.value st ~component:1 net)
+        (Implication.value st ~component:2 net)
+        (Implication.value st ~component:3 net))
+
+let all_x values =
+  Array.for_all
+    (fun (t : Triple.t) ->
+      Bit.equal t.Triple.v1 Bit.X && Bit.equal t.Triple.v2 Bit.X
+      && Bit.equal t.Triple.v3 Bit.X)
+    values
+
+(* After any extensions, conflicting or not, [reset] leaves every net X,
+   and the reset state answers like a fresh one — conflict line
+   included, as the undetectability filter relies on. *)
+let prop_reset_restores (name, c) =
+  QCheck.Test.make ~name:("reset restores every net to X on " ^ name)
+    ~count:300 (arb_parts c) (fun parts ->
+      let st = Implication.create c in
+      ignore (extend_parts st parts : Implication.conflict option);
+      Implication.reset st;
+      all_x (state_values c st)
+      &&
+      let reqs = List.concat parts in
+      match (Implication.extend st reqs, Implication.infer c reqs) with
+      | None, Implication.Consistent want -> state_values c st = want
+      | Some got, Implication.Conflict want ->
+        got.Implication.net = want.net
+        && got.Implication.component = want.component
+      | None, Implication.Conflict _ | Some _, Implication.Consistent _ ->
+        false)
+
+(* Implied values are the least fixpoint of the seeds, so extending part
+   by part gives the one-shot values of the concatenation when it is
+   consistent, and a conflict when it is not. *)
+let prop_extend_equals_infer (name, c) =
+  QCheck.Test.make ~name:("extend in parts = infer on " ^ name) ~count:300
+    (arb_parts c) (fun parts ->
+      let st = Implication.create c in
+      let conflict = extend_parts st parts in
+      match Implication.infer c (List.concat parts) with
+      | Implication.Consistent want ->
+        conflict = None && state_values c st = want
+      | Implication.Conflict _ -> conflict <> None)
+
+(* Implication is sound but incomplete: whenever brute force finds a test
+   for the set, [consistent] holds and every implied value is the
+   test's. *)
+let prop_consistent_vs_brute_force (name, c) =
+  QCheck.Test.make ~name:("consistent vs brute force on " ^ name)
+    ~count:60 (arb_parts c) (fun parts ->
+      let reqs = List.concat parts in
+      match Pdf_check.Oracle.brute_force c reqs with
+      | None -> true
+      | Some t -> (
+        Implication.consistent c reqs
+        &&
+        match Implication.infer c reqs with
+        | Implication.Conflict _ -> false
+        | Implication.Consistent implied ->
+          let sim = Pdf_core.Test_pair.simulate c t in
+          let agrees want got = Bit.equal want Bit.X || Bit.equal want got in
+          Array.for_all2
+            (fun (i : Triple.t) (v : Triple.t) ->
+              agrees i.Triple.v1 v.Triple.v1
+              && agrees i.Triple.v2 v.Triple.v2
+              && agrees i.Triple.v3 v.Triple.v3)
+            implied sim))
+
+let state_circuits = [ ("c17", c17); ("s27", s27) ]
+
 let () =
   Alcotest.run "pdf_sim"
     [
@@ -350,4 +453,13 @@ let () =
           Alcotest.test_case "agrees with undetectability filter" `Quick
             test_implication_agrees_with_filter;
         ] );
+      ( "impl_state",
+        List.concat_map
+          (fun c ->
+            [
+              qcheck (prop_reset_restores c);
+              qcheck (prop_extend_equals_infer c);
+              qcheck (prop_consistent_vs_brute_force c);
+            ])
+          state_circuits );
     ]
