@@ -316,8 +316,9 @@ let justify_conv =
 let justify_arg =
   let doc =
     "Justification backend: sim (paper), podem (structural) or portfolio \
-     (race both plus random restarts across the worker pool).  Defaults \
-     to $(b,PDF_JUSTIFY), else sim."
+     (podem, then sim, then two random-restart sim members, stopping at \
+     the first test or at podem's proof that none exists).  Defaults to \
+     $(b,PDF_JUSTIFY), else sim."
   in
   Arg.(value & opt (some justify_conv) None & info [ "justify" ] ~doc)
 

@@ -540,7 +540,7 @@ let check_justify_podem { circuit = c; seed } =
               fname c.Circuit.name
           | _ -> ()
         end;
-        (* The racing engine must be as sound as its members. *)
+        (* The portfolio must be as sound as its members. *)
         if !violation = None then
           match Justify.Engine.run portfolio ~rng ~reqs with
           | Some t when not (Test_pair.satisfies c t reqs) ->
@@ -783,6 +783,23 @@ let m_impl_extensions = Metrics.counter "check.implication.extensions"
 
 let implication_unions = 400
 
+(* The robust conditions of every enumerated fault without a direct
+   conflict — the undetectability filter's input. *)
+let fault_conditions c =
+  let enumeration =
+    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
+  in
+  List.concat_map
+    (fun (path, _) ->
+      List.filter_map (Pdf_faults.Robust.conditions c) (Fault.both path))
+    enumeration.Pdf_paths.Enumerate.paths
+  |> Array.of_list
+
+(* A union's parts: 2–4 draws from [pool], repeats allowed. *)
+let draw_union rng pool =
+  List.init (2 + Rng.int rng 3) (fun _ ->
+      pool.(Rng.int rng (Array.length pool)))
+
 (* The condition sets are the robust conditions of every enumerated fault
    — the undetectability filter's input — and random unions of 2–4 of
    them, drawn from the faults whose own set is consistent so that not
@@ -794,16 +811,7 @@ let implication_unions = 400
    extending that state part by part must give the sweep's values for a
    consistent union and a conflict for a conflicting one. *)
 let check_implication { circuit = c; seed } =
-  let enumeration =
-    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
-  in
-  let conds =
-    List.concat_map
-      (fun (path, _) ->
-        List.filter_map (Pdf_faults.Robust.conditions c) (Fault.both path))
-      enumeration.Pdf_paths.Enumerate.paths
-    |> Array.of_list
-  in
+  let conds = fault_conditions c in
   if Array.length conds = 0 then Skip "no fault without a direct conflict"
   else begin
     let rng = Rng.create seed in
@@ -903,10 +911,7 @@ let check_implication { circuit = c; seed } =
     in
     for u = 1 to implication_unions do
       if !violation = None then begin
-        let picks =
-          List.init (2 + Rng.int rng 3) (fun _ ->
-              pool.(Rng.int rng (Array.length pool)))
-        in
+        let picks = draw_union rng pool in
         ignore
           (check_set
              (Printf.sprintf "union %d (faults %s)" u
@@ -914,6 +919,83 @@ let check_implication { circuit = c; seed } =
              (List.map (fun i -> conds.(i)) picks)
             : bool)
       end
+    done;
+    match !violation with Some m -> Fail m | None -> Pass
+  end
+
+(* ------------------------------------------------------------------ *)
+(* portfolio: the escalating engine vs running every member             *)
+(* ------------------------------------------------------------------ *)
+
+let m_pf_sets = Metrics.counter "check.portfolio.sets"
+let m_pf_found = Metrics.counter "check.portfolio.found"
+
+let portfolio_unions = 100
+
+(* The requirement sets are drawn like the implication oracle's: every
+   enumerated fault's robust conditions, and unions of 2–4 of those
+   whose own set implies no conflict.  Many unions cannot be satisfied,
+   which is where the engine stops at PODEM's proof instead of running
+   the simulation members.  On each set the engine must return the
+   reference's test and winner; both draw once per call from generators
+   seeded alike, so the member seeds agree too. *)
+let check_portfolio { circuit = c; seed } =
+  let conds = fault_conditions c in
+  if Array.length conds = 0 then Skip "no fault without a direct conflict"
+  else begin
+    let rng = Rng.create seed in
+    let engine = Justify.Engine.create ~kind:Justify.Portfolio c in
+    let reference = Portfolio_ref.create c in
+    let engine_rng = Rng.create (seed + 1)
+    and reference_rng = Rng.create (seed + 1) in
+    let violation = ref None in
+    let describe = function
+      | None -> "no test"
+      | Some (t, winner) ->
+        Printf.sprintf "%s from %s" (Test_pair.to_string t) winner
+    in
+    let check_set what reqs =
+      if !violation = None then begin
+        Metrics.incr m_pf_sets;
+        let got =
+          Option.map
+            (fun t -> (t, Justify.Engine.winner engine))
+            (Justify.Engine.run engine ~rng:engine_rng ~reqs)
+        in
+        let want = Portfolio_ref.run reference ~rng:reference_rng ~reqs in
+        match (got, want) with
+        | None, None -> ()
+        | Some (t, w), Some (t', w')
+          when Test_pair.equal t t' && String.equal w w' ->
+          Metrics.incr m_pf_found
+        | _ ->
+          violation :=
+            Some
+              (Printf.sprintf
+                 "the portfolio on %s of %s returns %s; running every member \
+                  returns %s"
+                 what c.Circuit.name (describe got) (describe want))
+      end
+    in
+    Array.iteri
+      (fun i reqs -> check_set (Printf.sprintf "fault %d's conditions" i) reqs)
+      conds;
+    let consistent =
+      List.filter
+        (fun i -> Implication.consistent c conds.(i))
+        (List.init (Array.length conds) Fun.id)
+      |> Array.of_list
+    in
+    let pool =
+      if Array.length consistent = 0 then Array.init (Array.length conds) Fun.id
+      else consistent
+    in
+    for u = 1 to portfolio_unions do
+      let picks = draw_union rng pool in
+      check_set
+        (Printf.sprintf "union %d (faults %s)" u
+           (String.concat "+" (List.map string_of_int picks)))
+        (List.concat_map (fun i -> conds.(i)) picks)
     done;
     match !violation with Some m -> Fail m | None -> Pass
   end
@@ -966,6 +1048,10 @@ let all =
       doc = "event-driven implication reaches the reference sweep's values \
              and first conflict, also through reset and extension";
       check = check_implication };
+    { name = "portfolio";
+      doc = "the escalating portfolio returns the test and winner of \
+             running every member to completion";
+      check = check_portfolio };
   ]
 
 let find name = List.find_opt (fun o -> String.equal o.name name) all

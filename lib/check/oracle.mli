@@ -30,8 +30,8 @@
       brute force: a [Found]/[Proved_unsatisfiable] disagreement in any
       direction is a violation, every [Found] test must re-simulate to
       satisfy its requirements through the independent scalar
-      simulator, and the racing portfolio engine's answers must
-      re-simulate too; this is the oracle that must catch the
+      simulator, and the portfolio engine's answers must re-simulate
+      too; this is the oracle that must catch the
       [Podem.set_injected_bug] implication mutation;
     - [robust-timing] — robust detection per {!Pdf_core.Fault_sim}
       implies physical detection by the event-driven
@@ -45,7 +45,12 @@
       robust conditions and on unions of 2–4 of them: the same values,
       or the same conflicting net and component; the same conflict from
       one state reset before each fault; and the sweep's values when a
-      consistent union is extended part by part.
+      consistent union is extended part by part;
+    - [portfolio] — the escalating portfolio {!Pdf_core.Justify.Engine}
+      against {!Portfolio_ref}, which runs every member to completion,
+      on the same kind of requirement sets: the same test (or none) and
+      the same winning member.  This is what justifies stopping at
+      PODEM's proof of unsatisfiability.
 
     Oracles are deterministic in [(circuit, seed)]; any engine toggles
     they flip are restored on exit (including on exceptions). *)
@@ -69,10 +74,10 @@ type t = {
 }
 
 val all : t list
-(** The registry, cheapest first, except that [implication] comes last
-    so that adding it left every earlier oracle's seed unchanged.  Order
-    is part of the fuzz harness's determinism contract — a round's RNG
-    draws depend on it. *)
+(** The registry, cheapest first, except that [implication] and then
+    [portfolio] come last, so that adding each left every earlier
+    oracle's seed unchanged.  Order is part of the fuzz harness's
+    determinism contract — a round's RNG draws depend on it. *)
 
 val find : string -> t option
 (** Look up an oracle by {!field-name}. *)

@@ -164,8 +164,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   (* One attribution sheet for everything this (single-domain) run owns:
      the justify engine, the incremental refresh state and the candidate
      delta scans all bump it unsynchronised; it is merged into the
-     shared store once, at the end of the run (portfolio members charge
-     private sheets that [Justify.Engine.flush] folds in first). *)
+     shared store once, at the end of the run. *)
   let sheet = Option.map Attrib.fresh attrib in
   let jkind =
     match justify with Some k -> k | None -> Justify.default_kind ()
@@ -628,7 +627,6 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     (fun (_, inc) ->
       Inc_sim.record ~num_gates:(Circuit.num_gates c) (Inc_sim.stats inc))
     inc_state;
-  Justify.Engine.flush engine;
   (match attrib, sheet with
   | Some store, Some sh -> Attrib.merge store sh
   | _ -> ());

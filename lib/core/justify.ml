@@ -124,47 +124,6 @@ let overlay_reader ov s k =
   let tk = ov.tstamp.(k) and vk = ov.tval.(k) and sk = s.(k) in
   fun net -> if tk.(net) = ov.id then vk.(net) else sk.(net)
 
-(* The gates a trial pass still has to evaluate: a binary min-heap of
-   cone gate indices, deduplicated by stamping each gate with the pass
-   that queued it.  At most every cone gate is queued once per pass, so
-   the heap never outgrows the cone.  ([Pdf_util.Heap] would allocate an
-   option per pop.) *)
-type worklist = {
-  heap : int array;
-  mutable len : int;
-  queued : int array; (* per gate: the pass that last queued it *)
-  mutable pass : int;
-}
-
-let push wl gi =
-  let h = wl.heap in
-  let i = ref wl.len in
-  wl.len <- wl.len + 1;
-  while !i > 0 && h.((!i - 1) / 2) > gi do
-    h.(!i) <- h.((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done;
-  h.(!i) <- gi
-
-let pop wl =
-  let h = wl.heap in
-  let top = h.(0) in
-  let n = wl.len - 1 in
-  wl.len <- n;
-  let last = h.(n) in
-  let i = ref 0 and sifting = ref (n > 0) in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    let child = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
-    if child < n && h.(child) < last then begin
-      h.(!i) <- h.(child);
-      i := child
-    end
-    else sifting := false
-  done;
-  if n > 0 then h.(!i) <- last;
-  top
-
 type search = {
   c : Circuit.t;
   eng : t; (* owning engine: effort accounting and forensics *)
@@ -176,7 +135,7 @@ type search = {
   inc : Inc_sim.t option; (* incremental maintainer of [s], cone-masked *)
   ov : overlay;
   read : (int -> Bit.t) array; (* per component, overlay over [s] *)
-  wl : worklist;
+  wl : Worklist.t; (* the gates a trial pass still has to evaluate *)
   mutable evals : int; (* trial gate evaluations, flushed per search *)
   mutable unspecified : int;
   mutable resims : int; (* resimulation calls, for deferred attribution *)
@@ -236,18 +195,6 @@ let write engine st k net v =
     raise_notrace Trial_conflict
   end
 
-let queue_fanouts st net =
-  let wl = st.wl and in_cone = st.cone.Req_cone.in_cone in
-  let fanouts = st.c.Circuit.fanouts.(net) in
-  for i = 0 to Array.length fanouts - 1 do
-    let gi, _pin = fanouts.(i) in
-    if in_cone.(st.c.Circuit.num_pis + gi) && wl.queued.(gi) <> wl.pass
-    then begin
-      wl.queued.(gi) <- wl.pass;
-      push wl gi
-    end
-  done
-
 (* One component's pass of a trial, event-driven from the tried PI.
    Gates pop in ascending gate index — the order of a full topological
    scan of the cone, which evaluates exactly the gates with a changed
@@ -256,24 +203,24 @@ let queue_fanouts st net =
    (DESIGN.md §13.2 says why not level order). *)
 let propagate engine st k pi =
   let wl = st.wl in
-  wl.len <- 0;
-  wl.pass <- wl.pass + 1;
-  if st.ov.tstamp.(k).(pi) = st.ov.id then queue_fanouts st pi;
+  Worklist.start wl;
+  if st.ov.tstamp.(k).(pi) = st.ov.id then Worklist.queue_fanouts wl pi;
   let read = st.read.(k) and sk = st.s.(k) in
-  while wl.len > 0 do
-    let gi = pop wl in
-    let out = st.c.Circuit.num_pis + gi in
+  let gi = ref (Worklist.pop wl) in
+  while !gi >= 0 do
+    let out = st.c.Circuit.num_pis + !gi in
     st.evals <- st.evals + 1;
     (match engine.att with
     | Some a ->
       a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
       a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
     | None -> ());
-    let v = eval_gate_get st.c.Circuit.gates.(gi) read in
+    let v = eval_gate_get st.c.Circuit.gates.(!gi) read in
     if not (Bit.equal v sk.(out)) then begin
       write engine st k out v;
-      queue_fanouts st out
-    end
+      Worklist.queue_fanouts wl out
+    end;
+    gi := Worklist.pop wl
   done
 
 (* Trial-assign pattern bit [j] of PI [pi] to [b] and propagate through the
@@ -420,13 +367,7 @@ let make_search engine rng merged =
     inc;
     ov;
     read = Array.init 3 (overlay_reader ov s);
-    wl =
-      {
-        heap = Array.make (Array.length cone.Req_cone.gates) 0;
-        len = 0;
-        queued = Array.make (Circuit.num_gates c) 0;
-        pass = 0;
-      };
+    wl = Worklist.create c cone;
     evals = 0;
     unspecified = 2 * Array.length cone.Req_cone.pis;
     resims = 0;
@@ -676,115 +617,81 @@ let default_kind () =
         (Printf.sprintf "PDF_JUSTIFY=%S: expected sim, podem or portfolio" s))
 
 module Engine = struct
-  module Pool = Pdf_par.Pool
-
   (* Alias the simulation engine's type before [t] is shadowed below. *)
   type sim_engine = t
 
   type member_impl = Sim_member of sim_engine | Podem_member of Podem.t
 
-  type member = {
-    label : string;
-    impl : member_impl;
-    sheet : Attrib.sheet option;
-        (* portfolio members charge a private sheet (they run
-           concurrently); [flush] folds these into the run's sheet in
-           member order.  [None] outside portfolio mode: the single
-           member charges the run's sheet directly. *)
-  }
+  type member = { label : string; impl : member_impl }
 
   type t = {
     kind : kind;
     members : member array; (* fixed priority order *)
-    parent : Attrib.sheet option;
     mutable last_winner : string;
   }
 
   (* Portfolio composition: the structural engine first (deterministic,
      complete up to budget), then the paper's simulation engine, then
      [restarts] random-restart simulation members.  The order is the
-     winner priority. *)
+     escalation order, and so the winner priority. *)
   let restarts = 2
 
   let create ?attrib ?(kind = default_kind ()) circuit =
+    let sim label = { label; impl = Sim_member (create ?attrib circuit) } in
+    let podem () =
+      { label = "podem"; impl = Podem_member (Podem.create ?attrib circuit) }
+    in
     let members =
       match kind with
-      | Sim ->
-        [| { label = "sim"; impl = Sim_member (create ?attrib circuit);
-             sheet = None } |]
-      | Podem ->
-        [| { label = "podem"; impl = Podem_member (Podem.create ?attrib circuit);
-             sheet = None } |]
+      | Sim -> [| sim "sim" |]
+      | Podem -> [| podem () |]
       | Portfolio ->
-        let member label mk =
-          let sheet =
-            Option.map
-              (fun (a : Attrib.sheet) -> Attrib.make_sheet ~nets:a.Attrib.nets)
-              attrib
-          in
-          { label; impl = mk sheet; sheet }
-        in
         Array.of_list
-          (member "podem" (fun sheet -> Podem_member (Podem.create ?attrib:sheet circuit))
-          :: member "sim" (fun sheet -> Sim_member (create ?attrib:sheet circuit))
+          (podem () :: sim "sim"
           :: List.init restarts (fun i ->
-                 member
-                   (Printf.sprintf "sim-r%d" (i + 1))
-                   (fun sheet -> Sim_member (create ?attrib:sheet circuit))))
+                 sim (Printf.sprintf "sim-r%d" (i + 1))))
     in
-    { kind; members; parent = attrib; last_winner = "" }
+    { kind; members; last_winner = "" }
 
   let kind t = t.kind
 
-  let run_member ~seed ~reqs m =
-    match m.impl with
-    | Sim_member e -> run e ~rng:(Rng.create seed) ~reqs
-    | Podem_member p -> (
-      match Podem.run p ~reqs with
-      | Podem.Found test -> Some test
-      | Podem.Proved_unsatisfiable | Podem.Gave_up -> None)
-
   let run t ~rng ~reqs =
-    match t.kind with
-    | Sim | Podem ->
-      let m = t.members.(0) in
-      let result =
-        match m.impl with
-        | Sim_member e -> run e ~rng ~reqs
-        | Podem_member p -> (
-          match Podem.run p ~reqs with
-          | Podem.Found test -> Some test
-          | Podem.Proved_unsatisfiable | Podem.Gave_up -> None)
-      in
-      if result <> None then t.last_winner <- m.label;
-      result
-    | Portfolio ->
-      (* Exactly one draw from the caller's stream per call, whatever
-         the member count or job count; the members derive their own
-         seeds from it and their index, honouring the pool's
-         no-shared-randomness rule. *)
-      let base = Int64.to_int (Rng.next rng) land max_int in
-      let pool = Pool.default () in
-      let results =
-        Pool.map_array pool
-          (fun i ->
-            let m = t.members.(i) in
-            run_member ~seed:(base lxor (0x9e3779b9 * (i + 1))) ~reqs m)
-          (Array.init (Array.length t.members) Fun.id)
-      in
-      (* Synchronisation point: every member ran to completion (their
-         effort counters are therefore jobs-invariant); the winner is
-         the first successful member in priority order. *)
-      let rec pick i =
-        if i >= Array.length results then None
-        else
-          match results.(i) with
-          | Some test ->
-            t.last_winner <- t.members.(i).label;
-            Some test
-          | None -> pick (i + 1)
-      in
-      pick 0
+    (* [Sim] passes the caller's stream straight through.  [Portfolio]
+       draws from it exactly once per call, whatever the members
+       answer; each simulation member derives its seed from that draw
+       and its index. *)
+    let member_rng =
+      match t.kind with
+      | Sim | Podem -> fun _ -> rng
+      | Portfolio ->
+        let base = Int64.to_int (Rng.next rng) land max_int in
+        fun i -> Rng.create (base lxor (0x9e3779b9 * (i + 1)))
+    in
+    (* Members run one after another in priority order; the first test
+       wins.  PODEM's proof of unsatisfiability ends the escalation
+       too: a simulation member returns only a test satisfying the
+       merged requirements, so none could succeed after it
+       (DESIGN.md §15.2). *)
+    let rec escalate i =
+      if i >= Array.length t.members then None
+      else
+        let m = t.members.(i) in
+        let outcome =
+          match m.impl with
+          | Podem_member p -> Podem.run p ~reqs
+          | Sim_member e -> (
+            match run e ~rng:(member_rng i) ~reqs with
+            | Some test -> Podem.Found test
+            | None -> Podem.Gave_up (* no claim either way *))
+        in
+        match outcome with
+        | Podem.Found test ->
+          t.last_winner <- m.label;
+          Some test
+        | Podem.Proved_unsatisfiable -> None
+        | Podem.Gave_up -> escalate (i + 1)
+    in
+    escalate 0
 
   let winner t = t.last_winner
 
@@ -824,8 +731,7 @@ module Engine = struct
 
   (* Deterministic combination: the deepest conflict level over all
      members, and the last-conflict net of the first member (in
-     priority order) that recorded one — a fixed rule, so the ledger's
-     forensic fields are jobs-invariant in portfolio mode too. *)
+     priority order) that recorded one. *)
   let forensics t =
     let fs = Array.map member_forensics t.members in
     let deepest =
@@ -849,15 +755,4 @@ module Engine = struct
         | Sim_member e -> reset_forensics e
         | Podem_member p -> Podem.reset_forensics p)
       t.members
-
-  let flush t =
-    match t.parent with
-    | None -> ()
-    | Some parent ->
-      Array.iter
-        (fun m ->
-          match m.sheet with
-          | Some sheet -> Attrib.add_sheet ~into:parent sheet
-          | None -> ())
-        t.members
 end

@@ -134,10 +134,10 @@ val run_complete :
     The generation loop justifies through a dispatching {!Engine.t}
     that hosts one of three backends (DESIGN.md §15): the paper's
     simulation-based search, the structural {!Podem} engine, or a
-    portfolio racing both (plus random-restart simulation members)
-    across the {!Pdf_par.Pool}.  Selected by the [--justify] CLI flag /
-    serve-protocol field, falling back to the [PDF_JUSTIFY] environment
-    variable. *)
+    portfolio that escalates from PODEM to the simulation engine and
+    two random-restart simulation members until one finds a test.
+    Selected by the [--justify] CLI flag / serve-protocol field,
+    falling back to the [PDF_JUSTIFY] environment variable. *)
 
 type kind = Sim | Podem | Portfolio
 
@@ -157,11 +157,13 @@ val default_kind : unit -> kind
 
 (** The dispatching engine used by {!Atpg.generate}.  Counter and
     forensics accessors mirror the simulation engine's, summed over the
-    backend members; in portfolio mode every member runs each request
-    to completion ([run] is the synchronisation point) and the winner
-    is the first successful member in the fixed priority order [podem;
-    sim; sim-r1; sim-r2], so results, counters and the ledger are
-    byte-identical across [--jobs]. *)
+    backend members.  In portfolio mode the members run one after
+    another on the caller's domain, in the fixed priority order [podem;
+    sim; sim-r1; sim-r2], until one finds a test or PODEM proves the
+    requirements unsatisfiable; the test and the winner are those of
+    running every member to completion and taking the first success in
+    that order (the [portfolio] oracle checks this), and counters and
+    forensics cover only the members that ran. *)
 module Engine : sig
   type engine_kind := kind
 
@@ -172,10 +174,8 @@ module Engine : sig
     ?kind:engine_kind ->
     Pdf_circuit.Circuit.t ->
     t
-  (** [kind] defaults to {!default_kind}.  In portfolio mode each
-      member charges a private attribution sheet (members run
-      concurrently); call {!flush} once at the end of the run to fold
-      them into [attrib] in fixed member order. *)
+  (** [kind] defaults to {!default_kind}.  Every member charges
+      [attrib] directly. *)
 
   val kind : t -> engine_kind
 
@@ -187,8 +187,9 @@ module Engine : sig
   (** Justify through the selected backend.  [Sim] passes [rng]
       straight through (bit-identical to {!run} on a bare engine);
       [Podem] ignores it (the structural search is deterministic);
-      [Portfolio] draws exactly one value from it per call and derives
-      member seeds from that draw and the member index. *)
+      [Portfolio] draws exactly one value from it per call, whichever
+      members run, and derives member seeds from that draw and the
+      member index. *)
 
   val winner : t -> string
   (** Member label of the most recent successful {!run} (["sim"],
@@ -216,9 +217,4 @@ module Engine : sig
       priority order that recorded one. *)
 
   val reset_forensics : t -> unit
-
-  val flush : t -> unit
-  (** Fold portfolio members' private attribution sheets into the sheet
-      passed to {!create}, in fixed member order.  No-op otherwise; safe
-      to call exactly once, at the end of the run. *)
 end

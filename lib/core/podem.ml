@@ -122,7 +122,9 @@ let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
    pair of each net — {stable 0, stable 1, rising (the classical D̄→D
    pair), falling, unassigned} — plus the conservatively hazard-aware
    intermediate component 1 (DESIGN.md §15).  PODEM assigns only PI
-   pattern bits ([a1]/[a3]); everything else is implied forward. *)
+   pattern bits ([a1]/[a3]); everything else is implied forward.
+   Everything the search step touches is allocated once per search:
+   here, and [run]'s decision stack. *)
 type state = {
   c : Circuit.t;
   eng : t;
@@ -131,46 +133,117 @@ type state = {
   a3 : Bit.t array;
   s : Bit.t array array;  (* implied values, 3 x nets *)
   read : (int -> Bit.t) array;  (* per component, reading [s] *)
+  touched : int array;  (* PIs whose bits changed since the last pass *)
+  mutable n_touched : int;
+  is_touched : bool array;  (* per PI *)
+  wl : Worklist.t;  (* the gates an implication pass still has to evaluate *)
   mutable implies : int;  (* implication passes, for deferred attribution *)
+  seen : int array;  (* per net: the backtrace walk that last visited it *)
+  mutable walk : int;
+  (* The objective [objective] picked, and the decision [backtrace]
+     derived from it: fields, so that neither allocates a result. *)
+  mutable obj_net : int;
+  mutable obj_k : int;
+  mutable obj_v : bool;
+  mutable dec_pi : int;
+  mutable dec_j : int;  (* pattern bit, 1 or 3 *)
+  mutable dec_v : bool;
 }
 
-(* Forward implication: one pass over the cone in topological order,
-   all three components evaluated with the shared scalar gate evaluator.
-   A pure function of [a1]/[a3] — re-running it after restoring the
-   assignment restores the implied state exactly, which is what makes
-   chronological backtracking a plain unassign-and-reimply. *)
+(* Install PI [pi]'s implied values from its pattern bits; [true] when
+   one of the three changed. *)
+let install_pi st pi =
+  let s = st.s and b1 = st.a1.(pi) and b3 = st.a3.(pi) in
+  let mid = Two_pattern.middle_of_pair b1 b3 in
+  let changed =
+    not
+      (Bit.equal s.(0).(pi) b1 && Bit.equal s.(1).(pi) mid
+     && Bit.equal s.(2).(pi) b3)
+  in
+  s.(0).(pi) <- b1;
+  s.(1).(pi) <- mid;
+  s.(2).(pi) <- b3;
+  changed
+
+(* Evaluate cone gate [gi]'s three components into [s] with the shared
+   scalar gate evaluator; [true] when one changed.  The state's readers
+   allocate nothing; only the injected bug builds one per gate. *)
+let eval_gate st ~bug gi =
+  let g = st.c.Circuit.gates.(gi) in
+  let out = Circuit.net_of_gate st.c gi in
+  let changed = ref false in
+  for k = 0 to 2 do
+    let read =
+      if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
+        let f0 = g.Circuit.fanins.(0) in
+        fun net -> if net = f0 then st.s.(0).(net) else st.s.(2).(net)
+      else st.read.(k)
+    in
+    let v = eval_gate_get g read in
+    if not (Bit.equal v st.s.(k).(out)) then begin
+      st.s.(k).(out) <- v;
+      changed := true
+    end
+  done;
+  !changed
+
+let forget_touched st =
+  for i = 0 to st.n_touched - 1 do
+    st.is_touched.(st.touched.(i)) <- false
+  done;
+  st.n_touched <- 0
+
+(* One pass over the whole cone in ascending gate index (a topological
+   order): the implication of [a1]/[a3], computed from them alone.  A
+   search's first pass, and the reference its later passes are tested
+   against. *)
+let full_pass st =
+  let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
+  let bug = injected_bug_enabled () in
+  for i = 0 to Array.length pis - 1 do
+    ignore (install_pi st pis.(i) : bool)
+  done;
+  for i = 0 to Array.length gates - 1 do
+    ignore (eval_gate st ~bug gates.(i) : bool)
+  done;
+  forget_touched st
+
+(* The same implication, event-driven from the PI bits changed since
+   the last pass: only cone gates with a changed fanin are evaluated,
+   popped in ascending gate index, so each runs once, after its fanins,
+   and every other gate keeps the value a full pass would recompute. *)
+let event_pass st =
+  let wl = st.wl and in_cone = st.cone.Req_cone.in_cone in
+  let bug = injected_bug_enabled () in
+  Worklist.start wl;
+  for i = 0 to st.n_touched - 1 do
+    let pi = st.touched.(i) in
+    if in_cone.(pi) && install_pi st pi then Worklist.queue_fanouts wl pi
+  done;
+  forget_touched st;
+  let gi = ref (Worklist.pop wl) in
+  while !gi >= 0 do
+    if eval_gate st ~bug !gi then
+      Worklist.queue_fanouts wl (Circuit.net_of_gate st.c !gi);
+    gi := Worklist.pop wl
+  done
+
+(* Forward implication, a pure function of [a1]/[a3] — re-running it
+   after restoring the assignment restores the implied state exactly,
+   which is what makes chronological backtracking a plain
+   unassign-and-reimply.  Every pass is charged a full cone pass, the
+   engine-invariant unit the sim engine's resimulation is charged. *)
 let imply st =
   let eng = st.eng in
-  let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
-  let cost = Array.length gates in
+  let cost = Array.length st.cone.Req_cone.gates in
+  let first = st.implies = 0 in
   st.implies <- st.implies + 1;
   eng.e_imply_calls <- eng.e_imply_calls + 1;
   eng.e_imply_gates <- eng.e_imply_gates + cost;
   Metrics.incr m_implications;
   Metrics.add m_imply_gates cost;
   Metrics.add mj_resim_gates cost;
-  let bug = injected_bug_enabled () in
-  for i = 0 to Array.length pis - 1 do
-    let pi = pis.(i) in
-    st.s.(0).(pi) <- st.a1.(pi);
-    st.s.(2).(pi) <- st.a3.(pi);
-    st.s.(1).(pi) <- Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi)
-  done;
-  for i = 0 to Array.length gates - 1 do
-    let g = st.c.Circuit.gates.(gates.(i)) in
-    let out = Circuit.net_of_gate st.c gates.(i) in
-    for k = 0 to 2 do
-      (* The state's readers allocate nothing; only the injected bug
-         builds one per gate. *)
-      let read =
-        if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
-          let f0 = g.Circuit.fanins.(0) in
-          fun net -> if net = f0 then st.s.(0).(net) else st.s.(2).(net)
-        else st.read.(k)
-      in
-      st.s.(k).(out) <- eval_gate_get g read
-    done
-  done
+  if first then full_pass st else event_pass st
 
 let conflict_net st = Req_cone.conflict_net st.cone st.s
 
@@ -182,7 +255,9 @@ let satisfied st = Req_cone.satisfied st.cone st.s
    machine's D/D̄ boundary there is a set of required line values the
    search still has to drive (DESIGN.md §15); until the test is found
    (and absent a conflict) it is never empty, because an unsatisfied
-   requirement is either a definite mismatch (a conflict) or an X. *)
+   requirement is either a definite mismatch (a conflict) or an X.
+   Listed for the property tests; the search takes its first entry
+   through [objective]. *)
 let frontier st =
   let r = st.cone.Req_cone.r in
   Array.to_list st.cone.Req_cone.req_nets
@@ -195,102 +270,138 @@ let frontier st =
                if Bit.equal st.s.(k).(net) Bit.X then Some (net, k) else None)
            [ 0; 1; 2 ])
 
-let objective st =
-  match frontier st with
-  | [] -> None
-  | (net, k) :: _ ->
-    let v =
-      match st.cone.Req_cone.r.(k).(net) with
-      | Bit.One -> true
-      | Bit.Zero -> false
-      | Bit.X -> assert false
-    in
-    Some (net, k, v)
+(* The frontier's first entry at or after component [k] of the [i]th
+   required net, into [obj_*]; [false] when there is none. *)
+let rec objective_from st i k =
+  let nets = st.cone.Req_cone.req_nets in
+  if i >= Array.length nets then false
+  else if k > 2 then objective_from st (i + 1) 0
+  else
+    let net = nets.(i) in
+    match st.cone.Req_cone.r.(k).(net) with
+    | (Bit.Zero | Bit.One) as v when Bit.equal st.s.(k).(net) Bit.X ->
+      st.obj_net <- net;
+      st.obj_k <- k;
+      st.obj_v <- Bit.equal v Bit.One;
+      true
+    | Bit.Zero | Bit.One | Bit.X -> objective_from st i (k + 1)
 
-(* Desired value for fanin [f] so gate [g]'s component-[k] output moves
-   toward [v]: probe the shared evaluator with the fanin forced each
-   way.  When neither definite value settles the output (several X
-   inputs on a non-controlled gate), the goal value is passed through
-   unchanged — value quality only affects search order, never
-   completeness, because the decision loop tries both PI values. *)
+let objective st = objective_from st 0 0
+
+(* Desired value for fanin [f] (implied X) so gate [g]'s component-[k]
+   output moves toward [v]: probe the shared evaluator with the fanin
+   written each way into the state, then restore its X.  When neither
+   definite value settles the output (several X inputs on a
+   non-controlled gate), the goal value is passed through unchanged —
+   value quality only affects search order, never completeness,
+   because the decision loop tries both PI values. *)
 let probe_value st g k f v =
-  let want = Bit.of_bool v in
-  let eval b =
-    eval_gate_get g (fun net -> if net = f then b else st.s.(k).(net))
-  in
-  if Bit.equal (eval Bit.One) want then true
-  else if Bit.equal (eval Bit.Zero) want then false
-  else v
-
-(* Backtrace: depth-first walk backward from objective [(net, k, v)]
-   through X-valued nets to an unassigned PI pattern bit; returns the
-   PI, the pattern index (1 or 3) and the value to try.  An X gate
-   output always has an X fanin (three-valued evaluation is definite on
-   definite inputs), so for components 0 and 2 the walk always ends at
-   a PI whose corresponding bit is unassigned.  Component-1 objectives
-   can additionally dead-end at PIs whose two bits are assigned and
-   unequal — their intermediate value is X for good.  [None] therefore
-   means the objective's entire X backward cone is frozen: no completion
-   of the current assignment can ever make the component definite, so
-   the caller soundly treats [None] as a refutation of the branch. *)
-let backtrace st (net0, k0, v0) =
-  let seen = Array.make (Circuit.num_nets st.c) false in
-  let rec go net v =
-    if seen.(net) then None
+  let want = Bit.of_bool v and sk = st.s.(k) and read = st.read.(k) in
+  sk.(f) <- Bit.One;
+  let toward =
+    if Bit.equal (eval_gate_get g read) want then true
     else begin
-      seen.(net) <- true;
-      match Circuit.gate_of_net st.c net with
-      | None ->
-        (* A PI with an X component-[k0] value. *)
-        let pi = net in
-        if k0 = 0 then Some (pi, 1, v)
-        else if k0 = 2 then Some (pi, 3, v)
-        else if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, v)
-        else if Bit.equal st.a3.(pi) Bit.X then Some (pi, 3, v)
-        else None (* assigned unequal: the middle is X permanently *)
-      | Some gi ->
-        let g = st.c.Circuit.gates.(gi) in
-        let arity = Array.length g.Circuit.fanins in
-        let rec try_fanins i =
-          if i >= arity then None
-          else
-            let f = g.Circuit.fanins.(i) in
-            if Bit.equal st.s.(k0).(f) Bit.X then
-              match go f (probe_value st g k0 f v) with
-              | Some r -> Some r
-              | None -> try_fanins (i + 1)
-            else try_fanins (i + 1)
-        in
-        try_fanins 0
+      sk.(f) <- Bit.Zero;
+      if Bit.equal (eval_gate_get g read) want then false else v
     end
   in
-  go net0 v0
+  sk.(f) <- Bit.X;
+  toward
+
+let decide_bit st pi j v =
+  st.dec_pi <- pi;
+  st.dec_j <- j;
+  st.dec_v <- v;
+  true
+
+(* Backtrace: depth-first walk backward from the objective through
+   X-valued nets to an unassigned PI pattern bit, into [dec_*].  An X
+   gate output always has an X fanin (three-valued evaluation is
+   definite on definite inputs), so for components 0 and 2 the walk
+   always ends at a PI whose corresponding bit is unassigned.
+   Component-1 objectives can additionally dead-end at PIs whose two
+   bits are assigned and unequal — their intermediate value is X for
+   good.  [false] therefore means the objective's entire X backward cone
+   is frozen: no completion of the current assignment can ever make the
+   component definite, so the caller soundly treats it as a refutation
+   of the branch.  A net is visited at most once per walk: a revisited
+   net led nowhere the first time. *)
+let rec backtrace_net st net v =
+  if st.seen.(net) = st.walk then false
+  else begin
+    st.seen.(net) <- st.walk;
+    let num_pis = st.c.Circuit.num_pis in
+    if net >= num_pis then
+      backtrace_fanins st st.c.Circuit.gates.(net - num_pis) 0 v
+    else
+      (* A PI with an X component-[obj_k] value. *)
+      let pi = net in
+      if st.obj_k = 0 then decide_bit st pi 1 v
+      else if st.obj_k = 2 then decide_bit st pi 3 v
+      else if Bit.equal st.a1.(pi) Bit.X then decide_bit st pi 1 v
+      else if Bit.equal st.a3.(pi) Bit.X then decide_bit st pi 3 v
+      else false (* assigned unequal: the middle is X permanently *)
+  end
+
+and backtrace_fanins st g i v =
+  i < Array.length g.Circuit.fanins
+  &&
+  let f = g.Circuit.fanins.(i) and k = st.obj_k in
+  (Bit.equal st.s.(k).(f) Bit.X && backtrace_net st f (probe_value st g k f v))
+  || backtrace_fanins st g (i + 1) v
+
+let backtrace st =
+  st.walk <- st.walk + 1;
+  backtrace_net st st.obj_net st.obj_v
+
+(* Pattern-bit writes record their PI for the next event-driven pass. *)
+let touch st pi =
+  if not st.is_touched.(pi) then begin
+    st.is_touched.(pi) <- true;
+    st.touched.(st.n_touched) <- pi;
+    st.n_touched <- st.n_touched + 1
+  end
 
 let set_bit st pi j b =
-  match j with
+  (match j with
   | 1 -> st.a1.(pi) <- Bit.of_bool b
   | 3 -> st.a3.(pi) <- Bit.of_bool b
-  | _ -> invalid_arg "pattern"
+  | _ -> invalid_arg "pattern");
+  touch st pi
 
 let clear_bit st pi j =
-  match j with
+  (match j with
   | 1 -> st.a1.(pi) <- Bit.X
   | 3 -> st.a3.(pi) <- Bit.X
-  | _ -> invalid_arg "pattern"
+  | _ -> invalid_arg "pattern");
+  touch st pi
 
 let make_state eng merged =
   let c = eng.circuit in
   let n = Circuit.num_nets c in
   let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
+  let cone = Req_cone.make c merged in
   {
     c;
     eng;
-    cone = Req_cone.make c merged;
+    cone;
     a1 = Array.make c.Circuit.num_pis Bit.X;
     a3 = Array.make c.Circuit.num_pis Bit.X;
     s;
     read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
+    touched = Array.make c.Circuit.num_pis 0;
+    n_touched = 0;
+    is_touched = Array.make c.Circuit.num_pis false;
+    wl = Worklist.create c cone;
     implies = 0;
+    seen = Array.make n 0;
+    walk = 0;
+    obj_net = -1;
+    obj_k = 0;
+    obj_v = false;
+    dec_pi = -1;
+    dec_j = 1;
+    dec_v = false;
   }
 
 (* Deferred attribution flush, mirroring [Justify]'s [record_search]:
@@ -335,13 +446,6 @@ type outcome =
 
 exception Budget_exhausted
 
-type decision = {
-  d_pi : int;
-  d_j : int;
-  mutable d_value : bool;
-  mutable d_flipped : bool;
-}
-
 let note_run eng =
   Metrics.incr m_runs;
   Metrics.incr mj_runs;
@@ -365,14 +469,19 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
          (Array.make c.Circuit.num_pis false))
   | Some merged ->
     let st = make_state eng merged in
-    let stack = ref [] in
+    (* The decision stack.  Every decision assigns an open bit of a cone
+       PI, so it never holds more entries than the cone has bits. *)
+    let cap = 2 * Array.length st.cone.Req_cone.pis in
+    let d_pi = Array.make cap 0 and d_j = Array.make cap 0 in
+    let d_value = Array.make cap false and d_flipped = Array.make cap false in
+    let depth = ref 0 in
     let backtracks = ref 0 in
     let spend pi =
       incr backtracks;
       eng.e_backtracks <- eng.e_backtracks + 1;
       Metrics.incr m_backtracks;
       Metrics.incr mj_backtracks;
-      Metrics.observe_int h_backtrack_depth (List.length !stack);
+      Metrics.observe_int h_backtrack_depth !depth;
       (match eng.att with
       | Some a ->
         a.Attrib.backtracks.(pi) <- a.Attrib.backtracks.(pi) + 1;
@@ -383,7 +492,12 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
     let decide pi j v =
       eng.e_decisions <- eng.e_decisions + 1;
       Metrics.incr m_decisions;
-      stack := { d_pi = pi; d_j = j; d_value = v; d_flipped = false } :: !stack;
+      let d = !depth in
+      d_pi.(d) <- pi;
+      d_j.(d) <- j;
+      d_value.(d) <- v;
+      d_flipped.(d) <- false;
+      depth := d + 1;
       set_bit st pi j v;
       imply st
     in
@@ -392,7 +506,9 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
        decisions branch on both values of unassigned PI bits, so an
        exhausted stack is a proof of unsatisfiability (conflicts persist
        under completion by monotonicity, and a dead backtrace means the
-       objective component is frozen at X). *)
+       objective component is frozen at X).  With no conflict, an unmet
+       requirement always leaves an objective; a backtrace that finds no
+       open bit refutes the branch. *)
     let rec step () =
       match conflict_net st with
       | Some net ->
@@ -400,33 +516,29 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
         backtrack ()
       | None ->
         if satisfied st then Some (build_test st)
-        else begin
-          match objective st with
-          | None -> backtrack () (* unreachable: unmet => conflict or X *)
-          | Some obj -> (
-            match backtrace st obj with
-            | None -> backtrack () (* frozen objective: branch refuted *)
-            | Some (pi, j, v) ->
-              decide pi j v;
-              step ())
+        else if objective st && backtrace st then begin
+          decide st.dec_pi st.dec_j st.dec_v;
+          step ()
         end
+        else backtrack ()
     and backtrack () =
-      match !stack with
-      | [] -> None
-      | d :: rest ->
-        spend d.d_pi;
-        if d.d_flipped then begin
-          clear_bit st d.d_pi d.d_j;
-          stack := rest;
+      if !depth = 0 then None
+      else begin
+        let d = !depth - 1 in
+        spend d_pi.(d);
+        if d_flipped.(d) then begin
+          clear_bit st d_pi.(d) d_j.(d);
+          depth := d;
           backtrack ()
         end
         else begin
-          d.d_flipped <- true;
-          d.d_value <- not d.d_value;
-          set_bit st d.d_pi d.d_j d.d_value;
+          d_flipped.(d) <- true;
+          d_value.(d) <- not d_value.(d);
+          set_bit st d_pi.(d) d_j.(d) d_value.(d);
           imply st;
           step ()
         end
+      end
     in
     let outcome =
       try
@@ -460,11 +572,20 @@ module Internal = struct
       Some st
 
   let imply = imply
+  let full_pass = full_pass
   let frontier = frontier
   let conflict = conflict_net
   let satisfied = satisfied
-  let objective = objective
-  let backtrace = backtrace
+
+  let objective st =
+    if objective st then Some (st.obj_net, st.obj_k, st.obj_v) else None
+
+  let backtrace st (net, k, v) =
+    st.obj_net <- net;
+    st.obj_k <- k;
+    st.obj_v <- v;
+    if backtrace st then Some (st.dec_pi, st.dec_j, st.dec_v) else None
+
   let cone_pis st = st.cone.Req_cone.pis
 
   let assign st (pi, j, v) = set_bit st pi j v

@@ -9,9 +9,11 @@
     intermediate component 1 implied alongside — and the search loop is
     the classical one:
 
-    + {e imply}: one topological pass over the requirement cone,
-      evaluating all three components with the shared
-      {!Pdf_sim.Logic_sim.eval_gate_get};
+    + {e imply}: evaluate all three components of the requirement
+      cone with the shared {!Pdf_sim.Logic_sim.eval_gate_get} — the
+      whole cone on a search's first pass, then, event-driven from the
+      pattern bits changed since, only the cone gates with a changed
+      fanin, in ascending gate index (DESIGN.md §15.5);
     + {e objective}: the first requirement component still implied to X
       (the frontier generalises the classical D-frontier: until the test
       is found it is never empty, because an unsatisfied requirement is
@@ -25,7 +27,14 @@
 
     The engine is deterministic — no randomness anywhere — and complete
     up to its budget: {!Proved_unsatisfiable} means the whole decision
-    tree over the cone's input bits was refuted. *)
+    tree over the cone's input bits was refuted.
+
+    {b Cost.}  Each call allocates its search state once: a few arrays
+    over the circuit's nets and gates and the cone's input bits.  After
+    that the search step — implication, objective, backtrace, decision
+    and backtrack — allocates only the blamed net's option on a
+    conflict and the backtrack-depth histogram's sample (DESIGN.md
+    §15.5). *)
 
 type t
 (** A PODEM engine for one circuit, holding per-engine effort counters
@@ -65,8 +74,9 @@ val decisions : t -> int
 val backtracks : t -> int
 val imply_calls : t -> int
 val imply_gates : t -> int
-(** Implication effort: every pass charged the full cone gate count —
-    the same semantic unit as {!Justify.resim_gates}. *)
+(** Implication effort: every pass charged the full cone gate count,
+    however few gates it evaluated — the same semantic unit as
+    {!Justify.resim_gates}. *)
 
 val aborts : t -> int
 (** Runs that returned {!Gave_up}. *)
@@ -110,6 +120,13 @@ module Internal : sig
       initial implication; [None] on a directly conflicting set. *)
 
   val imply : state -> unit
+  (** The engine's implication pass: event-driven after the first. *)
+
+  val full_pass : state -> unit
+  (** Recompute the implication of the current assignment over the
+      whole cone, from the pattern bits alone: the reference {!imply}
+      must agree with. *)
+
   val frontier : state -> (int * int) list
   (** Unsatisfied requirement components, as [(net, component)] pairs in
       deterministic order. *)

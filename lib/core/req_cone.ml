@@ -63,25 +63,33 @@ let mismatch req value =
   | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One) -> not (Bit.equal req value)
   | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> false
 
-let conflict_net t s =
-  let n = Array.length t.req_nets in
-  let rec go i =
-    if i >= n then None
-    else
-      let net = t.req_nets.(i) in
-      if
-        mismatch t.r.(0).(net) s.(0).(net)
-        || mismatch t.r.(1).(net) s.(1).(net)
-        || mismatch t.r.(2).(net) s.(2).(net)
-      then Some net
-      else go (i + 1)
-  in
-  go 0
+(* Both scans run once per PODEM search step, so they build no
+   closure. *)
+let rec conflict_from t s i =
+  if i >= Array.length t.req_nets then None
+  else
+    let net = t.req_nets.(i) in
+    if
+      mismatch t.r.(0).(net) s.(0).(net)
+      || mismatch t.r.(1).(net) s.(1).(net)
+      || mismatch t.r.(2).(net) s.(2).(net)
+    then Some net
+    else conflict_from t s (i + 1)
 
-let satisfied t s =
-  let ok k net =
-    match t.r.(k).(net) with
-    | Bit.X -> true
-    | (Bit.Zero | Bit.One) as v -> Bit.equal s.(k).(net) v
-  in
-  Array.for_all (fun net -> ok 0 net && ok 1 net && ok 2 net) t.req_nets
+let conflict_net t s = conflict_from t s 0
+
+let holds req value =
+  match req with
+  | Bit.X -> true
+  | Bit.Zero | Bit.One -> Bit.equal value req
+
+let rec satisfied_from t s i =
+  i >= Array.length t.req_nets
+  ||
+  let net = t.req_nets.(i) in
+  holds t.r.(0).(net) s.(0).(net)
+  && holds t.r.(1).(net) s.(1).(net)
+  && holds t.r.(2).(net) s.(2).(net)
+  && satisfied_from t s (i + 1)
+
+let satisfied t s = satisfied_from t s 0

@@ -417,7 +417,8 @@ let justify_suite =
              keeps — CI gates on it.  The simulation engine's set-up run
              also yields "words_per_trial": the words its domain
              allocated over the timed faults, per trial simulation —
-             equally deterministic, and gated in CI. *)
+             equally deterministic, and gated in CI; PODEM's yields
+             "words_per_decision" the same way, per decision. *)
           let sim_aborts, words_per_trial =
             let e = Justify.create s.cs_circuit in
             let rng = Pdf_util.Rng.create params.seed in
@@ -430,15 +431,17 @@ let justify_suite =
             let words = Gc.minor_words () -. w0 in
             (!n, words /. float_of_int (max 1 (Justify.trials e)))
           in
-          let podem_aborts =
+          let podem_aborts, words_per_decision =
             let e = Podem.create s.cs_circuit in
             let n = ref 0 in
+            let w0 = Gc.minor_words () in
             for i = 0 to k_complete - 1 do
               match Podem.run e ~reqs:s.cs_faults.(i).Fault_sim.reqs with
               | Podem.Gave_up -> incr n
               | Podem.Found _ | Podem.Proved_unsatisfiable -> ()
             done;
-            !n
+            let words = Gc.minor_words () -. w0 in
+            (!n, words /. float_of_int (max 1 (Podem.decisions e)))
           in
           let portfolio_aborts =
             let e =
@@ -493,6 +496,7 @@ let justify_suite =
                 [
                   ("runs", float_of_int k_complete);
                   ("aborts", float_of_int podem_aborts);
+                  ("words_per_decision", words_per_decision);
                 ];
               thunk =
                 (fun () ->
@@ -566,7 +570,7 @@ let justify_suite =
     suite_doc =
       "Justification engines: the simulation-based search, the \
        branch-and-bound complete search, the structural PODEM engine \
-       and the racing portfolio over the longest faults, with aborted \
+       and the escalating portfolio over the longest faults, with aborted \
        justifications as a telemetry unit";
     cases;
   }

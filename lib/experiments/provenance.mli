@@ -29,8 +29,8 @@ val build :
     [Workload.default_seed], [justify] per {!Pdf_core.Justify.default_kind}.
     The attached ledger is deterministic: byte-identical across [--jobs]
     values and scalar/packed simulation engines (the portfolio backend
-    included — members race to completion and the winner is picked by
-    fixed priority). *)
+    included — its members run one after another on the caller's
+    domain, in a fixed priority order). *)
 
 val explain : t -> string -> (string, string) result
 (** [explain t query] — a human-readable account of the matching

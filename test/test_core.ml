@@ -883,6 +883,65 @@ let prop_podem_search_invariants =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
+(* The engine's implication is event-driven after its first pass: it
+   re-evaluates only the cone gates with a changed fanin.  After any
+   sequence of assignments and retractions — several between passes,
+   inputs outside the cone included — each pass must leave the state a
+   full pass over the cone recomputes from the pattern bits alone, and
+   the objective the engine scans for must be the frontier's first
+   entry. *)
+let prop_podem_imply_full_pass =
+  QCheck.Test.make ~name:"PODEM imply = full pass" ~count:60
+    (QCheck.make (QCheck.Gen.int_range 0 100_000))
+    (fun seed ->
+      let params =
+        { Pdf_synth.Generators.num_pis = 8; num_gates = 40; window = 15;
+          max_fanout = 4; reuse_pct = 15; restart_pct = 5; fanin3_pct = 20;
+          inverter_pct = 25; po_taps = 1 }
+      in
+      let c = Generators.random_dag ~name:"rand" ~seed params in
+      let model = Delay_model.lines c in
+      let ts = Target_sets.build c model ~n_p:12 ~n_p0:4 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let eng = Podem.create c in
+      let module I = Podem.Internal in
+      let rng = Rng.create seed in
+      let failure = ref None in
+      Array.iter
+        (fun (p : Fault_sim.prepared) ->
+          match I.prepare eng ~reqs:p.Fault_sim.reqs with
+          | None -> ()
+          | Some st ->
+            let pis = I.cone_pis st in
+            for _ = 1 to 60 do
+              let pi =
+                if Rng.int rng 8 = 0 then Rng.int rng c.Circuit.num_pis
+                else pis.(Rng.int rng (Array.length pis))
+              in
+              let j = if Rng.bool rng then 1 else 3 in
+              match Rng.int rng 3 with
+              | 0 -> I.assign st (pi, j, Rng.bool rng)
+              | 1 -> I.unassign st (pi, j)
+              | _ ->
+                I.imply st;
+                let event_driven = I.snapshot st in
+                I.full_pass st;
+                if !failure = None && I.snapshot st <> event_driven then
+                  failure :=
+                    Some
+                      (Printf.sprintf "event-driven %s, full pass %s"
+                         event_driven (I.snapshot st));
+                let objective =
+                  Option.map (fun (net, k, _) -> (net, k)) (I.objective st)
+                and first = List.nth_opt (I.frontier st) 0 in
+                if !failure = None && objective <> first then
+                  failure := Some "objective is not the frontier's first entry"
+            done)
+        faults;
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 (* ------------------------------------------------------------------ *)
 (* Engine-level goldens: sim / podem / portfolio                        *)
 (* ------------------------------------------------------------------ *)
@@ -954,9 +1013,9 @@ let test_engine_goldens () =
     goldens
 
 let test_portfolio_ledger_jobs_invariant () =
-  (* The portfolio races members across the pool, yet the ledger must be
-     byte-identical whatever the job count (DESIGN.md §15): members run
-     to completion and the winner is picked by fixed priority. *)
+  (* The ledger must be byte-identical whatever the job count
+     (DESIGN.md §15): the portfolio's members run one after another on
+     the caller's domain, in a fixed priority order. *)
   let saved = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) @@ fun () ->
   let run jobs =
@@ -972,6 +1031,72 @@ let test_portfolio_ledger_jobs_invariant () =
   check Alcotest.bool "ledger bytes identical at --jobs 1 vs 4" true
     (String.equal one four);
   check Alcotest.bool "ledger non-trivial" true (String.length one > 100)
+
+(* The portfolio's stop rule on s27, where PODEM justifies every
+   fault: each such call runs PODEM alone — one run, won by "podem" —
+   and a requirement set PODEM refutes, directly or by search, ends
+   after that one run without a test. *)
+let test_portfolio_escalation () =
+  let engine = Justify.Engine.create ~kind:Justify.Portfolio s27 in
+  let rng = Rng.create 9 in
+  let run reqs =
+    let runs0 = Justify.Engine.runs engine in
+    let res = Justify.Engine.run engine ~rng ~reqs in
+    (res, Justify.Engine.runs engine - runs0)
+  in
+  Array.iter
+    (fun (p : Fault_sim.prepared) ->
+      match run p.Fault_sim.reqs with
+      | Some t, runs ->
+        check Alcotest.int "one run" 1 runs;
+        check Alcotest.string "winner" "podem" (Justify.Engine.winner engine);
+        check Alcotest.bool "satisfies" true
+          (Test_pair.satisfies s27 t p.Fault_sim.reqs)
+      | None, _ ->
+        Alcotest.failf "no test for %s" (Fault.to_string s27 p.Fault_sim.fault))
+    s27_faults;
+  let g8 = Option.get (Circuit.find_net s27 "G8") in
+  let g0 = Option.get (Circuit.find_net s27 "G0") in
+  List.iter
+    (fun (what, reqs) ->
+      let res, runs = run reqs in
+      check Alcotest.bool (what ^ ": no test") true (res = None);
+      check Alcotest.int (what ^ ": one run") 1 runs)
+    [
+      ("direct conflict", [ (0, Req.rising); (0, Req.falling) ]);
+      ( "internal contradiction",
+        [ (g8, Req.stable true); (g0, Req.stable true) ] );
+    ]
+
+(* The PODEM backend's ledgers, pinned: the records of [pdfatpg enrich
+   C --n-p 1000 --n-p0 100 --seed 2002 --justify podem].  Its tests,
+   per-fault effort and conflict forensics all reach the ledger, so an
+   implication pass that missed a changed gate, a backtrace that picked
+   another bit, or a step charged differently changes these bytes. *)
+let test_podem_ledgers_pinned () =
+  List.iter
+    (fun (name, count, digest) ->
+      let profile = Option.get (Pdf_synth.Profiles.find name) in
+      let c = Pdf_synth.Profiles.circuit profile in
+      let ledger = Ledger.create () in
+      let ts =
+        Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
+      in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let n0 = List.length ts.Target_sets.p0 in
+      let p0 = List.init n0 Fun.id in
+      let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+      ignore
+        (Atpg.enrich ~ledger ~justify:Justify.Podem c ~seed:2002 ~faults ~p0
+           ~p1
+          : Atpg.result);
+      check Alcotest.int (name ^ " records") count (Ledger.size ledger);
+      check Alcotest.string (name ^ " digest") digest
+        (Digest.to_hex (Digest.string (Ledger.to_jsonl ledger))))
+    [
+      ("s1488", 1032, "226976f006a8426105a920a59ec65143");
+      ("b09", 1028, "ead5050cfb5bcd669168b7813d568f67");
+    ]
 
 let test_engine_records_name_winner () =
   (* Every test and detected-fault record carries the winning member's
@@ -1347,6 +1472,7 @@ let () =
             test_podem_proves_unsatisfiable;
           Alcotest.test_case "deterministic" `Quick test_podem_deterministic;
           qcheck prop_podem_search_invariants;
+          qcheck prop_podem_imply_full_pass;
         ] );
       ( "justify_engine",
         [
@@ -1357,6 +1483,10 @@ let () =
             test_engine_records_name_winner;
           Alcotest.test_case "sim trial order pinned on s1488" `Slow
             test_trial_order_pinned;
+          Alcotest.test_case "portfolio escalation on s27" `Quick
+            test_portfolio_escalation;
+          Alcotest.test_case "podem ledgers pinned" `Slow
+            test_podem_ledgers_pinned;
         ] );
       ( "timing",
         [
