@@ -899,8 +899,8 @@ let profile_cmd =
        ~doc:"Run enrichment with per-net effort attribution and print \
              where the justification work went: semantic effort totals, \
              a per-level histogram, and the hottest nets.  Output is \
-             byte-identical across --jobs values and the \
-             PDF_INCSIM/PDF_BITSIM engine toggles.")
+             byte-identical across --jobs values and the PDF_BITSIM \
+             engine toggle.")
     Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg
           $ seed_arg $ criterion_arg $ justify_arg $ top_arg $ json_out_arg)
 

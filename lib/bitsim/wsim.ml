@@ -104,20 +104,6 @@ let eval_gate_plane (g : Circuit.gate) (z : int array) (o : int array) =
   eval_gate_plane_into s g z o;
   (s.sz, s.so)
 
-(* PDF_INCSIM mirrors PDF_BITSIM: the incremental engines are on by
-   default and every rewired caller falls back to the verbatim full-pass
-   simulator when disabled, which is the differential reference used by
-   CI and the pdf_check oracles. *)
-let incsim_state =
-  Atomic.make
-    (match Sys.getenv_opt "PDF_INCSIM" with
-    | Some ("0" | "false" | "no" | "off") -> false
-    | _ -> true)
-
-let set_incsim b = Atomic.set incsim_state b
-
-let incsim_enabled () = Atomic.get incsim_state
-
 (* Incremental-path-only mutation hook (DESIGN.md §10): with the bug
    injected, [Inc.assign] ignores PI words whose second pattern changed
    but whose first pattern did not, so the incremental planes drift from

@@ -55,17 +55,6 @@ val set_injected_bug : bool -> unit
 
 val injected_bug_enabled : unit -> bool
 
-val set_incsim : bool -> unit
-(** Master switch for the incremental engines ({!Inc} and the scalar
-    [Pdf_sim.Inc_sim]), initialised from [PDF_INCSIM] (["0"], ["false"],
-    ["no"], ["off"] disable; anything else, or unset, enables).  Every
-    rewired caller falls back to the verbatim full-pass simulators when
-    disabled — the differential reference for CI and the fuzz oracles.
-    Results are byte-identical either way; only the work done per call
-    changes. *)
-
-val incsim_enabled : unit -> bool
-
 val set_inc_injected_bug : bool -> unit
 (** Mutation-testing hook for the incremental path only (DESIGN.md §10):
     when enabled, {!Inc.assign} ignores PI words whose second pattern

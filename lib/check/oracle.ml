@@ -9,7 +9,7 @@ module Fault = Pdf_faults.Fault
 module Target_sets = Pdf_faults.Target_sets
 module Delay_model = Pdf_paths.Delay_model
 module Fault_sim = Pdf_core.Fault_sim
-module Inc_sim = Pdf_core.Inc_sim
+module Cone_sim = Pdf_core.Cone_sim
 module Test_pair = Pdf_core.Test_pair
 module Atpg = Pdf_core.Atpg
 module Justify = Pdf_core.Justify
@@ -176,8 +176,8 @@ let check_packed_sim { circuit = c; seed } =
    pattern only, second pattern only, or both — with X lanes at the
    usual one-in-five rate).  After every step the packed [Wsim.Inc]
    planes must be word-identical to a from-scratch full pass over the
-   same words, and the scalar [Inc_sim] state must agree with the
-   scalar reference on lane 0.  This is the oracle that catches the
+   same words, and the scalar [Cone_sim] state over the whole circuit
+   must agree with the scalar reference on lane 0.  This is the oracle that catches the
    [Wsim.set_inc_injected_bug] mutation (a w3-only flip dropped on the
    incremental path) — the harness's self-test for incremental-path
    divergence. *)
@@ -196,8 +196,8 @@ let check_inc_sim { circuit = c; seed } =
   let w1 = Array.init n (fun _ -> rand_word ()) in
   let w3 = Array.init n (fun _ -> rand_word ()) in
   let inc = Wsim.Inc.create c ~lanes in
-  let s = Array.init 3 (fun _ -> Array.make (Circuit.num_nets c) Bit.X) in
-  let sinc = Inc_sim.create c ~s in
+  let sinc = Cone_sim.create c in
+  let s = Cone_sim.values sinc in
   let violation = ref None in
   let check_packed step =
     let full = Wsim.simulate c ~w1 ~w3 ~lanes in
@@ -260,10 +260,10 @@ let check_inc_sim { circuit = c; seed } =
       check_packed step;
       if !violation = None then begin
         for pi = 0 to n - 1 do
-          Inc_sim.set_pi sinc pi ~v1:(Word.get w1.(pi) 0)
+          Cone_sim.set_pi sinc pi ~v1:(Word.get w1.(pi) 0)
             ~v3:(Word.get w3.(pi) 0)
         done;
-        Inc_sim.propagate sinc;
+        Cone_sim.propagate sinc;
         check_scalar step
       end
     end

@@ -10,10 +10,11 @@
       the scalar {!Pdf_sim.Two_pattern} reference, lane for lane and
       component for component, including [X] lanes;
     - [inc-sim] — the incremental engines ({!Pdf_bitsim.Wsim.Inc} and
-      the scalar [Pdf_core.Inc_sim]) against the full-pass simulators
-      after a randomized flip sequence over persistent state, including
-      X lanes and a zero-flip no-op assign; this is the oracle that
-      must catch the [Wsim.set_inc_injected_bug] mutation;
+      the scalar {!Pdf_core.Cone_sim} over the whole circuit) against
+      the full-pass simulators after a randomized flip sequence over
+      persistent state, including X lanes and a zero-flip no-op assign;
+      this is the oracle that must catch the
+      [Wsim.set_inc_injected_bug] mutation;
     - [packed-detect] / [packed-matrix] — packed vs scalar
       {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] flags;
     - [jobs-det] — detection flags and matrices with a 1-job pool vs a

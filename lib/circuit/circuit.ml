@@ -42,7 +42,7 @@ let pis t = List.init t.num_pis (fun i -> i)
 (* Group gates by the level of their output net.  Bucket [l] lists the
    gates whose output is at level [l], in ascending gate order; bucket 0
    (the PI level) is always empty.  This is the one levelized schedule
-   every event-driven consumer (Wsim.Inc, Inc_sim) walks — computed and
+   the packed event-driven engine (Wsim.Inc) walks — computed and
    asserted here so no simulator recomputes or silently assumes it. *)
 let group_by_level ~num_pis ~(gates : gate array) (level : int array) =
   let d = Array.fold_left max 0 level in

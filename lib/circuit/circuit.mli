@@ -57,7 +57,7 @@ val level : t -> int -> int
 (** Topological level of a net: 0 for PIs, [1 + max fanin level] for a
     gate output.  Computed and asserted once in {!unsafe_make} (every
     fanin is strictly below its gate), so consumers — [Logic_sim],
-    [Wsim], [Wsim.Inc], [Inc_sim], [Timing]'s initial settle — rely on
+    [Wsim], [Wsim.Inc], [Timing]'s initial settle — rely on
     this single construction-time check instead of re-deriving or
     implicitly trusting gate order. *)
 

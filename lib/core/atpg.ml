@@ -4,7 +4,6 @@ module Triple = Pdf_values.Triple
 module Word = Pdf_values.Word
 module Implication = Pdf_sim.Implication
 module Wreq = Pdf_bitsim.Wreq
-module Wsim = Pdf_bitsim.Wsim
 module Circuit = Pdf_circuit.Circuit
 module Rng = Pdf_util.Rng
 module Metrics = Pdf_obs.Metrics
@@ -174,17 +173,11 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
   (* Per-test value refresh.  Consecutive accepted tests within one
-     compaction pass differ in a handful of PI bits, so with the
-     incremental engine the refresh re-evaluates only the changed cone
-     of one persistent scalar state instead of three full passes;
-     the resulting triples are identical (PDF_INCSIM=0 restores the
-     plain [Test_pair.simulate] reference). *)
-  let inc_state =
-    if Wsim.incsim_enabled () then
-      let s = Array.init 3 (fun _ -> Array.make (Circuit.num_nets c) Bit.X) in
-      Some (s, Inc_sim.create ?attrib:sheet c ~s)
-    else None
-  in
+     compaction pass differ in a handful of PI bits, so the refresh
+     re-evaluates only the changed part of one persistent scalar state
+     over the whole circuit; the triples are those of
+     [Test_pair.simulate]. *)
+  let sim = Cone_sim.create ?attrib:sheet c in
   (* Candidate-scan attribution: charge every delta evaluation to the
      candidate's requirement nets (shadowing the bare [delta]). *)
   let delta acc reqs =
@@ -194,17 +187,15 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     delta acc reqs
   in
   let simulate_test test =
-    match inc_state with
-    | None -> Test_pair.simulate c test
-    | Some (s, inc) ->
-      for pi = 0 to c.Circuit.num_pis - 1 do
-        Inc_sim.set_pi inc pi
-          ~v1:(Bit.of_bool test.Test_pair.v1.(pi))
-          ~v3:(Bit.of_bool test.Test_pair.v3.(pi))
-      done;
-      Inc_sim.propagate inc;
-      Array.init (Circuit.num_nets c) (fun net ->
-          Triple.make s.(0).(net) s.(1).(net) s.(2).(net))
+    for pi = 0 to c.Circuit.num_pis - 1 do
+      Cone_sim.set_pi sim pi
+        ~v1:(Bit.of_bool test.Test_pair.v1.(pi))
+        ~v3:(Bit.of_bool test.Test_pair.v3.(pi))
+    done;
+    Cone_sim.propagate sim;
+    let s = Cone_sim.values sim in
+    Array.init (Circuit.num_nets c) (fun net ->
+        Triple.make s.(0).(net) s.(1).(net) s.(2).(net))
   in
   let ord_name = Ordering.name config.ordering in
   (* Provenance (DESIGN.md §9): everything recorded in the ledger is
@@ -623,10 +614,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
             ([ ("id", Ledger.I i); ("fault", Ledger.S (fault_name i)) ]
             @ disposition @ effort @ forensic))
         faults);
-  Option.iter
-    (fun (_, inc) ->
-      Inc_sim.record ~num_gates:(Circuit.num_gates c) (Inc_sim.stats inc))
-    inc_state;
+  Cone_sim.record sim;
   (match attrib, sheet with
   | Some store, Some sh -> Attrib.merge store sh
   | _ -> ());

@@ -1,0 +1,79 @@
+(** Scalar event-driven two-pattern simulation over a gate set: a
+    requirement cone ({!Req_cone}), or the whole circuit.
+
+    The one scalar evaluator behind {!Justify}'s resimulation and
+    trials, {!Podem}'s implication and {!Atpg}'s per-test values
+    (DESIGN.md §13.2).  It owns a persistent value state — three
+    components per net of {!Pdf_values.Bit.t}: 0 = first pattern,
+    1 = intermediate, 2 = second pattern — and a min-heap of gate
+    indices that both of its passes drain.  Gates pop in ascending gate
+    index, a topological order, and every fanout has a higher index
+    than the gate that queues it, so a pass evaluates each gate at most
+    once, after its fanins, and exactly the gates of the set with a
+    changed fanin: the gates, in the order, of a full ascending scan
+    that skips the unchanged ones.  Nothing is allocated after
+    {!create}, except the trial overlay on the first {!trial}.
+
+    Nets outside the set are never written by a pass: a cone's fanins
+    are closed under the cone, so every value a cone gate reads is a
+    cone net or a primary input. *)
+
+type t
+
+val create :
+  ?attrib:Pdf_obs.Attrib.sheet -> ?cone:Req_cone.t -> Pdf_circuit.Circuit.t -> t
+(** An all-[X] state — the fixpoint of all-[X] inputs — over [cone]'s
+    gates, or over every gate when [cone] is absent.  When [attrib] is
+    given, every gate a persistent pass evaluates bumps the sheet's
+    [inc_resims] counter for its output net, and every gate a trial
+    evaluates bumps [trial_evals] (DESIGN.md §14.1). *)
+
+val values : t -> Pdf_values.Bit.t array array
+(** The persistent state, [3 x num_nets], aliased: read it, and write
+    it only to restore a value read from it, or to store what a full
+    pass would compute. *)
+
+(** {2 The persistent pass} *)
+
+val set_pi : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> unit
+(** Install primary input [pi]'s two pattern values, with the
+    intermediate component {!Pdf_sim.Two_pattern.middle_of_pair}.  When
+    one of the three components changes, the gates of the set reading
+    [pi] are queued for the next {!propagate}. *)
+
+val propagate : t -> unit
+(** Evaluate the queued gates and, transitively, every gate of the set
+    with a changed fanin, writing the persistent state.  Afterwards
+    every net of the set holds what a full simulation of the installed
+    inputs computes. *)
+
+(** {2 The trial pass} *)
+
+val trial : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> int
+(** [trial t pi ~v1 ~v3] simulates primary input [pi] at the pattern
+    values [v1], [v3] in an overlay over the persistent state, leaving
+    that state untouched, and checks every value it changes against the
+    cone's requirements.  It returns the first net whose new value is
+    definite and contradicts a definite requirement, or [-1].  The
+    visit order decides that net and the evaluation count: first
+    [pi]'s changed components (0, 2, then 1), then for each of those
+    components in the same order, the gates of the set with a changed
+    fanin, in ascending gate index; a conflict ends the trial.  Call it
+    with no {!set_pi} pending.  Allocates nothing after the first
+    call.  Raises [Invalid_argument] on a state over the whole
+    circuit, which has no requirements to check. *)
+
+val trial_value : t -> k:int -> int -> Pdf_values.Bit.t
+(** Component [k] of [net] as the last {!trial} left it: the value it
+    wrote, else the persistent one.  For the property tests. *)
+
+val trial_evals : t -> int
+(** Gates evaluated by trials since {!create}. *)
+
+(** {2 Accounting} *)
+
+val record : t -> unit
+(** Fold the persistent passes' work since {!create} into the
+    [sim.inc.*] metrics ({!Pdf_bitsim.Wsim.record_inc}): one assign per
+    {!propagate}, the gates it evaluated, those whose output did not
+    change, and the set's size as the full-pass cost of each assign. *)

@@ -150,31 +150,27 @@ let pack_batch c (tests : Test_pair.t array) (lo, hi) =
   let w3 = Array.init np (fun pi -> { Word.zero = z3.(pi); one = o3.(pi) }) in
   (w1, w3, lanes)
 
-(* Simulate one packed batch, full-pass or event-driven.  A fresh
-   incremental state per batch keeps the planes and the per-batch stats
-   independent of which domain ran the batch; the stats travel back with
-   the result and are folded into the sim.inc.* metrics centrally, in
-   fixed batch order, so the metrics stay jobs-invariant. *)
+(* Simulate one packed batch, event-driven.  A fresh incremental state
+   per batch keeps the planes and the per-batch stats independent of
+   which domain ran the batch; the stats travel back with the result
+   and are folded into the sim.inc.* metrics centrally, in fixed batch
+   order, so the metrics stay jobs-invariant. *)
 let sim_batch ?attrib c ~w1 ~w3 ~lanes =
-  if Wsim.incsim_enabled () then begin
-    (* One attribution sheet per batch, merged immediately: merging is
-       commutative integer addition under the store's lock, so the
-       merged totals are identical whichever domain ran the batch and
-       in whatever order batches finish. *)
-    let sheet = Option.map Pdf_obs.Attrib.fresh attrib in
-    let inc = Wsim.Inc.create ?attrib:sheet c ~lanes in
-    Wsim.Inc.assign inc ~w1 ~w3;
-    (match attrib, sheet with
-    | Some store, Some sh -> Pdf_obs.Attrib.merge store sh
-    | _ -> ());
-    (Wsim.Inc.planes inc, Some (Wsim.Inc.stats inc))
-  end
-  else (Wsim.simulate c ~w1 ~w3 ~lanes, None)
+  (* One attribution sheet per batch, merged immediately: merging is
+     commutative integer addition under the store's lock, so the merged
+     totals are identical whichever domain ran the batch and in
+     whatever order batches finish. *)
+  let sheet = Option.map Pdf_obs.Attrib.fresh attrib in
+  let inc = Wsim.Inc.create ?attrib:sheet c ~lanes in
+  Wsim.Inc.assign inc ~w1 ~w3;
+  (match attrib, sheet with
+  | Some store, Some sh -> Pdf_obs.Attrib.merge store sh
+  | _ -> ());
+  (Wsim.Inc.planes inc, Wsim.Inc.stats inc)
 
 let record_batch_stats c parts =
   Array.iter
-    (fun (_, st) ->
-      Option.iter (Wsim.record_inc ~num_gates:(Circuit.num_gates c)) st)
+    (fun (_, st) -> Wsim.record_inc ~num_gates:(Circuit.num_gates c) st)
     parts
 
 (* Word-parallel scan over one batch, metrics-free: the caller accounts

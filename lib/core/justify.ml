@@ -1,8 +1,6 @@
 module Bit = Pdf_values.Bit
 module Circuit = Pdf_circuit.Circuit
 module Rng = Pdf_util.Rng
-module Two_pattern = Pdf_sim.Two_pattern
-module Wsim = Pdf_bitsim.Wsim
 module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
 module Attrib = Pdf_obs.Attrib
@@ -16,13 +14,13 @@ let m_backtracks = Metrics.counter "justify.backtracks"
 
 (* Effort counters behind the attribution layer (DESIGN.md §14).  All
    three are semantic — defined by the search, not the engine — so they
-   are byte-identical across the PDF_INCSIM/PDF_BITSIM toggles:
+   are byte-identical across [--jobs] and the PDF_BITSIM toggle:
    [trial_evals] counts overlay gate evaluations (pure scalar code),
    [resim_gates] charges every resimulation call its full-pass cost
-   (cone size), whichever engine actually ran, and [conflict_hits]
-   counts requirement-mismatch events wherever they are detected.  The
-   per-net counterparts live in {!Pdf_obs.Attrib} sheets; the attrib
-   oracle checks conservation between the two. *)
+   (cone size), however few gates the pass evaluated, and
+   [conflict_hits] counts requirement-mismatch events wherever they are
+   detected.  The per-net counterparts live in {!Pdf_obs.Attrib} sheets;
+   the attrib oracle checks conservation between the two. *)
 let m_trial_evals = Metrics.counter "justify.trial_evals"
 let m_resim_gates = Metrics.counter "justify.resim_gates"
 let m_conflict_hits = Metrics.counter "justify.conflict_hits"
@@ -108,22 +106,6 @@ let note_conflict engine net =
 
 exception No_test
 
-(* Component indices: 0 = first pattern, 1 = intermediate, 2 = second. *)
-let comp_of_pattern = function 1 -> 0 | 3 -> 2 | _ -> invalid_arg "pattern"
-
-(* A trial's private view of the values: the nets it changed, stamped
-   with its id; every other net reads through to the persistent state. *)
-type overlay = {
-  tval : Bit.t array array;
-  tstamp : int array array;
-  mutable id : int; (* the current trial *)
-}
-
-(* The component-[k] reader of overlay [ov] over persistent state [s]. *)
-let overlay_reader ov s k =
-  let tk = ov.tstamp.(k) and vk = ov.tval.(k) and sk = s.(k) in
-  fun net -> if tk.(net) = ov.id then vk.(net) else sk.(net)
-
 type search = {
   c : Circuit.t;
   eng : t; (* owning engine: effort accounting and forensics *)
@@ -131,102 +113,35 @@ type search = {
   cone : Req_cone.t;
   a1 : Bit.t array; (* per PI *)
   a3 : Bit.t array;
-  s : Bit.t array array; (* persistent simulation, 3 x nets *)
-  inc : Inc_sim.t option; (* incremental maintainer of [s], cone-masked *)
-  ov : overlay;
-  read : (int -> Bit.t) array; (* per component, overlay over [s] *)
-  wl : Worklist.t; (* the gates a trial pass still has to evaluate *)
-  mutable evals : int; (* trial gate evaluations, flushed per search *)
+  sim : Cone_sim.t; (* the cone's values, resimulated and trialled *)
+  s : Bit.t array array; (* [sim]'s persistent state, 3 x nets *)
   mutable unspecified : int;
   mutable resims : int; (* resimulation calls, for deferred attribution *)
 }
 
-let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
-
-(* Bring [st.s] up to date with [st.a1]/[st.a3].  Incrementally when the
-   engine is enabled: only cone PIs whose assignment actually changed
-   are seeded and only their dirty fanout cone is re-evaluated, instead
-   of the full cone pass below — same fixpoint, so the search (and every
-   test it emits) is byte-identical either way. *)
+(* Bring [st.s] up to date with [st.a1]/[st.a3]: only cone PIs whose
+   assignment changed seed the pass, and only the gates with a changed
+   fanin are re-evaluated. *)
 let resim st =
-  let cone = st.cone in
-  (* Semantic cost: a full pass over the cone, whichever engine runs.
-     Charged per call so the global counter, the per-engine counter and
-     (via [record_search]) the per-net attribution stay conserved and
-     engine-invariant. *)
-  let cost = Array.length cone.Req_cone.gates in
+  let pis = st.cone.Req_cone.pis in
+  (* Semantic cost: a full pass over the cone.  Charged per call so the
+     global counter, the per-engine counter and (via [record_search])
+     the per-net attribution stay conserved and engine-invariant. *)
+  let cost = Array.length st.cone.Req_cone.gates in
   st.resims <- st.resims + 1;
   st.eng.e_resim_calls <- st.eng.e_resim_calls + 1;
   st.eng.e_resim_gates <- st.eng.e_resim_gates + cost;
   Metrics.add m_resim_gates cost;
-  match st.inc with
-  | Some inc ->
-    Array.iter
-      (fun pi -> Inc_sim.set_pi inc pi ~v1:st.a1.(pi) ~v3:st.a3.(pi))
-      cone.Req_cone.pis;
-    Inc_sim.propagate inc
-  | None ->
-    let middle = Two_pattern.middle_of_pair in
-    Array.iter
-      (fun pi ->
-        st.s.(0).(pi) <- st.a1.(pi);
-        st.s.(2).(pi) <- st.a3.(pi);
-        st.s.(1).(pi) <- middle st.a1.(pi) st.a3.(pi))
-      cone.Req_cone.pis;
-    Array.iter
-      (fun gi ->
-        let g = st.c.Circuit.gates.(gi) in
-        let out = Circuit.net_of_gate st.c gi in
-        for k = 0 to 2 do
-          st.s.(k).(out) <- eval_gate_get g (fun net -> st.s.(k).(net))
-        done)
-      cone.Req_cone.gates
+  for i = 0 to Array.length pis - 1 do
+    let pi = pis.(i) in
+    Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
+  done;
+  Cone_sim.propagate st.sim
 
-exception Trial_conflict
-
-(* Record a trial value in the overlay; a definite value contradicting
-   a requirement ends the trial with a conflict. *)
-let write engine st k net v =
-  let ov = st.ov in
-  ov.tval.(k).(net) <- v;
-  ov.tstamp.(k).(net) <- ov.id;
-  if Req_cone.mismatch st.cone.Req_cone.r.(k).(net) v then begin
-    note_conflict engine net;
-    raise_notrace Trial_conflict
-  end
-
-(* One component's pass of a trial, event-driven from the tried PI.
-   Gates pop in ascending gate index — the order of a full topological
-   scan of the cone, which evaluates exactly the gates with a changed
-   fanin — so the evaluation count (in the profile) and the first
-   conflict (in the ledger's forensics) are those of that scan
-   (DESIGN.md §13.2 says why not level order). *)
-let propagate engine st k pi =
-  let wl = st.wl in
-  Worklist.start wl;
-  if st.ov.tstamp.(k).(pi) = st.ov.id then Worklist.queue_fanouts wl pi;
-  let read = st.read.(k) and sk = st.s.(k) in
-  let gi = ref (Worklist.pop wl) in
-  while !gi >= 0 do
-    let out = st.c.Circuit.num_pis + !gi in
-    st.evals <- st.evals + 1;
-    (match engine.att with
-    | Some a ->
-      a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
-      a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
-    | None -> ());
-    let v = eval_gate_get st.c.Circuit.gates.(!gi) read in
-    if not (Bit.equal v sk.(out)) then begin
-      write engine st k out v;
-      Worklist.queue_fanouts wl out
-    end;
-    gi := Worklist.pop wl
-  done
-
-(* Trial-assign pattern bit [j] of PI [pi] to [b] and propagate through the
-   cone in the overlay, first in the bit's own component, then in the
-   intermediate one; [true] when the trial conflicts with a requirement.
-   The persistent state is untouched, and nothing is allocated. *)
+(* Trial-assign pattern bit [j] of PI [pi] to [b] in the cone's overlay,
+   first in the bit's own component, then in the intermediate one;
+   [true] when the trial conflicts with a requirement.  The persistent
+   state is untouched, and nothing is allocated. *)
 let trial engine st pi j b =
   Metrics.incr m_trials;
   engine.e_trials <- engine.e_trials + 1;
@@ -235,19 +150,12 @@ let trial engine st pi j b =
     a.Attrib.trials.(pi) <- a.Attrib.trials.(pi) + 1;
     a.Attrib.t_trials <- a.Attrib.t_trials + 1
   | None -> ());
-  st.ov.id <- st.ov.id + 1;
-  let kj = comp_of_pattern j in
   let newv = Bit.of_bool b in
-  let b1 = if j = 1 then newv else st.a1.(pi) in
-  let b3 = if j = 3 then newv else st.a3.(pi) in
-  let mid = Two_pattern.middle_of_pair b1 b3 in
-  try
-    if not (Bit.equal st.s.(kj).(pi) newv) then write engine st kj pi newv;
-    if not (Bit.equal st.s.(1).(pi) mid) then write engine st 1 pi mid;
-    propagate engine st kj pi;
-    propagate engine st 1 pi;
-    false
-  with Trial_conflict -> true
+  let v1 = if j = 1 then newv else st.a1.(pi) in
+  let v3 = if j = 3 then newv else st.a3.(pi) in
+  let net = Cone_sim.trial st.sim pi ~v1 ~v3 in
+  if net >= 0 then note_conflict engine net;
+  net >= 0
 
 let assign engine st pi j b =
   (match j with
@@ -334,28 +242,11 @@ let build_test st =
   Test_pair.create v1 v3
 
 (* Shared state construction for both search strategies.  Everything a
-   trial touches is allocated here, once per search. *)
+   trial touches is allocated here, or by the search's first trial. *)
 let make_search engine rng merged =
   let c = engine.circuit in
-  let n = Circuit.num_nets c in
   let cone = Req_cone.make c merged in
-  let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
-  let inc =
-    if Wsim.incsim_enabled () then
-      (* gate [g] drives net [num_pis + g] *)
-      let mask =
-        Array.sub cone.Req_cone.in_cone c.Circuit.num_pis (Circuit.num_gates c)
-      in
-      Some (Inc_sim.create ?attrib:engine.att ~gate_mask:mask c ~s)
-    else None
-  in
-  let ov =
-    {
-      tval = Array.init 3 (fun _ -> Array.make n Bit.X);
-      tstamp = Array.init 3 (fun _ -> Array.make n 0);
-      id = 0;
-    }
-  in
+  let sim = Cone_sim.create ?attrib:engine.att ~cone c in
   {
     c;
     eng = engine;
@@ -363,26 +254,22 @@ let make_search engine rng merged =
     cone;
     a1 = Array.make c.Circuit.num_pis Bit.X;
     a3 = Array.make c.Circuit.num_pis Bit.X;
-    s;
-    inc;
-    ov;
-    read = Array.init 3 (overlay_reader ov s);
-    wl = Worklist.create c cone;
-    evals = 0;
+    sim;
+    s = Cone_sim.values sim;
     unspecified = 2 * Array.length cone.Req_cone.pis;
     resims = 0;
   }
 
-(* Fold this search's incremental-simulation work into the sim.inc.*
-   metrics.  The denominator is the cone size — what the full-pass
-   [resim] would have evaluated per call.  When the engine carries an
-   attribution sheet, the search's resimulation effort is flushed here
-   in one O(cone) pass — [resims x cone] charged to every cone gate's
-   output net — instead of a per-call cone walk on the hot path.  The
-   trial evaluation count reaches its metric here too. *)
+(* Fold this search's resimulation work into the sim.inc.* metrics.
+   When the engine carries an attribution sheet, the search's
+   resimulation effort is flushed here in one O(cone) pass — [resims x
+   cone] charged to every cone gate's output net — instead of a
+   per-call cone walk on the hot path.  The trial evaluation count
+   reaches its metric here too. *)
 let record_search st =
   let gates = st.cone.Req_cone.gates in
-  if st.evals > 0 then Metrics.add m_trial_evals st.evals;
+  let evals = Cone_sim.trial_evals st.sim in
+  if evals > 0 then Metrics.add m_trial_evals evals;
   (match st.eng.att with
   | Some a when st.resims > 0 ->
     a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.resims;
@@ -394,10 +281,7 @@ let record_search st =
         a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.resims)
       gates
   | Some _ | None -> ());
-  match st.inc with
-  | Some inc ->
-    Inc_sim.record ~num_gates:(Array.length gates) (Inc_sim.stats inc)
-  | None -> ()
+  Cone_sim.record st.sim
 
 type complete_outcome =
   | Found of Test_pair.t

@@ -26,9 +26,9 @@
     cone scan would visit them, which fixes the evaluation count and
     the first conflict the attribution sheet and the ledger record —
     and allocates nothing (DESIGN.md §13.2).  An assignment
-    resimulates the cone incrementally ({!Inc_sim}).  Each call
-    allocates its search state once: a few arrays over the circuit's
-    nets and the cone. *)
+    resimulates the cone event-driven, from the inputs it changed.
+    Both run on one {!Cone_sim}.  Each call allocates its search state
+    once: a few arrays over the circuit's nets and the cone. *)
 
 type t
 (** A justification engine for one circuit.  Engines hold per-engine
@@ -78,9 +78,9 @@ val resim_calls : t -> int
 
 val resim_gates : t -> int
 (** Semantic resimulation effort: every resimulation call charged its
-    full-pass cost (the requirement cone's gate count), whichever
-    engine actually ran — byte-identical across [PDF_INCSIM] toggles.
-    Process-wide counterpart: the [justify.resim_gates] metric. *)
+    full-pass cost (the requirement cone's gate count), however few
+    gates the event-driven pass evaluated.  Process-wide counterpart:
+    the [justify.resim_gates] metric. *)
 
 (** {2 Abort forensics}
 

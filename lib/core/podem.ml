@@ -131,12 +131,9 @@ type state = {
   cone : Req_cone.t;
   a1 : Bit.t array;  (* per PI *)
   a3 : Bit.t array;
-  s : Bit.t array array;  (* implied values, 3 x nets *)
+  sim : Cone_sim.t;  (* the cone's implied values *)
+  s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
   read : (int -> Bit.t) array;  (* per component, reading [s] *)
-  touched : int array;  (* PIs whose bits changed since the last pass *)
-  mutable n_touched : int;
-  is_touched : bool array;  (* per PI *)
-  wl : Worklist.t;  (* the gates an implication pass still has to evaluate *)
   mutable implies : int;  (* implication passes, for deferred attribution *)
   seen : int array;  (* per net: the backtrace walk that last visited it *)
   mutable walk : int;
@@ -150,100 +147,51 @@ type state = {
   mutable dec_v : bool;
 }
 
-(* Install PI [pi]'s implied values from its pattern bits; [true] when
-   one of the three changed. *)
-let install_pi st pi =
-  let s = st.s and b1 = st.a1.(pi) and b3 = st.a3.(pi) in
-  let mid = Two_pattern.middle_of_pair b1 b3 in
-  let changed =
-    not
-      (Bit.equal s.(0).(pi) b1 && Bit.equal s.(1).(pi) mid
-     && Bit.equal s.(2).(pi) b3)
-  in
-  s.(0).(pi) <- b1;
-  s.(1).(pi) <- mid;
-  s.(2).(pi) <- b3;
-  changed
-
-(* Evaluate cone gate [gi]'s three components into [s] with the shared
-   scalar gate evaluator; [true] when one changed.  The state's readers
-   allocate nothing; only the injected bug builds one per gate. *)
-let eval_gate st ~bug gi =
-  let g = st.c.Circuit.gates.(gi) in
-  let out = Circuit.net_of_gate st.c gi in
-  let changed = ref false in
-  for k = 0 to 2 do
-    let read =
-      if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
-        let f0 = g.Circuit.fanins.(0) in
-        fun net -> if net = f0 then st.s.(0).(net) else st.s.(2).(net)
-      else st.read.(k)
-    in
-    let v = eval_gate_get g read in
-    if not (Bit.equal v st.s.(k).(out)) then begin
-      st.s.(k).(out) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-let forget_touched st =
-  for i = 0 to st.n_touched - 1 do
-    st.is_touched.(st.touched.(i)) <- false
-  done;
-  st.n_touched <- 0
-
 (* One pass over the whole cone in ascending gate index (a topological
-   order): the implication of [a1]/[a3], computed from them alone.  A
-   search's first pass, and the reference its later passes are tested
-   against. *)
+   order): the implication of [a1]/[a3], computed from them alone.  The
+   reference the engine's event-driven passes are tested against, and
+   the pass that overwrites theirs while the injected bug is on. *)
 let full_pass st =
   let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
-  let bug = injected_bug_enabled () in
+  let s = st.s and bug = injected_bug_enabled () in
   for i = 0 to Array.length pis - 1 do
-    ignore (install_pi st pis.(i) : bool)
+    let pi = pis.(i) in
+    s.(0).(pi) <- st.a1.(pi);
+    s.(1).(pi) <- Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi);
+    s.(2).(pi) <- st.a3.(pi)
   done;
   for i = 0 to Array.length gates - 1 do
-    ignore (eval_gate st ~bug gates.(i) : bool)
-  done;
-  forget_touched st
-
-(* The same implication, event-driven from the PI bits changed since
-   the last pass: only cone gates with a changed fanin are evaluated,
-   popped in ascending gate index, so each runs once, after its fanins,
-   and every other gate keeps the value a full pass would recompute. *)
-let event_pass st =
-  let wl = st.wl and in_cone = st.cone.Req_cone.in_cone in
-  let bug = injected_bug_enabled () in
-  Worklist.start wl;
-  for i = 0 to st.n_touched - 1 do
-    let pi = st.touched.(i) in
-    if in_cone.(pi) && install_pi st pi then Worklist.queue_fanouts wl pi
-  done;
-  forget_touched st;
-  let gi = ref (Worklist.pop wl) in
-  while !gi >= 0 do
-    if eval_gate st ~bug !gi then
-      Worklist.queue_fanouts wl (Circuit.net_of_gate st.c !gi);
-    gi := Worklist.pop wl
+    let g = st.c.Circuit.gates.(gates.(i)) in
+    let out = Circuit.net_of_gate st.c gates.(i) in
+    for k = 0 to 2 do
+      let read =
+        if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
+          let f0 = g.Circuit.fanins.(0) in
+          fun net -> if net = f0 then s.(0).(net) else s.(2).(net)
+        else st.read.(k)
+      in
+      s.(k).(out) <- eval_gate_get g read
+    done
   done
 
 (* Forward implication, a pure function of [a1]/[a3] — re-running it
    after restoring the assignment restores the implied state exactly,
    which is what makes chronological backtracking a plain
-   unassign-and-reimply.  Every pass is charged a full cone pass, the
+   unassign-and-reimply.  Event-driven: the pattern-bit writes since
+   the last pass queued it, so the retractions of one backtrack seed
+   one pass together.  Every pass is charged a full cone pass, the
    engine-invariant unit the sim engine's resimulation is charged. *)
 let imply st =
   let eng = st.eng in
   let cost = Array.length st.cone.Req_cone.gates in
-  let first = st.implies = 0 in
   st.implies <- st.implies + 1;
   eng.e_imply_calls <- eng.e_imply_calls + 1;
   eng.e_imply_gates <- eng.e_imply_gates + cost;
   Metrics.incr m_implications;
   Metrics.add m_imply_gates cost;
   Metrics.add mj_resim_gates cost;
-  if first then full_pass st else event_pass st
+  Cone_sim.propagate st.sim;
+  if injected_bug_enabled () then full_pass st
 
 let conflict_net st = Req_cone.conflict_net st.cone st.s
 
@@ -354,47 +302,34 @@ let backtrace st =
   st.walk <- st.walk + 1;
   backtrace_net st st.obj_net st.obj_v
 
-(* Pattern-bit writes record their PI for the next event-driven pass. *)
-let touch st pi =
-  if not st.is_touched.(pi) then begin
-    st.is_touched.(pi) <- true;
-    st.touched.(st.n_touched) <- pi;
-    st.n_touched <- st.n_touched + 1
-  end
-
-let set_bit st pi j b =
+(* A pattern-bit write installs its PI's values at once, queueing the
+   next implication pass. *)
+let write_bit st pi j v =
   (match j with
-  | 1 -> st.a1.(pi) <- Bit.of_bool b
-  | 3 -> st.a3.(pi) <- Bit.of_bool b
+  | 1 -> st.a1.(pi) <- v
+  | 3 -> st.a3.(pi) <- v
   | _ -> invalid_arg "pattern");
-  touch st pi
+  Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
 
-let clear_bit st pi j =
-  (match j with
-  | 1 -> st.a1.(pi) <- Bit.X
-  | 3 -> st.a3.(pi) <- Bit.X
-  | _ -> invalid_arg "pattern");
-  touch st pi
+let set_bit st pi j b = write_bit st pi j (Bit.of_bool b)
+let clear_bit st pi j = write_bit st pi j Bit.X
 
 let make_state eng merged =
   let c = eng.circuit in
-  let n = Circuit.num_nets c in
-  let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   let cone = Req_cone.make c merged in
+  let sim = Cone_sim.create ~cone c in
+  let s = Cone_sim.values sim in
   {
     c;
     eng;
     cone;
     a1 = Array.make c.Circuit.num_pis Bit.X;
     a3 = Array.make c.Circuit.num_pis Bit.X;
+    sim;
     s;
     read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
-    touched = Array.make c.Circuit.num_pis 0;
-    n_touched = 0;
-    is_touched = Array.make c.Circuit.num_pis false;
-    wl = Worklist.create c cone;
     implies = 0;
-    seen = Array.make n 0;
+    seen = Array.make (Circuit.num_nets c) 0;
     walk = 0;
     obj_net = -1;
     obj_k = 0;

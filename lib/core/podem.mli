@@ -10,10 +10,9 @@
     the classical one:
 
     + {e imply}: evaluate all three components of the requirement
-      cone with the shared {!Pdf_sim.Logic_sim.eval_gate_get} — the
-      whole cone on a search's first pass, then, event-driven from the
-      pattern bits changed since, only the cone gates with a changed
-      fanin, in ascending gate index (DESIGN.md §15.5);
+      cone on the shared {!Cone_sim}, event-driven from the pattern
+      bits changed since the last pass: only the cone gates with a
+      changed fanin, in ascending gate index (DESIGN.md §15.5);
     + {e objective}: the first requirement component still implied to X
       (the frontier generalises the classical D-frontier: until the test
       is found it is never empty, because an unsatisfied requirement is
@@ -97,9 +96,11 @@ val reset_forensics : t -> unit
     that corrupts the second-pattern implication of multi-input gates
     (it reads fanin 0's first-pattern value — a copy-paste bug the
     engine's own final check cannot see, because the corrupted implied
-    state is self-consistent).  The [justify-podem] three-way oracle
-    must catch it by independent re-simulation; [test_check.ml] proves
-    it is caught and shrunk. *)
+    state is self-consistent).  While it is on, every implication ends
+    with {!Internal.full_pass}, the pass it corrupts, so the
+    {!Cone_sim} that the other engines share stays correct.  The [justify-podem]
+    three-way oracle must catch it by independent re-simulation;
+    [test_check.ml] proves it is caught and shrunk. *)
 
 val set_injected_bug : bool -> unit
 val injected_bug_enabled : unit -> bool
@@ -120,7 +121,8 @@ module Internal : sig
       initial implication; [None] on a directly conflicting set. *)
 
   val imply : state -> unit
-  (** The engine's implication pass: event-driven after the first. *)
+  (** The engine's implication pass, event-driven from the pattern-bit
+      writes since the last one. *)
 
   val full_pass : state -> unit
   (** Recompute the implication of the current assignment over the

@@ -9,7 +9,7 @@
     identical whatever order the pool's sheets arrive in.
 
     The [inc_resims] family measures the incremental engines' actual
-    per-gate work and therefore varies with [PDF_INCSIM]/[PDF_BITSIM];
+    per-gate work and therefore varies with [PDF_BITSIM];
     every other counter is {e semantic} (defined by the search, not the
     engine) and byte-identical across engine toggles.  Renderers must
     export only semantic counters; [inc_resims] exists for the

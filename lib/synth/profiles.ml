@@ -79,7 +79,7 @@ let enrichment_rows = table_rows @ star_rows
 (* The huge tier (ROADMAP: event-driven simulation at 100k-gate scale):
    DAGs two orders of magnitude above the paper's circuits, where a
    changed input's fanout cone is a tiny fraction of the netlist — the
-   regime the incremental simulators (Wsim.Inc, Inc_sim) exploit.
+   regime the incremental simulators (Wsim.Inc, Cone_sim) exploit.
    Benchmark/fuzz material only, deliberately not in [enrichment_rows]:
    path enumeration and target-set preparation are not sized for them. *)
 let huge_rows =

@@ -156,24 +156,20 @@ let prop_fault_mask_matches_scalar =
         packs)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental simulation: Wsim.Inc / Inc_sim vs the full passes       *)
+(* Incremental simulation: Wsim.Inc / Cone_sim vs the full passes      *)
 (* ------------------------------------------------------------------ *)
 
-module Inc_sim = Pdf_core.Inc_sim
+module Cone_sim = Pdf_core.Cone_sim
 module Rng = Pdf_util.Rng
-
-let with_incsim b f =
-  let before = Wsim.incsim_enabled () in
-  Wsim.set_incsim b;
-  Fun.protect ~finally:(fun () -> Wsim.set_incsim before) f
 
 (* Drive one randomized flip sequence over persistent incremental state
    and fail on the first divergence from the full-pass references.
    Step 0 installs fresh words on every PI, step 1 is a zero-flip
    no-op, later steps flip a few random PIs (w1 only, w3 only, or
    both; X lanes included).  The packed planes are compared word for
-   word against a from-scratch [Wsim.simulate]; the scalar [Inc_sim]
-   state is compared against [Two_pattern.simulate] on lane 0. *)
+   word against a from-scratch [Wsim.simulate]; the scalar [Cone_sim]
+   state, over the whole circuit, is compared against
+   [Two_pattern.simulate] on lane 0. *)
 let check_flip_sequence what c ~seed ~lanes ~steps =
   let rng = Rng.create seed in
   let n = c.Circuit.num_pis in
@@ -186,8 +182,8 @@ let check_flip_sequence what c ~seed ~lanes ~steps =
   let w1 = Array.init n (fun _ -> rand_word ()) in
   let w3 = Array.init n (fun _ -> rand_word ()) in
   let inc = Wsim.Inc.create c ~lanes in
-  let s = Array.init 3 (fun _ -> Array.make (Circuit.num_nets c) Bit.X) in
-  let sinc = Inc_sim.create c ~s in
+  let sinc = Cone_sim.create c in
+  let s = Cone_sim.values sinc in
   for step = 0 to steps - 1 do
     if step >= 2 then begin
       let flips = 1 + Rng.int rng 3 in
@@ -213,9 +209,9 @@ let check_flip_sequence what c ~seed ~lanes ~steps =
       done
     done;
     for pi = 0 to n - 1 do
-      Inc_sim.set_pi sinc pi ~v1:(Word.get w1.(pi) 0) ~v3:(Word.get w3.(pi) 0)
+      Cone_sim.set_pi sinc pi ~v1:(Word.get w1.(pi) 0) ~v3:(Word.get w3.(pi) 0)
     done;
-    Inc_sim.propagate sinc;
+    Cone_sim.propagate sinc;
     let pairs =
       Array.init n (fun pi ->
           { Two_pattern.b1 = Word.get w1.(pi) 0; b3 = Word.get w3.(pi) 0 })
@@ -263,7 +259,7 @@ let test_inc_flip_sequences () =
 (* Randomized circuits and lane counts: the same flip-sequence property
    as a QCheck law over the generator grid. *)
 let prop_inc_matches_full =
-  QCheck.Test.make ~name:"Wsim.Inc/Inc_sim = full pass over flip sequences"
+  QCheck.Test.make ~name:"Wsim.Inc/Cone_sim = full passes"
     ~count:40
     (QCheck.make
        ~print:(fun (seed, lanes) -> Printf.sprintf "seed=%d lanes=%d" seed lanes)
@@ -273,37 +269,37 @@ let prop_inc_matches_full =
       check_flip_sequence "random" c ~seed ~lanes ~steps:8;
       true)
 
-(* Whole enrichment runs are byte-identical with the incremental
-   engines on or off, at any jobs count: same tests, same flags, same
-   abort counts, same provenance-ledger bytes.  This is the PDF_INCSIM
-   escape-hatch contract CI asserts end to end. *)
-let test_enrich_incsim_identity () =
+(* Whole enrichment runs are byte-identical at any jobs count: same
+   tests, same flags, same abort counts, same provenance-ledger bytes.
+   The ledger's digest is pinned to the bytes of the full-pass
+   resimulation that the event-driven one replaced: a pass that missed
+   a changed gate, or charged one it should not, changes them. *)
+let test_enrich_jobs_identity () =
   let ts = Target_sets.build s27 (Delay_model.lines s27) ~n_p:40 ~n_p0:10 in
   let faults = Fault_sim.prepare s27 ts.Target_sets.p in
   let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
   let p0 = List.init n0 Fun.id in
   let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-  let run ~incsim ~jobs =
-    with_incsim incsim @@ fun () ->
+  let run ~jobs =
     let before = Pool.default_jobs () in
     Pool.set_default_jobs jobs;
     Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) @@ fun () ->
     let ledger = Pdf_obs.Ledger.create () in
-    let res = Atpg.enrich ~ledger s27 ~seed:5 ~faults ~p0 ~p1 in
+    let res =
+      Atpg.enrich ~ledger ~justify:Pdf_core.Justify.Sim s27 ~seed:5 ~faults
+        ~p0 ~p1
+    in
     (res, Pdf_obs.Ledger.to_jsonl ledger)
   in
-  let r_ref, j_ref = run ~incsim:false ~jobs:1 in
-  List.iter
-    (fun (incsim, jobs) ->
-      let r, j = run ~incsim ~jobs in
-      let what = Printf.sprintf "incsim=%b jobs=%d" incsim jobs in
-      check Alcotest.string (what ^ " ledger bytes") j_ref j;
-      check
-        Alcotest.(array bool)
-        (what ^ " detected") r_ref.Atpg.detected r.Atpg.detected;
-      check Alcotest.int (what ^ " aborts") r_ref.Atpg.primary_aborts
-        r.Atpg.primary_aborts)
-    [ (false, 4); (true, 1); (true, 4) ]
+  let r_ref, j_ref = run ~jobs:1 in
+  check Alcotest.string "ledger digest" "3060bc23221dd9d4a88a942c35bba68a"
+    (Digest.to_hex (Digest.string j_ref));
+  let r, j = run ~jobs:4 in
+  check Alcotest.string "jobs=4 ledger bytes" j_ref j;
+  check Alcotest.(array bool) "jobs=4 detected" r_ref.Atpg.detected
+    r.Atpg.detected;
+  check Alcotest.int "jobs=4 aborts" r_ref.Atpg.primary_aborts
+    r.Atpg.primary_aborts
 
 (* ------------------------------------------------------------------ *)
 (* Batch entry points: jobs x engine grid                              *)
@@ -521,8 +517,8 @@ let () =
           Alcotest.test_case "flip sequences on topology grid" `Quick
             test_inc_flip_sequences;
           qcheck prop_inc_matches_full;
-          Alcotest.test_case "enrich identity incsim x jobs" `Quick
-            test_enrich_incsim_identity;
+          Alcotest.test_case "enrich identity across jobs" `Quick
+            test_enrich_jobs_identity;
         ] );
       ( "fault_sim",
         [

@@ -942,6 +942,172 @@ let prop_podem_imply_full_pass =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
+(* The scalar evaluator both engines and Atpg run on, over random DAGs
+   and random requirement cones.  (a) After any sequence of [set_pi]
+   calls on cone inputs and persistent passes, every cone net holds the
+   full simulation's value and every other net stays X.  (b) A trial
+   matches the full ascending cone scan it replaced: with S and S' the
+   full simulation before and after the tried bit, the PI's changed
+   components are checked first, then — for the bit's component, then
+   the intermediate one — every cone gate with a changed fanin, in
+   ascending index, until a value contradicts a requirement.  The
+   first such net and the number of gates scanned are the trial's
+   conflict and evaluation count; without a conflict the overlay holds
+   S' on the cone and the persistent state still holds S.  A trial
+   popping gates level by level reaches the same S' but fails (b) on
+   its evaluation count and first conflict (DESIGN.md §13.2). *)
+module Cone_sim = Pdf_core.Cone_sim
+module Req_cone = Pdf_core.Req_cone
+
+let prop_cone_sim_matches_full =
+  QCheck.Test.make ~name:"Cone_sim = full sim and scan"
+    ~count:100
+    (QCheck.make (QCheck.Gen.int_range 0 100_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let params =
+        { Pdf_synth.Generators.num_pis = 4 + Rng.int rng 8;
+          num_gates = 10 + Rng.int rng 60; window = 15; max_fanout = 4;
+          reuse_pct = 20; restart_pct = 5; fanin3_pct = 20;
+          inverter_pct = 25; po_taps = 1 }
+      in
+      let c = Generators.random_dag ~name:"rand" ~seed params in
+      let np = c.Circuit.num_pis and n = Circuit.num_nets c in
+      let reqs =
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            let req =
+              match Rng.int rng 6 with
+              | 0 -> Req.rising
+              | 1 -> Req.falling
+              | 2 -> Req.stable (Rng.bool rng)
+              | 3 -> Req.final (Rng.bool rng)
+              | 4 -> Req.initial (Rng.bool rng)
+              | _ -> Option.get (Req.of_string "x1x")
+            in
+            (np + Rng.int rng (Circuit.num_gates c), req))
+      in
+      match Req_cone.merge reqs with
+      | None -> true
+      | Some merged ->
+        let cone = Req_cone.make c merged in
+        let pis = cone.Req_cone.pis and r = cone.Req_cone.r in
+        let sim = Cone_sim.create ~cone c in
+        let s = Cone_sim.values sim in
+        let a1 = Array.make np Bit.X and a3 = Array.make np Bit.X in
+        let full () =
+          Pdf_sim.Two_pattern.simulate c
+            (Array.init np (fun pi ->
+                 { Pdf_sim.Two_pattern.b1 = a1.(pi); b3 = a3.(pi) }))
+        in
+        let comp (t : Pdf_values.Triple.t) k =
+          match k with
+          | 0 -> t.Pdf_values.Triple.v1
+          | 1 -> t.Pdf_values.Triple.v2
+          | _ -> t.Pdf_values.Triple.v3
+        in
+        let rand_bit () =
+          match Rng.int rng 3 with 0 -> Bit.X | 1 -> Bit.Zero | _ -> Bit.One
+        in
+        let failure = ref None in
+        let fail fmt =
+          Printf.ksprintf
+            (fun m -> if !failure = None then failure := Some m)
+            fmt
+        in
+        let check_state what values =
+          for net = 0 to n - 1 do
+            for k = 0 to 2 do
+              let want =
+                if cone.Req_cone.in_cone.(net) then comp values.(net) k
+                else Bit.X
+              in
+              if not (Bit.equal s.(k).(net) want) then
+                fail "%s: net %d component %d" what net k
+            done
+          done
+        in
+        (* The reference scan: the conflicting net and the gates
+           scanned before the trial stops. *)
+        let reference before after pi k_bit =
+          let changed k net =
+            not (Bit.equal (comp before.(net) k) (comp after.(net) k))
+          in
+          let conflicts k net =
+            changed k net && Req_cone.mismatch r.(k).(net) (comp after.(net) k)
+          in
+          if conflicts k_bit pi || conflicts 1 pi then (pi, 0)
+          else
+            let evals = ref 0 in
+            let scan k =
+              Array.fold_left
+                (fun hit gi ->
+                  if hit >= 0 then hit
+                  else if
+                    Array.exists (changed k) c.Circuit.gates.(gi).Circuit.fanins
+                  then begin
+                    incr evals;
+                    if conflicts k (np + gi) then np + gi else -1
+                  end
+                  else -1)
+                (-1) cone.Req_cone.gates
+            in
+            let hit = scan k_bit in
+            let hit = if hit >= 0 then hit else scan 1 in
+            (hit, !evals)
+        in
+        for step = 1 to 25 do
+          for _ = 0 to Rng.int rng 3 do
+            let pi = pis.(Rng.int rng (Array.length pis)) in
+            if Rng.bool rng then a1.(pi) <- rand_bit ();
+            if Rng.bool rng then a3.(pi) <- rand_bit ();
+            Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
+          done;
+          Cone_sim.propagate sim;
+          let before = full () in
+          check_state (Printf.sprintf "step %d" step) before;
+          for _ = 1 to 4 do
+            let pi = pis.(Rng.int rng (Array.length pis)) in
+            let j = if Rng.bool rng then 1 else 3 in
+            let b = Bit.of_bool (Rng.bool rng) in
+            let v1 = if j = 1 then b else a1.(pi) in
+            let v3 = if j = 3 then b else a3.(pi) in
+            let o1 = a1.(pi) and o3 = a3.(pi) in
+            a1.(pi) <- v1;
+            a3.(pi) <- v3;
+            let after = full () in
+            a1.(pi) <- o1;
+            a3.(pi) <- o3;
+            let evals0 = Cone_sim.trial_evals sim in
+            let net = Cone_sim.trial sim pi ~v1 ~v3 in
+            let evals = Cone_sim.trial_evals sim - evals0 in
+            let want_net, want_evals =
+              reference before after pi (if j = 1 then 0 else 2)
+            in
+            if net <> want_net || evals <> want_evals then
+              fail "step %d, trial of PI %d bit %d: conflict %d after %d \
+                    evaluations, the scan's %d after %d"
+                step pi j net evals want_net want_evals;
+            if net < 0 then
+              for net = 0 to n - 1 do
+                for k = 0 to 2 do
+                  if
+                    cone.Req_cone.in_cone.(net)
+                    && not
+                         (Bit.equal
+                            (Cone_sim.trial_value sim ~k net)
+                            (comp after.(net) k))
+                  then
+                    fail "step %d, trial of PI %d: overlay net %d component %d"
+                      step pi net k
+                done
+              done;
+            check_state (Printf.sprintf "step %d, after a trial" step) before
+          done
+        done;
+        match !failure with
+        | None -> true
+        | Some msg -> QCheck.Test.fail_report msg)
+
 (* ------------------------------------------------------------------ *)
 (* Engine-level goldens: sim / podem / portfolio                        *)
 (* ------------------------------------------------------------------ *)
@@ -1464,6 +1630,7 @@ let () =
           Alcotest.test_case "complete on c17 (vs brute force)" `Slow
             test_bnb_complete_on_c17;
         ] );
+      ("cone_sim", [ qcheck prop_cone_sim_matches_full ]);
       ( "podem",
         [
           Alcotest.test_case "finds every s27 fault" `Quick

@@ -598,7 +598,6 @@ let test_report_consistent () =
 
 module Attrib = Pdf_obs.Attrib
 module Hotspots = Pdf_experiments.Hotspots
-module Wsim = Pdf_bitsim.Wsim
 
 let contains s sub =
   let ls = String.length s and lu = String.length sub in
@@ -637,25 +636,17 @@ let test_attrib_sheet_ops () =
     m.Attrib.trials.(1)
 
 (* DESIGN.md §14: the exported profile carries only semantic effort, so
-   its bytes must survive any (jobs, incremental-engine) combination. *)
+   its bytes must survive any jobs count. *)
 let test_profile_grid_identical () =
   let saved_jobs = Pdf_par.Pool.default_jobs () in
-  let saved_inc = Wsim.incsim_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Pdf_par.Pool.set_default_jobs saved_jobs;
-      Wsim.set_incsim saved_inc)
+  Fun.protect ~finally:(fun () -> Pdf_par.Pool.set_default_jobs saved_jobs)
   @@ fun () ->
   let outputs =
-    List.concat_map
+    List.map
       (fun jobs ->
-        List.map
-          (fun inc ->
-            Pdf_par.Pool.set_default_jobs jobs;
-            Wsim.set_incsim inc;
-            let p = Hotspots.profile ~n_p:40 ~n_p0:10 ~seed:2002 s27 in
-            (Hotspots.render p, Hotspots.to_json p))
-          [ false; true ])
+        Pdf_par.Pool.set_default_jobs jobs;
+        let p = Hotspots.profile ~n_p:40 ~n_p0:10 ~seed:2002 s27 in
+        (Hotspots.render p, Hotspots.to_json p))
       [ 1; 4 ]
   in
   match outputs with
@@ -841,8 +832,8 @@ let () =
       ( "attribution",
         [
           Alcotest.test_case "sheet algebra" `Quick test_attrib_sheet_ops;
-          Alcotest.test_case "profile identical across jobs x engine"
-            `Quick test_profile_grid_identical;
+          Alcotest.test_case "profile identical across jobs" `Quick
+            test_profile_grid_identical;
           Alcotest.test_case "profile conservation" `Quick
             test_profile_conservation;
           Alcotest.test_case "profile counter track" `Quick
