@@ -187,8 +187,7 @@ let () =
   let report =
     {
       Benchmark.suite = "obs_overhead";
-      fingerprint =
-        Pdf_obs.Fingerprint.capture ~bitsim:(Fault_sim.packed_enabled ()) ();
+      fingerprint = Pdf_obs.Fingerprint.capture ();
       warmup = 1;
       repeat = !repeat;
       min_sample_s = 0.;

@@ -182,9 +182,7 @@ let () =
   let report =
     {
       Benchmark.suite = "serve";
-      fingerprint =
-        Pdf_obs.Fingerprint.capture
-          ~bitsim:(Pdf_core.Fault_sim.packed_enabled ()) ();
+      fingerprint = Pdf_obs.Fingerprint.capture ();
       warmup = 1;
       repeat = !repeat;
       min_sample_s = 0.;

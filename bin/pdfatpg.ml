@@ -899,8 +899,7 @@ let profile_cmd =
        ~doc:"Run enrichment with per-net effort attribution and print \
              where the justification work went: semantic effort totals, \
              a per-level histogram, and the hottest nets.  Output is \
-             byte-identical across --jobs values and the PDF_BITSIM \
-             engine toggle.")
+             byte-identical across --jobs values.")
     Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg
           $ seed_arg $ criterion_arg $ justify_arg $ top_arg $ json_out_arg)
 
@@ -1292,11 +1291,6 @@ let bench_cmd =
             (match field "hostname" str with
             | Some h -> note "hostname" h cur.Pdf_obs.Fingerprint.hostname
             | None -> ());
-            (match field "bitsim" any with
-            | Some b ->
-              note "bitsim" b
-                (string_of_bool cur.Pdf_obs.Fingerprint.bitsim)
-            | None -> ());
             (match field "jobs" any with
             | Some j ->
               note "jobs" j (string_of_int cur.Pdf_obs.Fingerprint.jobs)
@@ -1454,8 +1448,7 @@ let serve_cmd =
 let version_cmd =
   let run () =
     let fp =
-      Pdf_obs.Fingerprint.capture ~jobs:(Pdf_par.Pool.default_jobs ())
-        ~bitsim:(Fault_sim.packed_enabled ()) ()
+      Pdf_obs.Fingerprint.capture ~jobs:(Pdf_par.Pool.default_jobs ()) ()
     in
     let t =
       Pdf_util.Table.create

@@ -5,6 +5,7 @@ module Req = Pdf_values.Req
 module Circuit = Pdf_circuit.Circuit
 module Two_pattern = Pdf_sim.Two_pattern
 module Wsim = Pdf_bitsim.Wsim
+module Wreq = Pdf_bitsim.Wreq
 module Fault = Pdf_faults.Fault
 module Target_sets = Pdf_faults.Target_sets
 module Delay_model = Pdf_paths.Delay_model
@@ -65,11 +66,6 @@ let brute_force_satisfiable c reqs = Option.is_some (brute_force c reqs)
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let with_packed enabled f =
-  let saved = Fault_sim.packed_enabled () in
-  Fault_sim.set_packed enabled;
-  Fun.protect ~finally:(fun () -> Fault_sim.set_packed saved) f
 
 let with_default_jobs jobs f =
   let saved = Pool.default_jobs () in
@@ -271,12 +267,17 @@ let check_inc_sim { circuit = c; seed } =
   match !violation with Some m -> Fail m | None -> Pass
 
 (* ------------------------------------------------------------------ *)
-(* packed-detect / packed-matrix: Fault_sim packed vs scalar            *)
+(* packed-detect / packed-matrix: Fault_sim batches vs per-test rows    *)
 (* ------------------------------------------------------------------ *)
 
-(* 70 tests crosses the 63-lane threshold, so the packed run really
-   takes the word-batched path (plus a 7-test scalar tail). *)
+(* 70 tests crosses the 63-lane threshold, so the batch entry points
+   run two packed word batches (63 + 7 tests). *)
 let n_detect_tests = 70
+
+(* The scalar reference: one [detected_by_test] row per test. *)
+let scalar_rows c tests faults =
+  Array.of_list
+    (List.map (fun t -> Fault_sim.detected_by_test c t faults) tests)
 
 let check_packed_detect { circuit = c; seed } =
   let _, _, faults = target_faults c in
@@ -284,10 +285,13 @@ let check_packed_detect { circuit = c; seed } =
   else
     let rng = Rng.create seed in
     let tests = random_tests rng c n_detect_tests in
-    let packed = with_packed true (fun () -> Fault_sim.detected_by_tests c tests faults) in
-    let scalar = with_packed false (fun () -> Fault_sim.detected_by_tests c tests faults) in
+    let packed = Fault_sim.detected_by_tests c tests faults in
+    let rows = scalar_rows c tests faults in
+    let scalar =
+      Array.init (Array.length faults) (fun i ->
+          Array.exists (fun row -> row.(i)) rows)
+    in
     match bool_arrays_diff packed scalar with
-    | None -> Pass
     | Some i ->
       Fail
         (Printf.sprintf
@@ -296,6 +300,38 @@ let check_packed_detect { circuit = c; seed } =
            c.Circuit.name i
            (Fault.to_string c faults.(i).Fault_sim.fault)
            packed.(i) scalar.(i))
+    | None ->
+      (* The mask leg: Atpg's free check and drop scan read
+         [Wreq.fault_mask] lanes of one test's scalar values; each lane
+         must equal [detects_values] on every test. *)
+      let packs =
+        Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults)
+      in
+      let violation = ref None in
+      List.iteri
+        (fun t test ->
+          if !violation = None then begin
+            let values = Test_pair.simulate c test in
+            Array.iter
+              (fun fp ->
+                let m = Wreq.fault_mask fp values in
+                for l = 0 to Wreq.lanes fp - 1 do
+                  let i = Wreq.base fp + l in
+                  let want = Fault_sim.detects_values values faults.(i) in
+                  if !violation = None && want <> (m land (1 lsl l) <> 0) then
+                    violation :=
+                      Some
+                        (Printf.sprintf
+                           "fault_mask diverges on %s: test %d fault %d %s: \
+                            mask %b, detects_values %b"
+                           c.Circuit.name t i
+                           (Fault.to_string c faults.(i).Fault_sim.fault)
+                           (not want) want)
+                done)
+              packs
+          end)
+        tests;
+      (match !violation with Some m -> Fail m | None -> Pass)
 
 let check_packed_matrix { circuit = c; seed } =
   let _, _, faults = target_faults c in
@@ -303,8 +339,8 @@ let check_packed_matrix { circuit = c; seed } =
   else
     let rng = Rng.create seed in
     let tests = random_tests rng c n_detect_tests in
-    let packed = with_packed true (fun () -> Fault_sim.detect_matrix c tests faults) in
-    let scalar = with_packed false (fun () -> Fault_sim.detect_matrix c tests faults) in
+    let packed = Fault_sim.detect_matrix c tests faults in
+    let scalar = scalar_rows c tests faults in
     let violation = ref None in
     Array.iteri
       (fun t row ->
@@ -365,8 +401,8 @@ let check_jobs_det { circuit = c; seed } =
       (match !violation with Some m -> Fail m | None -> Pass)
 
 (* ------------------------------------------------------------------ *)
-(* atpg-engine / atpg-jobs: whole enrichment runs must be identical     *)
-(* across simulation engines and pool sizes, down to the ledger bytes   *)
+(* atpg-jobs: whole enrichment runs must be identical across pool       *)
+(* sizes, down to the ledger bytes                                      *)
 (* ------------------------------------------------------------------ *)
 
 let enrich_run c seed faults n0 =
@@ -401,17 +437,6 @@ let compare_runs what c (a : Atpg.result) ja (b : Atpg.result) jb =
           (Printf.sprintf "%s on %s: ledger JSONL bytes differ" what
              c.Circuit.name)
       else Pass
-
-let check_atpg_engine { circuit = c; seed } =
-  let _, ts, faults = target_faults c in
-  if Array.length faults = 0 then Skip "no detectable target faults"
-  else
-    let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-    if n0 = 0 then Skip "empty P0"
-    else
-      let rp, jp = with_packed true (fun () -> enrich_run c seed faults n0) in
-      let rs, js = with_packed false (fun () -> enrich_run c seed faults n0) in
-      compare_runs "packed vs scalar enrichment" c rp jp rs js
 
 let check_atpg_jobs { circuit = c; seed } =
   let _, ts, faults = target_faults c in
@@ -1013,17 +1038,15 @@ let all =
       doc = "incremental simulation equals a full pass after any flip sequence";
       check = check_inc_sim };
     { name = "packed-detect";
-      doc = "packed and scalar detected_by_tests flags are identical";
+      doc = "detected_by_tests flags are the union of per-test scalar rows, \
+             and every fault_mask lane equals detects_values";
       check = check_packed_detect };
     { name = "packed-matrix";
-      doc = "packed and scalar detect_matrix rows are identical";
+      doc = "detect_matrix rows are the per-test scalar rows";
       check = check_packed_matrix };
     { name = "jobs-det";
       doc = "detection results are independent of the pool size";
       check = check_jobs_det };
-    { name = "atpg-engine";
-      doc = "enrichment is identical under packed and scalar engines";
-      check = check_atpg_engine };
     { name = "atpg-jobs";
       doc = "enrichment is identical under 1 and 3 jobs, ledger included";
       check = check_atpg_jobs };

@@ -15,15 +15,19 @@
       persistent state, including X lanes and a zero-flip no-op assign;
       this is the oracle that must catch the
       [Wsim.set_inc_injected_bug] mutation;
-    - [packed-detect] / [packed-matrix] — packed vs scalar
-      {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] flags;
+    - [packed-detect] / [packed-matrix] — the batch entry points
+      {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] over 70
+      tests (two packed word batches) against per-test
+      {!Pdf_core.Fault_sim.detected_by_test} rows, the scalar reference;
+      [packed-detect] also checks, on every test, that each
+      {!Pdf_bitsim.Wreq.fault_mask} lane equals
+      {!Pdf_core.Fault_sim.detects_values} — the reads behind the ATPG
+      free check and drop scan;
     - [jobs-det] — detection flags and matrices with a 1-job pool vs a
       multi-domain pool (byte-identical by the DESIGN.md §8.3 contract);
-    - [atpg-engine] — a full enrichment run under the packed engine vs
-      the scalar engine: tests, detection flags, abort counts and the
+    - [atpg-jobs] — a full enrichment run under [--jobs 1] vs
+      [--jobs 3]: tests, detection flags, abort counts and the
       provenance-ledger JSONL bytes must all agree;
-    - [atpg-jobs] — the same run under [--jobs 1] vs [--jobs 3],
-      including ledger bytes;
     - [justify-brute] — justification soundness and completeness claims
       against brute-force enumeration of all PI pairs (small cones only);
     - [justify-podem] — the structural {!Pdf_core.Podem} engine against
@@ -53,8 +57,8 @@
       the same winning member.  This is what justifies stopping at
       PODEM's proof of unsatisfiability.
 
-    Oracles are deterministic in [(circuit, seed)]; any engine toggles
-    they flip are restored on exit (including on exceptions). *)
+    Oracles are deterministic in [(circuit, seed)]; any pool width they
+    set is restored on exit (including on exceptions). *)
 
 type ctx = {
   circuit : Pdf_circuit.Circuit.t;

@@ -127,8 +127,7 @@ type test_state = {
           rejected without a search *)
   mutable det_masks : int array;
       (** packed detection state of the current test against every target
-          (one word per 63 faults), refreshed whenever [values] changes;
-          [[||]] when the packed engine is disabled *)
+          (one word per 63 faults), refreshed whenever [values] changes *)
 }
 
 (* [acc] only grows within a test and its implied values are the least
@@ -201,7 +200,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   (* Provenance (DESIGN.md §9): everything recorded in the ledger is
      derived from the sequential generation loop and the seed — no
      timestamps, no schedule-dependent data — so the emitted JSONL is
-     byte-identical across --jobs and scalar/packed simulation. *)
+     byte-identical across --jobs. *)
   let with_ledger f = Option.iter f ledger in
   let fault_name i = Pdf_faults.Fault.to_string c faults.(i).Fault_sim.fault in
   (* Per-ordering counters: the same pipeline run exercises several
@@ -230,26 +229,16 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   (* Word-packed condition sets of every target: one pass of
      [Wreq.fault_mask] over the current test's values answers "which of
      these 63 faults does the candidate assignment detect" for a whole
-     word of faults, replacing the per-fault requirement-list walks in
-     both the free check and the end-of-test drop scan.  The scalar
-     [Fault_sim.detects_values] path is kept verbatim as the reference
-     (PDF_BITSIM=0) and agrees lane for lane. *)
-  let packs =
-    if Fault_sim.packed_enabled () then
-      Some (Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults))
-    else None
-  in
+     word of faults, so both the free check and the end-of-test drop
+     scan are mask reads.  Each lane agrees with
+     [Fault_sim.detects_values], the scalar reference (checked by the
+     packed-detect oracle). *)
+  let packs = Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults) in
   let refresh_masks st =
-    match packs with
-    | None -> ()
-    | Some packs ->
-      st.det_masks <- Array.map (fun fp -> Wreq.fault_mask fp st.values) packs
+    st.det_masks <- Array.map (fun fp -> Wreq.fault_mask fp st.values) packs
   in
   let detects st i =
-    match packs with
-    | None -> Fault_sim.detects_values st.values faults.(i)
-    | Some _ ->
-      st.det_masks.(i / Word.lanes) land (1 lsl (i mod Word.lanes)) <> 0
+    st.det_masks.(i / Word.lanes) land (1 lsl (i mod Word.lanes)) <> 0
   in
   let detected = Array.make n false in
   let tried = Array.make n false in

@@ -77,8 +77,7 @@ val generate :
     net, its level and the deepest conflict level reached (abort
     forensics, DESIGN.md §14).  Records carry no timestamps and are
     appended by the sequential generation loop only, so the ledger
-    JSONL is byte-identical across [--jobs] values and the
-    scalar/packed simulation engines.
+    JSONL is byte-identical across [--jobs] values.
 
     When [attrib] is given the run charges per-net effort — justify
     trial loop, incremental refreshes, candidate delta scans — to a

@@ -16,20 +16,6 @@ let m_lanes_used = Metrics.counter "fault_sim.lanes_used"
 let g_prepared = Metrics.gauge "fault_sim.prepared"
 
 (* ------------------------------------------------------------------ *)
-(* Packed-path switch                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let packed_state =
-  Atomic.make
-    (match Sys.getenv_opt "PDF_BITSIM" with
-    | Some ("0" | "false" | "no" | "off") -> false
-    | Some _ | None -> true)
-
-let set_packed b = Atomic.set packed_state b
-
-let packed_enabled () = Atomic.get packed_state
-
-(* ------------------------------------------------------------------ *)
 (* Condition cache                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -187,7 +173,7 @@ let detect_batch ?attrib c tests faults bound =
   (detected, inc_stats)
 
 (* Sequential scalar scan over [tests.(lo .. hi-1)], metrics-free (the
-   jobs-independent reference for the packed path). *)
+   engine of sets below one word). *)
 let detect_chunk c tests faults (lo, hi) =
   let detected = Array.make (Array.length faults) false in
   for t = lo to hi - 1 do
@@ -200,72 +186,58 @@ let detect_chunk c tests faults (lo, hi) =
   done;
   detected
 
+(* OR every partial into the first one: partials are fresh per call, so
+   the merge needs no copy. *)
 let or_merge nf partials =
-  let detected = Array.make nf false in
-  Array.iter
-    (fun part ->
-      Array.iteri (fun i d -> if d then detected.(i) <- true) part)
-    partials;
-  detected
+  if Array.length partials = 0 then Array.make nf false
+  else begin
+    let detected = partials.(0) in
+    for k = 1 to Array.length partials - 1 do
+      Array.iteri (fun i d -> if d then detected.(i) <- true) partials.(k)
+    done;
+    detected
+  end
 
 let detected_by_tests ?pool ?attrib c tests faults =
   Span.with_ "fault-sim" @@ fun () ->
   let pool =
     match pool with Some p -> p | None -> Pdf_par.Pool.default ()
   in
-  let jobs = Pdf_par.Pool.jobs pool in
+  let nf = Array.length faults in
   let n_tests = List.length tests in
-  if packed_enabled () && n_tests >= Word.lanes then begin
-    (* Word batches at fixed multiples of [Word.lanes], distributed over
-       the pool and OR-merged: flags, detection counts and the batch/lane
-       counters are all identical whatever the job count. *)
-    let tests = Array.of_list tests in
-    let bounds = Wsim.batch_bounds n_tests in
-    let partials =
-      Pdf_par.Pool.map_array pool (detect_batch ?attrib c tests faults) bounds
-    in
-    record_batch_stats c partials;
-    let detected = or_merge (Array.length faults) (Array.map fst partials) in
-    Metrics.add m_simulations n_tests;
-    Metrics.add m_word_batches (Array.length bounds);
-    Metrics.add m_lanes_used n_tests;
-    Metrics.add m_detections (count detected);
-    detected
-  end
-  else if jobs = 1 || n_tests < 2 then begin
-    let detected = Array.make (Array.length faults) false in
-    List.iter
-      (fun test ->
-        Metrics.incr m_simulations;
-        let values = Test_pair.simulate c test in
-        Array.iteri
-          (fun i p ->
-            if (not detected.(i)) && detects_values values p then begin
-              detected.(i) <- true;
-              Metrics.incr m_detections
-            end)
-          faults)
-      tests;
-    detected
-  end
-  else begin
-    (* Contiguous chunks, one per domain; OR is commutative so the merge
-       order cannot affect the result, and the merged flags are
-       bit-identical to the sequential scan. *)
-    let tests = Array.of_list tests in
-    let chunks = min jobs n_tests in
-    let bounds =
-      Array.init chunks (fun k ->
-          (k * n_tests / chunks, (k + 1) * n_tests / chunks))
-    in
-    let partials =
-      Pdf_par.Pool.map_array pool (detect_chunk c tests faults) bounds
-    in
-    let detected = or_merge (Array.length faults) partials in
-    Metrics.add m_simulations n_tests;
-    Metrics.add m_detections (count detected);
-    detected
-  end
+  let tests = Array.of_list tests in
+  (* Both engines cut the set into chunks, run them over the pool and
+     OR-merge the flags, so flags and detection counts are identical
+     whatever the job count. *)
+  let detected =
+    if n_tests >= Word.lanes then begin
+      (* Word batches at fixed multiples of [Word.lanes], so the
+         batch/lane counters are jobs-invariant too. *)
+      let bounds = Wsim.batch_bounds n_tests in
+      let partials =
+        Pdf_par.Pool.map_array pool (detect_batch ?attrib c tests faults)
+          bounds
+      in
+      record_batch_stats c partials;
+      Metrics.add m_word_batches (Array.length bounds);
+      Metrics.add m_lanes_used n_tests;
+      or_merge nf (Array.map fst partials)
+    end
+    else begin
+      (* Below one word, the scalar engine: contiguous chunks, one per
+         domain (a single chunk, run inline, with one job). *)
+      let chunks = min (Pdf_par.Pool.jobs pool) n_tests in
+      let bounds =
+        Array.init chunks (fun k ->
+            (k * n_tests / chunks, (k + 1) * n_tests / chunks))
+      in
+      or_merge nf
+        (Pdf_par.Pool.map_array pool (detect_chunk c tests faults) bounds)
+    end
+  in
+  Metrics.add m_simulations n_tests;
+  Metrics.add m_detections (count detected);
+  detected
 
 (* ------------------------------------------------------------------ *)
 (* Full detection matrix                                               *)
@@ -300,7 +272,7 @@ let detect_matrix ?pool ?attrib c tests faults =
   let n_tests = List.length tests in
   let tests = Array.of_list tests in
   let rows =
-    if packed_enabled () && n_tests >= Word.lanes then begin
+    if n_tests >= Word.lanes then begin
       let bounds = Wsim.batch_bounds n_tests in
       let parts =
         Pdf_par.Pool.map_array pool (matrix_batch ?attrib c tests faults) bounds

@@ -6,12 +6,14 @@
 
     Two engines implement that scan.  The scalar engine simulates one
     test at a time ({!detected_by_test}); the packed engine
-    ([Pdf_bitsim]) simulates up to 63 tests per pass, one lane per test,
-    and is used automatically by the batch entry points whenever it is
-    enabled and at least one full word of tests is available.  The
-    scalar engine is the reference: packed results are byte-identical by
-    construction and property test, and metric totals do not depend on
-    which engine ran or how many jobs the pool has. *)
+    ([Pdf_bitsim]) simulates up to 63 tests per pass, one lane per test.
+    The batch entry points pick the engine from the test count alone:
+    packed exactly when the set holds at least one full word
+    ([Pdf_values.Word.lanes] tests), scalar below that.  There is no
+    override.  The scalar engine is the reference: packed results equal
+    per-test {!detected_by_test} rows, by construction and by property
+    test and oracle, and metric totals do not depend on how many jobs
+    the pool has. *)
 
 (** A fault with its precomputed, merged condition set, ready for
     simulation.  [id] is the fault's index in the prepared array and is
@@ -22,13 +24,6 @@ type prepared = {
   length : int;  (** path length under the experiment's delay model *)
   reqs : (int * Pdf_values.Req.t) list;  (** merged [A(p)] *)
 }
-
-val set_packed : bool -> unit
-(** Override the packed-engine switch.  The initial value comes from the
-    [PDF_BITSIM] environment variable: set it to [0]/[false]/[no]/[off]
-    to force every batch entry point onto the scalar reference path. *)
-
-val packed_enabled : unit -> bool
 
 val conditions :
   ?criterion:Pdf_faults.Robust.criterion ->
@@ -65,13 +60,14 @@ val detected_by_tests :
   Test_pair.t list ->
   prepared array ->
   bool array
-(** Union over a whole test set.  When the packed engine is enabled and
-    the set holds at least one full word of tests, the list is cut into
-    word batches at fixed multiples of 63 (see [Wsim.batch_bounds]),
-    each batch is simulated bit-parallel on a pool domain, and the
-    per-batch flags are merged by OR.  Otherwise the scalar path runs:
-    sequential for one job, contiguous per-domain chunks for more.  All
-    three paths produce bit-identical flags, and the metric totals
+(** Union over a whole test set.  When the set holds at least one full
+    word of tests, the list is cut into word batches at fixed multiples
+    of 63 (see [Wsim.batch_bounds]), each batch is simulated
+    bit-parallel on a pool domain, and the per-batch flags are merged by
+    OR.  Below one word the scalar engine runs over contiguous
+    per-domain chunks (one chunk, run inline, with one job), merged the
+    same way.  Both paths produce the flags of OR-ing per-test
+    {!detected_by_test} rows, and the metric totals
     ([fault_sim.simulations], [fault_sim.detections], and for the packed
     path [fault_sim.word_batches]/[fault_sim.lanes_used]) are
     jobs-invariant.  [pool] defaults to {!Pdf_par.Pool.default}.
@@ -79,8 +75,8 @@ val detected_by_tests :
     When [attrib] is given and the packed incremental engine runs, each
     batch charges its dirty-cone gate re-evaluations to a fresh
     {!Pdf_obs.Attrib} sheet merged into the store — commutative sums,
-    so the merged totals are jobs-invariant (the counts themselves are
-    engine-variant; see {!Pdf_obs.Attrib}). *)
+    so the merged totals are jobs-invariant (the counts themselves
+    measure the engine, not the search; see {!Pdf_obs.Attrib}). *)
 
 val detect_matrix :
   ?pool:Pdf_par.Pool.t ->
@@ -91,8 +87,9 @@ val detect_matrix :
   bool array array
 (** Full test [x] fault detection matrix: row [t] is the detection flag
     of every fault under test [t] (same row shape as
-    {!detected_by_test}).  Runs packed word batches when enabled and
-    worthwhile, scalar per-test rows otherwise; rows are byte-identical
+    {!detected_by_test}).  Runs packed word batches from one full word
+    of tests up, scalar per-test rows below that, under the same size
+    rule as {!detected_by_tests}; rows equal {!detected_by_test}'s
     either way.  This is the workhorse behind diagnosis dictionaries and
     static compaction delta scans. *)
 

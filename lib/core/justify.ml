@@ -14,7 +14,7 @@ let m_backtracks = Metrics.counter "justify.backtracks"
 
 (* Effort counters behind the attribution layer (DESIGN.md §14).  All
    three are semantic — defined by the search, not the engine — so they
-   are byte-identical across [--jobs] and the PDF_BITSIM toggle:
+   are byte-identical across [--jobs] and engine implementations:
    [trial_evals] counts overlay gate evaluations (pure scalar code),
    [resim_gates] charges every resimulation call its full-pass cost
    (cone size), however few gates the pass evaluated, and

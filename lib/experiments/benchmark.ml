@@ -233,18 +233,22 @@ let fault_sim_suite =
         else
         let s = circuit_setup params profile in
         let pool = Pool.default () in
-        let matrix packed () =
-          let prev = Fault_sim.packed_enabled () in
-          Fault_sim.set_packed packed;
-          Fun.protect
-            ~finally:(fun () -> Fault_sim.set_packed prev)
-            (fun () -> Fault_sim.detect_matrix ~pool s.cs_circuit s.cs_tests s.cs_faults)
+        let tests = Array.of_list s.cs_tests in
+        (* The scalar reference: one [detected_by_test] row per test,
+           on the same pool. *)
+        let scalar_rows () =
+          Pool.map_array pool
+            (fun t -> Fault_sim.detected_by_test s.cs_circuit t s.cs_faults)
+            tests
         in
-        (* Equivalence smoke: the packed engine must reproduce the scalar
-           reference cell for cell, whatever engine the timed cases then
-           run.  This keeps the hard-fail contract of the retired
-           standalone fault_sim_bench executable. *)
-        if matrix true () <> matrix false () then
+        (* Equivalence smoke: the batch entry point must reproduce the
+           scalar reference cell for cell.  This keeps the hard-fail
+           contract of the retired standalone fault_sim_bench
+           executable. *)
+        if
+          Fault_sim.detect_matrix ~pool s.cs_circuit s.cs_tests s.cs_faults
+          <> scalar_rows ()
+        then
           failwith
             (Printf.sprintf
                "fault_sim suite: packed detection differs from scalar on %s"
@@ -263,8 +267,8 @@ let fault_sim_suite =
                     (word_batches params.n_tests
                     * Circuit.num_gates s.cs_circuit) );
               ];
-            (* Ambient engine: packed unless PDF_BITSIM=0 — this is the
-               case the regression gate watches. *)
+            (* The batch entry point, packed from one word of tests
+               up — the case the regression gate watches. *)
             thunk =
               (fun () ->
                 ignore
@@ -279,7 +283,7 @@ let fault_sim_suite =
                 ("faults", float_of_int n_faults);
                 ("tests", float_of_int params.n_tests);
               ];
-            thunk = (fun () -> ignore (matrix false () : bool array array));
+            thunk = (fun () -> ignore (scalar_rows () : bool array array));
           };
           {
             case_name = name "detected_by_tests";
@@ -304,8 +308,8 @@ let fault_sim_suite =
     suite_doc =
       "Fault-simulation kernels: detection matrix, test-set union and \
        cone-resim (full-pass vs incremental at small flip widths), \
-       ambient engine plus the scalar reference (hard-fails when the \
-       engines disagree)";
+       batch entry points plus the per-test scalar reference \
+       (hard-fails when the engines disagree)";
     cases;
   }
 
@@ -770,8 +774,7 @@ let run_suite ?(warmup = 1) ?(repeat = 5) ?(min_sample_s = 0.01)
     {
       suite = suite.suite_name;
       fingerprint =
-        Fingerprint.capture ~jobs:(Pool.default_jobs ())
-          ~bitsim:(Fault_sim.packed_enabled ()) ();
+        Fingerprint.capture ~jobs:(Pool.default_jobs ()) ();
       warmup;
       repeat;
       min_sample_s;

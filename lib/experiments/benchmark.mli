@@ -50,9 +50,10 @@ type suite = {
   suite_name : string;
   suite_doc : string;
   cases : params -> case list;
-      (** may raise [Failure] — the [fault_sim] suite hard-fails when the
-          packed and scalar engines disagree, keeping the CI equivalence
-          smoke contract of the old standalone bench *)
+      (** may raise [Failure] — the [fault_sim] suite hard-fails when
+          [detect_matrix] disagrees with per-test scalar rows, keeping
+          the CI equivalence smoke contract of the old standalone
+          bench *)
 }
 
 val suites : suite list

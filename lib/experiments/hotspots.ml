@@ -12,8 +12,8 @@ module Json = Pdf_obs.Json_text
    then aggregated per net, per level and as a top-K hotspot table.
    Every exported figure is semantic (engine-invariant) and integral,
    so the rendered table, the JSON report and the Perfetto counter
-   track are byte-identical across --jobs values and the PDF_BITSIM
-   engine toggle. *)
+   track are byte-identical across --jobs values and engine
+   implementations. *)
 
 type t = {
   circuit : Circuit.t;

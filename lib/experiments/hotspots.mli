@@ -11,8 +11,8 @@
     gate evaluations, full-pass resim cost, conflicts, backtracks and
     candidate-scan touches — which is defined by the search alone.
     The rendered table and the JSON are therefore byte-identical
-    across [--jobs] values and the [PDF_BITSIM] engine toggle, and
-    contain integers only (no floats). *)
+    across [--jobs] values and engine implementations, and contain
+    integers only (no floats). *)
 
 type t = {
   circuit : Pdf_circuit.Circuit.t;

@@ -28,9 +28,8 @@ val build :
 (** Defaults: robust criterion, [n_p = 2000], [n_p0 = 200],
     [Workload.default_seed], [justify] per {!Pdf_core.Justify.default_kind}.
     The attached ledger is deterministic: byte-identical across [--jobs]
-    values and scalar/packed simulation engines (the portfolio backend
-    included — its members run one after another on the caller's
-    domain, in a fixed priority order). *)
+    values (the portfolio backend included — its members run one after
+    another on the caller's domain, in a fixed priority order). *)
 
 val explain : t -> string -> (string, string) result
 (** [explain t query] — a human-readable account of the matching

@@ -15,7 +15,7 @@
    - {e semantic} counters (trials, trial_evals, resim_cone, conflicts,
      backtracks, cand_evals) measure work defined by the search itself —
      what a full-pass engine would do — and are byte-identical across
-     --jobs and the PDF_BITSIM engine toggle.  Only these are exported
+     --jobs and across engine implementations.  Only these are exported
      by profile renderers.
    - the {e engine-variant} counter (inc_resims) measures the actual
      dirty-cone gate re-evaluations of the incremental engines.  It

@@ -9,11 +9,12 @@
     identical whatever order the pool's sheets arrive in.
 
     The [inc_resims] family measures the incremental engines' actual
-    per-gate work and therefore varies with [PDF_BITSIM];
-    every other counter is {e semantic} (defined by the search, not the
-    engine) and byte-identical across engine toggles.  Renderers must
-    export only semantic counters; [inc_resims] exists for the
-    effort-conservation oracle. *)
+    per-gate work, so it moves whenever the engines' implementation or
+    the fault simulator's engine choice changes, while the search stays
+    the same; every other counter is {e semantic} (defined by the
+    search, not the engine) and byte-identical across [--jobs].
+    Renderers must export only semantic counters; [inc_resims] exists
+    for the effort-conservation oracle. *)
 
 type sheet = {
   nets : int;

@@ -7,7 +7,6 @@ type t = {
   os_type : string;
   word_size : int;
   jobs : int;
-  bitsim : bool;
 }
 
 let version = "1.0.0"
@@ -47,12 +46,7 @@ let env_jobs () =
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
   | None -> 1
 
-let env_bitsim () =
-  match Sys.getenv_opt "PDF_BITSIM" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
-let capture ?jobs ?bitsim () =
+let capture ?jobs () =
   {
     version;
     git_rev = Lazy.force git_rev;
@@ -62,17 +56,15 @@ let capture ?jobs ?bitsim () =
     os_type = Sys.os_type;
     word_size = Sys.word_size;
     jobs = (match jobs with Some j -> j | None -> env_jobs ());
-    bitsim = (match bitsim with Some b -> b | None -> env_bitsim ());
   }
 
 let to_json f =
   Printf.sprintf
     "{\"version\":%s,\"git_rev\":%s,\"git_dirty\":%b,\"ocaml_version\":%s,\
-     \"hostname\":%s,\"os_type\":%s,\"word_size\":%d,\"jobs\":%d,\
-     \"bitsim\":%b}"
+     \"hostname\":%s,\"os_type\":%s,\"word_size\":%d,\"jobs\":%d}"
     (Json_text.quote f.version) (Json_text.quote f.git_rev) f.git_dirty
     (Json_text.quote f.ocaml_version) (Json_text.quote f.hostname)
-    (Json_text.quote f.os_type) f.word_size f.jobs f.bitsim
+    (Json_text.quote f.os_type) f.word_size f.jobs
 
 let short_rev f =
   if f.git_rev = "unknown" then "unknown"
@@ -92,5 +84,4 @@ let to_table_lines f =
     ("os type", f.os_type);
     ("word size", string_of_int f.word_size);
     ("jobs", string_of_int f.jobs);
-    ("bitsim", if f.bitsim then "packed" else "scalar");
   ]

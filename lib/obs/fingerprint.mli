@@ -3,9 +3,9 @@
 
     Every benchmark report ([BENCH_*.json], DESIGN.md §11) embeds one so
     that a baseline comparison can tell "the code got slower" apart from
-    "this is a different machine / compiler / engine"; [pdfatpg version]
-    prints the same record, so the bench artifacts and the CLI agree on
-    what was measured. *)
+    "this is a different machine / compiler / pool width";
+    [pdfatpg version] prints the same record, so the bench artifacts and
+    the CLI agree on what was measured. *)
 
 type t = {
   version : string;  (** library/CLI version (see {!version}) *)
@@ -16,19 +16,15 @@ type t = {
   os_type : string;  (** [Sys.os_type] *)
   word_size : int;  (** [Sys.word_size] *)
   jobs : int;  (** pool parallelism the run was configured with *)
-  bitsim : bool;  (** packed simulation engine enabled *)
 }
 
 val version : string
 (** The library version string (kept in sync with [Cmd.info ~version]). *)
 
-val capture : ?jobs:int -> ?bitsim:bool -> unit -> t
+val capture : ?jobs:int -> unit -> t
 (** Capture the current environment.  [jobs] defaults to the [PDF_JOBS]
     environment variable (or 1) — pass {!Pdf_par.Pool.default_jobs}'s
-    value when a pool is in play; [bitsim] defaults to the [PDF_BITSIM]
-    environment variable's verdict (enabled unless [0/false/no/off]) —
-    pass [Fault_sim.packed_enabled ()] when the engine switch may have
-    been overridden programmatically.  The git revision is read once per
+    value when a pool is in play.  The git revision is read once per
     process and memoised. *)
 
 val to_json : t -> string

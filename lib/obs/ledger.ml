@@ -6,11 +6,10 @@
    own the vocabulary (Target_sets, Atpg) — and deterministic: records
    carry no timestamps or other schedule-dependent data, and appends
    from a single generation run happen in program order, so the emitted
-   JSONL is byte-identical across `--jobs` and scalar/packed bitsim
-   (DESIGN.md §9).  Appends are mutex-protected so a ledger shared with
-   pool workers is still memory-safe; byte-determinism is only promised
-   for ledgers fed from one domain (the ATPG generation loop is
-   sequential). *)
+   JSONL is byte-identical across `--jobs` (DESIGN.md §9).  Appends are
+   mutex-protected so a ledger shared with pool workers is still
+   memory-safe; byte-determinism is only promised for ledgers fed from
+   one domain (the ATPG generation loop is sequential). *)
 
 type value =
   | S of string

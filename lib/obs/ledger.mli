@@ -11,9 +11,9 @@
 
     {b Determinism.}  Records never carry timestamps or other
     schedule-dependent data, and one generation run appends in program
-    order, so {!to_jsonl} is byte-identical across [--jobs] values and
-    scalar/packed simulation engines — the extension of the DESIGN.md
-    §7.3/§8.3 contract that CI diffs on every push. *)
+    order, so {!to_jsonl} is byte-identical across [--jobs] values — the
+    extension of the DESIGN.md §7.3/§8.3 contract that CI diffs on every
+    push. *)
 
 (** Structured field values (JSON-shaped, but floats are deliberately
     absent: everything the provenance schema needs is integral, and

@@ -218,7 +218,7 @@ let test_report_schema () =
     (fun field -> ignore (member_exn field fp : Json_text.v))
     [
       "version"; "git_rev"; "git_dirty"; "ocaml_version"; "hostname";
-      "os_type"; "word_size"; "jobs"; "bitsim";
+      "os_type"; "word_size"; "jobs";
     ];
   let cases =
     match member_exn "cases" json with
@@ -305,9 +305,8 @@ let test_compare_rejects_garbage () =
   | Ok _ -> Alcotest.fail "a schema-less baseline must be rejected"
 
 let test_fingerprint () =
-  let fp = Fingerprint.capture ~jobs:3 ~bitsim:false () in
+  let fp = Fingerprint.capture ~jobs:3 () in
   Alcotest.(check int) "jobs" 3 fp.Fingerprint.jobs;
-  Alcotest.(check bool) "bitsim" false fp.Fingerprint.bitsim;
   Alcotest.(check bool) "word size" true
     (fp.Fingerprint.word_size = Sys.word_size);
   Alcotest.(check string) "ocaml version" Sys.ocaml_version

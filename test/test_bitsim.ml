@@ -1,7 +1,7 @@
 (* Tests for Pdf_bitsim and the packed fault-simulation paths: the
    scalar simulator is the reference, and every packed result — planes,
-   satisfaction masks, fault masks, detection flags, whole ATPG runs —
-   must agree with it bit for bit, for every jobs x engine combination. *)
+   satisfaction masks, fault masks, detection flags, dictionaries — must
+   agree with it bit for bit, at any jobs count. *)
 
 module Bit = Pdf_values.Bit
 module Triple = Pdf_values.Triple
@@ -12,7 +12,6 @@ module Two_pattern = Pdf_sim.Two_pattern
 module Wsim = Pdf_bitsim.Wsim
 module Wreq = Pdf_bitsim.Wreq
 module Pool = Pdf_par.Pool
-module Ordering = Pdf_core.Ordering
 module Atpg = Pdf_core.Atpg
 module Fault_sim = Pdf_core.Fault_sim
 module Test_pair = Pdf_core.Test_pair
@@ -29,12 +28,6 @@ let s27 =
   match Profiles.find "s27" with
   | Some p -> Profiles.circuit p
   | None -> assert false
-
-(* Every test here must leave the packed engine in its default state. *)
-let with_packed b f =
-  let before = Fault_sim.packed_enabled () in
-  Fault_sim.set_packed b;
-  Fun.protect ~finally:(fun () -> Fault_sim.set_packed before) f
 
 let dag_params =
   { Generators.num_pis = 6; num_gates = 25; window = 15; max_fanout = 3;
@@ -302,7 +295,7 @@ let test_enrich_jobs_identity () =
     r.Atpg.primary_aborts
 
 (* ------------------------------------------------------------------ *)
-(* Batch entry points: jobs x engine grid                              *)
+(* Batch entry points against per-test scalar rows                     *)
 (* ------------------------------------------------------------------ *)
 
 let random_tests c ~n ~seed =
@@ -320,44 +313,49 @@ let s27_workload () =
   let tests = random_tests s27 ~n:100 ~seed:42 in
   (faults, tests)
 
-let test_detected_by_tests_grid () =
+(* The scalar reference: one [detected_by_test] row per test, and their
+   union. *)
+let scalar_rows tests faults =
+  Array.of_list
+    (List.map (fun t -> Fault_sim.detected_by_test s27 t faults) tests)
+
+let scalar_union tests faults =
+  let rows = scalar_rows tests faults in
+  Array.init (Array.length faults) (fun i ->
+      Array.exists (fun row -> row.(i)) rows)
+
+let test_detected_by_tests_jobs () =
   let faults, tests = s27_workload () in
-  let run ~packed ~jobs =
-    with_packed packed @@ fun () ->
-    Pool.with_pool ~jobs (fun pool ->
-        Fault_sim.detected_by_tests ~pool s27 tests faults)
-  in
-  let reference = run ~packed:false ~jobs:1 in
+  let reference = scalar_union tests faults in
   List.iter
-    (fun (packed, jobs) ->
+    (fun jobs ->
       check
         Alcotest.(array bool)
-        (Printf.sprintf "packed=%b jobs=%d" packed jobs)
+        (Printf.sprintf "jobs=%d" jobs)
         reference
-        (run ~packed ~jobs))
-    [ (false, 4); (true, 1); (true, 4) ]
+        (Pool.with_pool ~jobs (fun pool ->
+             Fault_sim.detected_by_tests ~pool s27 tests faults)))
+    [ 1; 4 ]
 
-let test_detect_matrix_grid () =
+let test_detect_matrix_jobs () =
   let faults, tests = s27_workload () in
-  let run ~packed ~jobs =
-    with_packed packed @@ fun () ->
-    Pool.with_pool ~jobs (fun pool ->
-        Fault_sim.detect_matrix ~pool s27 tests faults)
-  in
-  let reference = run ~packed:false ~jobs:1 in
-  check Alcotest.int "one row per test" (List.length tests)
-    (Array.length reference);
+  let reference = scalar_rows tests faults in
   List.iter
-    (fun (packed, jobs) ->
-      let m = run ~packed ~jobs in
+    (fun jobs ->
+      let m =
+        Pool.with_pool ~jobs (fun pool ->
+            Fault_sim.detect_matrix ~pool s27 tests faults)
+      in
+      check Alcotest.int "one row per test" (List.length tests)
+        (Array.length m);
       Array.iteri
         (fun t row ->
           check
             Alcotest.(array bool)
-            (Printf.sprintf "row %d packed=%b jobs=%d" t packed jobs)
+            (Printf.sprintf "row %d jobs=%d" t jobs)
             reference.(t) row)
         m)
-    [ (false, 4); (true, 1); (true, 4) ]
+    [ 1; 4 ]
 
 (* Rows of detect_matrix are exactly detected_by_test rows. *)
 let test_detect_matrix_vs_single () =
@@ -372,47 +370,42 @@ let test_detect_matrix_vs_single () =
         m.(t))
     tests
 
-(* The packed ATPG delta scan changes nothing observable: same tests,
-   same detection flags, same abort count as the scalar reference. *)
-let test_atpg_packed_vs_scalar () =
-  let ts = Target_sets.build s27 (Delay_model.lines s27) ~n_p:40 ~n_p0:10 in
-  let faults = Fault_sim.prepare s27 ts.Target_sets.p in
-  let run packed =
-    with_packed packed @@ fun () ->
-    Atpg.basic s27
-      { Atpg.ordering = Ordering.Value_based; seed = 3 }
-      ~faults
-  in
-  let scalar = run false and packed = run true in
-  check Alcotest.int "test count" (List.length scalar.Atpg.tests)
-    (List.length packed.Atpg.tests);
-  List.iter2
-    (fun a b ->
-      check Alcotest.string "test" (Test_pair.to_string a)
-        (Test_pair.to_string b))
-    scalar.Atpg.tests packed.Atpg.tests;
-  check
-    Alcotest.(array bool)
-    "detected" scalar.Atpg.detected packed.Atpg.detected;
-  check Alcotest.int "aborts" scalar.Atpg.primary_aborts
-    packed.Atpg.primary_aborts
-
-(* Diagnosis dictionaries ride on detect_matrix; both engines agree. *)
+(* Diagnosis dictionaries ride on detect_matrix; both agree with the
+   per-test scalar rows, over the robust conditions and over the
+   non-robust ones (all-false for a fault without them). *)
 let test_dictionaries_packed_vs_scalar () =
   let faults, tests = s27_workload () in
-  let run packed =
-    with_packed packed @@ fun () ->
-    ( Diagnose.dictionary s27 tests faults,
-      Diagnose.weak_dictionary s27 tests faults )
+  let strong = Diagnose.dictionary s27 tests faults in
+  let weak = Diagnose.weak_dictionary s27 tests faults in
+  let weak_conds =
+    Array.map
+      (fun (p : Fault_sim.prepared) ->
+        Fault_sim.conditions ~criterion:Pdf_faults.Robust.Non_robust s27
+          p.Fault_sim.fault)
+      faults
   in
-  let strong_s, weak_s = run false in
-  let strong_p, weak_p = run true in
-  Array.iteri
-    (fun t row -> check Alcotest.(array bool) "strong row" row strong_p.(t))
-    strong_s;
-  Array.iteri
-    (fun t row -> check Alcotest.(array bool) "weak row" row weak_p.(t))
-    weak_s
+  let weak_ids =
+    Array.of_list
+      (List.filter
+         (fun i -> Option.is_some weak_conds.(i))
+         (List.init (Array.length faults) Fun.id))
+  in
+  let weak_faults =
+    Array.map
+      (fun i ->
+        { faults.(i) with Fault_sim.reqs = Option.get weak_conds.(i) })
+      weak_ids
+  in
+  List.iteri
+    (fun t test ->
+      check Alcotest.(array bool) "strong row"
+        (Fault_sim.detected_by_test s27 test faults)
+        strong.(t);
+      let expect = Array.make (Array.length faults) false in
+      let row = Fault_sim.detected_by_test s27 test weak_faults in
+      Array.iteri (fun j i -> expect.(i) <- row.(j)) weak_ids;
+      check Alcotest.(array bool) "weak row" expect weak.(t))
+    tests
 
 (* The conditions cache returns exactly what Robust.conditions computes,
    from any domain. *)
@@ -490,18 +483,42 @@ let test_detection_at_word_boundaries () =
   List.iter
     (fun n ->
       let tests = List.filteri (fun i _ -> i < n) all_tests in
-      let packed =
-        with_packed true @@ fun () ->
-        Fault_sim.detected_by_tests s27 tests faults
-      in
-      let scalar =
-        with_packed false @@ fun () ->
-        Fault_sim.detected_by_tests s27 tests faults
-      in
       check Alcotest.(array bool)
         (Printf.sprintf "flags at %d tests" n)
-        scalar packed)
+        (scalar_union tests faults)
+        (Fault_sim.detected_by_tests s27 tests faults))
     [ 0; 1; 62; 63; 64 ]
+
+(* The engine is chosen by the set size alone: below one word no packed
+   batch runs, from one word up every test is a lane of a fixed
+   63-lane batch.  Both batch entry points follow the same rule. *)
+let test_packed_from_one_word () =
+  let faults, all_tests = s27_workload () in
+  let batches = Pdf_obs.Metrics.counter "fault_sim.word_batches" in
+  let lanes = Pdf_obs.Metrics.counter "fault_sim.lanes_used" in
+  List.iter
+    (fun (what, run) ->
+      List.iter
+        (fun (n, want_batches, want_lanes) ->
+          let tests = List.filteri (fun i _ -> i < n) all_tests in
+          let b0 = Pdf_obs.Metrics.value batches in
+          let l0 = Pdf_obs.Metrics.value lanes in
+          run tests;
+          check Alcotest.int
+            (Printf.sprintf "%s: word batches at %d tests" what n)
+            want_batches
+            (Pdf_obs.Metrics.value batches - b0);
+          check Alcotest.int
+            (Printf.sprintf "%s: lanes at %d tests" what n)
+            want_lanes
+            (Pdf_obs.Metrics.value lanes - l0))
+        [ (62, 0, 0); (63, 1, 63); (64, 2, 64) ])
+    [
+      ( "detected_by_tests",
+        fun tests -> ignore (Fault_sim.detected_by_tests s27 tests faults) );
+      ( "detect_matrix",
+        fun tests -> ignore (Fault_sim.detect_matrix s27 tests faults) );
+    ]
 
 let () =
   Alcotest.run "pdf_bitsim"
@@ -522,10 +539,10 @@ let () =
         ] );
       ( "fault_sim",
         [
-          Alcotest.test_case "detected_by_tests jobs x engine" `Quick
-            test_detected_by_tests_grid;
-          Alcotest.test_case "detect_matrix jobs x engine" `Quick
-            test_detect_matrix_grid;
+          Alcotest.test_case "detected_by_tests across jobs" `Quick
+            test_detected_by_tests_jobs;
+          Alcotest.test_case "detect_matrix across jobs" `Quick
+            test_detect_matrix_jobs;
           Alcotest.test_case "detect_matrix = per-test rows" `Quick
             test_detect_matrix_vs_single;
           Alcotest.test_case "conditions cache" `Quick test_conditions_cache;
@@ -533,11 +550,11 @@ let () =
             test_batch_bounds_edges;
           Alcotest.test_case "detection at word boundaries" `Quick
             test_detection_at_word_boundaries;
+          Alcotest.test_case "packed from one word up" `Quick
+            test_packed_from_one_word;
         ] );
       ( "atpg",
         [
-          Alcotest.test_case "packed = scalar run" `Quick
-            test_atpg_packed_vs_scalar;
           Alcotest.test_case "dictionaries packed = scalar" `Quick
             test_dictionaries_packed_vs_scalar;
         ] );
