@@ -11,6 +11,7 @@ module Target_sets = Pdf_faults.Target_sets
 module Delay_model = Pdf_paths.Delay_model
 module Fault_sim = Pdf_core.Fault_sim
 module Cone_sim = Pdf_core.Cone_sim
+module Req_cone = Pdf_core.Req_cone
 module Test_pair = Pdf_core.Test_pair
 module Atpg = Pdf_core.Atpg
 module Justify = Pdf_core.Justify
@@ -101,6 +102,18 @@ let target_faults c =
   let faults = Fault_sim.prepare c ts.Target_sets.p in
   (model, ts, faults)
 
+(* The robust conditions of every enumerated fault without a direct
+   conflict — the undetectability filter's input. *)
+let fault_conditions c =
+  let enumeration =
+    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
+  in
+  List.concat_map
+    (fun (path, _) ->
+      List.filter_map (Pdf_faults.Robust.conditions c) (Fault.both path))
+    enumeration.Pdf_paths.Enumerate.paths
+  |> Array.of_list
+
 let describe_test c t = Printf.sprintf "%s on %s" (Test_pair.to_string t) c.Circuit.name
 
 let bool_arrays_diff a b =
@@ -176,8 +189,111 @@ let check_packed_sim { circuit = c; seed } =
    must agree with the scalar reference on lane 0.  This is the oracle that catches the
    [Wsim.set_inc_injected_bug] mutation (a w3-only flip dropped on the
    incremental path) — the harness's self-test for incremental-path
-   divergence. *)
+   divergence.  The same state then serves cone trials
+   ([check_cone_trials]). *)
 let inc_sim_steps = 8
+
+(* Cone trials on one reused state, the way a justification engine
+   drives it: the state is retargeted to the cone of a few random
+   faults' robust conditions (a target-fault cone), which must leave
+   it all-X like a fresh one; then random [set_pi]/[propagate] steps on
+   cone inputs, each followed by trials of random (input, first,
+   second pattern) values and re-trials of every earlier key of the
+   cone, so memo hits and invalidations both occur.  Every trial's
+   conflict and evaluation count must be the ascending scan's
+   ({!Trial_ref}); a stale memo slot returns an earlier answer. *)
+let cone_sim_cones = 4
+let cone_sim_steps = 6
+
+let check_cone_trials c rng sim =
+  let conds = fault_conditions c in
+  let np = c.Circuit.num_pis and n = Circuit.num_nets c in
+  let s = Cone_sim.values sim in
+  let cone = Req_cone.create c in
+  let violation = ref None in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> if !violation = None then violation := Some m)
+      fmt
+  in
+  let rand_bit () =
+    match Rng.int rng 3 with 0 -> Bit.X | 1 -> Bit.Zero | _ -> Bit.One
+  in
+  let bit_char b = match b with Bit.Zero -> '0' | Bit.One -> '1' | Bit.X -> 'x' in
+  for cone_i = 1 to (if Array.length conds = 0 then 0 else cone_sim_cones) do
+    let reqs =
+      List.concat
+        (List.init (1 + Rng.int rng 3) (fun _ ->
+             conds.(Rng.int rng (Array.length conds))))
+    in
+    match Req_cone.merge reqs with
+    | None -> ()
+    | Some merged when !violation = None ->
+      Req_cone.load cone merged;
+      Cone_sim.retarget sim cone;
+      for net = 0 to n - 1 do
+        for k = 0 to 2 do
+          if not (Bit.equal s.(k).(net) Bit.X) then
+            fail "retarget leaves net %s component %d at %c on %s, not X"
+              (Circuit.net_name c net) k (bit_char s.(k).(net)) c.Circuit.name
+        done
+      done;
+      let pis = Array.sub cone.Req_cone.pis 0 cone.Req_cone.n_pis in
+      let a1 = Array.make np Bit.X and a3 = Array.make np Bit.X in
+      let simulate () =
+        Two_pattern.simulate c
+          (Array.init np (fun pi -> { Two_pattern.b1 = a1.(pi); b3 = a3.(pi) }))
+      in
+      let keys = ref [] in
+      for step = 1 to cone_sim_steps do
+        if !violation = None && Array.length pis > 0 then begin
+          for _ = 0 to Rng.int rng 3 do
+            let pi = pis.(Rng.int rng (Array.length pis)) in
+            if Rng.bool rng then a1.(pi) <- rand_bit ();
+            if Rng.bool rng then a3.(pi) <- rand_bit ();
+            Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
+          done;
+          Cone_sim.propagate sim;
+          let before = simulate () in
+          let fresh =
+            List.init 2 (fun _ ->
+                (pis.(Rng.int rng (Array.length pis)), rand_bit (), rand_bit ()))
+          in
+          keys := !keys @ fresh;
+          List.iter
+            (fun (pi, v1, v3) ->
+              let o1 = a1.(pi) and o3 = a3.(pi) in
+              a1.(pi) <- v1;
+              a3.(pi) <- v3;
+              let after = simulate () in
+              a1.(pi) <- o1;
+              a3.(pi) <- o3;
+              let want_net, want_evals =
+                Trial_ref.scan c cone ~before ~after ~pi
+              in
+              let evals0 = Cone_sim.trial_evals sim
+              and hits0 = Cone_sim.memo_hits sim in
+              let net = Cone_sim.trial sim pi ~v1 ~v3 in
+              let evals = Cone_sim.trial_evals sim - evals0 in
+              if net <> want_net || evals <> want_evals then
+                fail
+                  "cone trial diverges from the ascending scan on %s: cone \
+                   %d, step %d, input %s tried at %c%c (%s): conflict %s \
+                   after %d evaluations, the scan's %s after %d"
+                  c.Circuit.name cone_i step (Circuit.net_name c pi)
+                  (bit_char v1) (bit_char v3)
+                  (if Cone_sim.memo_hits sim > hits0 then "memo hit"
+                   else "evaluated")
+                  (if net < 0 then "none" else Circuit.net_name c net)
+                  evals
+                  (if want_net < 0 then "none" else Circuit.net_name c want_net)
+                  want_evals)
+            !keys
+        end
+      done
+    | Some _ -> ()
+  done;
+  !violation
 
 let check_inc_sim { circuit = c; seed } =
   let rng = Rng.create seed in
@@ -264,6 +380,7 @@ let check_inc_sim { circuit = c; seed } =
       end
     end
   done;
+  if !violation = None then violation := check_cone_trials c rng sinc;
   match !violation with Some m -> Fail m | None -> Pass
 
 (* ------------------------------------------------------------------ *)
@@ -808,18 +925,6 @@ let m_impl_extensions = Metrics.counter "check.implication.extensions"
 
 let implication_unions = 400
 
-(* The robust conditions of every enumerated fault without a direct
-   conflict — the undetectability filter's input. *)
-let fault_conditions c =
-  let enumeration =
-    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
-  in
-  List.concat_map
-    (fun (path, _) ->
-      List.filter_map (Pdf_faults.Robust.conditions c) (Fault.both path))
-    enumeration.Pdf_paths.Enumerate.paths
-  |> Array.of_list
-
 (* A union's parts: 2–4 draws from [pool], repeats allowed. *)
 let draw_union rng pool =
   List.init (2 + Rng.int rng 3) (fun _ ->
@@ -1035,7 +1140,8 @@ let all =
       doc = "bit-parallel simulation agrees with the scalar reference";
       check = check_packed_sim };
     { name = "inc-sim";
-      doc = "incremental simulation equals a full pass after any flip sequence";
+      doc = "incremental simulation equals a full pass after any flip \
+             sequence, and every cone trial the ascending scan";
       check = check_inc_sim };
     { name = "packed-detect";
       doc = "detected_by_tests flags are the union of per-test scalar rows, \

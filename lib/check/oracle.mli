@@ -13,8 +13,10 @@
       the scalar {!Pdf_core.Cone_sim} over the whole circuit) against
       the full-pass simulators after a randomized flip sequence over
       persistent state, including X lanes and a zero-flip no-op assign;
-      this is the oracle that must catch the
-      [Wsim.set_inc_injected_bug] mutation;
+      then the same {!Pdf_core.Cone_sim} retargeted through
+      target-fault cones, every trial — memo hits included — against
+      the ascending cone scan of {!Trial_ref}; this is the oracle that
+      must catch the [Wsim.set_inc_injected_bug] mutation;
     - [packed-detect] / [packed-matrix] — the batch entry points
       {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] over 70
       tests (two packed word batches) against per-test

@@ -13,14 +13,30 @@ type overlay = {
   mutable id : int; (* the current trial *)
 }
 
+(* The trial memo (DESIGN.md §13.2): one slot per (input, tried first
+   and second pattern values).  A slot holds the trial's outcome, the
+   gates it evaluated in order, and the epoch it ran at; it stays valid
+   while no net the trial read — the input, each evaluated gate's
+   output and fanins — has changed since. *)
+type memo = {
+  outcome : int array; (* per slot: the conflicting net, or -1 *)
+  filled : int array; (* per slot: the epoch it ran at; 0 = never *)
+  len : int array; (* per slot: gates evaluated *)
+  evaluated : int array array; (* per slot: their indices, grown on demand *)
+  mutable cur : int array; (* the running trial's list ... *)
+  mutable cur_len : int; (* ... and its length *)
+  mutable hits : int;
+}
+
 (* The per-gate loops of both passes live here, next to the heap they
    drain: a call into another module is neither inlined nor direct in
    the default build (-opaque), and one per popped gate measurably
    slowed trials (DESIGN.md §13.2). *)
 type t = {
   c : Circuit.t;
-  size : int; (* gates in the set *)
-  r : Bit.t array array;
+  set : int array; (* the set's gates, ascending; the first [size] *)
+  mutable size : int;
+  mutable r : Bit.t array array;
       (* the requirements a trial checks, 3 x nets; empty over the
          whole circuit *)
   s : Bit.t array array; (* persistent state, 3 x nets *)
@@ -32,47 +48,87 @@ type t = {
       (* per gate: the pass that last queued it; [max_int] outside the
          set, so one test excludes both *)
   mutable pass : int;
+  changed : int array;
+      (* per net: the epoch in which the persistent pass last changed
+         it; the memo's validity test *)
+  mutable epoch : int; (* advanced by every [propagate] *)
+  mutable base : int; (* the epoch of the last [retarget] *)
+  touched : int array; (* inputs [set_pi] changed since then ... *)
+  mutable n_touched : int; (* ... and their count *)
   mutable ov : overlay option; (* allocated by the first trial *)
+  mutable memo : memo option; (* likewise *)
   mutable assigns : int;
   mutable resim_gates : int;
   mutable early_stops : int;
   mutable trial_evals : int;
 }
 
-let create ?attrib ?cone c =
+let values t = t.s
+
+let trial_evals t = t.trial_evals
+
+let memo_hits t = match t.memo with Some m -> m.hits | None -> 0
+
+let create ?attrib c =
   let n = Circuit.num_nets c and ng = Circuit.num_gates c in
   let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
-  let size, r, queued =
-    match cone with
-    | Some cone ->
-      let np = c.Circuit.num_pis in
-      ( Array.length cone.Req_cone.gates,
-        cone.Req_cone.r,
-        Array.init ng (fun gi ->
-            if cone.Req_cone.in_cone.(np + gi) then 0 else max_int) )
-    | None -> (ng, [||], Array.make ng 0)
-  in
   {
     c;
-    size;
-    r;
+    set = Array.init ng Fun.id;
+    size = ng;
+    r = [||];
     s;
     read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
     att = attrib;
-    heap = Array.make size 0;
+    heap = Array.make ng 0;
     len = 0;
-    queued;
+    queued = Array.make ng 0;
     pass = 1;
+    changed = Array.make n 0;
+    epoch = 1;
+    base = 0;
+    touched = Array.make c.Circuit.num_pis 0;
+    n_touched = 0;
     ov = None;
+    memo = None;
     assigns = 0;
     resim_gates = 0;
     early_stops = 0;
     trial_evals = 0;
   }
 
-let values t = t.s
-
-let trial_evals t = t.trial_evals
+(* Point the state at [cone]: every net written since the last
+   retarget back to X — the old set's gate outputs and the inputs
+   [set_pi] changed — so the state is a fresh one's, then the new gate
+   set, and a new memo epoch that invalidates every slot. *)
+let retarget t (cone : Req_cone.t) =
+  let np = t.c.Circuit.num_pis in
+  for i = 0 to t.size - 1 do
+    let gi = t.set.(i) in
+    t.queued.(gi) <- max_int;
+    for k = 0 to 2 do
+      t.s.(k).(np + gi) <- Bit.X
+    done
+  done;
+  for i = 0 to t.n_touched - 1 do
+    for k = 0 to 2 do
+      t.s.(k).(t.touched.(i)) <- Bit.X
+    done
+  done;
+  t.n_touched <- 0;
+  t.len <- 0;
+  t.size <- cone.Req_cone.n_gates;
+  Array.blit cone.Req_cone.gates 0 t.set 0 t.size;
+  for i = 0 to t.size - 1 do
+    t.queued.(t.set.(i)) <- 0
+  done;
+  t.r <- cone.Req_cone.r;
+  t.base <- t.epoch;
+  t.epoch <- t.epoch + 1;
+  t.assigns <- 0;
+  t.resim_gates <- 0;
+  t.early_stops <- 0;
+  t.trial_evals <- 0
 
 let push t gi =
   let h = t.heap in
@@ -133,6 +189,11 @@ let set_pi t pi ~v1 ~v3 =
     s.(0).(pi) <- v1;
     s.(2).(pi) <- v3;
     s.(1).(pi) <- Two_pattern.middle_of_pair v1 v3;
+    if t.changed.(pi) <= t.base then begin
+      t.touched.(t.n_touched) <- pi;
+      t.n_touched <- t.n_touched + 1
+    end;
+    t.changed.(pi) <- t.epoch;
     queue_fanouts t pi
   end
 
@@ -156,11 +217,15 @@ let propagate t =
         changed := true
       end
     done;
-    if !changed then queue_fanouts t out
+    if !changed then begin
+      t.changed.(out) <- t.epoch;
+      queue_fanouts t out
+    end
     else t.early_stops <- t.early_stops + 1;
     gi := pop t
   done;
-  end_pass t
+  end_pass t;
+  t.epoch <- t.epoch + 1
 
 let overlay t =
   match t.ov with
@@ -177,6 +242,25 @@ let overlay t =
     t.ov <- Some ov;
     ov
 
+let memo t =
+  match t.memo with
+  | Some m -> m
+  | None ->
+    let slots = 9 * t.c.Circuit.num_pis in
+    let m =
+      {
+        outcome = Array.make slots (-1);
+        filled = Array.make slots 0;
+        len = Array.make slots 0;
+        evaluated = Array.make slots [||];
+        cur = [||];
+        cur_len = 0;
+        hits = 0;
+      }
+    in
+    t.memo <- Some m;
+    m
+
 (* Record a trial value in the overlay; [true] when it contradicts a
    requirement. *)
 let write t ov k net v =
@@ -188,9 +272,17 @@ let write t ov k net v =
    persistent state. *)
 let seed_pi t ov k pi v = (not (Bit.equal t.s.(k).(pi) v)) && write t ov k pi v
 
+(* Double the running trial's memo list, which the trial pass appends
+   each evaluated gate to: storage belongs to the engine, not the
+   trial. *)
+let grow m =
+  let a = Array.make (max 16 (2 * m.cur_len)) 0 in
+  Array.blit m.cur 0 a 0 m.cur_len;
+  m.cur <- a
+
 (* One component's trial pass, from the tried input if that component
    changed; the first conflicting net, or -1. *)
-let trial_pass t ov k pi =
+let trial_pass t ov m k pi =
   if ov.tstamp.(k).(pi) = ov.id then queue_fanouts t pi;
   let read = ov.tread.(k) and sk = t.s.(k) and np = t.c.Circuit.num_pis in
   let conflict = ref (-1) in
@@ -203,6 +295,9 @@ let trial_pass t ov k pi =
       a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
       a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
     | None -> ());
+    if m.cur_len = Array.length m.cur then grow m;
+    m.cur.(m.cur_len) <- !gi;
+    m.cur_len <- m.cur_len + 1;
     let v = Pdf_sim.Logic_sim.eval_gate_get t.c.Circuit.gates.(!gi) read in
     if Bit.equal v sk.(out) then gi := pop t
     else if write t ov k out v then begin
@@ -217,19 +312,75 @@ let trial_pass t ov k pi =
   end_pass t;
   !conflict
 
-let trial t pi ~v1 ~v3 =
-  if Array.length t.r = 0 then invalid_arg "Cone_sim.trial: no cone";
+(* The trial itself: seed the input's changed components, then one
+   pass per changed component. *)
+let run_trial t m pi v1 v3 =
   let ov = overlay t in
   ov.id <- ov.id + 1;
   let mid = Two_pattern.middle_of_pair v1 v3 in
   if seed_pi t ov 0 pi v1 || seed_pi t ov 2 pi v3 || seed_pi t ov 1 pi mid
   then pi
   else
-    let net = trial_pass t ov 0 pi in
+    let net = trial_pass t ov m 0 pi in
     if net >= 0 then net
     else
-      let net = trial_pass t ov 2 pi in
-      if net >= 0 then net else trial_pass t ov 1 pi
+      let net = trial_pass t ov m 2 pi in
+      if net >= 0 then net else trial_pass t ov m 1 pi
+
+(* A slot answers for its trial when it was filled since the last
+   retarget and no net that trial read has changed since: then the
+   trial would read the same values and take the same path. *)
+let valid t m slot pi =
+  let e = m.filled.(slot) in
+  e > t.base
+  && t.changed.(pi) < e
+  &&
+  let ev = m.evaluated.(slot) and np = t.c.Circuit.num_pis in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < m.len.(slot) do
+    let gi = ev.(!i) in
+    if t.changed.(np + gi) >= e then ok := false
+    else begin
+      let fanins = t.c.Circuit.gates.(gi).Circuit.fanins in
+      for f = 0 to Array.length fanins - 1 do
+        if t.changed.(fanins.(f)) >= e then ok := false
+      done
+    end;
+    incr i
+  done;
+  !ok
+
+let code v = match v with Bit.Zero -> 0 | Bit.One -> 1 | Bit.X -> 2
+
+let trial t pi ~v1 ~v3 =
+  if Array.length t.r = 0 then invalid_arg "Cone_sim.trial: no cone";
+  let m = memo t in
+  let slot = (9 * pi) + (3 * code v1) + code v3 in
+  if valid t m slot pi then begin
+    (* A hit charges what the trial it replaces would have. *)
+    m.hits <- m.hits + 1;
+    t.trial_evals <- t.trial_evals + m.len.(slot);
+    (match t.att with
+    | Some a ->
+      let ev = m.evaluated.(slot) and np = t.c.Circuit.num_pis in
+      for i = 0 to m.len.(slot) - 1 do
+        let out = np + ev.(i) in
+        a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1
+      done;
+      a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + m.len.(slot)
+    | None -> ());
+    m.outcome.(slot)
+  end
+  else begin
+    m.cur <- m.evaluated.(slot);
+    m.cur_len <- 0;
+    let net = run_trial t m pi v1 v3 in
+    m.evaluated.(slot) <- m.cur;
+    m.len.(slot) <- m.cur_len;
+    m.outcome.(slot) <- net;
+    m.filled.(slot) <- t.epoch;
+    net
+  end
 
 let trial_value t ~k net =
   match t.ov with

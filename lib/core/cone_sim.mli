@@ -11,8 +11,14 @@
     than the gate that queues it, so a pass evaluates each gate at most
     once, after its fanins, and exactly the gates of the set with a
     changed fanin: the gates, in the order, of a full ascending scan
-    that skips the unchanged ones.  Nothing is allocated after
-    {!create}, except the trial overlay on the first {!trial}.
+    that skips the unchanged ones.
+
+    A state belongs to an engine and serves its searches one after
+    another: {!retarget} points it at the next search's cone.  Its
+    storage is sized by the circuit at {!create}; the trial overlay and
+    memo are allocated by the first {!trial}.  After that nothing is
+    allocated, except when a memo slot's gate list outgrows every list
+    it held before.
 
     Nets outside the set are never written by a pass: a cone's fanins
     are closed under the cone, so every value a cone gate reads is a
@@ -20,18 +26,28 @@
 
 type t
 
-val create :
-  ?attrib:Pdf_obs.Attrib.sheet -> ?cone:Req_cone.t -> Pdf_circuit.Circuit.t -> t
-(** An all-[X] state — the fixpoint of all-[X] inputs — over [cone]'s
-    gates, or over every gate when [cone] is absent.  When [attrib] is
-    given, every gate a persistent pass evaluates bumps the sheet's
+val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
+(** An all-[X] state — the fixpoint of all-[X] inputs — over every
+    gate; {!retarget} narrows it to a requirement cone.  When [attrib]
+    is given, every gate a persistent pass evaluates bumps the sheet's
     [inc_resims] counter for its output net, and every gate a trial
-    evaluates bumps [trial_evals] (DESIGN.md §14.1). *)
+    evaluates, or a memo hit replays, bumps [trial_evals] (DESIGN.md
+    §14.1). *)
+
+val retarget : t -> Req_cone.t -> unit
+(** Point the state at [cone]'s gates and requirements, as {!Req_cone.load}
+    left them: every net written since the last retarget — the old set's
+    gates and every input {!set_pi} changed — returns to [X], as in a
+    fresh {!create}; every memo slot becomes
+    invalid, and the counters behind {!trial_evals} and {!record}
+    restart.  Call it after every {!Req_cone.load}.  Costs the old and
+    the new set's gates, and allocates nothing. *)
 
 val values : t -> Pdf_values.Bit.t array array
 (** The persistent state, [3 x num_nets], aliased: read it, and write
-    it only to restore a value read from it, or to store what a full
-    pass would compute. *)
+    it only to restore a value read from it, or — on a state that never
+    runs a {!trial} — to store what a full pass would compute.  The
+    memo sees only the changes {!set_pi} and {!propagate} make. *)
 
 (** {2 The persistent pass} *)
 
@@ -59,21 +75,35 @@ val trial : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> int
     [pi]'s changed components (0, 2, then 1), then for each of those
     components in the same order, the gates of the set with a changed
     fanin, in ascending gate index; a conflict ends the trial.  Call it
-    with no {!set_pi} pending.  Allocates nothing after the first
-    call.  Raises [Invalid_argument] on a state over the whole
-    circuit, which has no requirements to check. *)
+    with no {!set_pi} pending.  Raises [Invalid_argument] on a state
+    over the whole circuit, which has no requirements to check.
+
+    The answer may come from the memo: the same ([pi], [v1], [v3])
+    tried since the last {!retarget}, with no net that trial read —
+    [pi], and each evaluated gate's output and fanins — changed by a
+    persistent pass since.  Reading the same values, the trial would
+    take the same path, so a hit returns its net and charges its
+    evaluations ({!trial_evals}, and the sheet's per-net
+    [trial_evals]) without evaluating; it writes no overlay. *)
 
 val trial_value : t -> k:int -> int -> Pdf_values.Bit.t
-(** Component [k] of [net] as the last {!trial} left it: the value it
-    wrote, else the persistent one.  For the property tests. *)
+(** Component [k] of [net] as the last {!trial} that evaluated — not a
+    memo hit — left it: the value it wrote, else the persistent one.
+    For the property tests. *)
 
 val trial_evals : t -> int
-(** Gates evaluated by trials since {!create}. *)
+(** Gates evaluated by trials since the last {!retarget} (or
+    {!create}), memo hits counted as the evaluations they replay. *)
+
+val memo_hits : t -> int
+(** Trials answered by the memo since {!create}.  For the property
+    tests. *)
 
 (** {2 Accounting} *)
 
 val record : t -> unit
-(** Fold the persistent passes' work since {!create} into the
+(** Fold the persistent passes' work since the last {!retarget} (or
+    {!create}) into the
     [sim.inc.*] metrics ({!Pdf_bitsim.Wsim.record_inc}): one assign per
     {!propagate}, the gates it evaluated, those whose output did not
     change, and the set's size as the full-pass cost of each assign. *)

@@ -51,6 +51,21 @@ type t = {
   mutable last_conflict_net : int;
   mutable last_conflict_level : int;
   mutable deepest_conflict_level : int;
+  mutable search : search option; (* built by the first search *)
+}
+
+(* The search state, one per engine, reloaded by every search. *)
+and search = {
+  c : Circuit.t;
+  eng : t; (* owning engine: effort accounting and forensics *)
+  mutable rng : Rng.t;
+  cone : Req_cone.t;
+  a1 : Bit.t array; (* per PI *)
+  a3 : Bit.t array;
+  sim : Cone_sim.t; (* the cone's values, resimulated and trialled *)
+  s : Bit.t array array; (* [sim]'s persistent state, 3 x nets *)
+  mutable unspecified : int; (* the cone's open bits *)
+  mutable resims : int; (* resimulation calls, for deferred attribution *)
 }
 
 let create ?attrib circuit =
@@ -65,6 +80,7 @@ let create ?attrib circuit =
     last_conflict_net = -1;
     last_conflict_level = -1;
     deepest_conflict_level = -1;
+    search = None;
   }
 
 let runs t = t.e_runs
@@ -106,19 +122,6 @@ let note_conflict engine net =
 
 exception No_test
 
-type search = {
-  c : Circuit.t;
-  eng : t; (* owning engine: effort accounting and forensics *)
-  rng : Rng.t;
-  cone : Req_cone.t;
-  a1 : Bit.t array; (* per PI *)
-  a3 : Bit.t array;
-  sim : Cone_sim.t; (* the cone's values, resimulated and trialled *)
-  s : Bit.t array array; (* [sim]'s persistent state, 3 x nets *)
-  mutable unspecified : int;
-  mutable resims : int; (* resimulation calls, for deferred attribution *)
-}
-
 (* Bring [st.s] up to date with [st.a1]/[st.a3]: only cone PIs whose
    assignment changed seed the pass, and only the gates with a changed
    fanin are re-evaluated. *)
@@ -127,12 +130,12 @@ let resim st =
   (* Semantic cost: a full pass over the cone.  Charged per call so the
      global counter, the per-engine counter and (via [record_search])
      the per-net attribution stay conserved and engine-invariant. *)
-  let cost = Array.length st.cone.Req_cone.gates in
+  let cost = st.cone.Req_cone.n_gates in
   st.resims <- st.resims + 1;
   st.eng.e_resim_calls <- st.eng.e_resim_calls + 1;
   st.eng.e_resim_gates <- st.eng.e_resim_gates + cost;
   Metrics.add m_resim_gates cost;
-  for i = 0 to Array.length pis - 1 do
+  for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = pis.(i) in
     Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
   done;
@@ -191,74 +194,104 @@ let necessary_values engine st =
   let continue = ref true in
   while !continue do
     continue := false;
-    for i = 0 to Array.length pis - 1 do
+    for i = 0 to st.cone.Req_cone.n_pis - 1 do
       if necessary_bit engine st pis.(i) 1 then continue := true;
       if necessary_bit engine st pis.(i) 3 then continue := true
     done
   done
 
+(* The first cone input with exactly one specified pattern bit, or
+   -1: the input both search strategies stabilise first. *)
+let rec half_specified_from st i =
+  if i >= st.cone.Req_cone.n_pis then -1
+  else
+    let pi = st.cone.Req_cone.pis.(i) in
+    if Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi) then pi
+    else half_specified_from st (i + 1)
+
+let half_specified st = half_specified_from st 0
+
+(* The [k]th open bit, counting from the [i]th cone input, bit 3 before
+   bit 1 on each input; encoded [4 * pi + j] so nothing is allocated. *)
+let rec open_bit_from st i k =
+  let pi = st.cone.Req_cone.pis.(i) in
+  let o3 = Bit.equal st.a3.(pi) Bit.X and o1 = Bit.equal st.a1.(pi) Bit.X in
+  if o3 && k = 0 then (4 * pi) + 3
+  else
+    let k = if o3 then k - 1 else k in
+    if o1 && k = 0 then (4 * pi) + 1
+    else open_bit_from st (i + 1) (if o1 then k - 1 else k)
+
 (* Decision step: prefer making a half-specified input stable (the paper's
-   rule), otherwise specify a random unspecified bit randomly. *)
+   rule), otherwise specify a random unspecified bit randomly: one draw
+   over the [unspecified] open bits, then one for the value. *)
 let decide engine st =
-  let half_specified =
-    Array.to_list st.cone.Req_cone.pis
-    |> List.find_opt (fun pi ->
-           Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
-  in
-  match half_specified with
-  | Some pi ->
+  let pi = half_specified st in
+  if pi >= 0 then
     if Bit.is_definite st.a1.(pi) then
       assign engine st pi 3 (Bit.equal st.a1.(pi) Bit.One)
     else assign engine st pi 1 (Bit.equal st.a3.(pi) Bit.One)
-  | None ->
-    let unspecified =
-      Array.to_list st.cone.Req_cone.pis
-      |> List.concat_map (fun pi ->
-             let open_bits = ref [] in
-             if Bit.equal st.a1.(pi) Bit.X then open_bits := (pi, 1) :: !open_bits;
-             if Bit.equal st.a3.(pi) Bit.X then open_bits := (pi, 3) :: !open_bits;
-             !open_bits)
-    in
-    (match unspecified with
-    | [] -> ()
-    | bits ->
-      let pi, j = List.nth bits (Rng.int st.rng (List.length bits)) in
-      assign engine st pi j (Rng.bool st.rng))
+  else if st.unspecified > 0 then begin
+    let bit = open_bit_from st 0 (Rng.int st.rng st.unspecified) in
+    assign engine st (bit lsr 2) (bit land 3) (Rng.bool st.rng)
+  end
 
 let random_pattern rng n = Array.init n (fun _ -> Rng.bool rng)
+
+(* The cone inputs' assigned bits over [v1]/[v3]: the test. *)
+let fill_test st v1 v3 =
+  for i = 0 to st.cone.Req_cone.n_pis - 1 do
+    let pi = st.cone.Req_cone.pis.(i) in
+    v1.(pi) <- Bit.equal st.a1.(pi) Bit.One;
+    v3.(pi) <- Bit.equal st.a3.(pi) Bit.One
+  done;
+  Test_pair.create v1 v3
 
 let build_test st =
   let m = st.c.Circuit.num_pis in
   let v1 = random_pattern st.rng m and v3 = random_pattern st.rng m in
-  Array.iter
-    (fun pi ->
-      (match Bit.to_bool st.a1.(pi) with
-      | Some b -> v1.(pi) <- b
-      | None -> assert false);
-      match Bit.to_bool st.a3.(pi) with
-      | Some b -> v3.(pi) <- b
-      | None -> assert false)
-    st.cone.Req_cone.pis;
-  Test_pair.create v1 v3
+  fill_test st v1 v3
 
-(* Shared state construction for both search strategies.  Everything a
-   trial touches is allocated here, or by the search's first trial. *)
+(* Shared state construction for both search strategies: the engine's
+   one search state, built by its first search — everything a search
+   or a trial touches, the trial memo included (DESIGN.md §13.2) — and
+   loaded with [merged] by every search.  Only the previous search's
+   inputs need clearing: a search assigns cone inputs alone. *)
 let make_search engine rng merged =
-  let c = engine.circuit in
-  let cone = Req_cone.make c merged in
-  let sim = Cone_sim.create ?attrib:engine.att ~cone c in
-  {
-    c;
-    eng = engine;
-    rng;
-    cone;
-    a1 = Array.make c.Circuit.num_pis Bit.X;
-    a3 = Array.make c.Circuit.num_pis Bit.X;
-    sim;
-    s = Cone_sim.values sim;
-    unspecified = 2 * Array.length cone.Req_cone.pis;
-    resims = 0;
-  }
+  let st =
+    match engine.search with
+    | Some st -> st
+    | None ->
+      let c = engine.circuit in
+      let sim = Cone_sim.create ?attrib:engine.att c in
+      let st =
+        {
+          c;
+          eng = engine;
+          rng;
+          cone = Req_cone.create c;
+          a1 = Array.make c.Circuit.num_pis Bit.X;
+          a3 = Array.make c.Circuit.num_pis Bit.X;
+          sim;
+          s = Cone_sim.values sim;
+          unspecified = 0;
+          resims = 0;
+        }
+      in
+      engine.search <- Some st;
+      st
+  in
+  for i = 0 to st.cone.Req_cone.n_pis - 1 do
+    let pi = st.cone.Req_cone.pis.(i) in
+    st.a1.(pi) <- Bit.X;
+    st.a3.(pi) <- Bit.X
+  done;
+  Req_cone.load st.cone merged;
+  Cone_sim.retarget st.sim st.cone;
+  st.rng <- rng;
+  st.unspecified <- 2 * st.cone.Req_cone.n_pis;
+  st.resims <- 0;
+  st
 
 (* Fold this search's resimulation work into the sim.inc.* metrics.
    When the engine carries an attribution sheet, the search's
@@ -267,19 +300,17 @@ let make_search engine rng merged =
    per-call cone walk on the hot path.  The trial evaluation count
    reaches its metric here too. *)
 let record_search st =
-  let gates = st.cone.Req_cone.gates in
+  let gates = st.cone.Req_cone.gates and n = st.cone.Req_cone.n_gates in
   let evals = Cone_sim.trial_evals st.sim in
   if evals > 0 then Metrics.add m_trial_evals evals;
   (match st.eng.att with
   | Some a when st.resims > 0 ->
     a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.resims;
-    a.Attrib.t_resim_gates <-
-      a.Attrib.t_resim_gates + (st.resims * Array.length gates);
-    Array.iter
-      (fun gi ->
-        let net = Circuit.net_of_gate st.c gi in
-        a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.resims)
-      gates
+    a.Attrib.t_resim_gates <- a.Attrib.t_resim_gates + (st.resims * n);
+    for i = 0 to n - 1 do
+      let net = Circuit.net_of_gate st.c gates.(i) in
+      a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.resims
+    done
   | Some _ | None -> ());
   Cone_sim.record st.sim
 
@@ -341,40 +372,25 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
        half-specified input first (copy value, then its complement), else
        take the first open bit with 0 before 1. *)
     let next_decision () =
-      let half =
-        Array.to_list st.cone.Req_cone.pis
-        |> List.find_opt (fun pi ->
-               Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
-      in
-      match half with
-      | Some pi ->
+      let pi = half_specified st in
+      if pi >= 0 then
         if Bit.is_definite st.a1.(pi) then
           let b = Bit.equal st.a1.(pi) Bit.One in
           Some (pi, 3, [ b; not b ])
         else
           let b = Bit.equal st.a3.(pi) Bit.One in
           Some (pi, 1, [ b; not b ])
-      | None ->
-        Array.to_list st.cone.Req_cone.pis
-        |> List.find_map (fun pi ->
-               if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, [ false; true ])
-               else if Bit.equal st.a3.(pi) Bit.X then
-                 Some (pi, 3, [ false; true ])
-               else None)
+      else if st.unspecified = 0 then None
+      else
+        (* the first input with an open bit, bit 1 before bit 3 *)
+        let bit = open_bit_from st 0 0 in
+        let pi = bit lsr 2 in
+        if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, [ false; true ])
+        else Some (pi, 3, [ false; true ])
     in
     let build_deterministic_test () =
       let m = st.c.Circuit.num_pis in
-      let v1 = Array.make m false and v3 = Array.make m false in
-      Array.iter
-        (fun pi ->
-          (match Bit.to_bool st.a1.(pi) with
-          | Some b -> v1.(pi) <- b
-          | None -> assert false);
-          match Bit.to_bool st.a3.(pi) with
-          | Some b -> v3.(pi) <- b
-          | None -> assert false)
-        st.cone.Req_cone.pis;
-      Test_pair.create v1 v3
+      fill_test st (Array.make m false) (Array.make m false)
     in
     (* DFS: returns Some test on success, None when this subtree is
        refuted. *)

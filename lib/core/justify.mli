@@ -25,15 +25,20 @@
     with a changed fanin, in ascending gate index — the order a full
     cone scan would visit them, which fixes the evaluation count and
     the first conflict the attribution sheet and the ledger record —
-    and allocates nothing (DESIGN.md §13.2).  An assignment
+    and allocates nothing (DESIGN.md §13.2).  After an assignment most
+    re-trials cannot have changed: a trial none of whose read nets has
+    changed since the same one ran in the same search is answered from
+    an exact memo, charged what it would have cost.  An assignment
     resimulates the cone event-driven, from the inputs it changed.
-    Both run on one {!Cone_sim}.  Each call allocates its search state
-    once: a few arrays over the circuit's nets and the cone. *)
+    Both run on one {!Cone_sim}.  An engine builds its search state —
+    the cone, the values, the memo — once, on its first search, and
+    reloads it for every search after. *)
 
 type t
 (** A justification engine for one circuit.  Engines hold per-engine
-    effort counters and scratch state: drive each engine from a single
-    domain at a time (create one engine per concurrent ATPG run). *)
+    effort counters and one search state, reused by every search: drive
+    each engine from a single domain at a time (create one engine per
+    concurrent ATPG run). *)
 
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
 (** A fresh engine with zeroed {!runs}/{!trials} counters.  When

@@ -60,6 +60,43 @@ type t = {
   mutable last_conflict_net : int;
   mutable last_conflict_level : int;
   mutable deepest_conflict_level : int;
+  mutable search : state option; (* built by the first search *)
+}
+
+(* The 5-valued algebra is carried as the (component-0, component-2)
+   pair of each net — {stable 0, stable 1, rising (the classical D̄→D
+   pair), falling, unassigned} — plus the conservatively hazard-aware
+   intermediate component 1 (DESIGN.md §15).  PODEM assigns only PI
+   pattern bits ([a1]/[a3]); everything else is implied forward.
+   Everything the search step touches lives here, once per engine,
+   reloaded by every search (DESIGN.md §15.5). *)
+and state = {
+  c : Circuit.t;
+  eng : t;
+  cone : Req_cone.t;
+  a1 : Bit.t array;  (* per PI *)
+  a3 : Bit.t array;
+  sim : Cone_sim.t;  (* the cone's implied values *)
+  s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
+  read : (int -> Bit.t) array;  (* per component, reading [s] *)
+  mutable implies : int;  (* implication passes, for deferred attribution *)
+  seen : int array;  (* per net: the backtrace walk that last visited it *)
+  mutable walk : int;
+  (* The objective [objective] picked, and the decision [backtrace]
+     derived from it: fields, so that neither allocates a result. *)
+  mutable obj_net : int;
+  mutable obj_k : int;
+  mutable obj_v : bool;
+  mutable dec_pi : int;
+  mutable dec_j : int;  (* pattern bit, 1 or 3 *)
+  mutable dec_v : bool;
+  (* The decision stack, [run]'s.  Every decision assigns an open bit
+     of a cone PI, so it never holds more entries than the circuit has
+     input bits. *)
+  d_pi : int array;
+  d_j : int array;
+  d_value : bool array;
+  d_flipped : bool array;
 }
 
 let create ?attrib circuit =
@@ -75,6 +112,7 @@ let create ?attrib circuit =
     last_conflict_net = -1;
     last_conflict_level = -1;
     deepest_conflict_level = -1;
+    search = None;
   }
 
 let runs t = t.e_runs
@@ -118,35 +156,6 @@ let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
 (* Search state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The 5-valued algebra is carried as the (component-0, component-2)
-   pair of each net — {stable 0, stable 1, rising (the classical D̄→D
-   pair), falling, unassigned} — plus the conservatively hazard-aware
-   intermediate component 1 (DESIGN.md §15).  PODEM assigns only PI
-   pattern bits ([a1]/[a3]); everything else is implied forward.
-   Everything the search step touches is allocated once per search:
-   here, and [run]'s decision stack. *)
-type state = {
-  c : Circuit.t;
-  eng : t;
-  cone : Req_cone.t;
-  a1 : Bit.t array;  (* per PI *)
-  a3 : Bit.t array;
-  sim : Cone_sim.t;  (* the cone's implied values *)
-  s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
-  read : (int -> Bit.t) array;  (* per component, reading [s] *)
-  mutable implies : int;  (* implication passes, for deferred attribution *)
-  seen : int array;  (* per net: the backtrace walk that last visited it *)
-  mutable walk : int;
-  (* The objective [objective] picked, and the decision [backtrace]
-     derived from it: fields, so that neither allocates a result. *)
-  mutable obj_net : int;
-  mutable obj_k : int;
-  mutable obj_v : bool;
-  mutable dec_pi : int;
-  mutable dec_j : int;  (* pattern bit, 1 or 3 *)
-  mutable dec_v : bool;
-}
-
 (* One pass over the whole cone in ascending gate index (a topological
    order): the implication of [a1]/[a3], computed from them alone.  The
    reference the engine's event-driven passes are tested against, and
@@ -154,13 +163,13 @@ type state = {
 let full_pass st =
   let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
   let s = st.s and bug = injected_bug_enabled () in
-  for i = 0 to Array.length pis - 1 do
+  for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = pis.(i) in
     s.(0).(pi) <- st.a1.(pi);
     s.(1).(pi) <- Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi);
     s.(2).(pi) <- st.a3.(pi)
   done;
-  for i = 0 to Array.length gates - 1 do
+  for i = 0 to st.cone.Req_cone.n_gates - 1 do
     let g = st.c.Circuit.gates.(gates.(i)) in
     let out = Circuit.net_of_gate st.c gates.(i) in
     for k = 0 to 2 do
@@ -183,7 +192,7 @@ let full_pass st =
    engine-invariant unit the sim engine's resimulation is charged. *)
 let imply st =
   let eng = st.eng in
-  let cost = Array.length st.cone.Req_cone.gates in
+  let cost = st.cone.Req_cone.n_gates in
   st.implies <- st.implies + 1;
   eng.e_imply_calls <- eng.e_imply_calls + 1;
   eng.e_imply_gates <- eng.e_imply_gates + cost;
@@ -208,7 +217,7 @@ let satisfied st = Req_cone.satisfied st.cone st.s
    through [objective]. *)
 let frontier st =
   let r = st.cone.Req_cone.r in
-  Array.to_list st.cone.Req_cone.req_nets
+  Array.to_list (Array.sub st.cone.Req_cone.req_nets 0 st.cone.Req_cone.n_req)
   |> List.concat_map (fun net ->
          List.filter_map
            (fun k ->
@@ -222,7 +231,7 @@ let frontier st =
    required net, into [obj_*]; [false] when there is none. *)
 let rec objective_from st i k =
   let nets = st.cone.Req_cone.req_nets in
-  if i >= Array.length nets then false
+  if i >= st.cone.Req_cone.n_req then false
   else if k > 2 then objective_from st (i + 1) 0
   else
     let net = nets.(i) in
@@ -314,46 +323,66 @@ let write_bit st pi j v =
 let set_bit st pi j b = write_bit st pi j (Bit.of_bool b)
 let clear_bit st pi j = write_bit st pi j Bit.X
 
-let make_state eng merged =
-  let c = eng.circuit in
-  let cone = Req_cone.make c merged in
-  let sim = Cone_sim.create ~cone c in
-  let s = Cone_sim.values sim in
-  {
-    c;
-    eng;
-    cone;
-    a1 = Array.make c.Circuit.num_pis Bit.X;
-    a3 = Array.make c.Circuit.num_pis Bit.X;
-    sim;
-    s;
-    read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
-    implies = 0;
-    seen = Array.make (Circuit.num_nets c) 0;
-    walk = 0;
-    obj_net = -1;
-    obj_k = 0;
-    obj_v = false;
-    dec_pi = -1;
-    dec_j = 1;
-    dec_v = false;
-  }
+(* The engine's one search state, built by its first search, loaded
+   with [merged]: the assignment cleared, the cone and its values
+   retargeted.  [walk] carries on, so [seen] needs no clearing. *)
+let load_state eng merged =
+  let st =
+    match eng.search with
+    | Some st -> st
+    | None ->
+      let c = eng.circuit in
+      let sim = Cone_sim.create c in
+      let s = Cone_sim.values sim in
+      let np = c.Circuit.num_pis in
+      let st =
+        {
+          c;
+          eng;
+          cone = Req_cone.create c;
+          a1 = Array.make np Bit.X;
+          a3 = Array.make np Bit.X;
+          sim;
+          s;
+          read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
+          implies = 0;
+          seen = Array.make (Circuit.num_nets c) 0;
+          walk = 0;
+          obj_net = -1;
+          obj_k = 0;
+          obj_v = false;
+          dec_pi = -1;
+          dec_j = 1;
+          dec_v = false;
+          d_pi = Array.make (2 * np) 0;
+          d_j = Array.make (2 * np) 0;
+          d_value = Array.make (2 * np) false;
+          d_flipped = Array.make (2 * np) false;
+        }
+      in
+      eng.search <- Some st;
+      st
+  in
+  Array.fill st.a1 0 (Array.length st.a1) Bit.X;
+  Array.fill st.a3 0 (Array.length st.a3) Bit.X;
+  Req_cone.load st.cone merged;
+  Cone_sim.retarget st.sim st.cone;
+  st.implies <- 0;
+  st
 
 (* Deferred attribution flush, mirroring [Justify]'s [record_search]:
    every implication pass charged its full cone cost to every cone
    gate's output net, in one O(cone) pass at the end of the run. *)
 let record_state st =
-  let gates = st.cone.Req_cone.gates in
+  let gates = st.cone.Req_cone.gates and n = st.cone.Req_cone.n_gates in
   match st.eng.att with
   | Some a when st.implies > 0 ->
     a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.implies;
-    a.Attrib.t_resim_gates <-
-      a.Attrib.t_resim_gates + (st.implies * Array.length gates);
-    Array.iter
-      (fun gi ->
-        let net = Circuit.net_of_gate st.c gi in
-        a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.implies)
-      gates
+    a.Attrib.t_resim_gates <- a.Attrib.t_resim_gates + (st.implies * n);
+    for i = 0 to n - 1 do
+      let net = Circuit.net_of_gate st.c gates.(i) in
+      a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.implies
+    done
   | Some _ | None -> ()
 
 (* Fill unassigned bits with zeros, like [Justify.run_complete]: the
@@ -363,15 +392,11 @@ let record_state st =
 let build_test st =
   let m = st.c.Circuit.num_pis in
   let v1 = Array.make m false and v3 = Array.make m false in
-  Array.iter
-    (fun pi ->
-      (match Bit.to_bool st.a1.(pi) with
-      | Some b -> v1.(pi) <- b
-      | None -> ());
-      match Bit.to_bool st.a3.(pi) with
-      | Some b -> v3.(pi) <- b
-      | None -> ())
-    st.cone.Req_cone.pis;
+  for i = 0 to st.cone.Req_cone.n_pis - 1 do
+    let pi = st.cone.Req_cone.pis.(i) in
+    v1.(pi) <- Bit.equal st.a1.(pi) Bit.One;
+    v3.(pi) <- Bit.equal st.a3.(pi) Bit.One
+  done;
   Test_pair.create v1 v3
 
 type outcome =
@@ -403,12 +428,9 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
          (Array.make c.Circuit.num_pis false)
          (Array.make c.Circuit.num_pis false))
   | Some merged ->
-    let st = make_state eng merged in
-    (* The decision stack.  Every decision assigns an open bit of a cone
-       PI, so it never holds more entries than the cone has bits. *)
-    let cap = 2 * Array.length st.cone.Req_cone.pis in
-    let d_pi = Array.make cap 0 and d_j = Array.make cap 0 in
-    let d_value = Array.make cap false and d_flipped = Array.make cap false in
+    let st = load_state eng merged in
+    let d_pi = st.d_pi and d_j = st.d_j in
+    let d_value = st.d_value and d_flipped = st.d_flipped in
     let depth = ref 0 in
     let backtracks = ref 0 in
     let spend pi =
@@ -502,7 +524,7 @@ module Internal = struct
     match Req_cone.merge reqs with
     | None -> None
     | Some merged ->
-      let st = make_state eng merged in
+      let st = load_state eng merged in
       imply st;
       Some st
 
@@ -521,7 +543,7 @@ module Internal = struct
     st.obj_v <- v;
     if backtrace st then Some (st.dec_pi, st.dec_j, st.dec_v) else None
 
-  let cone_pis st = st.cone.Req_cone.pis
+  let cone_pis st = Array.sub st.cone.Req_cone.pis 0 st.cone.Req_cone.n_pis
 
   let assign st (pi, j, v) = set_bit st pi j v
   let unassign st (pi, j) = clear_bit st pi j

@@ -28,17 +28,18 @@
     up to its budget: {!Proved_unsatisfiable} means the whole decision
     tree over the cone's input bits was refuted.
 
-    {b Cost.}  Each call allocates its search state once: a few arrays
-    over the circuit's nets and gates and the cone's input bits.  After
-    that the search step — implication, objective, backtrace, decision
-    and backtrack — allocates only the blamed net's option on a
-    conflict and the backtrack-depth histogram's sample (DESIGN.md
+    {b Cost.}  An engine builds its search state once, on its first
+    search — a few arrays over the circuit's nets, gates and input
+    bits, the decision stack included — and reloads it for every
+    search after.  The search step — implication, objective, backtrace,
+    decision and backtrack — allocates only the blamed net's option on
+    a conflict and the backtrack-depth histogram's sample (DESIGN.md
     §15.5). *)
 
 type t
-(** A PODEM engine for one circuit, holding per-engine effort counters
-    and conflict forensics.  Drive each engine from a single domain at a
-    time. *)
+(** A PODEM engine for one circuit, holding per-engine effort counters,
+    conflict forensics and its one search state.  Drive each engine from
+    a single domain at a time. *)
 
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
 (** A fresh engine.  When [attrib] is given, effort is charged to the
@@ -114,11 +115,16 @@ val injected_bug_enabled : unit -> bool
 
 module Internal : sig
   type state
+  (** The engine's one search state.  An engine holds at most one live
+      state: {!prepare} and {!run} reload the same state, so a state
+      obtained from {!prepare} is valid only until the engine's next
+      {!prepare} or {!run}. *)
 
   val prepare :
     t -> reqs:(int * Pdf_values.Req.t) list -> state option
-  (** Build a search state for the merged requirements and run the
-      initial implication; [None] on a directly conflicting set. *)
+  (** Load the engine's search state with the merged requirements and
+      run the initial implication; [None] on a directly conflicting
+      set.  Invalidates the state of the engine's previous search. *)
 
   val imply : state -> unit
   (** The engine's implication pass, event-driven from the pattern-bit

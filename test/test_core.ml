@@ -943,21 +943,24 @@ let prop_podem_imply_full_pass =
       | Some msg -> QCheck.Test.fail_report msg)
 
 (* The scalar evaluator both engines and Atpg run on, over random DAGs
-   and random requirement cones.  (a) After any sequence of [set_pi]
-   calls on cone inputs and persistent passes, every cone net holds the
-   full simulation's value and every other net stays X.  (b) A trial
-   matches the full ascending cone scan it replaced: with S and S' the
-   full simulation before and after the tried bit, the PI's changed
-   components are checked first, then — for the bit's component, then
-   the intermediate one — every cone gate with a changed fanin, in
-   ascending index, until a value contradicts a requirement.  The
-   first such net and the number of gates scanned are the trial's
-   conflict and evaluation count; without a conflict the overlay holds
-   S' on the cone and the persistent state still holds S.  A trial
-   popping gates level by level reaches the same S' but fails (b) on
-   its evaluation count and first conflict (DESIGN.md §13.2). *)
+   and random requirement cones, with one state retargeted through
+   three cones the way an engine serves its searches.  (a) Right after
+   a retarget the state equals a fresh [create]'s on every net; after
+   any sequence of [set_pi] calls on cone inputs and persistent passes,
+   every cone net holds the full simulation's value and every other
+   net stays X.  (b) Every trial — two fresh keys after each step, then
+   every earlier key of the cone again, so that memo hits and
+   invalidations both occur — returns the conflict net and evaluation
+   count of the ascending cone scan ({!Pdf_check.Trial_ref}), hits
+   included; a trial repeated with no pass in between is a hit; a trial
+   that evaluates without a conflict leaves S' in the overlay, and no
+   trial touches the persistent state.  A hit writes no overlay, so
+   the overlay is checked only after trials that evaluated.  A trial
+   popping gates level by level, or a memo slot that ignores a changed
+   fanin, fails (b) (DESIGN.md §13.2). *)
 module Cone_sim = Pdf_core.Cone_sim
 module Req_cone = Pdf_core.Req_cone
+module Trial_ref = Pdf_check.Trial_ref
 
 let prop_cone_sim_matches_full =
   QCheck.Test.make ~name:"Cone_sim = full sim and scan"
@@ -973,7 +976,7 @@ let prop_cone_sim_matches_full =
       in
       let c = Generators.random_dag ~name:"rand" ~seed params in
       let np = c.Circuit.num_pis and n = Circuit.num_nets c in
-      let reqs =
+      let rand_reqs () =
         List.init (1 + Rng.int rng 3) (fun _ ->
             let req =
               match Rng.int rng 6 with
@@ -986,127 +989,226 @@ let prop_cone_sim_matches_full =
             in
             (np + Rng.int rng (Circuit.num_gates c), req))
       in
-      match Req_cone.merge reqs with
-      | None -> true
-      | Some merged ->
-        let cone = Req_cone.make c merged in
-        let pis = cone.Req_cone.pis and r = cone.Req_cone.r in
-        let sim = Cone_sim.create ~cone c in
-        let s = Cone_sim.values sim in
-        let a1 = Array.make np Bit.X and a3 = Array.make np Bit.X in
-        let full () =
-          Pdf_sim.Two_pattern.simulate c
-            (Array.init np (fun pi ->
-                 { Pdf_sim.Two_pattern.b1 = a1.(pi); b3 = a3.(pi) }))
-        in
-        let comp (t : Pdf_values.Triple.t) k =
-          match k with
-          | 0 -> t.Pdf_values.Triple.v1
-          | 1 -> t.Pdf_values.Triple.v2
-          | _ -> t.Pdf_values.Triple.v3
-        in
-        let rand_bit () =
-          match Rng.int rng 3 with 0 -> Bit.X | 1 -> Bit.Zero | _ -> Bit.One
-        in
-        let failure = ref None in
-        let fail fmt =
-          Printf.ksprintf
-            (fun m -> if !failure = None then failure := Some m)
-            fmt
-        in
-        let check_state what values =
+      let cone = Req_cone.create c in
+      let sim = Cone_sim.create c in
+      let s = Cone_sim.values sim in
+      let rand_bit () =
+        match Rng.int rng 3 with 0 -> Bit.X | 1 -> Bit.Zero | _ -> Bit.One
+      in
+      let failure = ref None in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> if !failure = None then failure := Some m)
+          fmt
+      in
+      let comp = Trial_ref.component in
+      let check_state what values =
+        for net = 0 to n - 1 do
+          for k = 0 to 2 do
+            let want =
+              if cone.Req_cone.in_cone.(net) then comp values.(net) k
+              else Bit.X
+            in
+            if not (Bit.equal s.(k).(net) want) then
+              fail "%s: net %d component %d" what net k
+          done
+        done
+      in
+      for cone_i = 1 to 3 do
+        match Req_cone.merge (rand_reqs ()) with
+        | None -> ()
+        | Some merged ->
+          Req_cone.load cone merged;
+          Cone_sim.retarget sim cone;
+          let fresh = Cone_sim.values (Cone_sim.create c) in
           for net = 0 to n - 1 do
             for k = 0 to 2 do
-              let want =
-                if cone.Req_cone.in_cone.(net) then comp values.(net) k
-                else Bit.X
-              in
-              if not (Bit.equal s.(k).(net) want) then
-                fail "%s: net %d component %d" what net k
+              if not (Bit.equal s.(k).(net) fresh.(k).(net)) then
+                fail "cone %d: retargeted net %d component %d differs from a \
+                      fresh state" cone_i net k
             done
-          done
-        in
-        (* The reference scan: the conflicting net and the gates
-           scanned before the trial stops. *)
-        let reference before after pi k_bit =
-          let changed k net =
-            not (Bit.equal (comp before.(net) k) (comp after.(net) k))
-          in
-          let conflicts k net =
-            changed k net && Req_cone.mismatch r.(k).(net) (comp after.(net) k)
-          in
-          if conflicts k_bit pi || conflicts 1 pi then (pi, 0)
-          else
-            let evals = ref 0 in
-            let scan k =
-              Array.fold_left
-                (fun hit gi ->
-                  if hit >= 0 then hit
-                  else if
-                    Array.exists (changed k) c.Circuit.gates.(gi).Circuit.fanins
-                  then begin
-                    incr evals;
-                    if conflicts k (np + gi) then np + gi else -1
-                  end
-                  else -1)
-                (-1) cone.Req_cone.gates
-            in
-            let hit = scan k_bit in
-            let hit = if hit >= 0 then hit else scan 1 in
-            (hit, !evals)
-        in
-        for step = 1 to 25 do
-          for _ = 0 to Rng.int rng 3 do
-            let pi = pis.(Rng.int rng (Array.length pis)) in
-            if Rng.bool rng then a1.(pi) <- rand_bit ();
-            if Rng.bool rng then a3.(pi) <- rand_bit ();
-            Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
           done;
-          Cone_sim.propagate sim;
-          let before = full () in
-          check_state (Printf.sprintf "step %d" step) before;
-          for _ = 1 to 4 do
-            let pi = pis.(Rng.int rng (Array.length pis)) in
-            let j = if Rng.bool rng then 1 else 3 in
-            let b = Bit.of_bool (Rng.bool rng) in
-            let v1 = if j = 1 then b else a1.(pi) in
-            let v3 = if j = 3 then b else a3.(pi) in
-            let o1 = a1.(pi) and o3 = a3.(pi) in
-            a1.(pi) <- v1;
-            a3.(pi) <- v3;
-            let after = full () in
-            a1.(pi) <- o1;
-            a3.(pi) <- o3;
-            let evals0 = Cone_sim.trial_evals sim in
-            let net = Cone_sim.trial sim pi ~v1 ~v3 in
-            let evals = Cone_sim.trial_evals sim - evals0 in
-            let want_net, want_evals =
-              reference before after pi (if j = 1 then 0 else 2)
+          let pis = Array.sub cone.Req_cone.pis 0 cone.Req_cone.n_pis in
+          let a1 = Array.make np Bit.X and a3 = Array.make np Bit.X in
+          let full () =
+            Pdf_sim.Two_pattern.simulate c
+              (Array.init np (fun pi ->
+                   { Pdf_sim.Two_pattern.b1 = a1.(pi); b3 = a3.(pi) }))
+          in
+          let keys = ref [] in
+          for step = 1 to 12 do
+            for _ = 0 to Rng.int rng 3 do
+              let pi = pis.(Rng.int rng (Array.length pis)) in
+              if Rng.bool rng then a1.(pi) <- rand_bit ();
+              if Rng.bool rng then a3.(pi) <- rand_bit ();
+              Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
+            done;
+            Cone_sim.propagate sim;
+            let before = full () in
+            check_state (Printf.sprintf "cone %d, step %d" cone_i step) before;
+            let fresh_keys =
+              List.init 2 (fun _ ->
+                  ( pis.(Rng.int rng (Array.length pis)),
+                    (if Rng.bool rng then 1 else 3),
+                    Bit.of_bool (Rng.bool rng) ))
             in
-            if net <> want_net || evals <> want_evals then
-              fail "step %d, trial of PI %d bit %d: conflict %d after %d \
-                    evaluations, the scan's %d after %d"
-                step pi j net evals want_net want_evals;
-            if net < 0 then
-              for net = 0 to n - 1 do
-                for k = 0 to 2 do
-                  if
-                    cone.Req_cone.in_cone.(net)
-                    && not
-                         (Bit.equal
-                            (Cone_sim.trial_value sim ~k net)
-                            (comp after.(net) k))
-                  then
-                    fail "step %d, trial of PI %d: overlay net %d component %d"
-                      step pi net k
-                done
-              done;
-            check_state (Printf.sprintf "step %d, after a trial" step) before
+            keys := fresh_keys @ !keys;
+            let try_key (pi, j, b) =
+              let v1 = if j = 1 then b else a1.(pi) in
+              let v3 = if j = 3 then b else a3.(pi) in
+              let o1 = a1.(pi) and o3 = a3.(pi) in
+              a1.(pi) <- v1;
+              a3.(pi) <- v3;
+              let after = full () in
+              a1.(pi) <- o1;
+              a3.(pi) <- o3;
+              let evals0 = Cone_sim.trial_evals sim
+              and hits0 = Cone_sim.memo_hits sim in
+              let net = Cone_sim.trial sim pi ~v1 ~v3 in
+              let evals = Cone_sim.trial_evals sim - evals0 in
+              let hit = Cone_sim.memo_hits sim > hits0 in
+              let want_net, want_evals =
+                Trial_ref.scan c cone ~before ~after ~pi
+              in
+              if net <> want_net || evals <> want_evals then
+                fail "cone %d, step %d, trial of PI %d bit %d (%s): conflict \
+                      %d after %d evaluations, the scan's %d after %d"
+                  cone_i step pi j
+                  (if hit then "memo hit" else "evaluated")
+                  net evals want_net want_evals;
+              if net < 0 && not hit then
+                for net = 0 to n - 1 do
+                  for k = 0 to 2 do
+                    if
+                      cone.Req_cone.in_cone.(net)
+                      && not
+                           (Bit.equal
+                              (Cone_sim.trial_value sim ~k net)
+                              (comp after.(net) k))
+                    then
+                      fail "cone %d, step %d, trial of PI %d: overlay net %d \
+                            component %d"
+                        cone_i step pi net k
+                  done
+                done;
+              check_state
+                (Printf.sprintf "cone %d, step %d, after a trial" cone_i step)
+                before;
+              hit
+            in
+            List.iter (fun key -> ignore (try_key key : bool)) !keys;
+            (* Nothing changed since: the same trial again is a hit. *)
+            if not (try_key (List.hd !keys)) then
+              fail "cone %d, step %d: a repeated trial evaluated" cone_i step
           done
-        done;
-        match !failure with
-        | None -> true
-        | Some msg -> QCheck.Test.fail_report msg)
+      done;
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Each engine builds its search state once and reloads it for every
+   search: requirement cone, values, the sim engine's trial memo,
+   PODEM's decision stack.  A sequence of searches on one engine must
+   answer each search exactly as a fresh engine would: the same
+   outcome and test, the same trial, backtrack and resimulation-gate
+   deltas (with the attribution sheet's trial evaluations, which memo
+   hits replay), and the same forensics.  The searches are the
+   requirement sets of random target faults and unions of two, on
+   random DAGs; the sim engine's [run] gets the same seed on both
+   sides. *)
+let prop_engine_reuse =
+  QCheck.Test.make ~name:"reused engine = fresh engines" ~count:30
+    (QCheck.make (QCheck.Gen.int_range 0 100_000))
+    (fun seed ->
+      let params =
+        { Pdf_synth.Generators.num_pis = 8; num_gates = 40; window = 15;
+          max_fanout = 4; reuse_pct = 15; restart_pct = 5; fanin3_pct = 20;
+          inverter_pct = 25; po_taps = 1 }
+      in
+      let c = Generators.random_dag ~name:"rand" ~seed params in
+      let ts = Target_sets.build c (Delay_model.lines c) ~n_p:16 ~n_p0:4 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let rng = Rng.create seed in
+      let nf = Array.length faults in
+      let searches =
+        List.init nf (fun i -> faults.(i).Fault_sim.reqs)
+        @ List.init (min nf 8) (fun _ ->
+              faults.(Rng.int rng nf).Fault_sim.reqs
+              @ faults.(Rng.int rng nf).Fault_sim.reqs)
+      in
+      let nets = Circuit.num_nets c in
+      let sheet () = Pdf_obs.Attrib.make_sheet ~nets in
+      let evals (a : Pdf_obs.Attrib.sheet) = a.Pdf_obs.Attrib.t_trial_evals in
+      let sim_sheet = sheet () and podem_sheet = sheet () in
+      let sim = Justify.create ~attrib:sim_sheet c in
+      let pod = Podem.create ~attrib:podem_sheet c in
+      let show_test = Option.fold ~none:"none" ~some:Test_pair.to_string in
+      let show_complete = function
+        | Justify.Found t -> Test_pair.to_string t
+        | Justify.Proved_unsatisfiable -> "unsat"
+        | Justify.Gave_up -> "gave up"
+      in
+      let show_podem = function
+        | Podem.Found t -> Test_pair.to_string t
+        | Podem.Proved_unsatisfiable -> "unsat"
+        | Podem.Gave_up -> "gave up"
+      in
+      (* One search on the reused engine and on a fresh one: the
+         rendered answer, effort deltas and forensics of each. *)
+      let sim_side run e a =
+        let t0 = Justify.trials e and b0 = Justify.backtracks e
+        and g0 = Justify.resim_gates e and v0 = evals a in
+        Justify.reset_forensics e;
+        let answer = run e in
+        let f = Justify.forensics e in
+        Printf.sprintf "%s trials %d backtracks %d gates %d evals %d \
+                        conflict %d/%d deepest %d"
+          answer (Justify.trials e - t0) (Justify.backtracks e - b0)
+          (Justify.resim_gates e - g0) (evals a - v0) f.Justify.last_net
+          f.Justify.last_level f.Justify.deepest_level
+      in
+      let podem_side e reqs =
+        let d0 = Podem.decisions e and b0 = Podem.backtracks e
+        and g0 = Podem.imply_gates e in
+        Podem.reset_forensics e;
+        let answer = show_podem (Podem.run ~max_backtracks:300 e ~reqs) in
+        let f = Podem.forensics e in
+        Printf.sprintf "%s decisions %d backtracks %d gates %d conflict \
+                        %d/%d deepest %d"
+          answer (Podem.decisions e - d0) (Podem.backtracks e - b0)
+          (Podem.imply_gates e - g0) f.Podem.last_net f.Podem.last_level
+          f.Podem.deepest_level
+      in
+      let failure = ref None in
+      List.iteri
+        (fun i reqs ->
+          let run e =
+            show_test (Justify.run e ~rng:(Rng.create (seed + i)) ~reqs)
+          and run_complete e =
+            show_complete (Justify.run_complete ~max_backtracks:300 e ~reqs)
+          in
+          let fresh_sheet = sheet () in
+          let pairs =
+            [ ("run", sim_side run sim sim_sheet,
+               sim_side run (Justify.create ~attrib:fresh_sheet c) fresh_sheet);
+              ("run_complete", sim_side run_complete sim sim_sheet,
+               let a = sheet () in
+               sim_side run_complete (Justify.create ~attrib:a c) a);
+              ("Podem.run", podem_side pod reqs,
+               podem_side (Podem.create ~attrib:(sheet ()) c) reqs) ]
+          in
+          List.iter
+            (fun (what, reused, fresh) ->
+              if !failure = None && not (String.equal reused fresh) then
+                failure :=
+                  Some
+                    (Printf.sprintf "search %d, %s: reused engine %s, fresh \
+                                     engine %s" i what reused fresh))
+            pairs)
+        searches;
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level goldens: sim / podem / portfolio                        *)
@@ -1654,6 +1756,7 @@ let () =
             test_portfolio_escalation;
           Alcotest.test_case "podem ledgers pinned" `Slow
             test_podem_ledgers_pinned;
+          qcheck prop_engine_reuse;
         ] );
       ( "timing",
         [
