@@ -46,28 +46,6 @@ let answer_or_die = function
     prerr_endline ("pdfatpg: " ^ msg);
     exit 1
 
-let load_circuit name =
-  match Profiles.find name with
-  | Some p -> Ok (Profiles.circuit p)
-  | None ->
-    if Sys.file_exists name then
-      if Filename.check_suffix name ".v" then
-        match Pdf_circuit.Verilog_io.parse_file name with
-        | Ok c -> Ok c
-        | Error e ->
-          Error
-            (Printf.sprintf "%s: %s" name
-               (Pdf_circuit.Verilog_io.error_to_string e))
-      else
-        match Bench_io.parse_file name with
-        | Ok c -> Ok c
-        | Error e ->
-          Error (Printf.sprintf "%s: %s" name (Bench_io.error_to_string e))
-    else
-      Error
-        (Printf.sprintf
-           "unknown circuit %S (not a profile name or netlist file)" name)
-
 let circuit_arg =
   let doc = "Circuit: a profile name (see $(b,pdfatpg profiles)) or a .bench file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
@@ -85,7 +63,7 @@ let n_p0_arg =
   Arg.(value & opt int 200 & info [ "n-p0" ] ~doc)
 
 let with_circuit name f =
-  match load_circuit name with
+  match Session.resolve name with
   | Ok c -> f c
   | Error msg ->
     prerr_endline msg;
@@ -1462,8 +1440,8 @@ let version_cmd =
   Cmd.v
     (Cmd.info "version"
        ~doc:"Print the full environment fingerprint (library version, git \
-             revision, OCaml version, host, word size, jobs, simulation \
-             engine) — the same record every benchmark report embeds.")
+             revision, OCaml version, hostname, OS type, word size, jobs) \
+             — the same record every benchmark report embeds.")
     Term.(const run $ obs_setup)
 
 let () =

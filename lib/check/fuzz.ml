@@ -116,8 +116,9 @@ let fanin3 =
 
 (* Incremental-simulation stress (DESIGN.md §13): bigger, bushier DAGs
    where one flipped input's fanout cone is a small fraction of the
-   netlist — the regime Wsim.Inc / Cone_sim optimize, and where a stale
-   dirty-set entry would go unnoticed on the tiny grids above.  Sized
+   netlist — the regime Cone_sim's event-driven passes optimize, and
+   where a stale queue entry would go unnoticed on the tiny grids
+   above.  Sized
    for the nightly time-budgeted campaign, deliberately not part of
    [default_profile]: the fault-based oracles take seconds per round
    at this scale. *)

@@ -28,8 +28,8 @@ type profile = {
 val profiles : profile list
 (** [default] (a mix of everything) plus the focused profiles [tiny],
     [deep], [wide], [reconv] and [fanin3], and the nightly-sized
-    [scale] profile (600/1500-gate DAGs stressing the incremental
-    simulators; not part of [default]). *)
+    [scale] profile (600/1500-gate DAGs stressing the event-driven
+    simulator; not part of [default]). *)
 
 val profile_of_name : string -> profile option
 

@@ -176,20 +176,17 @@ let check_packed_sim { circuit = c; seed } =
   match !violation with Some m -> Fail m | None -> Pass
 
 (* ------------------------------------------------------------------ *)
-(* inc-sim: incremental engines vs the full-pass references             *)
+(* inc-sim: the event-driven scalar engine vs the full-pass reference   *)
 (* ------------------------------------------------------------------ *)
 
-(* A randomized flip sequence over persistent incremental state: step 0
-   installs fresh random words on every PI, one step is a zero-flip
-   no-op [assign], and each remaining step flips a few random PIs (first
-   pattern only, second pattern only, or both — with X lanes at the
-   usual one-in-five rate).  After every step the packed [Wsim.Inc]
-   planes must be word-identical to a from-scratch full pass over the
-   same words, and the scalar [Cone_sim] state over the whole circuit
-   must agree with the scalar reference on lane 0.  This is the oracle that catches the
-   [Wsim.set_inc_injected_bug] mutation (a w3-only flip dropped on the
-   incremental path) — the harness's self-test for incremental-path
-   divergence.  The same state then serves cone trials
+(* A randomized flip sequence over one persistent [Cone_sim] state over
+   the whole circuit: step 0 installs random values on every PI, step
+   1 flips nothing (a no-op pass), and each remaining step flips a few
+   random PIs (first pattern only, second pattern only, or both — X at
+   the usual one-in-five rate).  After every step the state must equal
+   a from-scratch [Two_pattern.simulate] of the same inputs, net for
+   net.  A pass that misses a changed input or gate leaves a stale
+   value here.  The same state then serves cone trials
    ([check_cone_trials]). *)
 let inc_sim_steps = 8
 
@@ -298,45 +295,21 @@ let check_cone_trials c rng sim =
 let check_inc_sim { circuit = c; seed } =
   let rng = Rng.create seed in
   let n = c.Circuit.num_pis in
-  let lanes = Word.lanes in
   let rand_bit () =
     if Rng.int rng 5 = 0 then Bit.X
     else if Rng.bool rng then Bit.One
     else Bit.Zero
   in
-  let rand_word () = Word.of_bits (Array.init lanes (fun _ -> rand_bit ())) in
-  let w1 = Array.init n (fun _ -> rand_word ()) in
-  let w3 = Array.init n (fun _ -> rand_word ()) in
-  let inc = Wsim.Inc.create c ~lanes in
-  let sinc = Cone_sim.create c in
-  let s = Cone_sim.values sinc in
+  let a1 = Array.init n (fun _ -> rand_bit ()) in
+  let a3 = Array.init n (fun _ -> rand_bit ()) in
+  let sim = Cone_sim.create c in
+  let s = Cone_sim.values sim in
   let violation = ref None in
-  let check_packed step =
-    let full = Wsim.simulate c ~w1 ~w3 ~lanes in
-    for net = 0 to Circuit.num_nets c - 1 do
-      for comp = 0 to 2 do
-        if
-          !violation = None
-          && not
-               (Word.equal
-                  (Wsim.word (Wsim.Inc.planes inc) ~comp ~net)
-                  (Wsim.word full ~comp ~net))
-        then
-          violation :=
-            Some
-              (Printf.sprintf
-                 "incremental packed simulation diverges from the full pass \
-                  on %s: step %d, net %s, component %d"
-                 c.Circuit.name step (Circuit.net_name c net) comp)
-      done
-    done
-  in
-  let check_scalar step =
-    let pairs =
-      Array.init n (fun pi ->
-          { Two_pattern.b1 = Word.get w1.(pi) 0; b3 = Word.get w3.(pi) 0 })
+  let check step =
+    let scalar =
+      Two_pattern.simulate c
+        (Array.init n (fun pi -> { Two_pattern.b1 = a1.(pi); b3 = a3.(pi) }))
     in
-    let scalar = Two_pattern.simulate c pairs in
     for net = 0 to Circuit.num_nets c - 1 do
       if
         !violation = None
@@ -354,33 +327,28 @@ let check_inc_sim { circuit = c; seed } =
   in
   for step = 0 to inc_sim_steps - 1 do
     if !violation = None then begin
-      (* Step 0 touches every PI (fresh words are already installed);
-         step 1 flips nothing — the no-op assign must also converge. *)
+      (* Step 0 touches every PI (fresh values are already drawn);
+         step 1 flips nothing — the no-op pass must also converge. *)
       if step >= 2 then begin
         let flips = 1 + Rng.int rng 3 in
         for _ = 1 to flips do
           let pi = Rng.int rng n in
           match Rng.int rng 3 with
-          | 0 -> w1.(pi) <- rand_word ()
-          | 1 -> w3.(pi) <- rand_word ()
+          | 0 -> a1.(pi) <- rand_bit ()
+          | 1 -> a3.(pi) <- rand_bit ()
           | _ ->
-            w1.(pi) <- rand_word ();
-            w3.(pi) <- rand_word ()
+            a1.(pi) <- rand_bit ();
+            a3.(pi) <- rand_bit ()
         done
       end;
-      Wsim.Inc.assign inc ~w1 ~w3;
-      check_packed step;
-      if !violation = None then begin
-        for pi = 0 to n - 1 do
-          Cone_sim.set_pi sinc pi ~v1:(Word.get w1.(pi) 0)
-            ~v3:(Word.get w3.(pi) 0)
-        done;
-        Cone_sim.propagate sinc;
-        check_scalar step
-      end
+      for pi = 0 to n - 1 do
+        Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
+      done;
+      Cone_sim.propagate sim;
+      check step
     end
   done;
-  if !violation = None then violation := check_cone_trials c rng sinc;
+  if !violation = None then violation := check_cone_trials c rng sim;
   match !violation with Some m -> Fail m | None -> Pass
 
 (* ------------------------------------------------------------------ *)
@@ -857,9 +825,10 @@ let check_attrib { circuit = c; seed } =
             let p0 = List.init n0 (fun i -> i) in
             let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
             let res = Atpg.enrich ~attrib c ~seed ~faults ~p0 ~p1 in
-            (* A batch fault-sim pass so the pool-merged packed path is
-               part of the conservation window too. *)
-            ignore (Fault_sim.detected_by_tests ~attrib c res.Atpg.tests faults);
+            (* A batch fault-sim pass inside the conservation window:
+               it charges no sheet, so it must move no mirrored
+               counter either. *)
+            ignore (Fault_sim.detected_by_tests c res.Atpg.tests faults);
             let after = List.map metric names in
             (Attrib.snapshot attrib, List.map2 ( - ) after before))
       in
@@ -892,9 +861,9 @@ let check_attrib { circuit = c; seed } =
       check_run 1 s1 d1;
       check_run 3 s3 d3;
       if !violation = None then begin
-        (* Merged sheets must be jobs-invariant, engine-variant counters
-           included: batch bounds are fixed, so even the incremental
-           dirty-cone work is identical at any pool size. *)
+        (* Merged sheets must be jobs-invariant, the engine-variant
+           [inc_resims] included: every sheet is charged by one run on
+           one domain. *)
         let arrays (s : Attrib.sheet) =
           [ s.Attrib.trials; s.Attrib.trial_evals; s.Attrib.resim_cone;
             s.Attrib.conflicts; s.Attrib.backtracks; s.Attrib.cand_evals;
@@ -1140,8 +1109,8 @@ let all =
       doc = "bit-parallel simulation agrees with the scalar reference";
       check = check_packed_sim };
     { name = "inc-sim";
-      doc = "incremental simulation equals a full pass after any flip \
-             sequence, and every cone trial the ascending scan";
+      doc = "event-driven scalar simulation equals a full pass after any \
+             flip sequence, and every cone trial the ascending scan";
       check = check_inc_sim };
     { name = "packed-detect";
       doc = "detected_by_tests flags are the union of per-test scalar rows, \

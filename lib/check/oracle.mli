@@ -9,14 +9,12 @@
     - [packed-sim] — bit-parallel {!Pdf_bitsim.Wsim} simulation against
       the scalar {!Pdf_sim.Two_pattern} reference, lane for lane and
       component for component, including [X] lanes;
-    - [inc-sim] — the incremental engines ({!Pdf_bitsim.Wsim.Inc} and
-      the scalar {!Pdf_core.Cone_sim} over the whole circuit) against
-      the full-pass simulators after a randomized flip sequence over
-      persistent state, including X lanes and a zero-flip no-op assign;
-      then the same {!Pdf_core.Cone_sim} retargeted through
+    - [inc-sim] — the event-driven {!Pdf_core.Cone_sim} over the whole
+      circuit against the full-pass scalar simulator after a randomized
+      flip sequence over persistent state, including X values and a
+      zero-flip no-op pass; then the same state retargeted through
       target-fault cones, every trial — memo hits included — against
-      the ascending cone scan of {!Trial_ref}; this is the oracle that
-      must catch the [Wsim.set_inc_injected_bug] mutation;
+      the ascending cone scan of {!Trial_ref};
     - [packed-detect] / [packed-matrix] — the batch entry points
       {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] over 70
       tests (two packed word batches) against per-test

@@ -9,7 +9,6 @@ type t = {
   fanouts : (int * int) array array;
   is_po : bool array;
   level : int array;
-  level_gates : int array array;
   by_name : (string, int) Hashtbl.t;
 }
 
@@ -35,32 +34,7 @@ let depth t = Array.fold_left max 0 t.level
 
 let level t net = t.level.(net)
 
-let level_gates t = t.level_gates
-
 let pis t = List.init t.num_pis (fun i -> i)
-
-(* Group gates by the level of their output net.  Bucket [l] lists the
-   gates whose output is at level [l], in ascending gate order; bucket 0
-   (the PI level) is always empty.  This is the one levelized schedule
-   the packed event-driven engine (Wsim.Inc) walks — computed and
-   asserted here so no simulator recomputes or silently assumes it. *)
-let group_by_level ~num_pis ~(gates : gate array) (level : int array) =
-  let d = Array.fold_left max 0 level in
-  let counts = Array.make (d + 1) 0 in
-  Array.iteri
-    (fun i _ ->
-      let l = level.(num_pis + i) in
-      counts.(l) <- counts.(l) + 1)
-    gates;
-  let buckets = Array.init (d + 1) (fun l -> Array.make counts.(l) 0) in
-  let fill = Array.make (d + 1) 0 in
-  Array.iteri
-    (fun i _ ->
-      let l = level.(num_pis + i) in
-      buckets.(l).(fill.(l)) <- i;
-      fill.(l) <- fill.(l) + 1)
-    gates;
-  buckets
 
 let unsafe_make ~name ~num_pis ~gates ~pos ~net_names =
   let n = num_pis + Array.length gates in
@@ -110,11 +84,7 @@ let unsafe_make ~name ~num_pis ~gates ~pos ~net_names =
   Array.iter (fun po -> is_po.(po) <- true) pos;
   let by_name = Hashtbl.create n in
   Array.iteri (fun net nm -> Hashtbl.replace by_name nm net) net_names;
-  let level_gates = group_by_level ~num_pis ~gates level in
-  {
-    name; num_pis; gates; pos; net_names; fanouts; is_po; level;
-    level_gates; by_name;
-  }
+  { name; num_pis; gates; pos; net_names; fanouts; is_po; level; by_name }
 
 let validate t =
   let n = num_nets t in
@@ -147,24 +117,5 @@ let validate t =
         if po < 0 || po >= n then raise (Bad "PO out of range");
         if not t.is_po.(po) then raise (Bad "is_po inconsistent"))
       t.pos;
-    (* The level buckets must partition the gates, bucket for bucket. *)
-    if Array.length t.level_gates <> depth t + 1 then
-      raise (Bad "level_gates: wrong bucket count");
-    let seen = Array.make (Array.length t.gates) false in
-    Array.iteri
-      (fun l bucket ->
-        Array.iter
-          (fun g ->
-            if g < 0 || g >= Array.length t.gates then
-              raise (Bad "level_gates: gate out of range");
-            if t.level.(t.num_pis + g) <> l then
-              raise (Bad (Printf.sprintf "level_gates: gate %d in bucket %d" g l));
-            if seen.(g) then
-              raise (Bad (Printf.sprintf "level_gates: gate %d duplicated" g));
-            seen.(g) <- true)
-          bucket)
-      t.level_gates;
-    if not (Array.for_all Fun.id seen) then
-      raise (Bad "level_gates: missing gate");
     Ok ()
   with Bad msg -> fail "%s: %s" t.name msg

@@ -22,11 +22,6 @@ type t = private {
       (** per net, the [(gate, pin)] pairs that consume it *)
   is_po : bool array;
   level : int array;  (** per net; PIs are level 0 *)
-  level_gates : int array array;
-      (** gates grouped by output-net level: bucket [l] lists the gates
-          whose output is at level [l], ascending gate order; bucket 0
-          is empty (PIs).  The levelized schedule shared by every
-          event-driven simulator — see {!level_gates}. *)
   by_name : (string, int) Hashtbl.t;
 }
 
@@ -56,16 +51,10 @@ val depth : t -> int
 val level : t -> int -> int
 (** Topological level of a net: 0 for PIs, [1 + max fanin level] for a
     gate output.  Computed and asserted once in {!unsafe_make} (every
-    fanin is strictly below its gate), so consumers — [Logic_sim],
-    [Wsim], [Wsim.Inc], [Timing]'s initial settle — rely on
-    this single construction-time check instead of re-deriving or
-    implicitly trusting gate order. *)
-
-val level_gates : t -> int array array
-(** The validated per-level gate buckets ([level_gates] field):
-    evaluating bucket 1, then 2, ... re-evaluates every gate after all
-    its fanins — the worklist schedule of the incremental simulators.
-    Re-checked by {!validate}. *)
+    fanin is strictly below its gate), so the simulators that evaluate
+    gates in index order — [Logic_sim], [Wsim], [Cone_sim], [Timing]'s
+    initial settle — rely on this single construction-time check
+    instead of re-deriving or implicitly trusting gate order. *)
 
 val pis : t -> int list
 

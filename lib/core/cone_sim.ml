@@ -1,8 +1,8 @@
 module Bit = Pdf_values.Bit
 module Circuit = Pdf_circuit.Circuit
 module Two_pattern = Pdf_sim.Two_pattern
-module Wsim = Pdf_bitsim.Wsim
 module Attrib = Pdf_obs.Attrib
+module Metrics = Pdf_obs.Metrics
 
 (* A trial's private view of the values: the nets it changed, stamped
    with its id; every other net reads through to the persistent state. *)
@@ -387,10 +387,35 @@ let trial_value t ~k net =
   | Some ov when ov.tstamp.(k).(net) = ov.id -> ov.tval.(k).(net)
   | Some _ | None -> t.s.(k).(net)
 
+(* sim.inc.* metrics.  Their denominator, [sim.inc.fullpass_gates], is
+   the gate evaluations a full pass over each recorded state's set
+   would have made; a registry counter, so Metrics.reset clears it
+   together with the numerator. *)
+let assigns_m = Metrics.counter "sim.inc.assigns"
+
+let resim_gates_m = Metrics.counter "sim.inc.resim_gates"
+
+let early_stops_m = Metrics.counter "sim.inc.early_stops"
+
+let fullpass_gates_m = Metrics.counter "sim.inc.fullpass_gates"
+
+let resim_fraction_m = Metrics.gauge "sim.inc.resim_fraction"
+
+(* All updates happen under one lock so the last recorder computes the
+   gauge from the complete totals: whatever order records from pool
+   domains arrive in (the totals are commutative sums), the final gauge
+   is the cumulative fraction over everything recorded — deterministic
+   at any --jobs. *)
+let record_lock = Mutex.create ()
+
 let record t =
-  Wsim.record_inc ~num_gates:t.size
-    {
-      Wsim.Inc.assigns = t.assigns;
-      resim_gates = t.resim_gates;
-      early_stops = t.early_stops;
-    }
+  Mutex.lock record_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock record_lock) @@ fun () ->
+  Metrics.add assigns_m t.assigns;
+  Metrics.add resim_gates_m t.resim_gates;
+  Metrics.add early_stops_m t.early_stops;
+  Metrics.add fullpass_gates_m (t.assigns * t.size);
+  let possible = Metrics.value fullpass_gates_m in
+  if possible > 0 then
+    Metrics.set resim_fraction_m
+      (float_of_int (Metrics.value resim_gates_m) /. float_of_int possible)

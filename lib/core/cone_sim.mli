@@ -103,7 +103,12 @@ val memo_hits : t -> int
 
 val record : t -> unit
 (** Fold the persistent passes' work since the last {!retarget} (or
-    {!create}) into the
-    [sim.inc.*] metrics ({!Pdf_bitsim.Wsim.record_inc}): one assign per
-    {!propagate}, the gates it evaluated, those whose output did not
-    change, and the set's size as the full-pass cost of each assign. *)
+    {!create}) into the process-wide metrics [sim.inc.assigns] (one per
+    {!propagate}), [sim.inc.resim_gates] (the gates it evaluated),
+    [sim.inc.early_stops] (those whose output did not change),
+    [sim.inc.fullpass_gates] (the set's size per assign, what a full
+    pass would have evaluated) and the gauge [sim.inc.resim_fraction] =
+    [resim_gates / fullpass_gates], cumulative over all records.  The
+    totals are commutative sums updated under one lock, so every value,
+    the gauge included, is jobs-invariant however the calls are
+    scheduled. *)

@@ -136,41 +136,18 @@ let pack_batch c (tests : Test_pair.t array) (lo, hi) =
   let w3 = Array.init np (fun pi -> { Word.zero = z3.(pi); one = o3.(pi) }) in
   (w1, w3, lanes)
 
-(* Simulate one packed batch, event-driven.  A fresh incremental state
-   per batch keeps the planes and the per-batch stats independent of
-   which domain ran the batch; the stats travel back with the result
-   and are folded into the sim.inc.* metrics centrally, in fixed batch
-   order, so the metrics stay jobs-invariant. *)
-let sim_batch ?attrib c ~w1 ~w3 ~lanes =
-  (* One attribution sheet per batch, merged immediately: merging is
-     commutative integer addition under the store's lock, so the merged
-     totals are identical whichever domain ran the batch and in
-     whatever order batches finish. *)
-  let sheet = Option.map Pdf_obs.Attrib.fresh attrib in
-  let inc = Wsim.Inc.create ?attrib:sheet c ~lanes in
-  Wsim.Inc.assign inc ~w1 ~w3;
-  (match attrib, sheet with
-  | Some store, Some sh -> Pdf_obs.Attrib.merge store sh
-  | _ -> ());
-  (Wsim.Inc.planes inc, Wsim.Inc.stats inc)
-
-let record_batch_stats c parts =
-  Array.iter
-    (fun (_, st) -> Wsim.record_inc ~num_gates:(Circuit.num_gates c) st)
-    parts
-
 (* Word-parallel scan over one batch, metrics-free: the caller accounts
    centrally so totals are identical to the scalar path and independent
    of how batches are distributed over domains. *)
-let detect_batch ?attrib c tests faults bound =
+let detect_batch c tests faults bound =
   let w1, w3, lanes = pack_batch c tests bound in
-  let planes, inc_stats = sim_batch ?attrib c ~w1 ~w3 ~lanes in
+  let planes = Wsim.simulate c ~w1 ~w3 ~lanes in
   let detected = Array.make (Array.length faults) false in
   Array.iteri
     (fun i p ->
       if Wreq.satisfied_mask planes p.reqs <> 0 then detected.(i) <- true)
     faults;
-  (detected, inc_stats)
+  detected
 
 (* Sequential scalar scan over [tests.(lo .. hi-1)], metrics-free (the
    engine of sets below one word). *)
@@ -198,7 +175,7 @@ let or_merge nf partials =
     detected
   end
 
-let detected_by_tests ?pool ?attrib c tests faults =
+let detected_by_tests ?pool c tests faults =
   Span.with_ "fault-sim" @@ fun () ->
   let pool =
     match pool with Some p -> p | None -> Pdf_par.Pool.default ()
@@ -215,13 +192,11 @@ let detected_by_tests ?pool ?attrib c tests faults =
          batch/lane counters are jobs-invariant too. *)
       let bounds = Wsim.batch_bounds n_tests in
       let partials =
-        Pdf_par.Pool.map_array pool (detect_batch ?attrib c tests faults)
-          bounds
+        Pdf_par.Pool.map_array pool (detect_batch c tests faults) bounds
       in
-      record_batch_stats c partials;
       Metrics.add m_word_batches (Array.length bounds);
       Metrics.add m_lanes_used n_tests;
-      or_merge nf (Array.map fst partials)
+      or_merge nf partials
     end
     else begin
       (* Below one word, the scalar engine: contiguous chunks, one per
@@ -245,9 +220,9 @@ let detected_by_tests ?pool ?attrib c tests faults =
 
 (* One word batch of matrix rows: simulate once, then scatter each
    fault's satisfaction mask into the per-test rows. *)
-let matrix_batch ?attrib c tests faults (lo, hi) =
+let matrix_batch c tests faults (lo, hi) =
   let w1, w3, lanes = pack_batch c tests (lo, hi) in
-  let planes, inc_stats = sim_batch ?attrib c ~w1 ~w3 ~lanes in
+  let planes = Wsim.simulate c ~w1 ~w3 ~lanes in
   let nf = Array.length faults in
   let rows = Array.init lanes (fun _ -> Array.make nf false) in
   Array.iteri
@@ -258,13 +233,13 @@ let matrix_batch ?attrib c tests faults (lo, hi) =
           if m land (1 lsl l) <> 0 then rows.(l).(i) <- true
         done)
     faults;
-  (rows, inc_stats)
+  rows
 
 let matrix_row c faults test =
   let values = Test_pair.simulate c test in
   Array.map (fun p -> detects_values values p) faults
 
-let detect_matrix ?pool ?attrib c tests faults =
+let detect_matrix ?pool c tests faults =
   Span.with_ "fault-sim" @@ fun () ->
   let pool =
     match pool with Some p -> p | None -> Pdf_par.Pool.default ()
@@ -275,12 +250,11 @@ let detect_matrix ?pool ?attrib c tests faults =
     if n_tests >= Word.lanes then begin
       let bounds = Wsim.batch_bounds n_tests in
       let parts =
-        Pdf_par.Pool.map_array pool (matrix_batch ?attrib c tests faults) bounds
+        Pdf_par.Pool.map_array pool (matrix_batch c tests faults) bounds
       in
-      record_batch_stats c parts;
       Metrics.add m_word_batches (Array.length bounds);
       Metrics.add m_lanes_used n_tests;
-      Array.concat (Array.to_list (Array.map fst parts))
+      Array.concat (Array.to_list parts)
     end
     else Pdf_par.Pool.map_array pool (matrix_row c faults) tests
   in

@@ -55,7 +55,6 @@ val detected_by_test :
 
 val detected_by_tests :
   ?pool:Pdf_par.Pool.t ->
-  ?attrib:Pdf_obs.Attrib.t ->
   Pdf_circuit.Circuit.t ->
   Test_pair.t list ->
   prepared array ->
@@ -72,15 +71,11 @@ val detected_by_tests :
     path [fault_sim.word_batches]/[fault_sim.lanes_used]) are
     jobs-invariant.  [pool] defaults to {!Pdf_par.Pool.default}.
 
-    When [attrib] is given and the packed incremental engine runs, each
-    batch charges its dirty-cone gate re-evaluations to a fresh
-    {!Pdf_obs.Attrib} sheet merged into the store — commutative sums,
-    so the merged totals are jobs-invariant (the counts themselves
-    measure the engine, not the search; see {!Pdf_obs.Attrib}). *)
+    A packed batch is one full pass ({!Pdf_bitsim.Wsim.simulate}) over
+    its tests; it records no [sim.inc.*] metric. *)
 
 val detect_matrix :
   ?pool:Pdf_par.Pool.t ->
-  ?attrib:Pdf_obs.Attrib.t ->
   Pdf_circuit.Circuit.t ->
   Test_pair.t list ->
   prepared array ->

@@ -8,8 +8,6 @@ module Delay_model = Pdf_paths.Delay_model
 module Enumerate = Pdf_paths.Enumerate
 module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
-module Wsim = Pdf_bitsim.Wsim
-module Word = Pdf_values.Word
 module Test_pair = Pdf_core.Test_pair
 module Justify = Pdf_core.Justify
 module Podem = Pdf_core.Podem
@@ -107,112 +105,6 @@ let circuit_setup params profile =
 
 let word_batches n_tests = (n_tests + 62) / 63
 
-(* Gate count above which a profile is treated as huge-tier: only the
-   cone-resim cases run, and target-set preparation (quadratic-ish in
-   circuit size) is skipped entirely. *)
-let huge_gates = 20_000
-
-(* ------------------------------------------------------------------ *)
-(* Cone-resim cases: full-pass vs incremental at varying flip widths    *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload the incremental engine was built for: a long sequence of
-   simulations that each change only [width] PI words — the shape of the
-   justify trial loop and the fold/delta scans.  The full-pass variant
-   calls [Wsim.simulate] after every flip; the incremental variant
-   [assign]s the same word sequence into one persistent [Wsim.Inc.t].
-   Identical seeded RNG streams make both variants simulate the same
-   words, and setup hard-fails unless their planes agree net for net. *)
-let cone_resim_cases params profile c =
-  let np = c.Circuit.num_pis in
-  let seed = params.seed + Hashtbl.hash profile.Profiles.name in
-  let full_mask = Word.lane_mask Word.lanes in
-  let rand_word rng =
-    let o = ref 0 in
-    for i = 0 to Word.lanes - 1 do
-      if Pdf_util.Rng.bool rng then o := !o lor (1 lsl i)
-    done;
-    { Word.zero = lnot !o land full_mask; Word.one = !o }
-  in
-  let fresh_words rng =
-    ( Array.init np (fun _ -> rand_word rng),
-      Array.init np (fun _ -> rand_word rng) )
-  in
-  (* One flip toggles a single lane of one PI's pattern words — the
-     granularity of a justify trial assignment (one v1 bit and one v3
-     bit).  Lanes are fully definite, so xor-ing both rails in one lane
-     swaps 0 <-> 1 there and leaves the other 62 lanes untouched. *)
-  let toggle_lane rng (w : Word.t array) pi =
-    let b = 1 lsl Pdf_util.Rng.int rng Word.lanes in
-    let wd = w.(pi) in
-    w.(pi) <- { Word.zero = wd.Word.zero lxor b; one = wd.Word.one lxor b }
-  in
-  let flip rng ~width w1 w3 =
-    for _ = 1 to width do
-      let pi = Pdf_util.Rng.int rng np in
-      toggle_lane rng w1 pi;
-      toggle_lane rng w3 pi
-    done
-  in
-  let flips = 32 in
-  (* Equivalence smoke, same hard-fail contract as the packed-vs-scalar
-     check: a short flip sequence must leave the incremental planes
-     bit-identical to a full pass after every step. *)
-  let () =
-    let rng = Pdf_util.Rng.create seed in
-    let w1, w3 = fresh_words rng in
-    let inc = Wsim.Inc.create c ~lanes:Word.lanes in
-    for step = 0 to 4 do
-      if step > 0 then flip rng ~width:4 w1 w3;
-      Wsim.Inc.assign inc ~w1 ~w3;
-      let full = Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes in
-      let ip = Wsim.Inc.planes inc in
-      for k = 0 to 2 do
-        for net = 0 to Circuit.num_nets c - 1 do
-          if
-            Wsim.word ip ~comp:k ~net <> Wsim.word full ~comp:k ~net
-          then
-            failwith
-              (Printf.sprintf
-                 "fault_sim suite: incremental planes differ from full pass \
-                  on %s (step %d, comp %d, net %d)"
-                 profile.Profiles.name step k net)
-        done
-      done
-    done
-  in
-  let case ~width ~variant thunk =
-    {
-      case_name =
-        Printf.sprintf "%s/cone_resim_%s_w%d" profile.Profiles.name variant
-          width;
-      units = [ ("flips", float_of_int flips) ];
-      thunk;
-    }
-  in
-  List.concat_map
-    (fun width ->
-      [
-        case ~width ~variant:"full" (fun () ->
-            let rng = Pdf_util.Rng.create seed in
-            let w1, w3 = fresh_words rng in
-            ignore (Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes : Wsim.planes);
-            for _ = 1 to flips do
-              flip rng ~width w1 w3;
-              ignore (Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes : Wsim.planes)
-            done);
-        case ~width ~variant:"inc" (fun () ->
-            let rng = Pdf_util.Rng.create seed in
-            let w1, w3 = fresh_words rng in
-            let inc = Wsim.Inc.create c ~lanes:Word.lanes in
-            Wsim.Inc.assign inc ~w1 ~w3;
-            for _ = 1 to flips do
-              flip rng ~width w1 w3;
-              Wsim.Inc.assign inc ~w1 ~w3
-            done);
-      ])
-    [ 1; 8 ]
-
 (* ------------------------------------------------------------------ *)
 (* Suites                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -221,16 +113,6 @@ let fault_sim_suite =
   let cases params =
     List.concat_map
       (fun profile ->
-        let cone =
-          cone_resim_cases params profile (Profiles.circuit profile)
-        in
-        (* Huge-tier circuits run only the cone-resim cases: target-set
-           preparation is not sized for 100k-gate netlists, and the
-           full-matrix kernels would dominate the suite's runtime
-           without measuring anything the small tiers don't. *)
-        if Circuit.num_gates (Profiles.circuit profile) >= huge_gates then
-          cone
-        else
         let s = circuit_setup params profile in
         let pool = Pool.default () in
         let tests = Array.of_list s.cs_tests in
@@ -299,17 +181,15 @@ let fault_sim_suite =
                      s.cs_faults
                     : bool array));
           };
-        ]
-        @ cone)
+        ])
       params.circuits
   in
   {
     suite_name = "fault_sim";
     suite_doc =
-      "Fault-simulation kernels: detection matrix, test-set union and \
-       cone-resim (full-pass vs incremental at small flip widths), \
-       batch entry points plus the per-test scalar reference \
-       (hard-fails when the engines disagree)";
+      "Fault-simulation kernels: detection matrix and test-set union \
+       through the batch entry points, plus the per-test scalar \
+       reference (hard-fails when the engines disagree)";
     cases;
   }
 

@@ -37,14 +37,10 @@ let profile ?(criterion = Pdf_faults.Robust.Robust) ?(n_p = 2000)
   let p0 = List.init n0 Fun.id in
   let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
   let result = Atpg.enrich ~attrib ?justify c ~seed ~faults ~p0 ~p1 in
-  (* A verification fault-sim pass over the generated tests: its packed
-     batches attribute their dirty-cone work through the pool-merged
-     path.  The counts it adds are engine-variant ([inc_resims]) and
-     are never exported; the detection flags must agree with the
-     generation loop's own bookkeeping. *)
-  let flags =
-    Fault_sim.detected_by_tests ~attrib c result.Atpg.tests faults
-  in
+  (* A verification fault-sim pass over the generated tests: its
+     detection flags must agree with the generation loop's own
+     bookkeeping. *)
+  let flags = Fault_sim.detected_by_tests c result.Atpg.tests faults in
   assert (flags = result.Atpg.detected);
   {
     circuit = c;

@@ -37,8 +37,8 @@ val profile :
 (** Run the enrichment workload with attribution on and snapshot the
     merged sheet.  Defaults mirror {!Provenance.build}: [n_p = 2000],
     [n_p0 = 200], [seed = Workload.default_seed].  Also runs a
-    verification fault-sim pass over the generated tests so the packed
-    batch path exercises pool-side sheet merging. *)
+    verification fault-sim pass over the generated tests, whose flags
+    must equal the run's own. *)
 
 val per_level : t -> int array
 (** Semantic effort summed per circuit level; index is the level. *)

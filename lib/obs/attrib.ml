@@ -2,8 +2,8 @@
 
    A [sheet] is a set of plain int arrays indexed by net id — the
    cheapest store the hot loops can bump (one bounds-checked load, add,
-   store; no hashing, no boxing).  Sheets are domain-local: each engine
-   or worker batch owns one and bumps it without synchronisation; the
+   store; no hashing, no boxing).  Sheets are domain-local: each run
+   owns one and bumps it without synchronisation; the
    shared store [t] only sees whole sheets through [merge], under a
    mutex.  Because every field is an integer sum, merging is commutative
    and associative, so the merged store is identical whatever order the
@@ -18,9 +18,10 @@
      --jobs and across engine implementations.  Only these are exported
      by profile renderers.
    - the {e engine-variant} counter (inc_resims) measures the actual
-     dirty-cone gate re-evaluations of the incremental engines.  It
-     feeds the effort-conservation oracle (sum == sim.inc.resim_gates)
-     but is excluded from every byte-compared output. *)
+     dirty-cone gate re-evaluations of the incremental engine
+     (Cone_sim's persistent pass).  It feeds the effort-conservation
+     oracle (sum == sim.inc.resim_gates) but is excluded from every
+     byte-compared output. *)
 
 type sheet = {
   nets : int;

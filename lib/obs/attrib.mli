@@ -8,10 +8,10 @@
     integer sums, so merging is commutative: the merged store is
     identical whatever order the pool's sheets arrive in.
 
-    The [inc_resims] family measures the incremental engines' actual
-    per-gate work, so it moves whenever the engines' implementation or
-    the fault simulator's engine choice changes, while the search stays
-    the same; every other counter is {e semantic} (defined by the
+    The [inc_resims] family measures the incremental engine's actual
+    per-gate work ([Cone_sim]'s persistent pass), so it moves whenever
+    that engine's implementation changes while the search stays the
+    same; every other counter is {e semantic} (defined by the
     search, not the engine) and byte-identical across [--jobs].
     Renderers must export only semantic counters; [inc_resims] exists
     for the effort-conservation oracle. *)
@@ -60,8 +60,8 @@ val make_sheet : nets:int -> sheet
 (** A zeroed standalone sheet. *)
 
 val fresh : t -> sheet
-(** A zeroed sheet sized for [t]'s circuit, ready for one engine or one
-    worker batch to bump without synchronisation. *)
+(** A zeroed sheet sized for [t]'s circuit, ready for one run to bump
+    without synchronisation. *)
 
 val merge : t -> sheet -> unit
 (** Add every counter of the sheet into the store, under the store's

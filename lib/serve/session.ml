@@ -112,8 +112,7 @@ let params_seed_key p =
   Printf.sprintf "%s|%d|%s" (params_key p) p.seed (Justify.kind_name p.justify)
 
 (* Circuit resolution, shared with the CLI: a profile name, else a
-   netlist file (.v -> Verilog, anything else -> .bench).  Error
-   messages match the batch CLI's exactly. *)
+   netlist file (.v -> Verilog, anything else -> .bench). *)
 let resolve name =
   match Profiles.find name with
   | Some p -> Ok (Profiles.circuit p)

@@ -78,6 +78,12 @@ type answer = {
   cached : bool;  (** answered from the warm answer cache *)
 }
 
+val resolve : string -> (Pdf_circuit.Circuit.t, string) result
+(** Parse a circuit argument, uncached: a profile name (see
+    {!Pdf_synth.Profiles}), else a [.v] file, else a [.bench] file.
+    The error is the message the CLI prints.  Touches no cache and no
+    counter; {!load} is its cached form. *)
+
 val load : t -> string -> (Pdf_circuit.Circuit.t, error) result
 (** Resolve and cache a circuit: a profile name (see
     {!Pdf_synth.Profiles}), else a [.v] file, else a [.bench] file.

@@ -11,14 +11,13 @@ let dag name seed params description =
     circuit = lazy (Generators.random_dag ~name ~seed params);
   }
 
-let mk ~pis ~gates ~window ?(max_fanout = 4) ?(reuse_pct = 0)
-    ?(restart_pct = 0) ?(fanin3_pct = 10) ?(inverter_pct = 20)
-    ?(po_taps = 4) () =
+let mk ~pis ~gates ~window ?(reuse_pct = 0) ?(restart_pct = 0)
+    ?(fanin3_pct = 10) ?(inverter_pct = 20) ?(po_taps = 4) () =
   {
     Generators.num_pis = pis;
     num_gates = gates;
     window;
-    max_fanout;
+    max_fanout = 4;
     reuse_pct;
     restart_pct;
     fanin3_pct;
@@ -76,25 +75,6 @@ let star_rows =
 
 let enrichment_rows = table_rows @ star_rows
 
-(* The huge tier (ROADMAP: event-driven simulation at 100k-gate scale):
-   DAGs two orders of magnitude above the paper's circuits, where a
-   changed input's fanout cone is a tiny fraction of the netlist — the
-   regime the incremental simulators (Wsim.Inc, Cone_sim) exploit.
-   Benchmark/fuzz material only, deliberately not in [enrichment_rows]:
-   path enumeration and target-set preparation are not sized for them. *)
-let huge_rows =
-  [
-    dag "huge50k" 50_000
-      (mk ~pis:512 ~gates:50_000 ~window:2_000 ~max_fanout:6 ())
-      "huge benchmark tier: 50k-gate DAG (cone-resim / scale runs only)";
-    dag "huge100k" 100_000
-      (mk ~pis:1_024 ~gates:100_000 ~window:3_000 ~max_fanout:6 ())
-      "huge benchmark tier: 100k-gate DAG (cone-resim / scale runs only)";
-    dag "huge200k" 200_000
-      (mk ~pis:2_048 ~gates:200_000 ~window:4_000 ~max_fanout:6 ())
-      "huge benchmark tier: 200k-gate DAG (cone-resim / scale runs only)";
-  ]
-
 let extras =
   [
     {
@@ -149,7 +129,7 @@ let extras =
     };
   ]
 
-let all = enrichment_rows @ extras @ huge_rows
+let all = enrichment_rows @ extras
 
 let find name = List.find_opt (fun p -> p.name = name) all
 

@@ -25,13 +25,6 @@ val star_rows : t list
 val enrichment_rows : t list
 (** The eleven rows of paper Table 6 (adds the resynthesized stand-ins). *)
 
-val huge_rows : t list
-(** The huge benchmark tier: 50k/100k/200k-gate synthetic DAGs for the
-    cone-resim benchmarks and scale fuzzing.  In {!all} (so
-    [pdfatpg bench --circuits huge100k] resolves them) but not in
-    {!enrichment_rows} — path enumeration and target-set preparation
-    are not sized for 100k-gate netlists. *)
-
 val find : string -> t option
 
 val circuit : t -> Pdf_circuit.Circuit.t

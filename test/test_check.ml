@@ -21,10 +21,6 @@ let with_injected_bug f =
   Wsim.set_injected_bug true;
   Fun.protect ~finally:(fun () -> Wsim.set_injected_bug false) f
 
-let with_inc_injected_bug f =
-  Wsim.set_inc_injected_bug true;
-  Fun.protect ~finally:(fun () -> Wsim.set_inc_injected_bug false) f
-
 let with_podem_injected_bug f =
   Pdf_core.Podem.set_injected_bug true;
   Fun.protect ~finally:(fun () -> Pdf_core.Podem.set_injected_bug false) f
@@ -229,44 +225,6 @@ let test_mutation_caught_and_shrunk () =
       Sys.remove repro);
     (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
-(* Same self-test for the incremental path: the deliberate Wsim.Inc bug
-   (a w3-only flip silently dropped) leaves every full-pass engine
-   correct, so only the inc-sim oracle can see the divergence.  The
-   campaign must catch it there and the shrinker must keep the
-   reproducer failing while the full-pass differential oracles pass. *)
-let test_inc_mutation_caught_and_shrunk () =
-  let summary =
-    with_inc_injected_bug (fun () ->
-        Fuzz.run
-          {
-            smoke_config with
-            Fuzz.rounds = 20;
-            max_violations = 1;
-          })
-  in
-  match summary.Fuzz.violations with
-  | [] -> Alcotest.fail "injected incremental-path bug was not caught"
-  | v :: _ ->
-    check Alcotest.string "caught by the incremental oracle" "inc-sim"
-      v.Fuzz.oracle;
-    check Alcotest.bool "shrunk to <= 30 gates" true
-      (Circuit.num_gates v.Fuzz.shrunk <= 30);
-    check Alcotest.bool "shrunk no larger than original" true
-      (Shrink.size v.Fuzz.shrunk <= Shrink.size v.Fuzz.circuit);
-    check Alcotest.(result unit string) "shrunk circuit valid" (Ok ())
-      (Circuit.validate v.Fuzz.shrunk);
-    let oracle = Option.get (Oracle.find "inc-sim") in
-    let ctx = { Oracle.circuit = v.Fuzz.shrunk; seed = v.Fuzz.oracle_seed } in
-    (match with_inc_injected_bug (fun () -> Oracle.run oracle ctx) with
-    | Oracle.Fail _ -> ()
-    | Oracle.Pass | Oracle.Skip _ ->
-      Alcotest.fail "shrunk reproducer no longer fails with the bug");
-    (match Oracle.run oracle ctx with
-    | Oracle.Pass -> ()
-    | Oracle.Fail m ->
-      Alcotest.failf "shrunk reproducer fails without the injected bug: %s" m
-    | Oracle.Skip m -> Alcotest.failf "reproducer skipped: %s" m)
-
 (* And for the structural justification engine: the deliberate PODEM
    implication bug (a multi-input gate's second-pattern implication
    reading its first fanin's first-pattern value) corrupts the engine's
@@ -358,8 +316,6 @@ let () =
           Alcotest.test_case "campaign ledger" `Slow test_campaign_ledger;
           Alcotest.test_case "mutation caught and shrunk" `Slow
             test_mutation_caught_and_shrunk;
-          Alcotest.test_case "inc mutation caught and shrunk" `Slow
-            test_inc_mutation_caught_and_shrunk;
           Alcotest.test_case "podem mutation caught and shrunk" `Slow
             test_podem_mutation_caught_and_shrunk;
           Alcotest.test_case "unknown oracle rejected" `Quick
