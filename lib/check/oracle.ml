@@ -902,19 +902,26 @@ let draw_union rng pool =
 (* The condition sets are the robust conditions of every enumerated fault
    — the undetectability filter's input — and random unions of 2–4 of
    them, drawn from the faults whose own set is consistent so that not
-   every union conflicts.  Each set is checked three ways against the
+   every union conflicts.  Each set is checked five ways against the
    sweep: [infer] must give the same values, or the same conflicting
    [net] and [component] (the filter writes both into the ledger); one
    state, reused across all sets and reset before each, must give the
-   same conflict for a single fault's set, as the filter uses it; and
+   same conflict for a single fault's set, as the filter uses it;
    extending that state part by part must give the sweep's values for a
-   consistent union and a conflict for a conflicting one. *)
+   consistent union and a conflict for a conflicting one; undoing it to
+   a mark taken after a consistent first part must give the sweep's
+   values for that part, and extending it again the union's answer
+   once more (PODEM's mark/undo); and a second reused state restricted
+   to the union's requirement cone must give the sweep's verdict, its
+   values on every cone net and X elsewhere (PODEM's restriction). *)
 let check_implication { circuit = c; seed } =
   let conds = fault_conditions c in
   if Array.length conds = 0 then Skip "no fault without a direct conflict"
   else begin
     let rng = Rng.create seed in
     let st = Implication.create c in
+    let cone = Req_cone.create c in
+    let restricted = Implication.create ~within:cone.Req_cone.in_cone c in
     let violation = ref None in
     let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
     let describe = function
@@ -931,6 +938,23 @@ let check_implication { circuit = c; seed } =
               c.Circuit.name (Circuit.net_name c net)
               (Triple.to_string (read net)) (Triple.to_string w))
         want
+    in
+    let state_values st net =
+      Triple.make
+        (Implication.value st ~component:1 net)
+        (Implication.value st ~component:2 net)
+        (Implication.value st ~component:3 net)
+    in
+    let extend_parts st parts =
+      List.fold_left
+        (fun acc part ->
+          match acc with
+          | Some _ -> acc
+          | None ->
+            Option.map
+              (fun { Implication.net; component } -> (net, component))
+              (Implication.extend st part))
+        None parts
     in
     (* Returns whether the set is consistent. *)
     let check_set what parts =
@@ -958,42 +982,82 @@ let check_implication { circuit = c; seed } =
             c.Circuit.name
             (describe (Some (net, component)))
             (describe want_conflict));
-      if !violation = None then begin
-        Implication.reset st;
-        let conflict =
-          List.fold_left
-            (fun acc part ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                Option.map
-                  (fun { Implication.net; component } -> (net, component))
-                  (Implication.extend st part))
-            None parts
-        in
+      (* The set's answer from [st]: the sweep's values, or a
+         conflict. *)
+      let check_extended how conflict =
         match want with
         | Implication_ref.Conflict _ ->
           if conflict = None then
-            fail "extending part by part %s on %s finds no conflict, the \
-                  sweep says %s"
+            fail "%s %s on %s finds no conflict, the sweep says %s" how
               what c.Circuit.name (describe want_conflict)
-          else if List.length parts = 1 && conflict <> want_conflict then
-            fail "the reused state for %s on %s: %s, the sweep says %s" what
-              c.Circuit.name (describe conflict) (describe want_conflict)
         | Implication_ref.Consistent w ->
           if conflict <> None then
-            fail "extending part by part %s on %s: %s, the sweep is \
-                  consistent"
-              what c.Circuit.name (describe conflict)
-          else begin
-            if List.length parts > 1 then Metrics.incr m_impl_extensions;
-            check_values ("extending part by part " ^ what) w (fun net ->
-                Triple.make
-                  (Implication.value st ~component:1 net)
-                  (Implication.value st ~component:2 net)
-                  (Implication.value st ~component:3 net))
-          end
+            fail "%s %s on %s: %s, the sweep is consistent" how what
+              c.Circuit.name (describe conflict)
+          else check_values (how ^ " " ^ what) w (state_values st)
+      in
+      if !violation = None then begin
+        Implication.reset st;
+        match parts with
+        | [] -> ()
+        | first :: rest -> (
+          let conflict = extend_parts st [ first ] in
+          let mark = Implication.mark st in
+          let conflict =
+            match conflict with Some _ -> conflict | None -> extend_parts st rest
+          in
+          if rest <> [] && conflict = None && want_conflict = None then
+            Metrics.incr m_impl_extensions;
+          check_extended "extending part by part" conflict;
+          if
+            !violation = None && rest = [] && want_conflict <> None
+            && conflict <> want_conflict
+          then
+            fail "the reused state for %s on %s: %s, the sweep says %s" what
+              c.Circuit.name (describe conflict) (describe want_conflict);
+          (* The undo leg: back to the consistent first part. *)
+          if !violation = None && rest <> [] then
+            match Implication_ref.infer c first with
+            | Implication_ref.Conflict _ -> ()
+            | Implication_ref.Consistent w ->
+              Implication.undo st mark;
+              if Implication.failed st <> None then
+                fail "undo to a mark of %s on %s keeps a conflict" what
+                  c.Circuit.name
+              else begin
+                check_values ("undoing to the first part of " ^ what) w
+                  (state_values st);
+                if !violation = None then
+                  check_extended "extending again after an undo"
+                    (extend_parts st rest)
+              end)
       end;
+      (* The restriction leg. *)
+      (if !violation = None then
+         match Req_cone.merge reqs with
+         | None -> ()
+         | Some merged -> (
+           Implication.reset restricted;
+           Req_cone.load cone merged;
+           let conflict = extend_parts restricted parts in
+           match (want, conflict) with
+           | Implication_ref.Conflict _, Some _ -> ()
+           | Implication_ref.Consistent w, None ->
+             check_values ("the cone-restricted state for " ^ what)
+               (Array.mapi
+                  (fun net t ->
+                    if cone.Req_cone.in_cone.(net) then t
+                    else Triple.make Bit.X Bit.X Bit.X)
+                  w)
+               (state_values restricted)
+           | Implication_ref.Conflict _, None ->
+             fail "the cone-restricted state for %s on %s is consistent, \
+                   the sweep says %s"
+               what c.Circuit.name (describe want_conflict)
+           | Implication_ref.Consistent _, Some _ ->
+             fail "the cone-restricted state for %s on %s: %s, the sweep is \
+                   consistent"
+               what c.Circuit.name (describe conflict)));
       want_conflict = None
     in
     let consistent =
@@ -1144,7 +1208,8 @@ let all =
       check = check_attrib };
     { name = "implication";
       doc = "event-driven implication reaches the reference sweep's values \
-             and first conflict, also through reset and extension";
+             and first conflict, also through reset, extension, undo and \
+             a cone restriction";
       check = check_implication };
     { name = "portfolio";
       doc = "the escalating portfolio returns the test and winner of \

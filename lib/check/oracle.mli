@@ -45,12 +45,25 @@
       coverage equals [|P0| - primary_aborts], the incrementally
       maintained detection flags equal a from-scratch batch
       re-simulation, and ledger fault dispositions match the flags;
+    - [attrib] — structural effort attribution (DESIGN.md §14): over a
+      full enrichment run under [--jobs 1] and under [--jobs 3], every
+      sheet total equals the delta of the global counter it mirrors
+      ([justify.runs], [justify.trials], [justify.trial_evals],
+      [justify.resim_gates], [justify.conflict_hits],
+      [justify.backtracks], [atpg.delta_evals], [sim.inc.resim_gates]),
+      every per-net array sums to its total, a batch fault-simulation
+      pass inside the window moves none of them, and the per-net sheets
+      of the two runs are equal (jobs-invariant);
     - [implication] — the event-driven {!Pdf_sim.Implication} against the
       reference sweep {!Implication_ref} on every enumerated fault's
       robust conditions and on unions of 2–4 of them: the same values,
       or the same conflicting net and component; the same conflict from
-      one state reset before each fault; and the sweep's values when a
-      consistent union is extended part by part;
+      one state reset before each fault; the sweep's values when a
+      consistent union is extended part by part; the first part's
+      values after an undo to a mark taken after it, and the union's
+      answer when extended again; and, from a state restricted to the
+      union's requirement cone, the sweep's verdict with its values on
+      every cone net and X elsewhere;
     - [portfolio] — the escalating portfolio {!Pdf_core.Justify.Engine}
       against {!Portfolio_ref}, which runs every member to completion,
       on the same kind of requirement sets: the same test (or none) and

@@ -1,6 +1,7 @@
 module Bit = Pdf_values.Bit
 module Circuit = Pdf_circuit.Circuit
 module Two_pattern = Pdf_sim.Two_pattern
+module Implication = Pdf_sim.Implication
 module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
 module Attrib = Pdf_obs.Attrib
@@ -67,7 +68,8 @@ type t = {
    pair of each net — {stable 0, stable 1, rising (the classical D̄→D
    pair), falling, unassigned} — plus the conservatively hazard-aware
    intermediate component 1 (DESIGN.md §15).  PODEM assigns only PI
-   pattern bits ([a1]/[a3]); everything else is implied forward.
+   pattern bits ([a1]/[a3]); everything else is implied forward, and
+   [imp] implies the requirements and the assigned bits both ways.
    Everything the search step touches lives here, once per engine,
    reloaded by every search (DESIGN.md §15.5). *)
 and state = {
@@ -77,6 +79,9 @@ and state = {
   a1 : Bit.t array;  (* per PI *)
   a3 : Bit.t array;
   sim : Cone_sim.t;  (* the cone's implied values *)
+  imp : Implication.t;
+      (* the merged requirements plus the assigned bits, implied forward
+         and backward over the cone; in step with the decision stack *)
   s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
   read : (int -> Bit.t) array;  (* per component, reading [s] *)
   mutable implies : int;  (* implication passes, for deferred attribution *)
@@ -92,11 +97,13 @@ and state = {
   mutable dec_v : bool;
   (* The decision stack, [run]'s.  Every decision assigns an open bit
      of a cone PI, so it never holds more entries than the circuit has
-     input bits. *)
+     input bits.  [d_mark] is [imp]'s trail mark before the decision. *)
+  mutable depth : int;
   d_pi : int array;
   d_j : int array;
   d_value : bool array;
   d_flipped : bool array;
+  d_mark : int array;
 }
 
 let create ?attrib circuit =
@@ -323,9 +330,48 @@ let write_bit st pi j v =
 let set_bit st pi j b = write_bit st pi j (Bit.of_bool b)
 let clear_bit st pi j = write_bit st pi j Bit.X
 
+(* Pattern bit [j] of [pi] into the implication: its component is [j]
+   too.  The net implication blames, or -1 when it stays consistent. *)
+let assume_bit st pi j v =
+  match Implication.assume st.imp ~component:j pi (Bit.of_bool v) with
+  | None -> -1
+  | Some { Implication.net; _ } -> net
+
+(* The decision stack's three moves, each keeping [imp] in step: a
+   decision marks the trail before its bit, a flip and a pop undo to
+   that mark.  [push] and [flip] return [assume_bit]'s answer and leave
+   the [Cone_sim] pass to the caller: a refuted branch needs none. *)
+let push st pi j v =
+  let d = st.depth in
+  st.d_pi.(d) <- pi;
+  st.d_j.(d) <- j;
+  st.d_value.(d) <- v;
+  st.d_flipped.(d) <- false;
+  st.d_mark.(d) <- Implication.mark st.imp;
+  st.depth <- d + 1;
+  set_bit st pi j v;
+  assume_bit st pi j v
+
+let flip st =
+  let d = st.depth - 1 in
+  let v = not st.d_value.(d) in
+  st.d_flipped.(d) <- true;
+  st.d_value.(d) <- v;
+  Implication.undo st.imp st.d_mark.(d);
+  set_bit st st.d_pi.(d) st.d_j.(d) v;
+  assume_bit st st.d_pi.(d) st.d_j.(d) v
+
+let pop st =
+  let d = st.depth - 1 in
+  Implication.undo st.imp st.d_mark.(d);
+  clear_bit st st.d_pi.(d) st.d_j.(d);
+  st.depth <- d
+
 (* The engine's one search state, built by its first search, loaded
-   with [merged]: the assignment cleared, the cone and its values
-   retargeted.  [walk] carries on, so [seen] needs no clearing. *)
+   with [merged]: the assignment and the decision stack cleared, the
+   cone and its values retargeted, the implication reset and seeded
+   with [merged] — a conflict there refutes the whole set.  [walk]
+   carries on, so [seen] needs no clearing. *)
 let load_state eng merged =
   let st =
     match eng.search with
@@ -335,14 +381,16 @@ let load_state eng merged =
       let sim = Cone_sim.create c in
       let s = Cone_sim.values sim in
       let np = c.Circuit.num_pis in
+      let cone = Req_cone.create c in
       let st =
         {
           c;
           eng;
-          cone = Req_cone.create c;
+          cone;
           a1 = Array.make np Bit.X;
           a3 = Array.make np Bit.X;
           sim;
+          imp = Implication.create ~within:cone.Req_cone.in_cone c;
           s;
           read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
           implies = 0;
@@ -354,10 +402,12 @@ let load_state eng merged =
           dec_pi = -1;
           dec_j = 1;
           dec_v = false;
+          depth = 0;
           d_pi = Array.make (2 * np) 0;
           d_j = Array.make (2 * np) 0;
           d_value = Array.make (2 * np) false;
           d_flipped = Array.make (2 * np) false;
+          d_mark = Array.make (2 * np) 0;
         }
       in
       eng.search <- Some st;
@@ -365,9 +415,12 @@ let load_state eng merged =
   in
   Array.fill st.a1 0 (Array.length st.a1) Bit.X;
   Array.fill st.a3 0 (Array.length st.a3) Bit.X;
+  st.depth <- 0;
+  Implication.reset st.imp;
   Req_cone.load st.cone merged;
   Cone_sim.retarget st.sim st.cone;
   st.implies <- 0;
+  ignore (Implication.extend st.imp merged : Implication.conflict option);
   st
 
 (* Deferred attribution flush, mirroring [Justify]'s [record_search]:
@@ -429,34 +482,19 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
          (Array.make c.Circuit.num_pis false))
   | Some merged ->
     let st = load_state eng merged in
-    let d_pi = st.d_pi and d_j = st.d_j in
-    let d_value = st.d_value and d_flipped = st.d_flipped in
-    let depth = ref 0 in
     let backtracks = ref 0 in
     let spend pi =
       incr backtracks;
       eng.e_backtracks <- eng.e_backtracks + 1;
       Metrics.incr m_backtracks;
       Metrics.incr mj_backtracks;
-      Metrics.observe_int h_backtrack_depth !depth;
+      Metrics.observe_int h_backtrack_depth st.depth;
       (match eng.att with
       | Some a ->
         a.Attrib.backtracks.(pi) <- a.Attrib.backtracks.(pi) + 1;
         a.Attrib.t_backtracks <- a.Attrib.t_backtracks + 1
       | None -> ());
       if !backtracks > max_backtracks then raise Budget_exhausted
-    in
-    let decide pi j v =
-      eng.e_decisions <- eng.e_decisions + 1;
-      Metrics.incr m_decisions;
-      let d = !depth in
-      d_pi.(d) <- pi;
-      d_j.(d) <- j;
-      d_value.(d) <- v;
-      d_flipped.(d) <- false;
-      depth := d + 1;
-      set_bit st pi j v;
-      imply st
     in
     (* Chronological backtracking over the decision stack: flip the most
        recent unflipped decision, discarding everything above it.  The
@@ -465,46 +503,57 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
        under completion by monotonicity, and a dead backtrace means the
        objective component is frozen at X).  With no conflict, an unmet
        requirement always leaves an objective; a backtrace that finds no
-       open bit refutes the branch. *)
+       open bit refutes the branch.  A decision or flip whose bit [imp]
+       refutes is backtracked at once, without the forward pass: no
+       completion of it satisfies the requirements, so the search below
+       it would find no test and end in this same backtrack.  [imp]
+       also applies the forward rules, so while it is consistent no
+       forward value contradicts a requirement, and the search step
+       needs no requirement-conflict check of its own. *)
     let rec step () =
-      match conflict_net st with
-      | Some net ->
-        note_conflict eng net;
-        backtrack ()
-      | None ->
-        if satisfied st then Some (build_test st)
-        else if objective st && backtrace st then begin
-          decide st.dec_pi st.dec_j st.dec_v;
-          step ()
-        end
-        else backtrack ()
-    and backtrack () =
-      if !depth = 0 then None
+      if satisfied st then Some (build_test st)
+      else if objective st && backtrace st then begin
+        eng.e_decisions <- eng.e_decisions + 1;
+        Metrics.incr m_decisions;
+        descend (push st st.dec_pi st.dec_j st.dec_v)
+      end
+      else backtrack ()
+    and descend refuted_at =
+      if refuted_at < 0 then begin
+        imply st;
+        step ()
+      end
       else begin
-        let d = !depth - 1 in
-        spend d_pi.(d);
-        if d_flipped.(d) then begin
-          clear_bit st d_pi.(d) d_j.(d);
-          depth := d;
+        note_conflict eng refuted_at;
+        backtrack ()
+      end
+    and backtrack () =
+      if st.depth = 0 then None
+      else begin
+        let d = st.depth - 1 in
+        spend st.d_pi.(d);
+        if st.d_flipped.(d) then begin
+          pop st;
           backtrack ()
         end
-        else begin
-          d_flipped.(d) <- true;
-          d_value.(d) <- not d_value.(d);
-          set_bit st d_pi.(d) d_j.(d) d_value.(d);
-          imply st;
-          step ()
-        end
+        else descend (flip st)
       end
     in
     let outcome =
       try
-        imply st;
-        match step () with
-        | Some test -> Found test
-        | None ->
+        match Implication.failed st.imp with
+        | Some { Implication.net; _ } ->
+          (* Implication refutes the set before any decision. *)
+          note_conflict eng net;
           Metrics.incr m_conflicts;
           Proved_unsatisfiable
+        | None -> (
+          imply st;
+          match step () with
+          | Some test -> Found test
+          | None ->
+            Metrics.incr m_conflicts;
+            Proved_unsatisfiable)
       with Budget_exhausted ->
         eng.e_aborts <- eng.e_aborts + 1;
         Metrics.incr m_aborts;
@@ -547,6 +596,11 @@ module Internal = struct
 
   let assign st (pi, j, v) = set_bit st pi j v
   let unassign st (pi, j) = clear_bit st pi j
+  let decide st (pi, j, v) = push st pi j v < 0
+  let flip st = flip st < 0
+  let pop = pop
+  let depth st = st.depth
+  let implication st = st.imp
 
   let bit_char = function Bit.Zero -> '0' | Bit.One -> '1' | Bit.X -> 'x'
 

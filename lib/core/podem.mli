@@ -20,9 +20,22 @@
     + {e backtrace}: walk the objective backward through X-valued nets
       to an unassigned primary-input pattern bit, choosing per-gate
       target values by probing the evaluator;
-    + {e decide / backtrack}: assign the bit, re-imply, and on a
+    + {e decide / backtrack}: assign the bit and seed it into the
+      engine's implication state; unless that conflicts, re-imply; on a
       conflict flip the most recent unflipped decision (chronological
       backtracking, bounded by a backtrack budget).
+
+    The implication state ({!Pdf_sim.Implication}, restricted to the
+    requirement cone) holds the merged requirements plus the assigned
+    bits, implied forward and backward by the rules of the paper's
+    implication-conflict elimination.  It is seeded with the
+    requirements once per search — a conflict there is
+    {!Proved_unsatisfiable} without a decision — and kept in step with
+    the decision stack by a trail mark per decision: a flip or a pop
+    undoes to the decision's mark.  A decision it refutes is
+    backtracked at once instead of searched: the rules are sound, so
+    the subtree holds no test, and the search that remains is the
+    forward-only one in the same order (DESIGN.md §15.1).
 
     The engine is deterministic — no randomness anywhere — and complete
     up to its budget: {!Proved_unsatisfiable} means the whole decision
@@ -32,9 +45,9 @@
     search — a few arrays over the circuit's nets, gates and input
     bits, the decision stack included — and reloads it for every
     search after.  The search step — implication, objective, backtrace,
-    decision and backtrack — allocates only the blamed net's option on
-    a conflict and the backtrack-depth histogram's sample (DESIGN.md
-    §15.5). *)
+    decision and backtrack — allocates only the implication's conflict
+    record on a refuted branch and the backtrack-depth histogram's
+    sample (DESIGN.md §15.5). *)
 
 type t
 (** A PODEM engine for one circuit, holding per-engine effort counters,
@@ -44,7 +57,7 @@ type t
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
 (** A fresh engine.  When [attrib] is given, effort is charged to the
     sheet with the same vocabulary as {!Justify}: implication passes as
-    resimulation cone cost, conflicts to the mismatching net, backtracks
+    resimulation cone cost, conflicts to the net implication blames, backtracks
     to the retracted decision input — so attribution conservation holds
     whichever engine runs. *)
 
@@ -110,8 +123,9 @@ val injected_bug_enabled : unit -> bool
 
     For the property tests in [test_core.ml] only: the search-state
     invariants (frontier non-empty until detection, backtrace reaching
-    an unassigned PI, monotone implication, exact backtrack restore)
-    are stated against these. *)
+    an unassigned PI, monotone implication, exact backtrack restore,
+    the implication state in step with the decision stack) are stated
+    against these. *)
 
 module Internal : sig
   type state
@@ -122,9 +136,10 @@ module Internal : sig
 
   val prepare :
     t -> reqs:(int * Pdf_values.Req.t) list -> state option
-  (** Load the engine's search state with the merged requirements and
-      run the initial implication; [None] on a directly conflicting
-      set.  Invalidates the state of the engine's previous search. *)
+  (** Load the engine's search state with the merged requirements, seed
+      them into its implication state and run the initial forward
+      implication; [None] on a directly conflicting set.  Invalidates
+      the state of the engine's previous search. *)
 
   val imply : state -> unit
   (** The engine's implication pass, event-driven from the pattern-bit
@@ -151,6 +166,28 @@ module Internal : sig
   (** Set a PI pattern bit without implying (call {!imply} after). *)
 
   val unassign : state -> int * int -> unit
+
+  val decide : state -> int * int * bool -> bool
+  (** Push a decision as the search does: mark the implication state's
+      trail, set the bit and assume it; [false] when the implication
+      conflicts, refuting the branch.  Like {!assign}, runs no forward
+      pass. *)
+
+  val flip : state -> bool
+  (** Flip the most recent decision: undo the implication state to its
+      mark, set the opposite value and assume it; [false] on a
+      conflict.  The stack must be non-empty. *)
+
+  val pop : state -> unit
+  (** Retract the most recent decision: undo to its mark, clear its
+      bit.  The stack must be non-empty. *)
+
+  val depth : state -> int
+  (** Decisions on the stack. *)
+
+  val implication : state -> Pdf_sim.Implication.t
+  (** The engine's implication state: the merged requirements plus the
+      decisions on the stack, restricted to the requirement cone. *)
 
   val snapshot : state -> string
   (** Canonical rendering of the full search state (assignment and

@@ -96,8 +96,6 @@ let add_into (dst : sheet) (src : sheet) =
   dst.t_cand_scans <- dst.t_cand_scans + src.t_cand_scans;
   dst.t_inc_resims <- dst.t_inc_resims + src.t_inc_resims
 
-let add_sheet ~into src = add_into into src
-
 let merge t sheet =
   Mutex.lock t.lock;
   Fun.protect

@@ -67,12 +67,6 @@ val merge : t -> sheet -> unit
 (** Add every counter of the sheet into the store, under the store's
     lock.  The sheet is not modified and may be discarded. *)
 
-val add_sheet : into:sheet -> sheet -> unit
-(** Unsynchronised sheet-into-sheet accumulate (both sheets must be
-    owned by the calling domain).  Used by the portfolio justification
-    engine to fold its members' per-member sheets into the run's sheet
-    in fixed member order at the flush point. *)
-
 val snapshot : t -> sheet
 (** A deep copy of the merged totals, taken under the lock. *)
 

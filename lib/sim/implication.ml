@@ -29,20 +29,31 @@ let bit_index p = if p < 0 then bits - 1 else bit_index_table.(p mod 67)
 
 type t = {
   circuit : Circuit.t;
+  num_pis : int;
   layers : Bit.t array array; (* layers.(k) for component k+1 *)
   gate_dirty : int array;
       (* gates with a net changed since their last evaluation *)
   net_dirty : int array; (* nets changed since their last coupling *)
   trail : int array;
       (* every X -> 0/1 assignment since the last reset, as
-         [(net lsl 2) lor (component - 1)] *)
+         [(net lsl 2) lor (component - 1)]; a mark is a length of it,
+         and [undo] cuts it back *)
   mutable trail_len : int;
   mutable current : int; (* gate under evaluation, or -1 *)
   mutable failed : conflict option;
+  within : bool array option;
+      (* per net, aliased: a gate whose output net is unflagged never
+         becomes dirty *)
 }
 
 let mark_gate st g =
-  if g <> st.current then begin
+  if
+    g <> st.current
+    &&
+    match st.within with
+    | None -> true
+    | Some within -> within.(st.num_pis + g)
+  then begin
     let w = g / bits in
     st.gate_dirty.(w) <- st.gate_dirty.(w) lor (1 lsl (g - (w * bits)))
   end
@@ -53,12 +64,21 @@ let mark_gate st g =
 let touch st net =
   let w = net / bits in
   st.net_dirty.(w) <- st.net_dirty.(w) lor (1 lsl (net - (w * bits)));
-  let c = st.circuit in
-  if net >= c.Circuit.num_pis then mark_gate st (net - c.Circuit.num_pis);
-  let fanouts = c.Circuit.fanouts.(net) in
+  if net >= st.num_pis then mark_gate st (net - st.num_pis);
+  let fanouts = st.circuit.Circuit.fanouts.(net) in
   for k = 0 to Array.length fanouts - 1 do
     mark_gate st (fst fanouts.(k))
   done
+
+(* [Bit.t]'s constructors are immediate, so [==] compares them; the
+   rules below call no other module and build no closure. *)
+let not_ = function Bit.Zero -> Bit.One | Bit.One -> Bit.Zero | Bit.X -> Bit.X
+
+let xor a b =
+  match a, b with
+  | Bit.X, _ | _, Bit.X -> Bit.X
+  | Bit.Zero, Bit.Zero | Bit.One, Bit.One -> Bit.Zero
+  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> Bit.One
 
 let assign st ~component ~net value =
   let layer = st.layers.(component - 1) in
@@ -69,14 +89,13 @@ let assign st ~component ~net value =
     st.trail_len <- st.trail_len + 1;
     touch st net
   | (Bit.Zero | Bit.One | Bit.X), Bit.X -> ()
-  | old, v -> if not (Bit.equal old v) then raise (Stop (net, component))
+  | old, v -> if old != v then raise (Stop (net, component))
 
 (* Forward + backward rules for one gate on one layer. *)
 let imply_gate st ~component gate_index =
-  let c = st.circuit in
   let layer = st.layers.(component - 1) in
-  let g = c.Circuit.gates.(gate_index) in
-  let out = Circuit.net_of_gate c gate_index in
+  let g = st.circuit.Circuit.gates.(gate_index) in
+  let out = st.num_pis + gate_index in
   let fanins = g.Circuit.fanins in
   let n = Array.length fanins in
   match g.Circuit.kind with
@@ -86,38 +105,34 @@ let imply_gate st ~component gate_index =
     | (Bit.Zero | Bit.One) as v -> assign st ~component ~net:fanins.(0) v
     | Bit.X -> ())
   | Gate.Not -> (
-    assign st ~component ~net:out (Bit.not_ layer.(fanins.(0)));
+    assign st ~component ~net:out (not_ layer.(fanins.(0)));
     match layer.(out) with
     | (Bit.Zero | Bit.One) as v ->
-      assign st ~component ~net:fanins.(0) (Bit.not_ v)
+      assign st ~component ~net:fanins.(0) (not_ v)
     | Bit.X -> ())
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> (
-    let cv =
-      match Gate.controlling g.Circuit.kind with
-      | Some b -> Bit.of_bool b
-      | None -> assert false
-    in
-    let ncv = Bit.not_ cv in
-    let inv = Gate.inverting g.Circuit.kind in
-    let apply_inv v = if inv then Bit.not_ v else v in
-    let out_controlled = apply_inv cv and out_all_nc = apply_inv ncv in
+  | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind -> (
+    let cv = if kind == Gate.And || kind == Gate.Nand then Bit.Zero else Bit.One
+    and inv = kind == Gate.Nand || kind == Gate.Nor in
+    let ncv = not_ cv in
+    let out_controlled = if inv then ncv else cv
+    and out_all_nc = if inv then cv else ncv in
     (* Forward. *)
     let any_cv = ref false and all_ncv = ref true in
     for i = 0 to n - 1 do
       let v = layer.(fanins.(i)) in
-      if Bit.equal v cv then any_cv := true;
-      if not (Bit.equal v ncv) then all_ncv := false
+      if v == cv then any_cv := true;
+      if v != ncv then all_ncv := false
     done;
     if !any_cv then assign st ~component ~net:out out_controlled
     else if !all_ncv then assign st ~component ~net:out out_all_nc;
     (* Backward. *)
     match layer.(out) with
     | Bit.X -> ()
-    | v when Bit.equal v out_all_nc ->
+    | v when v == out_all_nc ->
       for i = 0 to n - 1 do
         assign st ~component ~net:fanins.(i) ncv
       done
-    | _ ->
+    | Bit.Zero | Bit.One ->
       (* Output is controlled: if exactly one input is unknown and every
          other input is non-controlling, the unknown one must be
          controlling. *)
@@ -127,21 +142,20 @@ let imply_gate st ~component gate_index =
         | Bit.X ->
           incr count;
           unknown := fanins.(i)
-        | v -> if not (Bit.equal v ncv) then rest_nc := false
+        | v -> if v != ncv then rest_nc := false
       done;
       if !count = 1 && !rest_nc then assign st ~component ~net:!unknown cv
       else if !count = 0 && !rest_nc then
         (* all inputs non-controlling but output controlled *)
         raise (Stop (out, component)))
   | Gate.Xor | Gate.Xnor ->
-    let inv = Gate.inverting g.Circuit.kind in
-    let apply_inv v = if inv then Bit.not_ v else v in
+    let inv = g.Circuit.kind == Gate.Xnor in
     (* Forward. *)
     let acc = ref Bit.Zero in
     for i = 0 to n - 1 do
-      acc := Bit.xor !acc layer.(fanins.(i))
+      acc := xor !acc layer.(fanins.(i))
     done;
-    assign st ~component ~net:out (apply_inv !acc);
+    assign st ~component ~net:out (if inv then not_ !acc else !acc);
     (* Backward: output and all-but-one inputs known. *)
     (match layer.(out) with
     | Bit.X -> ()
@@ -152,40 +166,38 @@ let imply_gate st ~component gate_index =
         | Bit.X ->
           incr count;
           unknown := fanins.(i)
-        | v -> acc := Bit.xor !acc v
+        | v -> acc := xor !acc v
       done;
       if !count = 1 then
-        assign st ~component ~net:!unknown (Bit.xor (apply_inv out_v) !acc))
+        assign st ~component ~net:!unknown
+          (xor (if inv then not_ out_v else out_v) !acc))
 
 (* Coupling between layers on one net: a definite intermediate value
    forces the same end values anywhere; stable end values force the
    intermediate value on PIs only. *)
 let imply_coupling st net =
-  let c = st.circuit in
   let l1 = st.layers.(0) and l2 = st.layers.(1) and l3 = st.layers.(2) in
   (match l2.(net) with
   | (Bit.Zero | Bit.One) as v ->
     assign st ~component:1 ~net v;
     assign st ~component:3 ~net v
   | Bit.X -> ());
-  if Circuit.is_pi c net then
+  if net < st.num_pis then
     match l1.(net), l3.(net) with
-    | (Bit.Zero | Bit.One), (Bit.Zero | Bit.One)
-      when Bit.equal l1.(net) l3.(net) ->
-      assign st ~component:2 ~net l1.(net)
+    | ((Bit.Zero | Bit.One) as v1), (Bit.Zero | Bit.One) when v1 == l3.(net)
+      ->
+      assign st ~component:2 ~net v1
     | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> ()
 
-let seed st reqs =
-  let comp_value = function
-    | Req.Any -> Bit.X
-    | Req.Must b -> Bit.of_bool b
-  in
-  List.iter
-    (fun (net, (r : Req.t)) ->
-      assign st ~component:1 ~net (comp_value r.Req.r1);
-      assign st ~component:2 ~net (comp_value r.Req.r2);
-      assign st ~component:3 ~net (comp_value r.Req.r3))
-    reqs
+let comp_value = function Req.Any -> Bit.X | Req.Must b -> Bit.of_bool b
+
+let rec seed st = function
+  | [] -> ()
+  | (net, (r : Req.t)) :: rest ->
+    assign st ~component:1 ~net (comp_value r.Req.r1);
+    assign st ~component:2 ~net (comp_value r.Req.r2);
+    assign st ~component:3 ~net (comp_value r.Req.r3);
+    seed st rest
 
 (* One pass: the dirty gates in ascending index, each on its three
    layers.  [w] holds the word's bits above the last evaluated gate, so a
@@ -222,13 +234,22 @@ let coupling_pass st =
     done
   done
 
+(* A top-level loop: [Array.exists] builds a closure per call, and the
+   fixpoint loop runs once per [assume], that is once per PODEM
+   decision. *)
+let rec any_dirty d i = i < Array.length d && (d.(i) <> 0 || any_dirty d (i + 1))
+
 (* No gate is dirty in a fresh state: every gate has a fanin
    ([Gate.min_arity]), so no rule fires on all-X nets. *)
-let create c =
+let create ?within c =
   let n = Circuit.num_nets c in
   let words k = (k + bits - 1) / bits in
+  (match within with
+  | Some a when Array.length a <> n -> invalid_arg "Implication.create: within"
+  | Some _ | None -> ());
   {
     circuit = c;
+    num_pis = c.Circuit.num_pis;
     layers = Array.init 3 (fun _ -> Array.make n Bit.X);
     gate_dirty = Array.make (words (Circuit.num_gates c)) 0;
     net_dirty = Array.make (words n) 0;
@@ -236,33 +257,61 @@ let create c =
     trail_len = 0;
     current = -1;
     failed = None;
+    within;
   }
 
-let reset st =
-  for i = 0 to st.trail_len - 1 do
+let mark st = st.trail_len
+
+(* A pass that ends at its fixpoint leaves both dirty sets empty: the
+   loop below stops on an empty gate set, and the coupling pass clears
+   every net bit it visits.  Only a conflict leaves bits behind. *)
+let undo st m =
+  if m < 0 || m > st.trail_len then invalid_arg "Implication.undo";
+  for i = m to st.trail_len - 1 do
     let e = st.trail.(i) in
     st.layers.(e land 3).(e lsr 2) <- Bit.X
   done;
-  st.trail_len <- 0;
-  Array.fill st.gate_dirty 0 (Array.length st.gate_dirty) 0;
-  Array.fill st.net_dirty 0 (Array.length st.net_dirty) 0;
-  st.current <- -1;
-  st.failed <- None
+  st.trail_len <- m;
+  match st.failed with
+  | None -> ()
+  | Some _ ->
+    Array.fill st.gate_dirty 0 (Array.length st.gate_dirty) 0;
+    Array.fill st.net_dirty 0 (Array.length st.net_dirty) 0;
+    st.current <- -1;
+    st.failed <- None
+
+let reset st = undo st 0
+
+(* Run the passes from the seeded changes to the fixpoint. *)
+let settle st =
+  try
+    gate_pass st;
+    coupling_pass st;
+    while any_dirty st.gate_dirty 0 do
+      gate_pass st;
+      coupling_pass st
+    done
+  with Stop (net, component) -> st.failed <- Some { net; component }
 
 let extend st reqs =
   (match st.failed with
   | Some _ -> ()
   | None -> (
-    try
-      seed st reqs;
-      gate_pass st;
-      coupling_pass st;
-      while Array.exists (fun w -> w <> 0) st.gate_dirty do
-        gate_pass st;
-        coupling_pass st
-      done
-    with Stop (net, component) -> st.failed <- Some { net; component }));
+    match seed st reqs with
+    | () -> settle st
+    | exception Stop (net, component) -> st.failed <- Some { net; component }));
   st.failed
+
+let assume st ~component net v =
+  (match st.failed with
+  | Some _ -> ()
+  | None -> (
+    match assign st ~component ~net v with
+    | () -> settle st
+    | exception Stop (net, component) -> st.failed <- Some { net; component }));
+  st.failed
+
+let failed st = st.failed
 
 let value st ~component net = st.layers.(component - 1).(net)
 

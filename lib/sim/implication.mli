@@ -36,16 +36,35 @@
     therefore happens in the sweep's order on the sweep's state, so the
     fixpoint, the first conflict and its [(net, component)] are the
     sweep's.  Dirty sets are per-gate and per-net bitsets, scanned a word
-    at a time (DESIGN.md §5.1).
+    at a time.  The rules call no other module and allocate nothing but
+    a conflict (DESIGN.md §5.1).
 
     {2 Persistent state}
 
     A {!t} holds one implication state: {!extend} seeds more requirements
-    and runs to the fixpoint, {!reset} returns every net to [X] by undoing
-    the assignment trail.  Implied values are the unique least fixpoint
-    of the seeds, so extending part by part gives the same values as one
-    {!infer} of the concatenation whenever that is consistent, and
-    conflicts whenever it conflicts (possibly on another line). *)
+    and runs to the fixpoint, {!assume} does the same for one value.
+    Implied values are the unique least fixpoint of the seeds, so
+    extending part by part gives the same values as one {!infer} of the
+    concatenation whenever that is consistent, and conflicts whenever it
+    conflicts (possibly on another line).
+
+    Every [X -> 0/1] assignment goes on a trail.  {!mark} names a point
+    of it and {!undo} unassigns everything after that point, so a
+    search can keep one state in step with its decision stack: mark,
+    assume the decision, undo to the mark on backtracking.  {!reset} is
+    [undo] to the empty trail.
+
+    {2 Restriction}
+
+    A state created with [~within] (a per-net flag array) never
+    evaluates a gate whose output net is unflagged.  When the flagged
+    nets are closed under fan-in — a requirement cone — and every seed
+    lies on a flagged net, this loses nothing on the flagged nets: an
+    unflagged net feeds only unflagged gates, so its value could only
+    be a forward consequence of flagged values and never flows back.
+    The restricted state then reaches the whole-circuit state's
+    conflict verdict and its values on every flagged net, and leaves
+    the unflagged nets [X]. *)
 
 type outcome =
   | Consistent of Pdf_values.Triple.t array
@@ -58,19 +77,42 @@ type conflict = { net : int; component : int }
 type t
 (** A mutable implication state over one circuit. *)
 
-val create : Pdf_circuit.Circuit.t -> t
-(** A state with every net [X]. *)
-
-val reset : t -> unit
-(** Return every net to [X], also after a conflicting {!extend}.  Costs
-    the number of values assigned since the last reset, plus one pass
-    over the dirty bitsets. *)
+val create : ?within:bool array -> Pdf_circuit.Circuit.t -> t
+(** A state with every net [X].  [within], one flag per net, restricts
+    the state to the flagged nets (see above).  It is aliased, not
+    copied: change it only while every net is [X], after {!reset}.
+    Raises [Invalid_argument] if its length is not the net count. *)
 
 val extend : t -> (int * Pdf_values.Req.t) list -> conflict option
 (** Seed the requirements on top of the current values and run the
     implications to fixpoint; [Some] the first conflict met.  After a
-    conflict the state is only good for {!reset}: further [extend]s
-    return the same conflict and change nothing. *)
+    conflict the state is only good for {!undo} or {!reset}: further
+    [extend]s and {!assume}s return the same conflict and change
+    nothing. *)
+
+val assume :
+  t -> component:int -> int -> Pdf_values.Bit.t -> conflict option
+(** [assume st ~component net v] seeds one component (1, 2 or 3) of
+    [net] with [v] and runs to fixpoint, like {!extend} of one value;
+    [X] seeds nothing.  Allocates nothing unless it conflicts. *)
+
+val mark : t -> int
+(** The current point of the trail.  Take marks on consistent states
+    only. *)
+
+val undo : t -> int -> unit
+(** [undo st m] returns every value assigned since {!mark} returned [m]
+    to [X]: the state is again the one at the mark, also after a
+    conflicting {!extend} or {!assume}, whose conflict it clears.  Costs
+    the values assigned since the mark, plus, after a conflict, one
+    pass over the dirty bitsets.  Raises [Invalid_argument] on a mark
+    past the current point. *)
+
+val reset : t -> unit
+(** [undo st 0]: every net back to [X]. *)
+
+val failed : t -> conflict option
+(** The conflict that stopped the state, if any. *)
 
 val value : t -> component:int -> int -> Pdf_values.Bit.t
 (** [value st ~component net] is the value implied so far on one

@@ -942,6 +942,104 @@ let prop_podem_imply_full_pass =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
+(* The engine keeps its implication state in step with its decision
+   stack.  After any run of decisions, flips and pops — refuted ones
+   included, a decision only on a consistent state as the search makes
+   them — the state equals a fresh one, restricted to the same cone, of
+   the merged requirements plus the bits on the stack: the same
+   conflict verdict, and when consistent the same value on every net.
+   An [undo] that kept the conflict, or a flip that skipped its undo,
+   fails this. *)
+let prop_podem_implication_in_step =
+  QCheck.Test.make ~name:"PODEM implication in step" ~count:60
+    (QCheck.make (QCheck.Gen.int_range 0 100_000))
+    (fun seed ->
+      let params =
+        { Pdf_synth.Generators.num_pis = 8; num_gates = 40; window = 15;
+          max_fanout = 4; reuse_pct = 15; restart_pct = 5; fanin3_pct = 20;
+          inverter_pct = 25; po_taps = 1 }
+      in
+      let c = Generators.random_dag ~name:"rand" ~seed params in
+      let model = Delay_model.lines c in
+      let ts = Target_sets.build c model ~n_p:12 ~n_p0:4 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let eng = Podem.create c in
+      let module I = Podem.Internal in
+      let module Implication = Pdf_sim.Implication in
+      let cone = Pdf_core.Req_cone.create c in
+      let rng = Rng.create seed in
+      let failure = ref None in
+      let values st =
+        Array.init (3 * Circuit.num_nets c) (fun i ->
+            Implication.value st ~component:(1 + (i mod 3)) (i / 3))
+      in
+      let same_state got want =
+        match (Implication.failed got, Implication.failed want) with
+        | Some _, Some _ -> true
+        | None, None -> values got = values want
+        | Some _, None | None, Some _ -> false
+      in
+      Array.iter
+        (fun (p : Fault_sim.prepared) ->
+          match
+            (Pdf_core.Req_cone.merge p.Fault_sim.reqs,
+             I.prepare eng ~reqs:p.Fault_sim.reqs)
+          with
+          | Some merged, Some st when merged <> [] ->
+            Pdf_core.Req_cone.load cone merged;
+            let pis = I.cone_pis st in
+            (* The stack as the test sees it, top first. *)
+            let stack = ref [] in
+            for _ = 1 to 40 do
+              (match (Rng.int rng 3, !stack) with
+              | 0, (pi, j, v, false) :: rest ->
+                ignore (I.flip st : bool);
+                stack := (pi, j, not v, true) :: rest
+              | 1, _ :: rest ->
+                I.pop st;
+                stack := rest
+              | _ ->
+                let pi = pis.(Rng.int rng (Array.length pis))
+                and j = if Rng.bool rng then 1 else 3
+                and v = Rng.bool rng in
+                if
+                  Implication.failed (I.implication st) = None
+                  && not
+                       (List.exists (fun (p, k, _, _) -> p = pi && k = j) !stack)
+                then begin
+                  ignore (I.decide st (pi, j, v) : bool);
+                  stack := (pi, j, v, false) :: !stack
+                end);
+              let fresh =
+                Implication.create ~within:cone.Pdf_core.Req_cone.in_cone c
+              in
+              ignore
+                (List.fold_right
+                   (fun (pi, j, v, _) acc ->
+                     match acc with
+                     | Some _ -> acc
+                     | None ->
+                       Implication.assume fresh ~component:j pi (Bit.of_bool v))
+                   !stack
+                   (Implication.extend fresh merged)
+                  : Implication.conflict option);
+              if !failure = None && I.depth st <> List.length !stack then
+                failure := Some "decision stack depth";
+              if !failure = None && not (same_state (I.implication st) fresh)
+              then
+                failure :=
+                  Some
+                    (Printf.sprintf
+                       "implication state after %d decisions differs from a \
+                        fresh one"
+                       (List.length !stack))
+            done
+          | _ -> ())
+        faults;
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 (* The scalar evaluator both engines and Atpg run on, over random DAGs
    and random requirement cones, with one state retargeted through
    three cones the way an engine serves its searches.  (a) Right after
@@ -1336,35 +1434,61 @@ let test_portfolio_escalation () =
         [ (g8, Req.stable true); (g0, Req.stable true) ] );
     ]
 
-(* The PODEM backend's ledgers, pinned: the records of [pdfatpg enrich
-   C --n-p 1000 --n-p0 100 --seed 2002 --justify podem].  Its tests,
-   per-fault effort and conflict forensics all reach the ledger, so an
-   implication pass that missed a changed gate, a backtrace that picked
-   another bit, or a step charged differently changes these bytes. *)
+(* The ledger of [pdfatpg enrich C --n-p 1000 --n-p0 100 --seed 2002
+   --justify podem]. *)
+let podem_ledger name =
+  let profile = Option.get (Pdf_synth.Profiles.find name) in
+  let c = Pdf_synth.Profiles.circuit profile in
+  let ledger = Ledger.create () in
+  let ts =
+    Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
+  in
+  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let n0 = List.length ts.Target_sets.p0 in
+  let p0 = List.init n0 Fun.id in
+  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  ignore
+    (Atpg.enrich ~ledger ~justify:Justify.Podem c ~seed:2002 ~faults ~p0 ~p1
+      : Atpg.result);
+  ledger
+
+let ledger_digest l = Digest.to_hex (Digest.string (Ledger.to_jsonl l))
+
+(* The PODEM backend's ledgers, pinned.  Its tests, per-fault effort and
+   conflict forensics all reach the ledger, so an implication pass that
+   missed a changed gate, a backtrace that picked another bit, or a
+   step charged differently changes these bytes. *)
 let test_podem_ledgers_pinned () =
   List.iter
     (fun (name, count, digest) ->
-      let profile = Option.get (Pdf_synth.Profiles.find name) in
-      let c = Pdf_synth.Profiles.circuit profile in
-      let ledger = Ledger.create () in
-      let ts =
-        Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
-      in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
-      let n0 = List.length ts.Target_sets.p0 in
-      let p0 = List.init n0 Fun.id in
-      let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-      ignore
-        (Atpg.enrich ~ledger ~justify:Justify.Podem c ~seed:2002 ~faults ~p0
-           ~p1
-          : Atpg.result);
+      let ledger = podem_ledger name in
       check Alcotest.int (name ^ " records") count (Ledger.size ledger);
-      check Alcotest.string (name ^ " digest") digest
-        (Digest.to_hex (Digest.string (Ledger.to_jsonl ledger))))
+      check Alcotest.string (name ^ " digest") digest (ledger_digest ledger))
     [
-      ("s1488", 1032, "226976f006a8426105a920a59ec65143");
-      ("b09", 1028, "ead5050cfb5bcd669168b7813d568f67");
+      ("s1488", 1032, "15597b7f184ab4abc386669082076b2a");
+      ("b09", 1028, "74630d2fc74cdc817ca028a21986c4a1");
     ]
+
+(* The same s1488 ledger without what the search's effort decides: the
+   [effort] and [last_conflict] fields, and each test's [justify]
+   counts.  Pruning a branch that implication refutes removes only
+   subtrees without a test, so wherever the unpruned search finished
+   within its budget the outcome and the test stay its own; on s1488
+   every search did, and these bytes are the unpruned engine's. *)
+let test_podem_outcomes_pinned () =
+  let masked = Ledger.create () in
+  List.iter
+    (fun { Ledger.kind; fields } ->
+      Ledger.record masked ~kind
+        (List.filter
+           (fun (k, _) ->
+             k <> "effort" && k <> "last_conflict"
+             && not (kind = "test" && k = "justify"))
+           fields))
+    (Ledger.records (podem_ledger "s1488"));
+  check Alcotest.int "records" 1032 (Ledger.size masked);
+  check Alcotest.string "digest" "0646432a0d0e68b8ec3a1c663ba8d664"
+    (ledger_digest masked)
 
 let test_engine_records_name_winner () =
   (* Every test and detected-fault record carries the winning member's
@@ -1742,6 +1866,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_podem_deterministic;
           qcheck prop_podem_search_invariants;
           qcheck prop_podem_imply_full_pass;
+          qcheck prop_podem_implication_in_step;
         ] );
       ( "justify_engine",
         [
@@ -1756,6 +1881,8 @@ let () =
             test_portfolio_escalation;
           Alcotest.test_case "podem ledgers pinned" `Slow
             test_podem_ledgers_pinned;
+          Alcotest.test_case "podem outcomes pinned" `Slow
+            test_podem_outcomes_pinned;
           qcheck prop_engine_reuse;
         ] );
       ( "timing",

@@ -383,6 +383,68 @@ let prop_extend_equals_infer (name, c) =
         conflict = None && state_values c st = want
       | Implication.Conflict _ -> conflict <> None)
 
+(* [undo] to a mark restores exactly the values at the mark, also after
+   a conflicting extension, whose conflict it clears; the restored state
+   then answers the same extensions as a fresh state brought to the
+   mark, conflict line included. *)
+let prop_undo_restores (name, c) =
+  QCheck.Test.make ~name:("undo restores the mark on " ^ name) ~count:300
+    (arb_parts c) (fun parts ->
+      let first, rest =
+        match parts with [] -> ([], []) | p :: rest -> (p, rest)
+      in
+      let st = Implication.create c in
+      match Implication.extend st first with
+      | Some _ ->
+        Implication.undo st 0;
+        Implication.failed st = None && all_x (state_values c st)
+      | None -> (
+        let at_mark = state_values c st and m = Implication.mark st in
+        ignore (extend_parts st rest : Implication.conflict option);
+        Implication.undo st m;
+        Implication.failed st = None
+        && state_values c st = at_mark
+        &&
+        let fresh = Implication.create c in
+        ignore (Implication.extend fresh first : Implication.conflict option);
+        match (extend_parts st rest, extend_parts fresh rest) with
+        | None, None -> state_values c st = state_values c fresh
+        | Some got, Some want -> got = want
+        | None, Some _ | Some _, None -> false))
+
+(* Per net: whether it lies in the fan-in cone of [nets]. *)
+let fanin_cone c nets =
+  let within = Array.make (Circuit.num_nets c) false in
+  let rec visit net =
+    if not within.(net) then begin
+      within.(net) <- true;
+      match Circuit.gate_of_net c net with
+      | Some g -> Array.iter visit c.Circuit.gates.(g).Circuit.fanins
+      | None -> ()
+    end
+  in
+  List.iter visit nets;
+  within
+
+(* Restricted to the fan-in cone of the required nets, a state reaches
+   the whole-circuit state's conflict verdict and its values on every
+   cone net, and leaves every other net X. *)
+let prop_restricted_equals_whole (name, c) =
+  QCheck.Test.make ~name:("restricted = whole on " ^ name) ~count:300
+    (arb_parts c) (fun parts ->
+      let within = fanin_cone c (List.map fst (List.concat parts)) in
+      let cone = Implication.create ~within c and whole = Implication.create c in
+      match (extend_parts cone parts, extend_parts whole parts) with
+      | None, None ->
+        let got = state_values c cone and want = state_values c whole in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun net (t : Triple.t) ->
+               if within.(net) then t = want.(net) else all_x [| t |])
+             got)
+      | Some _, Some _ -> true
+      | None, Some _ | Some _, None -> false)
+
 (* Implication is sound but incomplete: whenever brute force finds a test
    for the set, [consistent] holds and every implied value is the
    test's. *)
@@ -458,7 +520,9 @@ let () =
           (fun c ->
             [
               qcheck (prop_reset_restores c);
+              qcheck (prop_undo_restores c);
               qcheck (prop_extend_equals_infer c);
+              qcheck (prop_restricted_equals_whole c);
               qcheck (prop_consistent_vs_brute_force c);
             ])
           state_circuits );
