@@ -1069,11 +1069,12 @@ let fuzz_cmd =
         }
       in
       let s = Pdf_check.Fuzz.run ?ledger cfg in
+      let passed, skipped = Pdf_check.Fuzz.totals s in
       Printf.printf
         "fuzz: %d rounds, %d oracle checks (%d passed, %d skipped), %d \
          violation(s) in %.1fs\n"
         s.Pdf_check.Fuzz.rounds_run s.Pdf_check.Fuzz.checks
-        s.Pdf_check.Fuzz.passes s.Pdf_check.Fuzz.skips
+        passed skipped
         (List.length s.Pdf_check.Fuzz.violations)
         s.Pdf_check.Fuzz.elapsed_s;
       List.iter
@@ -1088,15 +1089,31 @@ let fuzz_cmd =
             | Some (_, repro) -> Printf.sprintf ", reproducer %s" repro
             | None -> ""))
         s.Pdf_check.Fuzz.violations;
+      List.iter
+        (fun (t : Pdf_check.Fuzz.oracle_tally) ->
+          Printf.printf "  %-14s %d passed, %d skipped\n"
+            t.Pdf_check.Fuzz.oracle_name t.Pdf_check.Fuzz.passed
+            t.Pdf_check.Fuzz.skipped)
+        s.Pdf_check.Fuzz.per_oracle;
       write_ledger ledger_out ledger;
-      if s.Pdf_check.Fuzz.violations <> [] then exit 1
+      if s.Pdf_check.Fuzz.violations <> [] then exit 1;
+      match Pdf_check.Fuzz.idle_oracles s with
+      | [] -> ()
+      | idle ->
+        flush stdout;
+        prerr_endline
+          (Printf.sprintf "fuzz: no check passed for oracle(s) %s"
+             (String.concat ", " idle));
+        exit 3
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differential fuzzing: run every oracle (packed vs scalar \
              simulation, jobs determinism, justification vs brute force, \
              robust vs timing detection, enrichment invariants) on random \
-             circuits and shrink any failure to a minimal reproducer.")
+             circuits and shrink any failure to a minimal reproducer.  \
+             Exits 1 on a violation, and 3 when some oracle of the \
+             campaign passed no check (every check it ran was skipped).")
     Term.(const run $ obs_setup $ seed_arg $ rounds_arg $ profile_arg
           $ time_budget_arg $ out_arg $ no_emit_flag $ replay_arg
           $ oracle_arg $ ledger_out_arg)

@@ -7,23 +7,36 @@ module Req = Pdf_values.Req
 (* Test-lane direction: one fault's requirements against packed tests  *)
 (* ------------------------------------------------------------------ *)
 
-let component_mask (p : Wsim.planes) k net m = function
-  | Req.Any -> m
-  | Req.Must true -> m land p.Wsim.o.(k).(net)
-  | Req.Must false -> m land p.Wsim.z.(k).(net)
+(* The six plane arrays are arguments of a top-level loop, read out of
+   the planes once per call: no closure, nothing allocated. *)
+let rec scan_reqs z0 o0 z1 o1 z2 o2 m = function
+  | [] -> m
+  | (net, (r : Req.t)) :: rest ->
+    if m = 0 then 0
+    else
+      let m =
+        match r.Req.r1 with
+        | Req.Any -> m
+        | Req.Must true -> m land o0.(net)
+        | Req.Must false -> m land z0.(net)
+      in
+      let m =
+        match r.Req.r2 with
+        | Req.Any -> m
+        | Req.Must true -> m land o1.(net)
+        | Req.Must false -> m land z1.(net)
+      in
+      let m =
+        match r.Req.r3 with
+        | Req.Any -> m
+        | Req.Must true -> m land o2.(net)
+        | Req.Must false -> m land z2.(net)
+      in
+      scan_reqs z0 o0 z1 o1 z2 o2 m rest
 
 let satisfied_mask (p : Wsim.planes) reqs =
-  let rec go m = function
-    | [] -> m
-    | (net, (r : Req.t)) :: rest ->
-      if m = 0 then 0
-      else
-        let m = component_mask p 0 net m r.Req.r1 in
-        let m = component_mask p 1 net m r.Req.r2 in
-        let m = component_mask p 2 net m r.Req.r3 in
-        go m rest
-  in
-  go p.Wsim.p_mask reqs
+  let z = p.Wsim.z and o = p.Wsim.o in
+  scan_reqs z.(0) o.(0) z.(1) o.(1) z.(2) o.(2) p.Wsim.p_mask reqs
 
 (* ------------------------------------------------------------------ *)
 (* Fault-lane direction: packed requirement sets against scalar values *)

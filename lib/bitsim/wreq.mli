@@ -18,7 +18,9 @@ val satisfied_mask :
   Wsim.planes -> (int * Pdf_values.Req.t) list -> int
 (** Lanes (tests) satisfying every requirement of the list.  Starts
     from {!Wsim.mask}, so unused high lanes are always clear.  Early
-    exits once no lane survives. *)
+    exits once no lane survives.  Reads the six plane arrays once per
+    call, not per requirement, and allocates nothing, so a batch scan
+    calls it once per fault at no allocation cost. *)
 
 type fault_pack
 (** Up to 63 condition sets, packed per constrained net. *)

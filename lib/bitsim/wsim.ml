@@ -5,8 +5,8 @@ module Circuit = Pdf_circuit.Circuit
 module Gate = Pdf_circuit.Gate
 
 type planes = {
-  p_lanes : int;
-  p_mask : int;
+  mutable p_lanes : int;
+  mutable p_mask : int;
   z : int array array;
   o : int array array;
 }
@@ -41,87 +41,128 @@ let set_injected_bug b = Atomic.set injected_bug b
 
 let injected_bug_enabled () = Atomic.get injected_bug
 
-(* One plane of one gate, all lanes at once, computed into a scratch
-   cell.  The dual-rail formulas are the {!Pdf_values.Word} operations
-   inlined over the plane arrays; the result goes into two mutable int
-   fields instead of a returned pair, so a pass allocates nothing per
-   gate. *)
-type scratch = { mutable sz : int; mutable so : int }
+let create c =
+  let n = Circuit.num_nets c in
+  {
+    p_lanes = 0;
+    p_mask = 0;
+    z = Array.init 3 (fun _ -> Array.make n 0);
+    o = Array.init 3 (fun _ -> Array.make n 0);
+  }
 
-let eval_gate_plane_into (s : scratch) (g : Circuit.gate) (z : int array)
-    (o : int array) =
+(* One gate, all three planes and all lanes at once, written straight
+   into the plane arrays at net [out].  The dual-rail formulas are the
+   {!Pdf_values.Word} operations inlined; the six accumulators are local
+   mutable variables, so a pass allocates nothing per gate. *)
+let eval_gate (g : Circuit.gate) out z0 o0 z1 o1 z2 o2 =
   let fanins = g.Circuit.fanins in
   let f0 = fanins.(0) in
   match g.Circuit.kind with
   | Gate.Not ->
-    s.sz <- o.(f0);
-    s.so <- z.(f0)
+    z0.(out) <- o0.(f0);
+    o0.(out) <- z0.(f0);
+    z1.(out) <- o1.(f0);
+    o1.(out) <- z1.(f0);
+    z2.(out) <- o2.(f0);
+    o2.(out) <- z2.(f0)
   | Gate.Buff ->
-    s.sz <- z.(f0);
-    s.so <- o.(f0)
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
-    let zv = ref z.(f0) and ov = ref o.(f0) in
-    (match g.Circuit.kind with
+    z0.(out) <- z0.(f0);
+    o0.(out) <- o0.(f0);
+    z1.(out) <- z1.(f0);
+    o1.(out) <- o1.(f0);
+    z2.(out) <- z2.(f0);
+    o2.(out) <- o2.(f0)
+  | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor) as kind
+    ->
+    let a0 = ref z0.(f0) and b0 = ref o0.(f0) in
+    let a1 = ref z1.(f0) and b1 = ref o1.(f0) in
+    let a2 = ref z2.(f0) and b2 = ref o2.(f0) in
+    let n = Array.length fanins - 1 in
+    (match kind with
     | Gate.And | Gate.Nand ->
-      let last =
-        let n = Array.length fanins - 1 in
-        if n > 1 && Atomic.get injected_bug then n - 1 else n
-      in
+      let last = if n > 1 && Atomic.get injected_bug then n - 1 else n in
       for i = 1 to last do
         let f = fanins.(i) in
-        zv := !zv lor z.(f);
-        ov := !ov land o.(f)
+        a0 := !a0 lor z0.(f);
+        b0 := !b0 land o0.(f);
+        a1 := !a1 lor z1.(f);
+        b1 := !b1 land o1.(f);
+        a2 := !a2 lor z2.(f);
+        b2 := !b2 land o2.(f)
       done
     | Gate.Or | Gate.Nor ->
-      for i = 1 to Array.length fanins - 1 do
+      for i = 1 to n do
         let f = fanins.(i) in
-        zv := !zv land z.(f);
-        ov := !ov lor o.(f)
+        a0 := !a0 land z0.(f);
+        b0 := !b0 lor o0.(f);
+        a1 := !a1 land z1.(f);
+        b1 := !b1 lor o1.(f);
+        a2 := !a2 land z2.(f);
+        b2 := !b2 lor o2.(f)
       done
     | Gate.Xor | Gate.Xnor ->
-      for i = 1 to Array.length fanins - 1 do
+      for i = 1 to n do
         let f = fanins.(i) in
-        let za = !zv and oa = !ov in
-        zv := (za land z.(f)) lor (oa land o.(f));
-        ov := (za land o.(f)) lor (oa land z.(f))
+        let za = !a0 and oa = !b0 in
+        a0 := (za land z0.(f)) lor (oa land o0.(f));
+        b0 := (za land o0.(f)) lor (oa land z0.(f));
+        let za = !a1 and oa = !b1 in
+        a1 := (za land z1.(f)) lor (oa land o1.(f));
+        b1 := (za land o1.(f)) lor (oa land z1.(f));
+        let za = !a2 and oa = !b2 in
+        a2 := (za land z2.(f)) lor (oa land o2.(f));
+        b2 := (za land o2.(f)) lor (oa land z2.(f))
       done
     | Gate.Not | Gate.Buff -> ());
-    if Gate.inverting g.Circuit.kind then begin
-      s.sz <- !ov;
-      s.so <- !zv
-    end
-    else begin
-      s.sz <- !zv;
-      s.so <- !ov
-    end
+    (match kind with
+    | Gate.Nand | Gate.Nor | Gate.Xnor ->
+      z0.(out) <- !b0;
+      o0.(out) <- !a0;
+      z1.(out) <- !b1;
+      o1.(out) <- !a1;
+      z2.(out) <- !b2;
+      o2.(out) <- !a2
+    | Gate.And | Gate.Or | Gate.Xor | Gate.Not | Gate.Buff ->
+      z0.(out) <- !a0;
+      o0.(out) <- !b0;
+      z1.(out) <- !a1;
+      o1.(out) <- !b1;
+      z2.(out) <- !a2;
+      o2.(out) <- !b2)
+
+let simulate_into c p ~lanes =
+  if Array.length p.z.(0) <> Circuit.num_nets c then
+    invalid_arg "Wsim.simulate_into: planes of another circuit";
+  if lanes < 1 || lanes > Word.lanes then
+    invalid_arg "Wsim.simulate_into: lane count out of range";
+  let np = c.Circuit.num_pis in
+  let z0 = p.z.(0) and o0 = p.o.(0) in
+  let z1 = p.z.(1) and o1 = p.o.(1) in
+  let z2 = p.z.(2) and o2 = p.o.(2) in
+  (* Lane-wise Two_pattern.middle_of_pair: definite only where both
+     patterns agree on a definite value. *)
+  for pi = 0 to np - 1 do
+    z1.(pi) <- z0.(pi) land z2.(pi);
+    o1.(pi) <- o0.(pi) land o2.(pi)
+  done;
+  let gates = c.Circuit.gates in
+  for gi = 0 to Array.length gates - 1 do
+    eval_gate gates.(gi) (np + gi) z0 o0 z1 o1 z2 o2
+  done;
+  p.p_lanes <- lanes;
+  p.p_mask <- Word.lane_mask lanes
 
 let simulate c ~(w1 : Word.t array) ~(w3 : Word.t array) ~lanes =
   if
     Array.length w1 <> c.Circuit.num_pis
     || Array.length w3 <> c.Circuit.num_pis
   then invalid_arg "Wsim.simulate: wrong number of PI words";
-  if lanes < 1 || lanes > Word.lanes then
-    invalid_arg "Wsim.simulate: lane count out of range";
-  let n = Circuit.num_nets c and np = c.Circuit.num_pis in
-  let z = Array.init 3 (fun _ -> Array.make n 0) in
-  let o = Array.init 3 (fun _ -> Array.make n 0) in
-  for pi = 0 to np - 1 do
-    z.(0).(pi) <- w1.(pi).Word.zero;
-    o.(0).(pi) <- w1.(pi).Word.one;
-    z.(2).(pi) <- w3.(pi).Word.zero;
-    o.(2).(pi) <- w3.(pi).Word.one;
-    (* Lane-wise Two_pattern.middle_of_pair: definite only where both
-       patterns agree on a definite value. *)
-    z.(1).(pi) <- w1.(pi).Word.zero land w3.(pi).Word.zero;
-    o.(1).(pi) <- w1.(pi).Word.one land w3.(pi).Word.one
+  let p = create c in
+  for pi = 0 to c.Circuit.num_pis - 1 do
+    p.z.(0).(pi) <- w1.(pi).Word.zero;
+    p.o.(0).(pi) <- w1.(pi).Word.one;
+    p.z.(2).(pi) <- w3.(pi).Word.zero;
+    p.o.(2).(pi) <- w3.(pi).Word.one
   done;
-  let s = { sz = 0; so = 0 } and gates = c.Circuit.gates in
-  for k = 0 to 2 do
-    let zk = z.(k) and ok = o.(k) in
-    for gi = 0 to Array.length gates - 1 do
-      eval_gate_plane_into s gates.(gi) zk ok;
-      zk.(np + gi) <- s.sz;
-      ok.(np + gi) <- s.so
-    done
-  done;
-  { p_lanes = lanes; p_mask = Word.lane_mask lanes; z; o }
+  simulate_into c p ~lanes;
+  p

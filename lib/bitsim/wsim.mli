@@ -1,6 +1,6 @@
 (** Word-level (bit-parallel) two-pattern simulation.
 
-    One call to {!simulate} evaluates the circuit for up to 63
+    One call to {!simulate_into} evaluates the circuit for up to 63
     two-pattern tests at once: each net carries three dual-rail words
     (see {!Pdf_values.Word}) — the first-pattern plane [v1], the
     hazard/intermediate plane [v2] and the second-pattern plane [v3] —
@@ -11,23 +11,41 @@
     [Two_pattern.simulate] of test [l] component for
     component.
 
-    Gates are evaluated once per plane in the circuit's levelized
-    (topological) order; each gate costs a handful of integer
-    instructions per plane regardless of how many lanes are occupied.
+    The planes are a caller-owned buffer ({!create}): the caller stores
+    the PI words of the two patterns straight into it and simulates it
+    again for every batch, so a batch allocates nothing.  Gates are
+    evaluated once each, in the circuit's levelized (topological)
+    order, all three planes in the same visit; each gate costs a
+    handful of integer instructions per plane regardless of how many
+    lanes are occupied.
 
     The scalar simulator remains the reference implementation: the
     packed result is required (and property-tested) to agree with it
     lane for lane, including [X] lanes. *)
 
 type planes = {
-  p_lanes : int;  (** occupied lanes *)
-  p_mask : int;  (** [Word.lane_mask p_lanes] *)
+  mutable p_lanes : int;  (** occupied lanes *)
+  mutable p_mask : int;  (** [Word.lane_mask p_lanes] *)
   z : int array array;  (** zero rail, [3 x num_nets]: [z.(comp).(net)] *)
   o : int array array;  (** one rail, [3 x num_nets] *)
 }
-(** Simulation result, struct-of-arrays so requirement scans touch flat
-    integer arrays.  Component indices: 0 = first pattern, 1 =
-    intermediate, 2 = second pattern. *)
+(** Simulation buffer and result, struct-of-arrays so requirement scans
+    touch flat integer arrays.  Component indices: 0 = first pattern,
+    1 = intermediate, 2 = second pattern.  The inputs of a simulation
+    are the PI entries ([net < num_pis]) of components 0 and 2. *)
+
+val create : Pdf_circuit.Circuit.t -> planes
+(** A buffer for the circuit: every lane of every net [X], no lane
+    occupied.  Its six arrays are the only allocation of a simulation. *)
+
+val simulate_into : Pdf_circuit.Circuit.t -> planes -> lanes:int -> unit
+(** [simulate_into c p ~lanes] simulates the PI words the caller stored
+    in components 0 and 2 of [p]: it derives component 1 at the PIs,
+    overwrites every gate net of all three components and sets
+    [p_lanes]/[p_mask].  Lanes at or above [lanes] are don't-cares that
+    consumers mask off.  Allocates nothing.  Raises [Invalid_argument]
+    when [p] was not created for [c]'s net count or [lanes] is outside
+    [1..63]. *)
 
 val simulate :
   Pdf_circuit.Circuit.t ->
@@ -35,15 +53,16 @@ val simulate :
   w3:Pdf_values.Word.t array ->
   lanes:int ->
   planes
-(** [simulate c ~w1 ~w3 ~lanes] — [w1.(pi)]/[w3.(pi)] pack the first and
-    second pattern of PI [pi] across tests.  Allocates the six plane
-    arrays and nothing per gate.  Raises [Invalid_argument] on a
+(** [simulate c ~w1 ~w3 ~lanes] — {!simulate_into} on a fresh buffer
+    whose PI [pi] holds [w1.(pi)]/[w3.(pi)], the first and second
+    pattern packed across tests.  Raises [Invalid_argument] on a
     PI-count mismatch or [lanes] outside [1..63]. *)
 
 val batch_bounds : int -> (int * int) array
 (** [batch_bounds n] cuts [0..n-1] into word batches [(lo, hi)] of at
     most 63 lanes each, at fixed multiples of 63 — independent of any
-    parallelism, so batch-derived metrics are jobs-invariant. *)
+    parallelism, so batch-derived metrics are jobs-invariant.  A set
+    below 63 is one partly filled batch; an empty one has none. *)
 
 val set_injected_bug : bool -> unit
 (** Mutation-testing hook for the [Pdf_check] fuzz harness (DESIGN.md

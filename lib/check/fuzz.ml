@@ -208,14 +208,25 @@ type violation = {
   files : (string * string) option;
 }
 
+type oracle_tally = { oracle_name : string; passed : int; skipped : int }
+
 type summary = {
   rounds_run : int;
   checks : int;
-  passes : int;
-  skips : int;
+  per_oracle : oracle_tally list;
   violations : violation list;
   elapsed_s : float;
 }
+
+let totals s =
+  List.fold_left
+    (fun (p, k) t -> (p + t.passed, k + t.skipped))
+    (0, 0) s.per_oracle
+
+let idle_oracles s =
+  List.filter_map
+    (fun t -> if t.passed = 0 then Some t.oracle_name else None)
+    s.per_oracle
 
 let m_rounds = Metrics.counter "fuzz.rounds"
 
@@ -280,7 +291,9 @@ let run ?ledger cfg =
            Ledger.L (List.map (fun (o : Oracle.t) -> Ledger.S o.Oracle.name) oracles));
         ])
     ledger;
-  let checks = ref 0 and passes = ref 0 and skips = ref 0 in
+  let checks = ref 0 in
+  let n_oracles = List.length oracles in
+  let passed = Array.make n_oracles 0 and skipped = Array.make n_oracles 0 in
   let violations = ref [] in
   let rounds_run = ref 0 in
   let stop = ref false in
@@ -322,9 +335,9 @@ let run ?ledger cfg =
             Metrics.incr m_checks;
             let seed = oracle_seed + i in
             match Oracle.run o { Oracle.circuit; seed } with
-            | Oracle.Pass -> incr passes
+            | Oracle.Pass -> passed.(i) <- passed.(i) + 1
             | Oracle.Skip _ ->
-              incr skips;
+              skipped.(i) <- skipped.(i) + 1;
               Metrics.incr m_skips
             | Oracle.Fail message ->
               Metrics.incr m_violations;
@@ -376,8 +389,12 @@ let run ?ledger cfg =
   {
     rounds_run = !rounds_run;
     checks = !checks;
-    passes = !passes;
-    skips = !skips;
+    per_oracle =
+      List.mapi
+        (fun i (o : Oracle.t) ->
+          { oracle_name = o.Oracle.name; passed = passed.(i);
+            skipped = skipped.(i) })
+        oracles;
     violations = List.rev !violations;
     elapsed_s = Unix.gettimeofday () -. t0;
   }

@@ -71,14 +71,28 @@ type violation = {
       (** (bench, repro) paths when emitted *)
 }
 
+type oracle_tally = {
+  oracle_name : string;
+  passed : int;  (** checks of this oracle that passed *)
+  skipped : int;  (** checks of this oracle that did not apply *)
+}
+
 type summary = {
   rounds_run : int;
   checks : int;  (** oracle executions, skips included *)
-  passes : int;
-  skips : int;
+  per_oracle : oracle_tally list;
+      (** one tally per oracle of the campaign, in the order they ran *)
   violations : violation list;  (** in discovery order *)
   elapsed_s : float;
 }
+
+val totals : summary -> int * int
+(** [(passed, skipped)] over every oracle of the campaign. *)
+
+val idle_oracles : summary -> string list
+(** The campaign's oracles that passed no check: every check they ran
+    was skipped (or none ran).  A campaign that reports no violation
+    has still checked nothing with them. *)
 
 val run : ?ledger:Pdf_obs.Ledger.t -> config -> summary
 (** Run the campaign.  Updates the [fuzz.rounds] / [fuzz.checks] /

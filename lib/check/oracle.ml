@@ -355,9 +355,16 @@ let check_inc_sim { circuit = c; seed } =
 (* packed-detect / packed-matrix: Fault_sim batches vs per-test rows    *)
 (* ------------------------------------------------------------------ *)
 
-(* 70 tests crosses the 63-lane threshold, so the batch entry points
-   run two packed word batches (63 + 7 tests). *)
-let n_detect_tests = 70
+(* The set size is drawn from the oracle seed, one of four shapes of
+   word batches: a sub-word set (one partly filled word), exactly one
+   word, a word plus a one-lane batch, or three batches, the last one
+   partly filled. *)
+let n_detect_tests rng =
+  match Rng.int rng 4 with
+  | 0 -> 1 + Rng.int rng (Word.lanes - 1)
+  | 1 -> Word.lanes
+  | 2 -> Word.lanes + 1
+  | _ -> (2 * Word.lanes) + 1 + Rng.int rng (Word.lanes - 1)
 
 (* The scalar reference: one [detected_by_test] row per test. *)
 let scalar_rows c tests faults =
@@ -369,7 +376,7 @@ let check_packed_detect { circuit = c; seed } =
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
-    let tests = random_tests rng c n_detect_tests in
+    let tests = random_tests rng c (n_detect_tests rng) in
     let packed = Fault_sim.detected_by_tests c tests faults in
     let rows = scalar_rows c tests faults in
     let scalar =
@@ -423,7 +430,7 @@ let check_packed_matrix { circuit = c; seed } =
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
-    let tests = random_tests rng c n_detect_tests in
+    let tests = random_tests rng c (n_detect_tests rng) in
     let packed = Fault_sim.detect_matrix c tests faults in
     let scalar = scalar_rows c tests faults in
     let violation = ref None in
@@ -451,7 +458,7 @@ let check_jobs_det { circuit = c; seed } =
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
-    let tests = random_tests rng c n_detect_tests in
+    let tests = random_tests rng c (n_detect_tests rng) in
     let seq_flags, seq_matrix =
       Pool.with_pool ~jobs:1 (fun pool ->
           ( Fault_sim.detected_by_tests ~pool c tests faults,
@@ -540,53 +547,52 @@ let check_atpg_jobs { circuit = c; seed } =
 
 let max_justify_pis = 8
 
+(* Every returned test is re-simulated, at any PI count; only a proof of
+   unsatisfiability needs brute force, so only that claim is limited to
+   circuits of at most [max_justify_pis] PIs. *)
 let check_justify_brute { circuit = c; seed } =
-  if c.Circuit.num_pis > max_justify_pis then
-    Skip
-      (Printf.sprintf "%d PIs exceeds the %d-PI brute-force cap"
-         c.Circuit.num_pis max_justify_pis)
-  else
-    let _, _, faults = target_faults c in
-    if Array.length faults = 0 then Skip "no detectable target faults"
-    else begin
-      let rng = Rng.create seed in
-      let engine = Justify.create c in
-      let violation = ref None in
-      let n_checked = min 12 (Array.length faults) in
-      for i = 0 to n_checked - 1 do
-        if !violation = None then begin
-          let reqs = faults.(i).Fault_sim.reqs in
-          let fname = Fault.to_string c faults.(i).Fault_sim.fault in
-          (match Justify.run engine ~rng ~reqs with
-          | Some t when not (Test_pair.satisfies c t reqs) ->
+  let _, _, faults = target_faults c in
+  if Array.length faults = 0 then Skip "no detectable target faults"
+  else begin
+    let rng = Rng.create seed in
+    let engine = Justify.create c in
+    let small = c.Circuit.num_pis <= max_justify_pis in
+    let violation = ref None in
+    let n_checked = min 12 (Array.length faults) in
+    for i = 0 to n_checked - 1 do
+      if !violation = None then begin
+        let reqs = faults.(i).Fault_sim.reqs in
+        let fname = Fault.to_string c faults.(i).Fault_sim.fault in
+        (match Justify.run engine ~rng ~reqs with
+        | Some t when not (Test_pair.satisfies c t reqs) ->
+          violation :=
+            Some
+              (Printf.sprintf
+                 "justification returned an unsound test for %s on %s: %s"
+                 fname c.Circuit.name (describe_test c t))
+        | _ -> ());
+        if !violation = None then
+          match Justify.run_complete ~max_backtracks:2000 engine ~reqs with
+          | Justify.Found t when not (Test_pair.satisfies c t reqs) ->
             violation :=
               Some
                 (Printf.sprintf
-                   "justification returned an unsound test for %s on %s: %s"
-                   fname c.Circuit.name (describe_test c t))
-          | _ -> ());
-          if !violation = None then
-            match Justify.run_complete ~max_backtracks:2000 engine ~reqs with
-            | Justify.Found t when not (Test_pair.satisfies c t reqs) ->
-              violation :=
-                Some
-                  (Printf.sprintf
-                     "complete justification returned an unsound test for \
-                      %s on %s"
-                     fname c.Circuit.name)
-            | Justify.Proved_unsatisfiable when brute_force_satisfiable c reqs
-              ->
-              violation :=
-                Some
-                  (Printf.sprintf
-                     "complete justification claimed %s unsatisfiable on %s \
-                      but brute force found a test"
-                     fname c.Circuit.name)
-            | _ -> ()
-        end
-      done;
-      match !violation with Some m -> Fail m | None -> Pass
-    end
+                   "complete justification returned an unsound test for %s \
+                    on %s"
+                   fname c.Circuit.name)
+          | Justify.Proved_unsatisfiable
+            when small && brute_force_satisfiable c reqs ->
+            violation :=
+              Some
+                (Printf.sprintf
+                   "complete justification claimed %s unsatisfiable on %s but \
+                    brute force found a test"
+                   fname c.Circuit.name)
+          | _ -> ()
+      end
+    done;
+    match !violation with Some m -> Fail m | None -> Pass
+  end
 
 (* ------------------------------------------------------------------ *)
 (* justify-podem: the structural engine vs the simulation engine vs     *)

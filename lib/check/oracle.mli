@@ -16,20 +16,27 @@
       target-fault cones, every trial — memo hits included — against
       the ascending cone scan of {!Trial_ref};
     - [packed-detect] / [packed-matrix] — the batch entry points
-      {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] over 70
-      tests (two packed word batches) against per-test
-      {!Pdf_core.Fault_sim.detected_by_test} rows, the scalar reference;
-      [packed-detect] also checks, on every test, that each
+      {!Pdf_core.Fault_sim.detected_by_tests} / [detect_matrix] against
+      per-test {!Pdf_core.Fault_sim.detected_by_test} rows, the scalar
+      reference, on a random test set whose size the oracle seed draws
+      from four shapes of packed word batches: sub-word (1–62 tests, one
+      partly filled word), one word (63), a word plus one lane (64) and
+      three words, the last partly filled (127–188); [packed-detect]
+      also checks, on every test, that each
       {!Pdf_bitsim.Wreq.fault_mask} lane equals
       {!Pdf_core.Fault_sim.detects_values} — the reads behind the ATPG
       free check and drop scan;
     - [jobs-det] — detection flags and matrices with a 1-job pool vs a
-      multi-domain pool (byte-identical by the DESIGN.md §8.3 contract);
+      3-job pool, on a set drawn like [packed-detect]'s
+      (byte-identical by the DESIGN.md §8.3 contract);
     - [atpg-jobs] — a full enrichment run under [--jobs 1] vs
       [--jobs 3]: tests, detection flags, abort counts and the
       provenance-ledger JSONL bytes must all agree;
-    - [justify-brute] — justification soundness and completeness claims
-      against brute-force enumeration of all PI pairs (small cones only);
+    - [justify-brute] — every test that {!Pdf_core.Justify.run} and
+      [run_complete] return must re-simulate to satisfy its requirements,
+      at any PI count; on circuits of at most 8 PIs, each
+      [Proved_unsatisfiable] is checked against brute-force enumeration
+      of all PI pairs;
     - [justify-podem] — the structural {!Pdf_core.Podem} engine against
       the simulation-based complete search and (on small circuits)
       brute force: a [Found]/[Proved_unsatisfiable] disagreement in any

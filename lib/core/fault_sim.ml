@@ -115,102 +115,79 @@ let count detected =
 (* Packed (word-parallel) detection                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Pack tests [lo .. hi-1] into per-PI dual-rail words, one lane per
-   test.  Test pairs are fully specified, so every lane is definite. *)
-let pack_batch c (tests : Test_pair.t array) (lo, hi) =
-  let lanes = hi - lo in
+(* Store tests [lo .. hi-1] as the PI words of planes 0 and 2, one lane
+   per test, and simulate them.  Test pairs are fully specified, so
+   every occupied lane is definite and every other lane X.  The bits are
+   shifted in without a branch: random patterns would mispredict half
+   of them. *)
+let load_batch c (p : Wsim.planes) (tests : Test_pair.t array) lo hi =
   let np = c.Circuit.num_pis in
-  let z1 = Array.make np 0 and o1 = Array.make np 0 in
-  let z3 = Array.make np 0 and o3 = Array.make np 0 in
-  for l = 0 to lanes - 1 do
+  let z0 = p.Wsim.z.(0) and o0 = p.Wsim.o.(0) in
+  let z2 = p.Wsim.z.(2) and o2 = p.Wsim.o.(2) in
+  Array.fill o0 0 np 0;
+  Array.fill o2 0 np 0;
+  for l = 0 to hi - lo - 1 do
     let t = tests.(lo + l) in
-    let b = 1 lsl l in
+    let v1 = t.Test_pair.v1 and v3 = t.Test_pair.v3 in
     for pi = 0 to np - 1 do
-      if t.Test_pair.v1.(pi) then o1.(pi) <- o1.(pi) lor b
-      else z1.(pi) <- z1.(pi) lor b;
-      if t.Test_pair.v3.(pi) then o3.(pi) <- o3.(pi) lor b
-      else z3.(pi) <- z3.(pi) lor b
+      o0.(pi) <- o0.(pi) lor (Bool.to_int v1.(pi) lsl l);
+      o2.(pi) <- o2.(pi) lor (Bool.to_int v3.(pi) lsl l)
     done
   done;
-  let w1 = Array.init np (fun pi -> { Word.zero = z1.(pi); one = o1.(pi) }) in
-  let w3 = Array.init np (fun pi -> { Word.zero = z3.(pi); one = o3.(pi) }) in
-  (w1, w3, lanes)
-
-(* Word-parallel scan over one batch, metrics-free: the caller accounts
-   centrally so totals are identical to the scalar path and independent
-   of how batches are distributed over domains. *)
-let detect_batch c tests faults bound =
-  let w1, w3, lanes = pack_batch c tests bound in
-  let planes = Wsim.simulate c ~w1 ~w3 ~lanes in
-  let detected = Array.make (Array.length faults) false in
-  Array.iteri
-    (fun i p ->
-      if Wreq.satisfied_mask planes p.reqs <> 0 then detected.(i) <- true)
-    faults;
-  detected
-
-(* Sequential scalar scan over [tests.(lo .. hi-1)], metrics-free (the
-   engine of sets below one word). *)
-let detect_chunk c tests faults (lo, hi) =
-  let detected = Array.make (Array.length faults) false in
-  for t = lo to hi - 1 do
-    let values = Test_pair.simulate c tests.(t) in
-    Array.iteri
-      (fun i p ->
-        if (not detected.(i)) && detects_values values p then
-          detected.(i) <- true)
-      faults
+  let m = Word.lane_mask (hi - lo) in
+  for pi = 0 to np - 1 do
+    z0.(pi) <- m land lnot o0.(pi);
+    z2.(pi) <- m land lnot o2.(pi)
   done;
-  detected
+  Wsim.simulate_into c p ~lanes:(hi - lo)
 
-(* OR every partial into the first one: partials are fresh per call, so
-   the merge needs no copy. *)
-let or_merge nf partials =
-  if Array.length partials = 0 then Array.make nf false
-  else begin
-    let detected = partials.(0) in
-    for k = 1 to Array.length partials - 1 do
-      Array.iteri (fun i d -> if d then detected.(i) <- true) partials.(k)
-    done;
-    detected
-  end
+(* Every test set, a sub-word one included, is cut into word batches at
+   fixed multiples of [Word.lanes] ([Wsim.batch_bounds]), and the
+   batches into one contiguous chunk per pool domain.  [run_chunk bounds
+   b_lo b_hi] grades batches [b_lo .. b_hi-1] of [bounds] with one plane
+   buffer; the chunks' results come back in chunk order, and with one
+   job the single chunk runs inline.  The counters depend on the set
+   size alone, so they are jobs-invariant. *)
+let over_chunks pool n_tests run_chunk =
+  let bounds = Wsim.batch_bounds n_tests in
+  let nb = Array.length bounds in
+  let k = min (Pdf_par.Pool.jobs pool) nb in
+  let chunks = Array.init k (fun j -> (j * nb / k, (j + 1) * nb / k)) in
+  Metrics.add m_word_batches nb;
+  Metrics.add m_lanes_used n_tests;
+  Metrics.add m_simulations n_tests;
+  Pdf_par.Pool.map_array pool (fun (lo, hi) -> run_chunk bounds lo hi) chunks
+
+let resolve pool =
+  match pool with Some p -> p | None -> Pdf_par.Pool.default ()
 
 let detected_by_tests ?pool c tests faults =
   Span.with_ "fault-sim" @@ fun () ->
-  let pool =
-    match pool with Some p -> p | None -> Pdf_par.Pool.default ()
-  in
   let nf = Array.length faults in
-  let n_tests = List.length tests in
   let tests = Array.of_list tests in
-  (* Both engines cut the set into chunks, run them over the pool and
-     OR-merge the flags, so flags and detection counts are identical
-     whatever the job count. *)
-  let detected =
-    if n_tests >= Word.lanes then begin
-      (* Word batches at fixed multiples of [Word.lanes], so the
-         batch/lane counters are jobs-invariant too. *)
-      let bounds = Wsim.batch_bounds n_tests in
-      let partials =
-        Pdf_par.Pool.map_array pool (detect_batch c tests faults) bounds
-      in
-      Metrics.add m_word_batches (Array.length bounds);
-      Metrics.add m_lanes_used n_tests;
-      or_merge nf partials
-    end
-    else begin
-      (* Below one word, the scalar engine: contiguous chunks, one per
-         domain (a single chunk, run inline, with one job). *)
-      let chunks = min (Pdf_par.Pool.jobs pool) n_tests in
-      let bounds =
-        Array.init chunks (fun k ->
-            (k * n_tests / chunks, (k + 1) * n_tests / chunks))
-      in
-      or_merge nf
-        (Pdf_par.Pool.map_array pool (detect_chunk c tests faults) bounds)
-    end
+  (* Each chunk ORs its batches into its own flags, skipping the faults
+     it has already seen detected; the chunks' flags are OR-merged. *)
+  let run_chunk bounds b_lo b_hi =
+    let planes = Wsim.create c and detected = Array.make nf false in
+    for b = b_lo to b_hi - 1 do
+      let lo, hi = bounds.(b) in
+      load_batch c planes tests lo hi;
+      for i = 0 to nf - 1 do
+        if
+          (not detected.(i))
+          && Wreq.satisfied_mask planes faults.(i).reqs <> 0
+        then detected.(i) <- true
+      done
+    done;
+    detected
   in
-  Metrics.add m_simulations n_tests;
+  let partials = over_chunks (resolve pool) (Array.length tests) run_chunk in
+  let detected =
+    if Array.length partials = 0 then Array.make nf false else partials.(0)
+  in
+  for k = 1 to Array.length partials - 1 do
+    Array.iteri (fun i d -> if d then detected.(i) <- true) partials.(k)
+  done;
   Metrics.add m_detections (count detected);
   detected
 
@@ -218,47 +195,45 @@ let detected_by_tests ?pool c tests faults =
 (* Full detection matrix                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One word batch of matrix rows: simulate once, then scatter each
-   fault's satisfaction mask into the per-test rows. *)
-let matrix_batch c tests faults (lo, hi) =
-  let w1, w3, lanes = pack_batch c tests (lo, hi) in
-  let planes = Wsim.simulate c ~w1 ~w3 ~lanes in
-  let nf = Array.length faults in
-  let rows = Array.init lanes (fun _ -> Array.make nf false) in
-  Array.iteri
-    (fun i p ->
-      let m = Wreq.satisfied_mask planes p.reqs in
-      if m <> 0 then
-        for l = 0 to lanes - 1 do
-          if m land (1 lsl l) <> 0 then rows.(l).(i) <- true
-        done)
-    faults;
-  rows
-
-let matrix_row c faults test =
-  let values = Test_pair.simulate c test in
-  Array.map (fun p -> detects_values values p) faults
-
 let detect_matrix ?pool c tests faults =
   Span.with_ "fault-sim" @@ fun () ->
-  let pool =
-    match pool with Some p -> p | None -> Pdf_par.Pool.default ()
-  in
-  let n_tests = List.length tests in
+  let nf = Array.length faults in
   let tests = Array.of_list tests in
-  let rows =
-    if n_tests >= Word.lanes then begin
-      let bounds = Wsim.batch_bounds n_tests in
-      let parts =
-        Pdf_par.Pool.map_array pool (matrix_batch c tests faults) bounds
-      in
-      Metrics.add m_word_batches (Array.length bounds);
-      Metrics.add m_lanes_used n_tests;
-      Array.concat (Array.to_list parts)
-    end
-    else Pdf_par.Pool.map_array pool (matrix_row c faults) tests
+  let rows = Array.make (Array.length tests) [||] in
+  (* Per batch, the faults some test of the batch detects are listed
+     with their lane masks: [ids.(k)] is detected by the lanes (tests) of
+     [masks.(k)], [k < hits].  The batch's rows are then written lane by
+     lane from that list, counting detections as they are written.
+     Chunks write disjoint rows. *)
+  let run_chunk bounds b_lo b_hi =
+    let planes = Wsim.create c in
+    let ids = Array.make nf 0 and masks = Array.make nf 0 in
+    let detections = ref 0 in
+    for b = b_lo to b_hi - 1 do
+      let lo, hi = bounds.(b) in
+      load_batch c planes tests lo hi;
+      let hits = ref 0 in
+      for i = 0 to nf - 1 do
+        let m = Wreq.satisfied_mask planes faults.(i).reqs in
+        if m <> 0 then begin
+          ids.(!hits) <- i;
+          masks.(!hits) <- m;
+          incr hits
+        end
+      done;
+      for l = 0 to hi - lo - 1 do
+        let bit = 1 lsl l and row = Array.make nf false in
+        for k = 0 to !hits - 1 do
+          if masks.(k) land bit <> 0 then begin
+            row.(ids.(k)) <- true;
+            incr detections
+          end
+        done;
+        rows.(lo + l) <- row
+      done
+    done;
+    !detections
   in
-  Metrics.add m_simulations n_tests;
-  Metrics.add m_detections
-    (Array.fold_left (fun acc row -> acc + count row) 0 rows);
+  let counts = over_chunks (resolve pool) (Array.length tests) run_chunk in
+  Metrics.add m_detections (Array.fold_left ( + ) 0 counts);
   rows

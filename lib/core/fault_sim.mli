@@ -7,13 +7,13 @@
     Two engines implement that scan.  The scalar engine simulates one
     test at a time ({!detected_by_test}); the packed engine
     ([Pdf_bitsim]) simulates up to 63 tests per pass, one lane per test.
-    The batch entry points pick the engine from the test count alone:
-    packed exactly when the set holds at least one full word
-    ([Pdf_values.Word.lanes] tests), scalar below that.  There is no
-    override.  The scalar engine is the reference: packed results equal
-    per-test {!detected_by_test} rows, by construction and by property
-    test and oracle, and metric totals do not depend on how many jobs
-    the pool has. *)
+    The batch entry points ({!detected_by_tests}, {!detect_matrix}) run
+    the packed engine at every set size: a set below one word
+    ([Pdf_values.Word.lanes] tests) is one partly filled word.  The
+    scalar engine is the reference: packed results equal per-test
+    {!detected_by_test} rows, by construction and by property test and
+    oracle, and metric totals do not depend on how many jobs the pool
+    has. *)
 
 (** A fault with its precomputed, merged condition set, ready for
     simulation.  [id] is the fault's index in the prepared array and is
@@ -59,20 +59,18 @@ val detected_by_tests :
   Test_pair.t list ->
   prepared array ->
   bool array
-(** Union over a whole test set.  When the set holds at least one full
-    word of tests, the list is cut into word batches at fixed multiples
-    of 63 (see [Wsim.batch_bounds]), each batch is simulated
-    bit-parallel on a pool domain, and the per-batch flags are merged by
-    OR.  Below one word the scalar engine runs over contiguous
-    per-domain chunks (one chunk, run inline, with one job), merged the
-    same way.  Both paths produce the flags of OR-ing per-test
-    {!detected_by_test} rows, and the metric totals
-    ([fault_sim.simulations], [fault_sim.detections], and for the packed
-    path [fault_sim.word_batches]/[fault_sim.lanes_used]) are
-    jobs-invariant.  [pool] defaults to {!Pdf_par.Pool.default}.
-
-    A packed batch is one full pass ({!Pdf_bitsim.Wsim.simulate}) over
-    its tests; it records no [sim.inc.*] metric. *)
+(** Union over a whole test set: the flags of OR-ing per-test
+    {!detected_by_test} rows.  The list is cut into word batches at
+    fixed multiples of 63 (see [Wsim.batch_bounds]; a sub-word set is
+    one partly filled batch, an empty one none) and the batches into one
+    contiguous chunk per pool domain (one chunk, run inline, with one
+    job).  A chunk simulates its batches one after the other into one
+    plane buffer ({!Pdf_bitsim.Wsim.simulate_into}), skips the faults it
+    has already seen detected, and the chunks' flags are merged by OR.
+    The metric totals [fault_sim.simulations], [fault_sim.detections],
+    [fault_sim.word_batches] and [fault_sim.lanes_used] depend on the
+    set alone, not on the pool.  [pool] defaults to
+    {!Pdf_par.Pool.default}. *)
 
 val detect_matrix :
   ?pool:Pdf_par.Pool.t ->
@@ -81,12 +79,12 @@ val detect_matrix :
   prepared array ->
   bool array array
 (** Full test [x] fault detection matrix: row [t] is the detection flag
-    of every fault under test [t] (same row shape as
-    {!detected_by_test}).  Runs packed word batches from one full word
-    of tests up, scalar per-test rows below that, under the same size
-    rule as {!detected_by_tests}; rows equal {!detected_by_test}'s
-    either way.  This is the workhorse behind diagnosis dictionaries and
-    static compaction delta scans. *)
+    of every fault under test [t], equal to {!detected_by_test}'s row.
+    Batches and chunks as in {!detected_by_tests}; per batch, the
+    faults some lane detects are listed with their lane masks, and the
+    batch's rows are written lane by lane from that list, counting
+    detections as they are written.  This is the workhorse behind
+    diagnosis dictionaries and static compaction delta scans. *)
 
 val count : bool array -> int
 (** Number of [true] flags, i.e. detected faults. *)

@@ -149,8 +149,8 @@ let fault_sim_suite =
                     (word_batches params.n_tests
                     * Circuit.num_gates s.cs_circuit) );
               ];
-            (* The batch entry point, packed from one word of tests
-               up — the case the regression gate watches. *)
+            (* The batch entry point, packed at every set size — the
+               case the regression gate watches. *)
             thunk =
               (fun () ->
                 ignore

@@ -151,7 +151,10 @@ let prop_fault_mask_matches_scalar =
 (* A full pass allocates its six plane arrays and nothing per gate.  On
    s9234* (1700 gates, 1840 nets) the planes are major-heap blocks, so
    the minor words one call adds must stay below the gate count: a
-   per-gate record or tuple alone would exceed it. *)
+   per-gate record or tuple alone would exceed it.  Simulating again
+   into the same buffer, as the batch entry points do for every word
+   batch, allocates nothing at all: no major words (a fresh plane array
+   would be one) and no minor ones. *)
 let test_simulate_allocation () =
   let c =
     match Profiles.find "s9234*" with
@@ -169,11 +172,19 @@ let test_simulate_allocation () =
   let before = Gc.minor_words () in
   let planes = Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes in
   let words = Gc.minor_words () -. before in
-  ignore (Sys.opaque_identity planes);
   let gates = Circuit.num_gates c in
   if words >= float_of_int gates then
     Alcotest.failf "Wsim.simulate on %s: %.0f minor words for %d gates"
-      c.Circuit.name words gates
+      c.Circuit.name words gates;
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  Wsim.simulate_into c planes ~lanes:40;
+  let minor = Gc.minor_words () -. minor0 in
+  let _, _, major1 = Gc.counters () in
+  let major = major1 -. major0 in
+  ignore (Sys.opaque_identity planes);
+  check (Alcotest.float 0.) "major words of a reused buffer" 0. major;
+  check (Alcotest.float 0.) "minor words of a reused buffer" 0. minor
 
 (* ------------------------------------------------------------------ *)
 (* Incremental simulation: Cone_sim vs the full pass                   *)
@@ -477,9 +488,9 @@ let test_batch_bounds_edges () =
       check Alcotest.int "covers all" n covered)
     [ 1; 62; 63; 64; 125; 126; 127; 200 ]
 
-(* The batch entry points agree with the scalar reference at exactly the
-   sizes where the packed path switches on (>= Word.lanes tests) and
-   just below it. *)
+(* The batch entry points agree with the scalar reference at the word
+   boundaries: no test, one lane, a word but one, one full word and one
+   word plus a second, one-lane batch. *)
 let test_detection_at_word_boundaries () =
   let faults, all_tests = s27_workload () in
   List.iter
@@ -491,36 +502,93 @@ let test_detection_at_word_boundaries () =
         (Fault_sim.detected_by_tests s27 tests faults))
     [ 0; 1; 62; 63; 64 ]
 
-(* The engine is chosen by the set size alone: below one word no packed
-   batch runs, from one word up every test is a lane of a fixed
-   63-lane batch.  Both batch entry points follow the same rule. *)
-let test_packed_from_one_word () =
+(* One engine at every set size: each test is a lane of a fixed 63-lane
+   word batch, so a sub-word set is one partly filled batch and an
+   empty one none (all-false flags, no rows).  Both batch entry points
+   follow the same rule. *)
+let test_packed_every_size () =
   let faults, all_tests = s27_workload () in
   let batches = Pdf_obs.Metrics.counter "fault_sim.word_batches" in
   let lanes = Pdf_obs.Metrics.counter "fault_sim.lanes_used" in
+  let nf = Array.length faults in
   List.iter
     (fun (what, run) ->
       List.iter
-        (fun (n, want_batches, want_lanes) ->
+        (fun (n, want_batches) ->
           let tests = List.filteri (fun i _ -> i < n) all_tests in
           let b0 = Pdf_obs.Metrics.value batches in
           let l0 = Pdf_obs.Metrics.value lanes in
-          run tests;
+          run n tests;
           check Alcotest.int
             (Printf.sprintf "%s: word batches at %d tests" what n)
             want_batches
             (Pdf_obs.Metrics.value batches - b0);
           check Alcotest.int
             (Printf.sprintf "%s: lanes at %d tests" what n)
-            want_lanes
+            n
             (Pdf_obs.Metrics.value lanes - l0))
-        [ (62, 0, 0); (63, 1, 63); (64, 2, 64) ])
+        [ (0, 0); (1, 1); (40, 1); (62, 1); (63, 1); (64, 2) ])
     [
       ( "detected_by_tests",
-        fun tests -> ignore (Fault_sim.detected_by_tests s27 tests faults) );
+        fun n tests ->
+          let flags = Fault_sim.detected_by_tests s27 tests faults in
+          if n = 0 then
+            check Alcotest.(array bool) "no tests: all-false flags"
+              (Array.make nf false) flags );
       ( "detect_matrix",
-        fun tests -> ignore (Fault_sim.detect_matrix s27 tests faults) );
+        fun n tests ->
+          let rows = Fault_sim.detect_matrix s27 tests faults in
+          check Alcotest.int
+            (Printf.sprintf "rows at %d tests" n)
+            n (Array.length rows) );
     ]
+
+(* Over random set sizes from empty to past two words, on random
+   circuits, at 1 and 3 jobs: union flags, matrix rows and the
+   [fault_sim.detections] each call adds equal the per-test scalar rows
+   and their detection counts. *)
+let prop_batches_match_scalar_rows =
+  QCheck.Test.make ~name:"batch entry points = per-test rows at any size"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d tests=%d" seed n)
+       QCheck.Gen.(pair (int_range 0 100_000) (int_range 0 130)))
+    (fun (seed, n) ->
+      let c = circuit_of_seed seed in
+      let ts = Target_sets.build c (Delay_model.lines c) ~n_p:30 ~n_p0:10 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let tests = random_tests c ~n ~seed in
+      let rows =
+        Array.of_list
+          (List.map (fun t -> Fault_sim.detected_by_test c t faults) tests)
+      in
+      let union =
+        Array.init (Array.length faults) (fun i ->
+            Array.exists (fun row -> row.(i)) rows)
+      in
+      let row_count =
+        Array.fold_left (fun acc row -> acc + Fault_sim.count row) 0 rows
+      in
+      let detections = Pdf_obs.Metrics.counter "fault_sim.detections" in
+      let delta f =
+        let d0 = Pdf_obs.Metrics.value detections in
+        let r = f () in
+        (r, Pdf_obs.Metrics.value detections - d0)
+      in
+      List.for_all
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let flags, d_flags =
+                delta (fun () ->
+                    Fault_sim.detected_by_tests ~pool c tests faults)
+              in
+              let matrix, d_matrix =
+                delta (fun () -> Fault_sim.detect_matrix ~pool c tests faults)
+              in
+              flags = union
+              && d_flags = Fault_sim.count union
+              && matrix = rows && d_matrix = row_count))
+        [ 1; 3 ])
 
 let () =
   Alcotest.run "pdf_bitsim"
@@ -554,8 +622,9 @@ let () =
             test_batch_bounds_edges;
           Alcotest.test_case "detection at word boundaries" `Quick
             test_detection_at_word_boundaries;
-          Alcotest.test_case "packed from one word up" `Quick
-            test_packed_from_one_word;
+          Alcotest.test_case "packed at every set size" `Quick
+            test_packed_every_size;
+          qcheck prop_batches_match_scalar_rows;
         ] );
       ( "atpg",
         [

@@ -146,13 +146,54 @@ let test_smoke_campaign_clean () =
     (smoke_config.Fuzz.rounds * List.length Oracle.all)
     s.Fuzz.checks;
   check Alcotest.int "no violations" 0 (List.length s.Fuzz.violations);
-  check Alcotest.bool "some passes" true (s.Fuzz.passes > 0)
+  check Alcotest.bool "some passes" true (fst (Fuzz.totals s) > 0)
+
+let tallies s =
+  List.map
+    (fun (t : Fuzz.oracle_tally) ->
+      (t.Fuzz.oracle_name, t.Fuzz.passed, t.Fuzz.skipped))
+    s.Fuzz.per_oracle
+
+(* Checks are tallied per oracle.  justify-brute re-simulates its
+   witnesses at any PI count, so it passes on the scale profile, whose
+   circuits are all too wide for brute force; an oracle whose every
+   check was skipped is reported idle. *)
+let test_oracle_tallies () =
+  let s =
+    Fuzz.run
+      {
+        smoke_config with
+        Fuzz.rounds = 2;
+        profile = Option.get (Fuzz.profile_of_name "scale");
+        oracles = [ "justify-brute"; "packed-sim" ];
+      }
+  in
+  check
+    Alcotest.(list (triple string int int))
+    "tallies"
+    [ ("justify-brute", 2, 0); ("packed-sim", 2, 0) ]
+    (tallies s);
+  check Alcotest.(list string) "none idle" [] (Fuzz.idle_oracles s);
+  let skipped_all =
+    {
+      s with
+      Fuzz.per_oracle =
+        [
+          { Fuzz.oracle_name = "justify-brute"; passed = 0; skipped = 2 };
+          { Fuzz.oracle_name = "packed-sim"; passed = 2; skipped = 0 };
+        ];
+    }
+  in
+  check Alcotest.(list string) "idle" [ "justify-brute" ]
+    (Fuzz.idle_oracles skipped_all);
+  check Alcotest.(pair int int) "totals" (2, 2) (Fuzz.totals skipped_all)
 
 let test_campaign_deterministic () =
   let a = Fuzz.run smoke_config in
   let b = Fuzz.run smoke_config in
-  check Alcotest.int "passes" a.Fuzz.passes b.Fuzz.passes;
-  check Alcotest.int "skips" a.Fuzz.skips b.Fuzz.skips;
+  check
+    Alcotest.(list (triple string int int))
+    "tallies" (tallies a) (tallies b);
   check Alcotest.int "violations"
     (List.length a.Fuzz.violations)
     (List.length b.Fuzz.violations)
@@ -314,6 +355,7 @@ let () =
           Alcotest.test_case "campaign deterministic" `Slow
             test_campaign_deterministic;
           Alcotest.test_case "campaign ledger" `Slow test_campaign_ledger;
+          Alcotest.test_case "per-oracle tallies" `Slow test_oracle_tallies;
           Alcotest.test_case "mutation caught and shrunk" `Slow
             test_mutation_caught_and_shrunk;
           Alcotest.test_case "podem mutation caught and shrunk" `Slow
