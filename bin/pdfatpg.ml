@@ -673,50 +673,7 @@ let diagnose_cmd =
     Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg $ seed_arg
           $ rank_arg $ top_arg)
 
-let ablations_cmd =
-  let which =
-    Arg.(value & opt (some string) None
-         & info [ "only" ] ~docv:"EN"
-             ~doc:"Run a single ablation: e1..e6.")
-  in
-  let profiles_arg =
-    Arg.(value & opt_all string [ "b09" ]
-         & info [ "profile" ] ~docv:"NAME" ~doc:"Profile(s) to run on.")
-  in
-  let run () which names seed =
-    let module Ablations = Pdf_experiments.Ablations in
-    let profiles =
-      List.map
-        (fun n ->
-          match Profiles.find n with
-          | Some p -> p
-          | None ->
-            Printf.eprintf "unknown profile %s\n" n;
-            exit 1)
-        names
-    in
-    let scale = Workload.small in
-    let want label = match which with None -> true | Some w -> w = label in
-    if want "e1" then
-      print_string
-        (Ablations.estimation_error ~seed scale ~noises:[ 20; 50 ] profiles);
-    if want "e2" then print_string (Ablations.multiset ~seed scale profiles);
-    if want "e3" then
-      print_string (Ablations.static_compaction ~seed scale profiles);
-    if want "e4" then print_string (Ablations.criterion ~seed scale profiles);
-    if want "e5" then print_string (Ablations.justifier ~seed scale profiles);
-    if want "e6" then
-      List.iter
-        (fun p ->
-          print_string
-            (Ablations.scaling ~seed scale ~n_p0s:[ 100; 200; 400 ] p))
-        profiles
-  in
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"Run the beyond-the-paper ablations (E1-E6).")
-    Term.(const run $ obs_setup $ which $ profiles_arg $ seed_arg)
-
-let tables_cmd =
+let scale_arg =
   let scale_conv =
     Arg.conv
       ( (fun s ->
@@ -726,10 +683,47 @@ let tables_cmd =
         fun ppf (s : Workload.scale) ->
           Format.pp_print_string ppf s.Workload.label )
   in
-  let scale_arg =
-    Arg.(value & opt scale_conv Workload.small
-         & info [ "scale" ] ~doc:"Experiment scale: small or paper.")
+  Arg.(value & opt scale_conv Workload.small
+       & info [ "scale" ] ~doc:"Experiment scale: small or paper.")
+
+let ablations_cmd =
+  let module Ablations = Pdf_experiments.Ablations in
+  let which =
+    Arg.(value & opt (some string) None
+         & info [ "only" ] ~docv:"EN"
+             ~doc:"Run a single ablation: e1..e6.")
   in
+  let profiles_arg =
+    Arg.(value & opt_all string []
+         & info [ "profile" ] ~docv:"NAME"
+             ~doc:"Profile(s) to run every ablation on (default: each \
+                   ablation's own circuits — E1 s641 and b09, E2 s641, E3 \
+                   b03 and b09, E4 and E5 b09 and s1196, E6 b09).")
+  in
+  let run () scale which names seed =
+    let find n =
+      match Profiles.find n with
+      | Some p -> p
+      | None ->
+        Printf.eprintf "unknown profile %s\n" n;
+        exit 1
+    in
+    let profiles = List.map find names in
+    let want label = match which with None -> true | Some w -> w = label in
+    List.iter
+      (fun (a : Ablations.ablation) ->
+        if want a.Ablations.id then
+          let profiles =
+            if names = [] then List.map find a.Ablations.circuits else profiles
+          in
+          print_string (a.Ablations.run ~seed scale profiles))
+      Ablations.all
+  in
+  Cmd.v
+    (Cmd.info "ablations" ~doc:"Run the beyond-the-paper ablations (E1-E6).")
+    Term.(const run $ obs_setup $ scale_arg $ which $ profiles_arg $ seed_arg)
+
+let tables_cmd =
   let which =
     Arg.(value & opt (some int) None
          & info [ "table" ] ~docv:"N" ~doc:"Only regenerate table N (1-7).")
@@ -785,10 +779,13 @@ let tables_cmd =
             Printf.eprintf "wrote %s\n" path)
           (Tables.csv_exports ~table_runs
              ~enrich_runs:(table_runs @ star_runs))
-    end
+    end;
+    if which = None then print_string (Tables.paper_reference ())
   in
   Cmd.v
-    (Cmd.info "tables" ~doc:"Regenerate the paper's tables.")
+    (Cmd.info "tables"
+       ~doc:"Regenerate the paper's tables; without $(b,--table), end with \
+             the published values for comparison.")
     Term.(const run $ obs_setup $ scale_arg $ which $ csv_dir $ seed_arg)
 
 let explain_cmd =
@@ -1197,7 +1194,7 @@ let bench_cmd =
         (fun s ->
           Pdf_util.Table.add_row t
             [ s.Benchmark.suite_name; s.Benchmark.suite_doc ])
-        Benchmark.suites;
+        Pdf_serve.Serve_suite.all;
       Pdf_util.Table.print t
     end
     else begin
@@ -1208,7 +1205,11 @@ let bench_cmd =
             "pdfatpg: bench needs --suite NAME (try --list)\n";
           exit 2
         | Some name -> (
-          match Benchmark.find_suite name with
+          match
+            List.find_opt
+              (fun s -> s.Benchmark.suite_name = name)
+              Pdf_serve.Serve_suite.all
+          with
           | Some s -> s
           | None ->
             Printf.eprintf
@@ -1247,6 +1248,13 @@ let bench_cmd =
       | Some path ->
         Benchmark.write_report report path;
         Printf.printf "wrote %s\n" path);
+      let gate_failures = suite.Benchmark.gate report.Benchmark.results in
+      List.iter
+        (fun failure ->
+          Printf.eprintf "FAIL: suite %s, gate %s\n" report.Benchmark.suite
+            failure)
+        gate_failures;
+      if gate_failures <> [] then exit 1;
       match compare with
       | None -> ()
       | Some path -> (
@@ -1332,8 +1340,9 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run a statistical benchmark suite (warmup, calibrated \
              repetitions, IQR outlier rejection, GC and throughput \
-             telemetry); write the unified BENCH JSON report and/or gate \
-             against a baseline (exit 1 on significant regression).")
+             telemetry); write the unified BENCH JSON report, apply the \
+             suite's own gate and/or gate against a baseline (exit 1 when \
+             a gate fails or on a significant regression).")
     Term.(const run $ obs_setup $ suite_arg $ list_flag $ out_arg
           $ compare_arg $ max_regress_arg $ warmup_arg $ repeat_arg
           $ min_sample_arg $ circuits_arg $ tests_arg $ bench_n_p_arg

@@ -53,7 +53,8 @@ let create c =
 (* One gate, all three planes and all lanes at once, written straight
    into the plane arrays at net [out].  The dual-rail formulas are the
    {!Pdf_values.Word} operations inlined; the six accumulators are local
-   mutable variables, so a pass allocates nothing per gate. *)
+   mutable variables, so a pass allocates nothing per gate.  Fused, not
+   one plane per call: ~4% lower [grade] p50 (DESIGN.md §8.1). *)
 let eval_gate (g : Circuit.gate) out z0 o0 z1 o1 z2 o2 =
   let fanins = g.Circuit.fanins in
   let f0 = fanins.(0) in

@@ -371,6 +371,10 @@ let scalar_rows c tests faults =
   Array.of_list
     (List.map (fun t -> Fault_sim.detected_by_test c t faults) tests)
 
+(* The faults some row detects. *)
+let rows_union rows nf =
+  Array.init nf (fun i -> Array.exists (fun row -> row.(i)) rows)
+
 let check_packed_detect { circuit = c; seed } =
   let _, _, faults = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
@@ -378,10 +382,8 @@ let check_packed_detect { circuit = c; seed } =
     let rng = Rng.create seed in
     let tests = random_tests rng c (n_detect_tests rng) in
     let packed = Fault_sim.detected_by_tests c tests faults in
-    let rows = scalar_rows c tests faults in
     let scalar =
-      Array.init (Array.length faults) (fun i ->
-          Array.exists (fun row -> row.(i)) rows)
+      rows_union (scalar_rows c tests faults) (Array.length faults)
     in
     match bool_arrays_diff packed scalar with
     | Some i ->
@@ -453,12 +455,37 @@ let check_packed_matrix { circuit = c; seed } =
 (* jobs-det: pool parallelism must not change detection results         *)
 (* ------------------------------------------------------------------ *)
 
+(* The first test that alone detects some fault, by the scalar rows. *)
+let sole_detector rows nf =
+  let detectors = Array.make nf 0 in
+  Array.iter
+    (Array.iteri (fun i d -> if d then detectors.(i) <- detectors.(i) + 1))
+    rows;
+  let rec find t =
+    if t = Array.length rows then None
+    else if Array.exists2 (fun d n -> d && n = 1) rows.(t) detectors then
+      Some t
+    else find (t + 1)
+  in
+  find 0
+
 let check_jobs_det { circuit = c; seed } =
   let _, _, faults = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
     let tests = random_tests rng c (n_detect_tests rng) in
+    let rows = scalar_rows c tests faults in
+    (* A test that alone detects a fault goes last: in the last word
+       batch, and so in the last chunk at 3 jobs, a lost chunk then
+       loses a detection no other chunk makes. *)
+    let tests =
+      match sole_detector rows (Array.length faults) with
+      | None -> tests
+      | Some t ->
+        List.filteri (fun k _ -> k <> t) tests @ [ List.nth tests t ]
+    in
+    let scalar = rows_union rows (Array.length faults) in
     let seq_flags, seq_matrix =
       Pool.with_pool ~jobs:1 (fun pool ->
           ( Fault_sim.detected_by_tests ~pool c tests faults,
@@ -469,14 +496,22 @@ let check_jobs_det { circuit = c; seed } =
           ( Fault_sim.detected_by_tests ~pool c tests faults,
             Fault_sim.detect_matrix ~pool c tests faults ))
     in
-    match bool_arrays_diff seq_flags par_flags with
-    | Some i ->
+    match
+      (bool_arrays_diff seq_flags par_flags, bool_arrays_diff par_flags scalar)
+    with
+    | Some i, _ ->
       Fail
         (Printf.sprintf
            "detected_by_tests depends on jobs on %s: fault %d: 1-job %b, \
             3-job %b"
            c.Circuit.name i seq_flags.(i) par_flags.(i))
-    | None ->
+    | None, Some i ->
+      Fail
+        (Printf.sprintf
+           "detected_by_tests at 3 jobs diverges from the scalar rows on \
+            %s: fault %d: 3-job %b, scalar %b"
+           c.Circuit.name i par_flags.(i) scalar.(i))
+    | None, None ->
       let violation = ref None in
       Array.iteri
         (fun t row ->

@@ -28,7 +28,10 @@
       free check and drop scan;
     - [jobs-det] — detection flags and matrices with a 1-job pool vs a
       3-job pool, on a set drawn like [packed-detect]'s
-      (byte-identical by the DESIGN.md §8.3 contract);
+      (byte-identical by the DESIGN.md §8.3 contract), and the 3-job
+      flags against the union of the scalar rows; a test that alone
+      detects some fault is moved last, so a set of two or more word
+      batches puts it in the last chunk;
     - [atpg-jobs] — a full enrichment run under [--jobs 1] vs
       [--jobs 3]: tests, detection flags, abort counts and the
       provenance-ledger JSONL bytes must all agree;

@@ -271,3 +271,44 @@ let scaling ?(seed = Workload.default_seed) (scale : Workload.scale) ~n_p0s
         ])
     n_p0s;
   Table.render table
+
+type ablation = {
+  id : string;
+  circuits : string list;
+  run : seed:int -> Workload.scale -> Profiles.t list -> string;
+}
+
+let all =
+  [
+    {
+      id = "e1";
+      circuits = [ "s641"; "b09" ];
+      run =
+        (fun ~seed scale profiles ->
+          estimation_error ~seed scale ~noises:[ 20; 50 ] profiles);
+    };
+    { id = "e2"; circuits = [ "s641" ]; run = (fun ~seed -> multiset ~seed) };
+    {
+      id = "e3";
+      circuits = [ "b03"; "b09" ];
+      run = (fun ~seed -> static_compaction ~seed);
+    };
+    {
+      id = "e4";
+      circuits = [ "b09"; "s1196" ];
+      run = (fun ~seed -> criterion ~seed);
+    };
+    {
+      id = "e5";
+      circuits = [ "b09"; "s1196" ];
+      run = (fun ~seed -> justifier ~seed);
+    };
+    {
+      id = "e6";
+      circuits = [ "b09" ];
+      run =
+        (fun ~seed scale profiles ->
+          String.concat ""
+            (List.map (scaling ~seed scale ~n_p0s:[ 100; 200; 400 ]) profiles));
+    };
+  ]

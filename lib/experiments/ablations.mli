@@ -1,4 +1,5 @@
-(** Ablation experiments beyond the paper's tables (bench sections E1-E4).
+(** Ablation experiments beyond the paper's tables, E1-E6 ([pdfatpg
+    ablations]).
 
     - {b E1} quantifies the paper's motivation: under a perturbed "true"
       delay model, how many truly critical faults does each test set
@@ -50,3 +51,18 @@ val scaling :
 (** {b E6}: enrichment under several [N_P0] settings on one circuit —
     larger first sets buy more mandatory coverage at more tests, while
     the [P1] top-up keeps total coverage high throughout. *)
+
+(** One ablation as [pdfatpg ablations] runs it. *)
+type ablation = {
+  id : string;  (** ["e1"] .. ["e6"], the [--only] value *)
+  circuits : string list;
+      (** the profiles it runs on when none are named: E1 s641 and b09,
+          E2 s641, E3 b03 and b09, E4 and E5 b09 and s1196, E6 b09 *)
+  run :
+    seed:int -> Workload.scale -> Pdf_synth.Profiles.t list -> string;
+      (** the rendered table; E1 at 20% and 50% noise, E6 one table per
+          circuit at [N_P0] 100, 200 and 400 *)
+}
+
+val all : ablation list
+(** E1 to E6, in order. *)

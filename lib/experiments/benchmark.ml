@@ -15,6 +15,8 @@ module Generators = Pdf_synth.Generators
 module Atpg = Pdf_core.Atpg
 module Ordering = Pdf_core.Ordering
 module Pool = Pdf_par.Pool
+module Span = Pdf_obs.Span
+module Attrib = Pdf_obs.Attrib
 
 type params = {
   circuits : Profiles.t list;
@@ -60,11 +62,44 @@ type case = {
   thunk : unit -> unit;
 }
 
+type result = {
+  r_case : string;
+  r_units : (string * float) list;
+  r_meas : Bstat.measurement;
+  r_stats : Bstat.summary;
+}
+
 type suite = {
   suite_name : string;
   suite_doc : string;
   cases : params -> case list;
+  gate : result list -> string list;
 }
+
+let no_gate (_ : result list) = []
+
+let find_result results name =
+  List.find_opt (fun r -> String.equal r.r_case name) results
+
+let require results names =
+  List.filter_map
+    (fun name ->
+      match find_result results name with
+      | Some _ -> None
+      | None -> Some (Printf.sprintf "presence: case %s missing" name))
+    names
+
+let circuit_cases results ~kernel =
+  let suffix = "/" ^ kernel in
+  List.filter_map
+    (fun r ->
+      if String.ends_with ~suffix r.r_case then
+        Some
+          ( String.sub r.r_case 0
+              (String.length r.r_case - String.length suffix),
+            r )
+      else None)
+    results
 
 (* ------------------------------------------------------------------ *)
 (* Shared workload builders                                            *)
@@ -102,6 +137,15 @@ let circuit_setup params profile =
       random_tests c ~n:params.n_tests
         ~seed:(params.seed + Hashtbl.hash profile.Profiles.name);
   }
+
+(* One P0 u P1 enrichment run over the set-up's faults. *)
+let enrich_run s ~seed =
+  let p0 = List.init s.cs_n0 Fun.id in
+  let p1 =
+    List.init (Array.length s.cs_faults - s.cs_n0) (fun i -> s.cs_n0 + i)
+  in
+  fun ?attrib () ->
+    Atpg.enrich ?attrib s.cs_circuit ~seed ~faults:s.cs_faults ~p0 ~p1
 
 let word_batches n_tests = (n_tests + 62) / 63
 
@@ -191,6 +235,7 @@ let fault_sim_suite =
        through the batch entry points, plus the per-test scalar \
        reference (hard-fails when the engines disagree)";
     cases;
+    gate = no_gate;
   }
 
 let atpg_suite =
@@ -200,11 +245,6 @@ let atpg_suite =
         let s = circuit_setup params profile in
         let name kernel = profile.Profiles.name ^ "/" ^ kernel in
         let faults0 = Array.sub s.cs_faults 0 s.cs_n0 in
-        let p0 = List.init s.cs_n0 Fun.id in
-        let p1 =
-          List.init (Array.length s.cs_faults - s.cs_n0) (fun i ->
-              s.cs_n0 + i)
-        in
         (* One untimed run of each generator learns the test count, so
            the throughput units are exact (the run is deterministic). *)
         let basic () =
@@ -212,10 +252,7 @@ let atpg_suite =
             { Atpg.ordering = Ordering.Value_based; seed = params.seed }
             ~faults:faults0
         in
-        let enrich () =
-          Atpg.enrich s.cs_circuit ~seed:params.seed ~faults:s.cs_faults ~p0
-            ~p1
-        in
+        let enrich = enrich_run s ~seed:params.seed in
         let basic_tests = List.length (basic ()).Atpg.tests in
         let enrich_tests = List.length (enrich ()).Atpg.tests in
         [
@@ -246,6 +283,7 @@ let atpg_suite =
       "Test generation: the basic value-ordered procedure over P0 and \
        the full P0 u P1 enrichment run";
     cases;
+    gate = no_gate;
   }
 
 let paths_suite =
@@ -278,7 +316,59 @@ let paths_suite =
     suite_name = "paths";
     suite_doc = "Distance-pruned longest-path enumeration at budget N_P";
     cases;
+    gate = no_gate;
   }
+
+(* Every figure this gate reads is a deterministic unit measured at
+   set-up, so it passes or fails the same way on any machine. *)
+let justify_gate results =
+  let deep kind = "deep/" ^ Justify.kind_name kind in
+  let aborts kind =
+    Option.bind (find_result results (deep kind)) (fun r ->
+        List.assoc_opt "aborts" r.r_units)
+  in
+  (* On the deep circuit (DESIGN.md §15) the portfolio must never abort
+     more than the simulation engine alone: it escalates to that engine
+     whenever PODEM gives up. *)
+  let escalation =
+    match (aborts Justify.Portfolio, aborts Justify.Sim) with
+    | Some p, Some s when p > s ->
+      [
+        Printf.sprintf "escalation: deep/portfolio aborts %.0f > deep/sim \
+                        aborts %.0f" p s;
+      ]
+    | _ -> []
+  in
+  (* "words_per_trial": trials allocate nothing and the engine builds
+     its search state — cone, values, trial memo — once, so what remains
+     is each call's requirement merge and test, and the engine's state,
+     amortised over the trials (~1 word; DESIGN.md §13.2).  A search
+     state built per call reads ~6, a closure or overlay copy per gate
+     or per trial in the thousands.
+     "words_per_decision": PODEM's search step allocates next to
+     nothing, and the search state, its implication state included, is
+     built once per engine, so each call's requirement merge, closures
+     and test remain, amortised over its decisions (19-22 words;
+     DESIGN.md §15.5).  A search state built per call reads ~80-95; a
+     list or closure per step, or an array per backtrace, in the
+     hundreds. *)
+  let allocation =
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun (unit, limit) ->
+            match List.assoc_opt unit r.r_units with
+            | Some v when v >= limit ->
+              Some
+                (Printf.sprintf "allocation: %s %s %.2f >= %g" r.r_case
+                   unit v limit)
+            | _ -> None)
+          [ ("words_per_trial", 16.); ("words_per_decision", 40.) ])
+      results
+  in
+  require results
+    (List.map deep [ Justify.Sim; Justify.Podem; Justify.Portfolio ])
+  @ escalation @ allocation
 
 let justify_suite =
   let cases params =
@@ -298,10 +388,10 @@ let justify_suite =
              timed faults, measured once at setup on fresh engines so the
              number is deterministic in (circuit, seed).  It rides in the
              report's "units" object, which the determinism projection
-             keeps — CI gates on it.  The simulation engine's set-up run
-             also yields "words_per_trial": the words its domain
-             allocated over the timed faults, per trial simulation —
-             equally deterministic, and gated in CI; PODEM's yields
+             keeps.  The simulation engine's set-up run also yields
+             "words_per_trial": the words its domain allocated over the
+             timed faults, per trial simulation — equally deterministic,
+             and gated by [justify_gate]; PODEM's yields
              "words_per_decision" the same way, per decision. *)
           let sim_aborts, words_per_trial =
             let e = Justify.create s.cs_circuit in
@@ -414,8 +504,8 @@ let justify_suite =
     (* A fixed circuit from the fuzz harness's deep grid (the same one
        test_core's engine goldens pin): deep logic is where the
        simulation-based search aborts, so these three cases carry the
-       abort-rate comparison CI gates on — "aborts" counts aborted
-       primary faults of a full enrichment run per backend. *)
+       abort-rate comparison [justify_gate] checks — "aborts" counts
+       aborted primary faults of a full enrichment run per backend. *)
     let deep_cases =
       let dp =
         { Generators.num_pis = 6; num_gates = 30; window = 5; max_fanout = 3;
@@ -457,10 +547,10 @@ let justify_suite =
        and the escalating portfolio over the longest faults, with aborted \
        justifications as a telemetry unit";
     cases;
+    gate = justify_gate;
   }
 
-(* The seven per-table kernels that used to live as Bechamel
-   micro-benchmarks in bench/main.ml (one per paper table). *)
+(* Seven micro-kernels, one per paper table. *)
 let kernels_suite =
   let cases params =
     let s27 = Pdf_synth.Iscas.s27 () in
@@ -570,28 +660,174 @@ let kernels_suite =
   in
   {
     suite_name = "kernels";
-    suite_doc =
-      "One micro-kernel per paper table (the former Bechamel benchmarks \
-       of bench/main.exe)";
+    suite_doc = "One micro-kernel per paper table";
     cases;
+    gate = no_gate;
+  }
+
+(* Observability overhead (DESIGN.md §9.4, §14.4).  An uninstrumented
+   run must pay only the Null-sink check per span site, and timing two
+   full ATPG runs against each other is too noisy to gate on a small
+   percentage, so the gate checks two overhead models instead:
+
+     span%   = spans x per-span Null cost / wall_null x 100
+     attrib% = bumps x per-bump cost / wall_null x 100
+
+   spans is the span count of one instrumented run (an Emit sink at
+   set-up); bumps is one attributed run's counter bumps (the merged
+   sheet's grand semantic total plus the engine-variant incremental
+   count); each per-site cost is a wrapped site's median less the bare
+   payload's; wall_null is the best sample of the Null-sink run.  The
+   trace-sink and attribution-on wall times are informational: they
+   include collector and sheet allocation, which only those runs pay.
+   The suite owns the span sink while it runs: set-up leaves [Null]
+   installed, and the trace case installs its collector for its own
+   executions only. *)
+let max_overhead_pct = 2.0
+
+let obs_overhead_gate results =
+  let median name =
+    Option.map (fun r -> r.r_stats.Bstat.median_s) (find_result results name)
+  in
+  let site_cost ~plain ~site =
+    match (median plain, median site) with
+    | Some p, Some s -> Float.max 0. (s -. p)
+    | _ -> 0.
+  in
+  let per_span =
+    site_cost ~plain:"span_site/plain" ~site:"span_site/null_wrapped"
+  in
+  let per_bump =
+    site_cost ~plain:"attrib_site/plain" ~site:"attrib_site/bump"
+  in
+  let circuits = circuit_cases results ~kernel:"atpg_null_sink" in
+  let model gate circuit ~count ~cost ~wall =
+    let pct = if wall > 0. then 100. *. count *. cost /. wall else 0. in
+    if pct > max_overhead_pct then
+      Some
+        (Printf.sprintf "%s (%s): modelled overhead %.4f%% > %g%%" gate
+           circuit pct max_overhead_pct)
+    else None
+  in
+  require results
+    ([ "span_site/plain"; "span_site/null_wrapped"; "attrib_site/plain";
+       "attrib_site/bump" ]
+    @ List.map (fun (c, _) -> c ^ "/atpg_attrib_on") circuits)
+  @ List.concat_map
+      (fun (circuit, null) ->
+        let wall = null.r_stats.Bstat.min_s in
+        let count r unit =
+          Option.value ~default:0. (List.assoc_opt unit r.r_units)
+        in
+        let events =
+          match find_result results (circuit ^ "/atpg_attrib_on") with
+          | Some r -> count r "events"
+          | None -> 0.
+        in
+        List.filter_map Fun.id
+          [
+            model "span model" circuit ~count:(count null "spans")
+              ~cost:per_span ~wall;
+            model "attribution model" circuit ~count:events ~cost:per_bump
+              ~wall;
+          ])
+      circuits
+
+let obs_overhead_suite =
+  let cases params =
+    let per_circuit =
+      List.map
+        (fun profile ->
+          let s = circuit_setup params profile in
+          let enrich = enrich_run s ~seed:params.seed in
+          let name kernel = profile.Profiles.name ^ "/" ^ kernel in
+          let spans = ref 0 in
+          Span.set_sink (Span.Emit (fun _ -> incr spans));
+          ignore (enrich () : Atpg.result);
+          Span.set_sink Span.Null;
+          let attributed () =
+            let store =
+              Attrib.create ~nets:(Circuit.num_nets s.cs_circuit)
+            in
+            ignore (enrich ~attrib:store () : Atpg.result);
+            store
+          in
+          let bumps =
+            let sheet = Attrib.snapshot (attributed ()) in
+            Attrib.grand_total sheet + sheet.Attrib.t_inc_resims
+          in
+          let spans = [ ("spans", float_of_int !spans) ] in
+          ( [
+              {
+                case_name = name "atpg_null_sink";
+                units = spans;
+                thunk = (fun () -> ignore (enrich () : Atpg.result));
+              };
+              {
+                case_name = name "atpg_trace_sink";
+                units = spans;
+                thunk =
+                  (fun () ->
+                    let coll = Pdf_obs.Trace.collector () in
+                    Span.set_sink (Pdf_obs.Trace.sink coll);
+                    ignore (enrich () : Atpg.result);
+                    Span.set_sink Span.Null);
+              };
+            ],
+            {
+              case_name = name "atpg_attrib_on";
+              units = [ ("events", float_of_int bumps) ];
+              thunk = (fun () -> ignore (attributed () : Attrib.t));
+            } ))
+        params.circuits
+    in
+    (* The bare payloads and their instrumented sites.  [Span.sink ()]
+       keeps the span payload from being optimised away; the bump is the
+       attribution hot path's pattern, an option match plus an int-array
+       increment. *)
+    let tick = ref 0 in
+    let payload () = if Span.sink () = Span.Null then incr tick in
+    let bump_sheet = Some (Attrib.make_sheet ~nets:16) in
+    let bump () =
+      (match bump_sheet with
+      | Some (a : Attrib.sheet) ->
+        a.Attrib.trials.(!tick land 15) <- a.Attrib.trials.(!tick land 15) + 1
+      | None -> ());
+      incr tick
+    in
+    let site case_name thunk = { case_name; units = []; thunk } in
+    List.concat_map fst per_circuit
+    @ [
+        site "span_site/plain" payload;
+        site "span_site/null_wrapped" (fun () ->
+            Span.with_ "overhead-probe" payload);
+      ]
+    @ List.map snd per_circuit
+    @ [
+        site "attrib_site/plain" (fun () -> incr tick);
+        site "attrib_site/bump" bump;
+      ]
+  in
+  {
+    suite_name = "obs_overhead";
+    suite_doc =
+      "Tracing and attribution overhead: an enrichment run under the Null \
+       sink, a trace collector and attribution, and the per-site cost of \
+       a Null-sink span and of a counter bump; gated at 2% modelled \
+       overhead each";
+    cases;
+    gate = obs_overhead_gate;
   }
 
 let suites =
-  [ fault_sim_suite; atpg_suite; paths_suite; justify_suite; kernels_suite ]
-
-let find_suite name =
-  List.find_opt (fun s -> s.suite_name = name) suites
+  [
+    fault_sim_suite; atpg_suite; paths_suite; justify_suite; kernels_suite;
+    obs_overhead_suite;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type result = {
-  r_case : string;
-  r_units : (string * float) list;
-  r_meas : Bstat.measurement;
-  r_stats : Bstat.summary;
-}
 
 let throughput r =
   if r.r_stats.Bstat.median_s <= 0. then []

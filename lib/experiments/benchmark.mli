@@ -3,13 +3,16 @@
     One report type, one JSON schema, one measurement discipline for
     every [BENCH_*.json] the repository emits.  Workloads are grouped
     into named {e suites} ([fault_sim], [atpg], [paths], [justify],
-    [kernels]); each suite expands a {!params} record into timed
-    {!case}s, every case is measured by {!Pdf_obs.Bstat.measure}
-    (warmup, calibrated inner loop, N repetitions, GC telemetry) and
-    summarised with IQR outlier rejection, and the per-case medians and
-    throughputs are pushed into the {!Pdf_obs.Metrics} registry as
-    gauges so [--metrics-out]/[--prom-out] export them alongside the
-    pipeline counters.
+    [kernels], [obs_overhead]; [Pdf_serve.Serve_suite] adds [serve]);
+    each suite expands a {!params} record into timed {!case}s, every
+    case is measured by {!Pdf_obs.Bstat.measure} (warmup, calibrated
+    inner loop, N repetitions, GC telemetry) and summarised with IQR
+    outlier rejection, and the per-case medians and throughputs are
+    pushed into the {!Pdf_obs.Metrics} registry as gauges so
+    [--metrics-out]/[--prom-out] export them alongside the pipeline
+    counters.  Each suite's {!suite.gate} holds the pass/fail rules on
+    its own report, so [pdfatpg bench] applies them the same way
+    locally and in CI.
 
     A report can be compared against a previously written baseline
     report ({!compare_with_baseline}): the comparison uses the
@@ -33,9 +36,8 @@ val default_params : params
     [n_p0 = 80], [seed = 2002] — the smoke tier: seconds, not minutes. *)
 
 val profiles_of_spec : string -> (Pdf_synth.Profiles.t list, string) result
-(** Parse a comma-separated profile-name list (the [--circuits] syntax
-    shared by the CLI and the bench executables).  [""] selects
-    {!default_params}' circuits. *)
+(** Parse a comma-separated profile-name list ([pdfatpg bench]'s
+    [--circuits] syntax).  [""] selects {!default_params}' circuits. *)
 
 (** One timed workload.  [units] names the work one execution performs
     (e.g. [("faults", 377.)]); each entry becomes a
@@ -46,25 +48,43 @@ type case = {
   thunk : unit -> unit;
 }
 
-type suite = {
-  suite_name : string;
-  suite_doc : string;
-  cases : params -> case list;
-      (** may raise [Failure] — the [fault_sim] suite hard-fails when
-          [detect_matrix] disagrees with per-test scalar rows, keeping
-          the CI equivalence smoke contract of the old standalone
-          bench *)
-}
-
-val suites : suite list
-val find_suite : string -> suite option
-
+(** One measured case. *)
 type result = {
   r_case : string;
   r_units : (string * float) list;
   r_meas : Pdf_obs.Bstat.measurement;
   r_stats : Pdf_obs.Bstat.summary;
 }
+
+type suite = {
+  suite_name : string;
+  suite_doc : string;
+  cases : params -> case list;
+      (** the set-up: runs once, before any case is measured; may raise
+          [Failure] — the [fault_sim] suite hard-fails when
+          [detect_matrix] disagrees with per-test scalar rows *)
+  gate : result list -> string list;
+      (** run once on the measured cases; each string is one failed
+          rule, naming the rule, the measured figure and its threshold
+          ([[]]: the report passes).  [justify] requires the three
+          [deep/*] cases, [deep/portfolio] aborts at most [deep/sim]'s,
+          [words_per_trial] below 16 and [words_per_decision] below 40;
+          [obs_overhead] holds each overhead model at most 2%; the
+          other suites here have no rule. *)
+}
+
+val suites : suite list
+(** [fault_sim], [atpg], [paths], [justify], [kernels] and
+    [obs_overhead], in that order. *)
+
+val find_result : result list -> string -> result option
+(** The result of the named case. *)
+
+val require : result list -> string list -> string list
+(** One gate failure per named case missing from the results. *)
+
+val circuit_cases : result list -> kernel:string -> (string * result) list
+(** The cases named [<circuit>/<kernel>], with their circuit. *)
 
 val throughput : result -> (string * float) list
 (** [("faults_per_s", units/median), ...]; empty when the median is 0. *)

@@ -1,6 +1,6 @@
 (* Statistical benchmarking core (Pdf_obs.Bstat), the unified benchmark
-   report (Pdf_experiments.Benchmark) and the per-domain allocation
-   accounting contract of Pdf_obs.Span. *)
+   report (Pdf_experiments.Benchmark), the suites' gates and the
+   per-domain allocation accounting contract of Pdf_obs.Span. *)
 
 module Bstat = Pdf_obs.Bstat
 module Json_text = Pdf_obs.Json_text
@@ -183,6 +183,10 @@ let prop_large_shift_is_regression =
 
 (* ---------------- Benchmark: schema and determinism ---------------- *)
 
+(* The suites [pdfatpg bench] runs and lists. *)
+let suite_named name =
+  List.find (fun s -> s.Benchmark.suite_name = name) Pdf_serve.Serve_suite.all
+
 let tiny_params =
   {
     Benchmark.circuits = [ Option.get (Profiles.find "s27") ];
@@ -193,7 +197,7 @@ let tiny_params =
   }
 
 let run_tiny () =
-  let suite = Option.get (Benchmark.find_suite "paths") in
+  let suite = suite_named "paths" in
   Benchmark.run_suite ~warmup:0 ~repeat:2 ~min_sample_s:0. ~params:tiny_params
     suite
 
@@ -319,6 +323,139 @@ let test_fingerprint () =
   | Some (Json_text.Num 3.) -> ()
   | _ -> Alcotest.fail "fingerprint json jobs"
 
+(* ---------------- Suite gates ---------------- *)
+
+(* A synthetic measured case whose one sample is [seconds]: its median
+   and its best sample both read [seconds]. *)
+let result ?(units = []) name seconds =
+  let samples = [| seconds |] in
+  {
+    Benchmark.r_case = name;
+    r_units = units;
+    r_meas =
+      {
+        Bstat.samples;
+        iters = 1;
+        gc =
+          {
+            Bstat.minor_collections = 0;
+            major_collections = 0;
+            promoted_words = 0.;
+            top_heap_words = 0;
+          };
+      };
+    r_stats = Bstat.summarize samples;
+  }
+
+(* The gate's failures must name exactly the rules in [expect] (each a
+   substring of one failure line), in order. *)
+let check_gate suite what ~expect results =
+  let failures = (suite_named suite).Benchmark.gate results in
+  let matches =
+    List.length failures = List.length expect
+    && List.for_all2
+         (fun want got ->
+           let n = String.length want in
+           let rec at i =
+             i + n <= String.length got
+             && (String.sub got i n = want || at (i + 1))
+           in
+           at 0)
+         expect failures
+  in
+  if not matches then
+    Alcotest.failf "%s gate, %s: expected [%s], got [%s]" suite what
+      (String.concat "; " expect) (String.concat "; " failures)
+
+let test_obs_overhead_gate () =
+  (* Best Null-sink run 1 s; a Null-sink span costs 2e-8 s and a bump
+     1e-9 s, so 1e6 spans or 2e7 bumps are 2% each. *)
+  let results ~spans ~bumps =
+    [
+      result "b09/atpg_null_sink" 1.0 ~units:[ ("spans", spans) ];
+      result "b09/atpg_trace_sink" 1.5 ~units:[ ("spans", spans) ];
+      result "span_site/plain" 1e-8;
+      result "span_site/null_wrapped" 3e-8;
+      result "b09/atpg_attrib_on" 1.2 ~units:[ ("events", bumps) ];
+      result "attrib_site/plain" 1e-9;
+      result "attrib_site/bump" 2e-9;
+    ]
+  in
+  check_gate "obs_overhead" "both below 2%" ~expect:[]
+    (results ~spans:0.75e6 ~bumps:1.5e7);
+  check_gate "obs_overhead" "span model at 2.5%"
+    ~expect:[ "span model (b09): modelled overhead 2.5000%" ]
+    (results ~spans:1.25e6 ~bumps:1.5e7);
+  check_gate "obs_overhead" "attribution model at 2.5%"
+    ~expect:[ "attribution model (b09): modelled overhead 2.5000%" ]
+    (results ~spans:0.75e6 ~bumps:2.5e7)
+
+let test_serve_gate () =
+  let results ~cold =
+    [
+      result "b09/cold_session" cold ~units:[ ("requests", 1.) ];
+      result "b09/warm_answer" 1.0 ~units:[ ("requests", 1.) ];
+      result "b09/warm_analysis" 2.0 ~units:[ ("requests", 1.) ];
+    ]
+  in
+  check_gate "serve" "5x" ~expect:[] (results ~cold:5.0);
+  check_gate "serve" "4.9x"
+    ~expect:[ "warm-vs-cold speedup (b09): 4.90x < 5x" ]
+    (results ~cold:4.9)
+
+let test_justify_gate () =
+  let results ?(drop = "") ~portfolio ~per_trial ~per_decision () =
+    List.filter
+      (fun r -> r.Benchmark.r_case <> drop)
+      [
+        result "b09/simulation" 0.1
+          ~units:
+            [ ("runs", 20.); ("aborts", 0.); ("words_per_trial", per_trial) ];
+        result "b09/complete" 0.1 ~units:[ ("runs", 10.) ];
+        result "b09/podem" 0.1
+          ~units:
+            [
+              ("runs", 10.); ("aborts", 0.);
+              ("words_per_decision", per_decision);
+            ];
+        result "b09/portfolio" 0.1 ~units:[ ("runs", 10.); ("aborts", 0.) ];
+        result "deep/sim" 0.1 ~units:[ ("faults", 80.); ("aborts", 2.) ];
+        result "deep/podem" 0.1 ~units:[ ("faults", 80.); ("aborts", 0.) ];
+        result "deep/portfolio" 0.1
+          ~units:[ ("faults", 80.); ("aborts", portfolio) ];
+      ]
+  in
+  check_gate "justify" "every rule held" ~expect:[]
+    (results ~portfolio:2. ~per_trial:15.9 ~per_decision:39.9 ());
+  check_gate "justify" "portfolio aborts above sim's"
+    ~expect:[ "escalation: deep/portfolio aborts 3 > deep/sim aborts 2" ]
+    (results ~portfolio:3. ~per_trial:15.9 ~per_decision:39.9 ());
+  check_gate "justify" "words_per_trial 16"
+    ~expect:[ "allocation: b09/simulation words_per_trial 16.00 >= 16" ]
+    (results ~portfolio:2. ~per_trial:16. ~per_decision:39.9 ());
+  check_gate "justify" "words_per_decision 40"
+    ~expect:[ "allocation: b09/podem words_per_decision 40.00 >= 40" ]
+    (results ~portfolio:2. ~per_trial:15.9 ~per_decision:40. ());
+  check_gate "justify" "deep/podem missing"
+    ~expect:[ "presence: case deep/podem missing" ]
+    (results ~drop:"deep/podem" ~portfolio:2. ~per_trial:15.9
+       ~per_decision:39.9 ())
+
+let test_suite_names () =
+  let names s = List.map (fun s -> s.Benchmark.suite_name) s in
+  let all = names Pdf_serve.Serve_suite.all in
+  Alcotest.(check (list string))
+    "bench --list's suites"
+    [ "fault_sim"; "atpg"; "paths"; "justify"; "kernels"; "obs_overhead";
+      "serve" ]
+    all;
+  Alcotest.(check (list string))
+    "the library's suites, then serve"
+    (names (Benchmark.suites @ [ Pdf_serve.Serve_suite.suite ]))
+    all;
+  Alcotest.(check int) "names unique" (List.length all)
+    (List.length (List.sort_uniq String.compare all))
+
 (* ---------------- Span: per-domain allocation accounting ---------------- *)
 
 let test_span_alloc_is_self_domain () =
@@ -421,6 +558,13 @@ let () =
           Alcotest.test_case "garbage baseline rejected" `Quick
             test_compare_rejects_garbage;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "obs_overhead" `Quick test_obs_overhead_gate;
+          Alcotest.test_case "serve" `Quick test_serve_gate;
+          Alcotest.test_case "justify" `Quick test_justify_gate;
+          Alcotest.test_case "suite names" `Quick test_suite_names;
         ] );
       ( "span-alloc",
         [
