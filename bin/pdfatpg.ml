@@ -689,7 +689,12 @@ let scale_arg =
 let ablations_cmd =
   let module Ablations = Pdf_experiments.Ablations in
   let which =
-    Arg.(value & opt (some string) None
+    let ids =
+      List.map
+        (fun (a : Ablations.ablation) -> (a.Ablations.id, a.Ablations.id))
+        Ablations.all
+    in
+    Arg.(value & opt (some (enum ids)) None
          & info [ "only" ] ~docv:"EN"
              ~doc:"Run a single ablation: e1..e6.")
   in
@@ -725,7 +730,8 @@ let ablations_cmd =
 
 let tables_cmd =
   let which =
-    Arg.(value & opt (some int) None
+    let tables = List.init 7 (fun i -> (string_of_int (i + 1), i + 1)) in
+    Arg.(value & opt (some (enum tables)) None
          & info [ "table" ] ~docv:"N" ~doc:"Only regenerate table N (1-7).")
   in
   let csv_dir =

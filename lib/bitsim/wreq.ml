@@ -7,36 +7,36 @@ module Req = Pdf_values.Req
 (* Test-lane direction: one fault's requirements against packed tests  *)
 (* ------------------------------------------------------------------ *)
 
-(* The six plane arrays are arguments of a top-level loop, read out of
-   the planes once per call: no closure, nothing allocated. *)
-let rec scan_reqs z0 o0 z1 o1 z2 o2 m = function
-  | [] -> m
-  | (net, (r : Req.t)) :: rest ->
-    if m = 0 then 0
-    else
-      let m =
-        match r.Req.r1 with
-        | Req.Any -> m
-        | Req.Must true -> m land o0.(net)
-        | Req.Must false -> m land z0.(net)
-      in
-      let m =
-        match r.Req.r2 with
-        | Req.Any -> m
-        | Req.Must true -> m land o1.(net)
-        | Req.Must false -> m land z1.(net)
-      in
-      let m =
-        match r.Req.r3 with
-        | Req.Any -> m
-        | Req.Must true -> m land o2.(net)
-        | Req.Must false -> m land z2.(net)
-      in
-      scan_reqs z0 o0 z1 o1 z2 o2 m rest
+(* A pinned component [k] of a requirement on [net], pinned to [b], is
+   the literal [(net lsl 3) lor (2k + b)]: the row of [Wsim.planes] that
+   holds the lanes where that component reads [b], and the net. *)
+let literals reqs =
+  let n = List.fold_left (fun n (_, r) -> n + Req.count_pinned r) 0 reqs in
+  let lits = Array.make n 0 and i = ref 0 in
+  let add net k = function
+    | Req.Any -> ()
+    | Req.Must b ->
+      lits.(!i) <- (net lsl 3) lor ((2 * k) + Bool.to_int b);
+      incr i
+  in
+  List.iter
+    (fun (net, (r : Req.t)) ->
+      add net 0 r.Req.r1;
+      add net 1 r.Req.r2;
+      add net 2 r.Req.r3)
+    reqs;
+  lits
 
-let satisfied_mask (p : Wsim.planes) reqs =
-  let z = p.Wsim.z and o = p.Wsim.o in
-  scan_reqs z.(0) o.(0) z.(1) o.(1) z.(2) o.(2) p.Wsim.p_mask reqs
+let satisfied_mask (p : Wsim.planes) lits =
+  let rows = p.Wsim.rows in
+  let n = Array.length lits in
+  let m = ref p.Wsim.p_mask and i = ref 0 in
+  while !m <> 0 && !i < n do
+    let l = lits.(!i) in
+    m := !m land rows.(l land 7).(l lsr 3);
+    incr i
+  done;
+  !m
 
 (* ------------------------------------------------------------------ *)
 (* Fault-lane direction: packed requirement sets against scalar values *)

@@ -7,8 +7,7 @@ module Gate = Pdf_circuit.Gate
 type planes = {
   mutable p_lanes : int;
   mutable p_mask : int;
-  z : int array array;
-  o : int array array;
+  rows : int array array;
 }
 
 let lanes t = t.p_lanes
@@ -17,8 +16,8 @@ let mask t = t.p_mask
 
 let get t ~comp ~net ~lane =
   let b = 1 lsl lane in
-  if t.o.(comp).(net) land b <> 0 then Bit.One
-  else if t.z.(comp).(net) land b <> 0 then Bit.Zero
+  if t.rows.((2 * comp) + 1).(net) land b <> 0 then Bit.One
+  else if t.rows.(2 * comp).(net) land b <> 0 then Bit.Zero
   else Bit.X
 
 let triple t ~net ~lane =
@@ -43,12 +42,7 @@ let injected_bug_enabled () = Atomic.get injected_bug
 
 let create c =
   let n = Circuit.num_nets c in
-  {
-    p_lanes = 0;
-    p_mask = 0;
-    z = Array.init 3 (fun _ -> Array.make n 0);
-    o = Array.init 3 (fun _ -> Array.make n 0);
-  }
+  { p_lanes = 0; p_mask = 0; rows = Array.init 6 (fun _ -> Array.make n 0) }
 
 (* One gate, all three planes and all lanes at once, written straight
    into the plane arrays at net [out].  The dual-rail formulas are the
@@ -132,14 +126,14 @@ let eval_gate (g : Circuit.gate) out z0 o0 z1 o1 z2 o2 =
       o2.(out) <- !b2)
 
 let simulate_into c p ~lanes =
-  if Array.length p.z.(0) <> Circuit.num_nets c then
+  if Array.length p.rows.(0) <> Circuit.num_nets c then
     invalid_arg "Wsim.simulate_into: planes of another circuit";
   if lanes < 1 || lanes > Word.lanes then
     invalid_arg "Wsim.simulate_into: lane count out of range";
   let np = c.Circuit.num_pis in
-  let z0 = p.z.(0) and o0 = p.o.(0) in
-  let z1 = p.z.(1) and o1 = p.o.(1) in
-  let z2 = p.z.(2) and o2 = p.o.(2) in
+  let r = p.rows in
+  let z0 = r.(0) and o0 = r.(1) and z1 = r.(2) and o1 = r.(3) in
+  let z2 = r.(4) and o2 = r.(5) in
   (* Lane-wise Two_pattern.middle_of_pair: definite only where both
      patterns agree on a definite value. *)
   for pi = 0 to np - 1 do
@@ -160,10 +154,10 @@ let simulate c ~(w1 : Word.t array) ~(w3 : Word.t array) ~lanes =
   then invalid_arg "Wsim.simulate: wrong number of PI words";
   let p = create c in
   for pi = 0 to c.Circuit.num_pis - 1 do
-    p.z.(0).(pi) <- w1.(pi).Word.zero;
-    p.o.(0).(pi) <- w1.(pi).Word.one;
-    p.z.(2).(pi) <- w3.(pi).Word.zero;
-    p.o.(2).(pi) <- w3.(pi).Word.one
+    p.rows.(0).(pi) <- w1.(pi).Word.zero;
+    p.rows.(1).(pi) <- w1.(pi).Word.one;
+    p.rows.(4).(pi) <- w3.(pi).Word.zero;
+    p.rows.(5).(pi) <- w3.(pi).Word.one
   done;
   simulate_into c p ~lanes;
   p

@@ -26,21 +26,28 @@
 type planes = {
   mutable p_lanes : int;  (** occupied lanes *)
   mutable p_mask : int;  (** [Word.lane_mask p_lanes] *)
-  z : int array array;  (** zero rail, [3 x num_nets]: [z.(comp).(net)] *)
-  o : int array array;  (** one rail, [3 x num_nets] *)
+  rows : int array array;
+      (** the six rails, [6 x num_nets]: [rows.(2*comp + v).(net)] is
+          the lane mask of the tests whose component [comp] of [net] is
+          the definite value [v] (0 or 1) *)
 }
 (** Simulation buffer and result, struct-of-arrays so requirement scans
     touch flat integer arrays.  Component indices: 0 = first pattern,
-    1 = intermediate, 2 = second pattern.  The inputs of a simulation
-    are the PI entries ([net < num_pis]) of components 0 and 2. *)
+    1 = intermediate, 2 = second pattern; row [2*comp] is the
+    component's zero rail, row [2*comp + 1] its one rail.  A pinned
+    requirement component is therefore one row id, which is what
+    {!Wreq.literals} encodes.  The inputs of a simulation are the PI
+    entries ([net < num_pis]) of rows 0, 1 (first pattern) and 4, 5
+    (second pattern). *)
 
 val create : Pdf_circuit.Circuit.t -> planes
 (** A buffer for the circuit: every lane of every net [X], no lane
-    occupied.  Its six arrays are the only allocation of a simulation. *)
+    occupied.  Its six rows are the only allocation of a simulation. *)
 
 val simulate_into : Pdf_circuit.Circuit.t -> planes -> lanes:int -> unit
 (** [simulate_into c p ~lanes] simulates the PI words the caller stored
-    in components 0 and 2 of [p]: it derives component 1 at the PIs,
+    in components 0 and 2 of [p] (rows 0, 1, 4 and 5): it derives
+    component 1 at the PIs,
     overwrites every gate net of all three components and sets
     [p_lanes]/[p_mask].  Lanes at or above [lanes] are don't-cares that
     consumers mask off.  Allocates nothing.  Raises [Invalid_argument]

@@ -1,4 +1,5 @@
 module Robust = Pdf_faults.Robust
+module Target_sets = Pdf_faults.Target_sets
 
 type verdict = {
   fault_id : int;
@@ -10,32 +11,27 @@ type verdict = {
 let dictionary c tests faults = Fault_sim.detect_matrix c tests faults
 
 (* The weak dictionary: non-robust sensitization of the same faults.
-   Faults with consistent non-robust conditions are re-packed as a
-   prepared array so the scan shares the (possibly word-parallel)
-   detection matrix; faults without them contribute all-false columns. *)
+   Faults with consistent non-robust conditions are prepared again under
+   that criterion, so the scan shares the word-parallel detection
+   matrix; faults without them contribute all-false columns. *)
 let weak_dictionary c tests (faults : Fault_sim.prepared array) =
-  let weak_reqs =
-    Array.map
-      (fun (p : Fault_sim.prepared) ->
-        Fault_sim.conditions ~criterion:Robust.Non_robust c
-          p.Fault_sim.fault)
-      faults
+  let criterion = Robust.Non_robust in
+  let idx =
+    List.filter
+      (fun i ->
+        Option.is_some
+          (Fault_sim.conditions ~criterion c faults.(i).Fault_sim.fault))
+      (List.init (Array.length faults) Fun.id)
   in
-  let idx = ref [] in
-  Array.iteri
-    (fun i reqs -> if Option.is_some reqs then idx := i :: !idx)
-    weak_reqs;
-  let idx = Array.of_list (List.rev !idx) in
   let weak_faults =
-    Array.mapi
-      (fun j i ->
-        {
-          faults.(i) with
-          Fault_sim.id = j;
-          reqs = Option.get weak_reqs.(i);
-        })
-      idx
+    Fault_sim.prepare ~criterion c
+      (List.map
+         (fun i ->
+           let p = faults.(i) in
+           { Target_sets.fault = p.Fault_sim.fault; length = p.Fault_sim.length })
+         idx)
   in
+  let idx = Array.of_list idx in
   let rows = Fault_sim.detect_matrix c tests weak_faults in
   Array.map
     (fun row ->

@@ -26,12 +26,19 @@ let g_prepared = Metrics.gauge "fault_sim.prepared"
    table is keyed structurally (faults are plain ints/variants/arrays).
    The lock makes the cache safe from pool domains; the conditions
    themselves are computed outside the lock, so a rare duplicate
-   computation is possible but harmless. *)
+   computation is possible but harmless.
+
+   A set enters the cache with its requirements interned and with its
+   literals ([Wreq.literals]), the form packed grading reads: both are
+   paid once per cached set, and every [prepare] of the fault shares
+   them. *)
 let cond_lock = Mutex.create ()
+
+type condition_set = (int * Req.t) list * int array
 
 let cond_caches :
     (Circuit.t
-    * (Robust.criterion * Fault.t, (int * Req.t) list option) Hashtbl.t)
+    * (Robust.criterion * Fault.t, condition_set option) Hashtbl.t)
     list
     ref =
   ref []
@@ -42,7 +49,11 @@ let with_cond_lock f =
   Mutex.lock cond_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cond_lock) f
 
-let conditions ?(criterion = Robust.Robust) c fault =
+let compile reqs : condition_set =
+  let reqs = List.map (fun (net, r) -> (net, Req.intern r)) reqs in
+  (reqs, Wreq.literals reqs)
+
+let cached ~criterion c fault =
   let tbl =
     with_cond_lock (fun () ->
         match List.find_opt (fun (c', _) -> c' == c) !cond_caches with
@@ -61,10 +72,13 @@ let conditions ?(criterion = Robust.Robust) c fault =
   match with_cond_lock (fun () -> Hashtbl.find_opt tbl key) with
   | Some r -> r
   | None ->
-    let r = Robust.conditions ~criterion c fault in
+    let r = Option.map compile (Robust.conditions ~criterion c fault) in
     with_cond_lock (fun () ->
         if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key r);
     r
+
+let conditions ?(criterion = Robust.Robust) c fault =
+  Option.map fst (cached ~criterion c fault)
 
 (* ------------------------------------------------------------------ *)
 (* Preparation and scalar detection                                    *)
@@ -75,6 +89,7 @@ type prepared = {
   fault : Fault.t;
   length : int;
   reqs : (int * Req.t) list;
+  lits : int array;
 }
 
 let prepare ?(criterion = Robust.Robust) c entries =
@@ -82,11 +97,11 @@ let prepare ?(criterion = Robust.Robust) c entries =
   let prepared =
     List.filter_map
       (fun (e : Target_sets.entry) ->
-        match conditions ~criterion c e.Target_sets.fault with
-        | Some reqs ->
+        match cached ~criterion c e.Target_sets.fault with
+        | Some (reqs, lits) ->
           Some (fun id ->
               { id; fault = e.Target_sets.fault; length = e.Target_sets.length;
-                reqs })
+                reqs; lits })
         | None -> None)
       entries
   in
@@ -122,8 +137,8 @@ let count detected =
    of them. *)
 let load_batch c (p : Wsim.planes) (tests : Test_pair.t array) lo hi =
   let np = c.Circuit.num_pis in
-  let z0 = p.Wsim.z.(0) and o0 = p.Wsim.o.(0) in
-  let z2 = p.Wsim.z.(2) and o2 = p.Wsim.o.(2) in
+  let r = p.Wsim.rows in
+  let z0 = r.(0) and o0 = r.(1) and z2 = r.(4) and o2 = r.(5) in
   Array.fill o0 0 np 0;
   Array.fill o2 0 np 0;
   for l = 0 to hi - lo - 1 do
@@ -175,7 +190,7 @@ let detected_by_tests ?pool c tests faults =
       for i = 0 to nf - 1 do
         if
           (not detected.(i))
-          && Wreq.satisfied_mask planes faults.(i).reqs <> 0
+          && Wreq.satisfied_mask planes faults.(i).lits <> 0
         then detected.(i) <- true
       done
     done;
@@ -214,7 +229,7 @@ let detect_matrix ?pool c tests faults =
       load_batch c planes tests lo hi;
       let hits = ref 0 in
       for i = 0 to nf - 1 do
-        let m = Wreq.satisfied_mask planes faults.(i).reqs in
+        let m = Wreq.satisfied_mask planes faults.(i).lits in
         if m <> 0 then begin
           ids.(!hits) <- i;
           masks.(!hits) <- m;

@@ -17,12 +17,20 @@
 
 (** A fault with its precomputed, merged condition set, ready for
     simulation.  [id] is the fault's index in the prepared array and is
-    the id every ATPG entry point works with. *)
-type prepared = {
+    the id every ATPG entry point works with.  Only {!prepare} builds
+    one, so [reqs] and [lits] always describe the same condition set:
+    to grade a fault under another criterion, prepare it again with
+    that criterion. *)
+type prepared = private {
   id : int;  (** index in the array returned by {!prepare} *)
   fault : Pdf_faults.Fault.t;  (** the underlying path delay fault *)
   length : int;  (** path length under the experiment's delay model *)
-  reqs : (int * Pdf_values.Req.t) list;  (** merged [A(p)] *)
+  reqs : (int * Pdf_values.Req.t) list;
+      (** merged [A(p)], its requirements interned
+          ({!Pdf_values.Req.intern}) *)
+  lits : int array;
+      (** [reqs] as {!Pdf_bitsim.Wreq.literals}, what packed grading
+          reads; shared with the condition cache, never to be written *)
 }
 
 val conditions :
@@ -33,8 +41,12 @@ val conditions :
 (** Memoising front end to {!Pdf_faults.Robust.conditions}: results are
     cached per circuit (by physical identity, a bounded number of
     circuits) and per (criterion, fault).  Safe to call from pool
-    domains.  Used by {!prepare} and the diagnosis dictionaries, which
-    repeatedly ask for the same condition sets. *)
+    domains.  Used by {!prepare} and the weak diagnosis dictionary,
+    which repeatedly ask for the same condition sets.  A cached set
+    holds its requirements interned ({!Pdf_values.Req.intern}: equal to
+    what [Robust.conditions] returns, but sharing one value per
+    distinct requirement) and its {!Pdf_bitsim.Wreq.literals}, both
+    computed once, when the set enters the cache. *)
 
 val prepare :
   ?criterion:Pdf_faults.Robust.criterion ->
@@ -65,8 +77,10 @@ val detected_by_tests :
     one partly filled batch, an empty one none) and the batches into one
     contiguous chunk per pool domain (one chunk, run inline, with one
     job).  A chunk simulates its batches one after the other into one
-    plane buffer ({!Pdf_bitsim.Wsim.simulate_into}), skips the faults it
-    has already seen detected, and the chunks' flags are merged by OR.
+    plane buffer ({!Pdf_bitsim.Wsim.simulate_into}), checks each fault's
+    [lits] against it ({!Pdf_bitsim.Wreq.satisfied_mask}), skips the
+    faults it has already seen detected, and the chunks' flags are
+    merged by OR.
     The metric totals [fault_sim.simulations], [fault_sim.detections],
     [fault_sim.word_batches] and [fault_sim.lanes_used] depend on the
     set alone, not on the pool.  [pool] defaults to

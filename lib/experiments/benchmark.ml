@@ -8,6 +8,9 @@ module Delay_model = Pdf_paths.Delay_model
 module Enumerate = Pdf_paths.Enumerate
 module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
+module Word = Pdf_values.Word
+module Wsim = Pdf_bitsim.Wsim
+module Wreq = Pdf_bitsim.Wreq
 module Test_pair = Pdf_core.Test_pair
 module Justify = Pdf_core.Justify
 module Podem = Pdf_core.Podem
@@ -153,6 +156,50 @@ let word_batches n_tests = (n_tests + 62) / 63
 (* Suites                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The words one [Wreq.satisfied_mask] pass over every fault allocates,
+   on one simulated batch of the first (at most 63) tests — an all-X
+   lane without tests: the pass each word batch of the grading entry
+   points runs. *)
+let mask_words c tests (faults : Fault_sim.prepared array) =
+  let tests = Array.of_list tests in
+  let n = min Word.lanes (Array.length tests) in
+  let word pat pi =
+    Word.init (max 1 n) (fun l ->
+        if l < n then Pdf_values.Bit.of_bool (pat tests.(l)).(pi)
+        else Pdf_values.Bit.X)
+  in
+  let pis f = Array.init c.Circuit.num_pis f in
+  let planes =
+    Wsim.simulate c
+      ~w1:(pis (word (fun t -> t.Test_pair.v1)))
+      ~w3:(pis (word (fun t -> t.Test_pair.v3)))
+      ~lanes:(max 1 n)
+  in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length faults - 1 do
+    if Wreq.satisfied_mask planes faults.(i).Fault_sim.lits <> 0 then
+      incr hits
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !hits);
+  words
+
+(* "mask_words" is measured at set-up and deterministic: the mask pass
+   reads each fault's literal array and allocates nothing, so any word
+   it allocates — a closure, a boxed mask, a list walked per fault —
+   fails the gate on any machine. *)
+let fault_sim_gate results =
+  List.filter_map
+    (fun (_, r) ->
+      match List.assoc_opt "mask_words" r.r_units with
+      | Some 0. -> None
+      | Some w ->
+        Some (Printf.sprintf "allocation: %s mask_words %.0f > 0" r.r_case w)
+      | None ->
+        Some (Printf.sprintf "allocation: %s has no mask_words" r.r_case))
+    (circuit_cases results ~kernel:"detect_matrix")
+
 let fault_sim_suite =
   let cases params =
     List.concat_map
@@ -192,6 +239,7 @@ let fault_sim_suite =
                   float_of_int
                     (word_batches params.n_tests
                     * Circuit.num_gates s.cs_circuit) );
+                ("mask_words", mask_words s.cs_circuit s.cs_tests s.cs_faults);
               ];
             (* The batch entry point, packed at every set size — the
                case the regression gate watches. *)
@@ -233,9 +281,10 @@ let fault_sim_suite =
     suite_doc =
       "Fault-simulation kernels: detection matrix and test-set union \
        through the batch entry points, plus the per-test scalar \
-       reference (hard-fails when the engines disagree)";
+       reference (hard-fails when the engines disagree; the mask pass \
+       must allocate nothing)";
     cases;
-    gate = no_gate;
+    gate = fault_sim_gate;
   }
 
 let atpg_suite =

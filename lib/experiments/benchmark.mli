@@ -66,7 +66,10 @@ type suite = {
   gate : result list -> string list;
       (** run once on the measured cases; each string is one failed
           rule, naming the rule, the measured figure and its threshold
-          ([[]]: the report passes).  [justify] requires the three
+          ([[]]: the report passes).  [fault_sim] requires each
+          [*/detect_matrix] case's [mask_words] unit — the words one
+          [Wreq.satisfied_mask] pass over every fault allocates,
+          measured at set-up — to be 0; [justify] requires the three
           [deep/*] cases, [deep/portfolio] aborts at most [deep/sim]'s,
           [words_per_trial] below 16 and [words_per_decision] below 40;
           [obs_overhead] holds each overhead model at most 2%; the

@@ -59,6 +59,26 @@ let count_pinned t =
   let one = function Any -> 0 | Must _ -> 1 in
   one t.r1 + one t.r2 + one t.r3
 
+(* The 27 requirements, each one shared value, built over one shared
+   value per component: index [9 r1 + 3 r2 + r3], a component's index
+   being 0 for [Any], 1 for [Must false], 2 for [Must true]. *)
+let components = [| Any; Must false; Must true |]
+
+let component_index = function Any -> 0 | Must false -> 1 | Must true -> 2
+
+let interned =
+  Array.init 27 (fun i ->
+      {
+        r1 = components.(i / 9);
+        r2 = components.(i / 3 mod 3);
+        r3 = components.(i mod 3);
+      })
+
+let intern t =
+  interned.((9 * component_index t.r1)
+            + (3 * component_index t.r2)
+            + component_index t.r3)
+
 let component_of_char = function
   | '0' -> Some (Must false)
   | '1' -> Some (Must true)

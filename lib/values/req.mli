@@ -54,6 +54,13 @@ val count_pinned : t -> int
 (** Number of [Must] components — the value-count used by the value-based
     secondary-target heuristic (size of [Delta]). *)
 
+val intern : t -> t
+(** The one shared value equal to the argument: there are 27
+    requirements, and [intern] returns the same physical value for
+    equal arguments, its components shared too.  A long-lived condition
+    set whose requirements are interned holds no record of its own per
+    requirement ([Fault_sim]'s condition cache does this). *)
+
 val of_string : string -> t option
 (** Parse ["0x1"]-style notation, [x] meaning [Any]. *)
 

@@ -441,6 +441,22 @@ let test_justify_gate () =
     (results ~drop:"deep/podem" ~portfolio:2. ~per_trial:15.9
        ~per_decision:39.9 ())
 
+let test_fault_sim_gate () =
+  let results ~mask_words =
+    [
+      result "b09/detect_matrix" 1e-4
+        ~units:[ ("faults", 12.); ("tests", 126.); ("mask_words", 0.) ];
+      result "s641/detect_matrix" 1e-4
+        ~units:[ ("faults", 240.); ("tests", 126.); ("mask_words", mask_words) ];
+      result "s641/detect_matrix_scalar" 1e-2 ~units:[ ("faults", 240.) ];
+    ]
+  in
+  check_gate "fault_sim" "mask pass allocates nothing" ~expect:[]
+    (results ~mask_words:0.);
+  check_gate "fault_sim" "mask pass allocates a word"
+    ~expect:[ "allocation: s641/detect_matrix mask_words 1 > 0" ]
+    (results ~mask_words:1.)
+
 let test_suite_names () =
   let names s = List.map (fun s -> s.Benchmark.suite_name) s in
   let all = names Pdf_serve.Serve_suite.all in
@@ -564,6 +580,7 @@ let () =
           Alcotest.test_case "obs_overhead" `Quick test_obs_overhead_gate;
           Alcotest.test_case "serve" `Quick test_serve_gate;
           Alcotest.test_case "justify" `Quick test_justify_gate;
+          Alcotest.test_case "fault_sim" `Quick test_fault_sim_gate;
           Alcotest.test_case "suite names" `Quick test_suite_names;
         ] );
       ( "span-alloc",

@@ -85,8 +85,12 @@ let prop_wsim_matches_scalar =
       done;
       !ok)
 
-(* Packed requirement checking equals the scalar satisfied_by fold per
-   lane, on the real condition sets of the circuit's faults. *)
+(* Packed requirement checking, over each fault's literal array, equals
+   the scalar satisfied_by fold over its requirement list per lane, on
+   the real condition sets of the circuit's faults.  Each requirement is
+   also checked alone, over its own literals: a whole set is rarely
+   satisfied by random lanes, a single requirement often, so a component
+   the encoding loses (a hazard-free middle one, say) shows. *)
 let prop_satisfied_mask_matches_scalar =
   QCheck.Test.make
     ~name:"Wreq.satisfied_mask = Req.satisfied_by per lane" ~count:40
@@ -97,19 +101,58 @@ let prop_satisfied_mask_matches_scalar =
       let faults = Fault_sim.prepare c ts.Target_sets.p in
       let planes = pack_planes c lanes b1 b3 in
       let scalars = Array.init lanes (fun l -> scalar_lane c b1.(l) b3.(l)) in
+      let per_lane lits reqs =
+        let m = Wreq.satisfied_mask planes lits in
+        List.for_all
+          (fun l ->
+            List.for_all
+              (fun (net, req) -> Req.satisfied_by scalars.(l).(net) req)
+              reqs
+            = (m land (1 lsl l) <> 0))
+          (List.init lanes Fun.id)
+      in
       Array.for_all
         (fun (p : Fault_sim.prepared) ->
-          let m = Wreq.satisfied_mask planes p.Fault_sim.reqs in
-          let ok = ref true in
-          for l = 0 to lanes - 1 do
-            let scalar =
-              List.for_all
-                (fun (net, req) -> Req.satisfied_by scalars.(l).(net) req)
-                p.Fault_sim.reqs
-            in
-            if scalar <> (m land (1 lsl l) <> 0) then ok := false
-          done;
-          !ok)
+          per_lane p.Fault_sim.lits p.Fault_sim.reqs
+          && List.for_all
+               (fun r -> per_lane (Wreq.literals [ r ]) [ r ])
+               p.Fault_sim.reqs)
+        faults)
+
+(* Each prepared fault's literals decode, in order, to the pinned
+   components of its requirement list: literal [(net lsl 3) lor (2k+b)]
+   is component [k] of [net] pinned to [b]. *)
+let prop_literals_encode_reqs =
+  QCheck.Test.make ~name:"literals encode A(p)" ~count:40
+    (QCheck.make ~print:(Printf.sprintf "seed=%d")
+       QCheck.Gen.(int_range 0 100_000))
+    (fun seed ->
+      let c = circuit_of_seed seed in
+      let ts = Target_sets.build c (Delay_model.lines c) ~n_p:15 ~n_p0:5 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      Array.for_all
+        (fun (p : Fault_sim.prepared) ->
+          let pinned =
+            List.concat_map
+              (fun (net, (r : Req.t)) ->
+                List.filter_map
+                  (fun (k, comp) ->
+                    match comp with
+                    | Req.Any -> None
+                    | Req.Must b -> Some (net, k, b))
+                  [ (0, r.Req.r1); (1, r.Req.r2); (2, r.Req.r3) ])
+              p.Fault_sim.reqs
+          in
+          let decoded =
+            List.map
+              (fun l -> (l lsr 3, (l land 7) / 2, l land 1 = 1))
+              (Array.to_list p.Fault_sim.lits)
+          in
+          decoded = pinned
+          && Array.length p.Fault_sim.lits
+             = List.fold_left
+                 (fun n (_, r) -> n + Req.count_pinned r)
+                 0 p.Fault_sim.reqs)
         faults)
 
 (* Fault-lane packing: one scalar simulation checked against 63 packed
@@ -155,12 +198,13 @@ let prop_fault_mask_matches_scalar =
    into the same buffer, as the batch entry points do for every word
    batch, allocates nothing at all: no major words (a fresh plane array
    would be one) and no minor ones. *)
-let test_simulate_allocation () =
-  let c =
-    match Profiles.find "s9234*" with
-    | Some p -> Profiles.circuit p
-    | None -> assert false
-  in
+let s9234 () =
+  match Profiles.find "s9234*" with
+  | Some p -> Profiles.circuit p
+  | None -> assert false
+
+(* Seeded random PI words of the two patterns, every lane definite. *)
+let random_pi_words c =
   let rng = Pdf_util.Rng.create 9234 in
   let word () =
     Word.init Word.lanes (fun _ ->
@@ -169,6 +213,11 @@ let test_simulate_allocation () =
   let np = c.Circuit.num_pis in
   let w1 = Array.init np (fun _ -> word ()) in
   let w3 = Array.init np (fun _ -> word ()) in
+  (w1, w3)
+
+let test_simulate_allocation () =
+  let c = s9234 () in
+  let w1, w3 = random_pi_words c in
   let before = Gc.minor_words () in
   let planes = Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes in
   let words = Gc.minor_words () -. before in
@@ -185,6 +234,30 @@ let test_simulate_allocation () =
   ignore (Sys.opaque_identity planes);
   check (Alcotest.float 0.) "major words of a reused buffer" 0. major;
   check (Alcotest.float 0.) "minor words of a reused buffer" 0. minor
+
+(* The mask pass a batch runs over every fault allocates nothing: on
+   s9234*, one [Wreq.satisfied_mask] per prepared fault against one
+   simulated batch adds no minor and no major words. *)
+let test_mask_allocation () =
+  let c = s9234 () in
+  let ts = Target_sets.build c (Delay_model.lines c) ~n_p:400 ~n_p0:40 in
+  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let w1, w3 = random_pi_words c in
+  let planes = Wsim.simulate c ~w1 ~w3 ~lanes:Word.lanes in
+  let hits = ref 0 in
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  for i = 0 to Array.length faults - 1 do
+    if Wreq.satisfied_mask planes faults.(i).Fault_sim.lits <> 0 then
+      incr hits
+  done;
+  let minor = Gc.minor_words () -. minor0 in
+  let _, _, major1 = Gc.counters () in
+  let major = major1 -. major0 in
+  ignore (Sys.opaque_identity !hits);
+  check Alcotest.bool "faults prepared" true (Array.length faults > 0);
+  check (Alcotest.float 0.) "major words of a mask pass" 0. major;
+  check (Alcotest.float 0.) "minor words of a mask pass" 0. minor
 
 (* ------------------------------------------------------------------ *)
 (* Incremental simulation: Cone_sim vs the full pass                   *)
@@ -390,25 +463,25 @@ let test_dictionaries_packed_vs_scalar () =
   let faults, tests = s27_workload () in
   let strong = Diagnose.dictionary s27 tests faults in
   let weak = Diagnose.weak_dictionary s27 tests faults in
-  let weak_conds =
-    Array.map
-      (fun (p : Fault_sim.prepared) ->
-        Fault_sim.conditions ~criterion:Pdf_faults.Robust.Non_robust s27
-          p.Fault_sim.fault)
-      faults
-  in
+  let criterion = Pdf_faults.Robust.Non_robust in
   let weak_ids =
     Array.of_list
       (List.filter
-         (fun i -> Option.is_some weak_conds.(i))
+         (fun i ->
+           Option.is_some
+             (Fault_sim.conditions ~criterion s27 faults.(i).Fault_sim.fault))
          (List.init (Array.length faults) Fun.id))
   in
   let weak_faults =
-    Array.map
-      (fun i ->
-        { faults.(i) with Fault_sim.reqs = Option.get weak_conds.(i) })
-      weak_ids
+    Fault_sim.prepare ~criterion s27
+      (List.map
+         (fun i ->
+           let p = faults.(i) in
+           { Target_sets.fault = p.Fault_sim.fault; length = p.Fault_sim.length })
+         (Array.to_list weak_ids))
   in
+  check Alcotest.int "every weak fault prepared" (Array.length weak_ids)
+    (Array.length weak_faults);
   List.iteri
     (fun t test ->
       check Alcotest.(array bool) "strong row"
@@ -447,6 +520,54 @@ let test_conditions_cache () =
            (fun (e : Target_sets.entry) ->
              Fault_sim.conditions s27 e.Target_sets.fault)
            entries))
+
+(* Req.intern maps the 27 requirements to 27 shared values, each equal
+   to its argument; the condition cache hands out interned requirements
+   only, under both criteria. *)
+let test_req_intern () =
+  let comps = [ Req.Any; Req.Must false; Req.Must true ] in
+  let all =
+    List.concat_map
+      (fun r1 ->
+        List.concat_map
+          (fun r2 -> List.map (fun r3 -> { Req.r1; r2; r3 }) comps)
+          comps)
+      comps
+  in
+  check Alcotest.int "27 requirements" 27 (List.length all);
+  List.iter
+    (fun r ->
+      (* A fresh copy, so [==] cannot hold by accident. *)
+      let copy = Option.get (Req.of_string (Req.to_string r)) in
+      let i = Req.intern r in
+      check Alcotest.bool (Req.to_string r ^ ": equal") true (Req.equal i r);
+      check Alcotest.bool (Req.to_string r ^ ": shared") true
+        (i == Req.intern copy && i == Req.intern i))
+    all;
+  (* Their pinned components are shared values too. *)
+  let comps = List.concat_map (fun (r : Req.t) -> [ r.Req.r1; r.Req.r2; r.Req.r3 ])
+      (List.map Req.intern all) in
+  List.iter
+    (fun b ->
+      let musts = List.filter (fun c -> c = Req.Must b) comps in
+      check Alcotest.bool "Must components shared" true
+        (List.for_all (fun c -> c == List.hd musts) musts))
+    [ false; true ];
+  let ts = Target_sets.build s27 (Delay_model.lines s27) ~n_p:40 ~n_p0:10 in
+  List.iter
+    (fun criterion ->
+      List.iter
+        (fun (e : Target_sets.entry) ->
+          match Fault_sim.conditions ~criterion s27 e.Target_sets.fault with
+          | None -> ()
+          | Some reqs ->
+            List.iter
+              (fun (_, r) ->
+                check Alcotest.bool "cached requirement interned" true
+                  (Req.intern r == r))
+              reqs)
+        ts.Target_sets.p)
+    Pdf_faults.Robust.[ Robust; Non_robust ]
 
 (* batch_bounds at the word-size boundaries: 0, 1, Word.lanes - 1,
    Word.lanes and Word.lanes + 1 tests (i.e. 0, 1, 62, 63, 64). *)
@@ -597,9 +718,12 @@ let () =
         [
           qcheck prop_wsim_matches_scalar;
           qcheck prop_satisfied_mask_matches_scalar;
+          qcheck prop_literals_encode_reqs;
           qcheck prop_fault_mask_matches_scalar;
           Alcotest.test_case "simulate allocates only planes" `Quick
             test_simulate_allocation;
+          Alcotest.test_case "mask pass allocates nothing" `Quick
+            test_mask_allocation;
         ] );
       ( "incremental",
         [
@@ -618,6 +742,8 @@ let () =
           Alcotest.test_case "detect_matrix = per-test rows" `Quick
             test_detect_matrix_vs_single;
           Alcotest.test_case "conditions cache" `Quick test_conditions_cache;
+          Alcotest.test_case "Req.intern: 27 shared values" `Quick
+            test_req_intern;
           Alcotest.test_case "batch_bounds edges" `Quick
             test_batch_bounds_edges;
           Alcotest.test_case "detection at word boundaries" `Quick
