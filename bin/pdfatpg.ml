@@ -937,14 +937,7 @@ let trace_cmd =
         in
         let wall = Unix.gettimeofday () -. t0 in
         Span.set_sink prev_sink;
-        Metrics.set_int (Metrics.gauge "enrich.p0_detected")
-          (Atpg.count_detected res ~ids:p0);
-        Metrics.set_int (Metrics.gauge "enrich.p1_detected")
-          (Atpg.count_detected res ~ids:p1);
-        Metrics.set_int (Metrics.gauge "enrich.p_detected")
-          (Fault_sim.count res.Atpg.detected);
-        Metrics.set_int (Metrics.gauge "enrich.tests")
-          (List.length res.Atpg.tests);
+        Pdf_experiments.Runner.set_enrich_gauges res ~p0 ~p1;
         Printf.printf
           "%s: enrichment run, |P0|=%d |P1|=%d, %d/%d detected, %d tests\n\n"
           c.Circuit.name

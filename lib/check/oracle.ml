@@ -1205,6 +1205,120 @@ let check_portfolio { circuit = c; seed } =
   end
 
 (* ------------------------------------------------------------------ *)
+(* undetectable: the shared filter vs the per-fault pass                *)
+(* ------------------------------------------------------------------ *)
+
+module Undetectable = Pdf_faults.Undetectable
+module Robust = Pdf_faults.Robust
+
+(* The undetectability filter shares the implication work of faults
+   whose paths end alike; its reference classifies each fault from an
+   empty state.  On the enumerated faults in enumeration order, and on
+   a shuffle of them with repeats, under both criteria, the two must
+   keep the same faults in the same order, with the same stats and —
+   the filter's records take each conflict's location from the
+   per-fault pass — the same ledger records; without a ledger too,
+   where the stats' split comes from the filter's own direct-clash
+   check. *)
+let check_undetectable { circuit = c; seed } =
+  let enumeration =
+    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:120
+  in
+  let faults =
+    List.concat_map (fun (path, _) -> Fault.both path)
+      enumeration.Pdf_paths.Enumerate.paths
+  in
+  if faults = [] then Skip "no path to a primary output"
+  else begin
+    let rng = Rng.create seed in
+    let a = Array.of_list faults in
+    let n = Array.length a in
+    let shuffled =
+      faults @ List.init (n / 4) (fun _ -> a.(Rng.int rng n))
+      |> List.map (fun f -> (Rng.int rng max_int, f))
+      |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
+      |> List.map snd
+    in
+    let differ what criterion faults =
+      let where how =
+        Printf.sprintf "%s, %s%s on %s" what
+          (match criterion with
+          | Robust.Robust -> "robust"
+          | Robust.Non_robust -> "non-robust")
+          how c.Circuit.name
+      in
+      let ref_ledger = Ledger.create () and ledger = Ledger.create () in
+      let want, want_stats =
+        Undetectable.per_fault ~criterion ~ledger:ref_ledger c faults
+      in
+      let stats_string (s : Undetectable.stats) =
+        Printf.sprintf "kept %d, direct %d, implication %d" s.Undetectable.kept
+          s.Undetectable.direct_conflicts s.Undetectable.implication_conflicts
+      in
+      let missing l from =
+        List.find_opt (fun f -> not (List.exists (Fault.equal f) from)) l
+      in
+      let check_run how (got, stats) =
+        match (missing want got, missing got want) with
+        | Some f, _ ->
+          Some
+            (Printf.sprintf "%s: the filter eliminates %s, the per-fault pass \
+                             keeps it" (where how) (Fault.to_string c f))
+        | None, Some f ->
+          Some
+            (Printf.sprintf "%s: the filter keeps %s, the per-fault pass \
+                             eliminates it" (where how) (Fault.to_string c f))
+        | None, None when not (List.equal Fault.equal want got) ->
+          Some (where how ^ ": the kept faults are out of input order")
+        | None, None when stats <> want_stats ->
+          Some
+            (Printf.sprintf "%s: stats %s, the per-fault pass's %s" (where how)
+               (stats_string stats) (stats_string want_stats))
+        | None, None -> None
+      in
+      let rec first_record i = function
+        | x :: xs, y :: ys when String.equal x y -> first_record (i + 1) (xs, ys)
+        | x :: _, y :: _ ->
+          Some
+            (Printf.sprintf "%s: ledger record %d is %s, the per-fault pass's \
+                             %s" (where "") i x y)
+        | [], [] -> None
+        | _ ->
+          Some
+            (Printf.sprintf "%s: %d ledger records, the per-fault pass's %d"
+               (where "") (Ledger.size ledger) (Ledger.size ref_ledger))
+      in
+      let lines l = String.split_on_char '\n' (Ledger.to_jsonl l) in
+      match
+        List.find_map
+          (fun (how, run) -> check_run how run)
+          [
+            (" with a ledger", Undetectable.filter ~criterion ~ledger c faults);
+            (" without a ledger", Undetectable.filter ~criterion c faults);
+          ]
+      with
+      | Some _ as v -> v
+      | None -> first_record 0 (lines ledger, lines ref_ledger)
+    in
+    let cases =
+      List.concat_map
+        (fun criterion ->
+          [
+            ("enumeration order", criterion, faults);
+            ("shuffled with repeats", criterion, shuffled);
+          ])
+        [ Robust.Robust; Robust.Non_robust ]
+    in
+    match
+      List.find_map
+        (fun (what, criterion, faults) -> differ what criterion faults)
+        cases
+    with
+    | Some m -> Fail m
+    | None -> Pass
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Registry                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1256,6 +1370,10 @@ let all =
       doc = "the escalating portfolio returns the test and winner of \
              running every member to completion";
       check = check_portfolio };
+    { name = "undetectable";
+      doc = "the shared undetectability filter keeps the faults, stats \
+             and ledger records of classifying each fault on its own";
+      check = check_undetectable };
   ]
 
 let find name = List.find_opt (fun o -> String.equal o.name name) all

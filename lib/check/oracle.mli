@@ -78,7 +78,14 @@
       against {!Portfolio_ref}, which runs every member to completion,
       on the same kind of requirement sets: the same test (or none) and
       the same winning member.  This is what justifies stopping at
-      PODEM's proof of unsatisfiability.
+      PODEM's proof of unsatisfiability;
+    - [undetectable] — the shared {!Pdf_faults.Undetectable.filter}
+      against {!Pdf_faults.Undetectable.per_fault}, which classifies
+      each fault from an empty implication state, on every enumerated
+      fault in enumeration order and on a shuffle of them with
+      repeats, under both criteria: the same kept faults in the same
+      order, the same stats (with a ledger and without), and the same
+      ledger records.
 
     Oracles are deterministic in [(circuit, seed)]; any pool width they
     set is restored on exit (including on exceptions). *)
@@ -102,9 +109,9 @@ type t = {
 }
 
 val all : t list
-(** The registry, cheapest first, except that [implication] and then
-    [portfolio] come last, so that adding each left every earlier
-    oracle's seed unchanged.  Order is part of the fuzz harness's
+(** The registry, cheapest first, except that [implication],
+    [portfolio] and then [undetectable] come last, so that adding each
+    left every earlier oracle's seed unchanged.  Order is part of the fuzz harness's
     determinism contract — a round's RNG draws depend on it. *)
 
 val find : string -> t option

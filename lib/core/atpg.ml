@@ -80,6 +80,33 @@ let delta acc reqs =
     Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [], n)
   with Clash -> None
 
+(* [n_delta ~seen ~pinned ~stamp acc reqs] — [delta]'s count alone, or
+   -1 on a direct conflict, without its table or its update list:
+   [seen.(net) = stamp] once an earlier requirement of [reqs] fell on
+   [net], whose merged [Req.bits] are then [pinned.(net)].  The two
+   arrays belong to the run, and [stamp] is fresh per call. *)
+let n_delta ~seen ~pinned ~stamp acc reqs =
+  Metrics.incr m_delta_evals;
+  let rec go n = function
+    | [] -> n
+    | (net, req) :: rest ->
+      let current =
+        if seen.(net) = stamp then pinned.(net)
+        else
+          match Hashtbl.find acc net with
+          | r -> Req.bits r
+          | exception Not_found -> 0
+      in
+      let m = current lor Req.bits req in
+      if Req.bits_conflict m then -1
+      else begin
+        seen.(net) <- stamp;
+        pinned.(net) <- m;
+        go (n + Req.bits_pinned m - Req.bits_pinned current) rest
+      end
+  in
+  go 0 reqs
+
 let reqs_with acc updates =
   Hashtbl.fold
     (fun net req l ->
@@ -184,6 +211,17 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     | Some a -> Attrib.note_cand_scan a reqs
     | None -> ());
     delta acc reqs
+  in
+  let n_delta =
+    let seen = Array.make (Circuit.num_nets c) 0
+    and pinned = Array.make (Circuit.num_nets c) 0
+    and stamp = ref 0 in
+    fun acc reqs ->
+      (match sheet with
+      | Some a -> Attrib.note_cand_scan a reqs
+      | None -> ());
+      incr stamp;
+      n_delta ~seen ~pinned ~stamp:!stamp acc reqs
   in
   let simulate_test test =
     for pi = 0 to c.Circuit.num_pis - 1 do
@@ -381,11 +419,12 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     let nd = Array.make nf max_int in
     let buckets : (int, int list) Hashtbl.t = Hashtbl.create 256 in
     let refresh i =
-      match delta st.acc faults.(i).Fault_sim.reqs with
-      | None ->
+      let d = n_delta st.acc faults.(i).Fault_sim.reqs in
+      if d < 0 then begin
         in_pool.(i) <- false (* direct conflict: rejected *);
         reject_reason.(i) <- `Conflict
-      | Some (_, d) -> nd.(i) <- d
+      end
+      else nd.(i) <- d
     in
     List.iter
       (fun i ->

@@ -7,6 +7,7 @@ module Profiles = Pdf_synth.Profiles
 module Delay_model = Pdf_paths.Delay_model
 module Enumerate = Pdf_paths.Enumerate
 module Target_sets = Pdf_faults.Target_sets
+module Undetectable = Pdf_faults.Undetectable
 module Fault_sim = Pdf_core.Fault_sim
 module Word = Pdf_values.Word
 module Wsim = Pdf_bitsim.Wsim
@@ -335,9 +336,34 @@ let atpg_suite =
     gate = no_gate;
   }
 
+(* Both figures are deterministic units measured at set-up: the shared
+   undetectability filter must keep exactly the faults of the per-fault
+   pass it replaced and make no more implication assignments. *)
+let paths_gate results =
+  List.concat_map
+    (fun (circuit, r) ->
+      let reference = circuit ^ "/undetectable_per_fault" in
+      match find_result results reference with
+      | None -> [ Printf.sprintf "presence: case %s missing" reference ]
+      | Some p ->
+        let unit r u =
+          Option.value ~default:Float.nan (List.assoc_opt u r.r_units)
+        in
+        let fails rule u ok =
+          if ok (unit r u) (unit p u) then []
+          else
+            [
+              Printf.sprintf "%s: %s %s %.0f, %s %.0f" rule r.r_case u
+                (unit r u) reference (unit p u);
+            ]
+        in
+        fails "kept" "kept" Float.equal
+        @ fails "sharing" "assignments" (fun a b -> a <= b))
+    (circuit_cases results ~kernel:"undetectable")
+
 let paths_suite =
   let cases params =
-    List.map
+    List.concat_map
       (fun profile ->
         let c = Profiles.circuit profile in
         let model = Delay_model.lines c in
@@ -345,27 +371,60 @@ let paths_suite =
           Enumerate.enumerate ~mode:Enumerate.Distance_pruned c model
             ~max_paths:params.n_p
         in
-        {
-          case_name = profile.Profiles.name ^ "/enumerate";
-          units =
-            [
-              ("paths", float_of_int (List.length probe.Enumerate.paths));
-              ("steps", float_of_int probe.Enumerate.steps);
-            ];
-          thunk =
-            (fun () ->
-              ignore
-                (Enumerate.enumerate ~mode:Enumerate.Distance_pruned c model
-                   ~max_paths:params.n_p
-                  : Enumerate.result));
-        })
+        let faults =
+          List.concat_map
+            (fun (path, _) -> Pdf_faults.Fault.both path)
+            probe.Enumerate.paths
+        in
+        (* One run of each filter at set-up counts its assignments. *)
+        let case kernel filter =
+          let a0 = Undetectable.assignments () in
+          let kept, _ = filter c faults in
+          {
+            case_name = profile.Profiles.name ^ "/" ^ kernel;
+            units =
+              [
+                ("faults", float_of_int (List.length faults));
+                ("kept", float_of_int (List.length kept));
+                ( "assignments",
+                  float_of_int (Undetectable.assignments () - a0) );
+              ];
+            thunk =
+              (fun () ->
+                ignore
+                  (filter c faults
+                    : Pdf_faults.Fault.t list * Undetectable.stats));
+          }
+        in
+        [
+          {
+            case_name = profile.Profiles.name ^ "/enumerate";
+            units =
+              [
+                ("paths", float_of_int (List.length probe.Enumerate.paths));
+                ("steps", float_of_int probe.Enumerate.steps);
+              ];
+            thunk =
+              (fun () ->
+                ignore
+                  (Enumerate.enumerate ~mode:Enumerate.Distance_pruned c model
+                     ~max_paths:params.n_p
+                    : Enumerate.result));
+          };
+          case "undetectable" (fun c f -> Undetectable.filter c f);
+          case "undetectable_per_fault" (fun c f -> Undetectable.per_fault c f);
+        ])
       params.circuits
   in
   {
     suite_name = "paths";
-    suite_doc = "Distance-pruned longest-path enumeration at budget N_P";
+    suite_doc =
+      "Distance-pruned longest-path enumeration at budget N_P, and the \
+       undetectable-fault filter over the paths' faults beside the \
+       per-fault pass it replaced (gated: the same kept faults, no more \
+       implication assignments)";
     cases;
-    gate = no_gate;
+    gate = paths_gate;
   }
 
 (* Every figure this gate reads is a deterministic unit measured at

@@ -72,8 +72,11 @@ type suite = {
           measured at set-up — to be 0; [justify] requires the three
           [deep/*] cases, [deep/portfolio] aborts at most [deep/sim]'s,
           [words_per_trial] below 16 and [words_per_decision] below 40;
-          [obs_overhead] holds each overhead model at most 2%; the
-          other suites here have no rule. *)
+          [obs_overhead] holds each overhead model at most 2%; [paths]
+          requires each [*/undetectable] case's [kept] unit to equal,
+          and its [assignments] unit to be at most, those of the
+          [*/undetectable_per_fault] case beside it (both measured at
+          set-up); the other suites here have no rule. *)
 }
 
 val suites : suite list

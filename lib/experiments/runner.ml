@@ -12,6 +12,12 @@ let g_p1_detected = Metrics.gauge "enrich.p1_detected"
 let g_p_detected = Metrics.gauge "enrich.p_detected"
 let g_tests = Metrics.gauge "enrich.tests"
 
+let set_enrich_gauges (res : Atpg.result) ~p0 ~p1 =
+  Metrics.set_int g_p0_detected (Atpg.count_detected res ~ids:p0);
+  Metrics.set_int g_p1_detected (Atpg.count_detected res ~ids:p1);
+  Metrics.set_int g_p_detected (Fault_sim.count res.Atpg.detected);
+  Metrics.set_int g_tests (List.length res.Atpg.tests)
+
 type basic_run = {
   ordering : Ordering.t;
   p0_detected : int;
@@ -96,10 +102,7 @@ let run ?pool ?(seed = Workload.default_seed) ?(with_basics = true)
     Span.with_ "enrich" (fun () ->
         Atpg.enrich c ~seed ~faults ~p0:p0_ids ~p1:p1_ids)
   in
-  Metrics.set_int g_p0_detected (Atpg.count_detected er ~ids:p0_ids);
-  Metrics.set_int g_p1_detected (Atpg.count_detected er ~ids:p1_ids);
-  Metrics.set_int g_p_detected (Fault_sim.count er.Atpg.detected);
-  Metrics.set_int g_tests (List.length er.Atpg.tests);
+  set_enrich_gauges er ~p0:p0_ids ~p1:p1_ids;
   {
     profile;
     scale;

@@ -29,6 +29,13 @@ type circuit_run = {
   enrich_aborts : int;
 }
 
+val set_enrich_gauges :
+  Pdf_core.Atpg.result -> p0:int list -> p1:int list -> unit
+(** Set the gauges [enrich.p0_detected], [enrich.p1_detected],
+    [enrich.p_detected] and [enrich.tests] from an enrichment run over
+    the fault ids [p0] and [p1]: what {!run}, [pdfatpg trace] and the
+    [enrich] answer report. *)
+
 val run :
   ?pool:Pdf_par.Pool.t ->
   ?seed:int ->

@@ -7,49 +7,54 @@ type criterion = Robust | Non_robust
 
 let flip = function Fault.Rising -> Fault.Falling | Fault.Falling -> Fault.Rising
 
-let source_req = function
+let source_requirement = function
   | Fault.Rising -> Req.rising
   | Fault.Falling -> Req.falling
 
 (* Off-path requirement at a gate with controlling value [cv], given the
-   on-path transition direction arriving at the gate.  Robust tests need
-   a hazard-free non-controlling side when the transition ends at the
-   controlling value; non-robust tests always settle for the second
-   pattern alone. *)
-let side_req ~criterion ~cv dir =
-  match criterion with
-  | Non_robust -> Req.final (not cv)
-  | Robust ->
+   on-path transition direction arriving at the gate: the
+   non-controlling value, hazard-free through both patterns ([stable])
+   or under the second pattern only ([final]).  Robust tests need a
+   hazard-free side when the transition ends at the controlling value;
+   non-robust tests always settle for the second pattern alone.  XOR
+   and XNOR sides are stable 0.  The four values are built once, as the
+   options returned: the filter reads one per hop of every fault. *)
+let side_values =
+  Array.map Option.some
+    [| Req.final false; Req.final true; Req.stable false; Req.stable true |]
+
+let side_requirement ?(criterion = Robust) kind dir =
+  let side ~stable v = side_values.((if stable then 2 else 0) + Bool.to_int v) in
+  match kind with
+  | Gate.Not | Gate.Buff -> None
+  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
+    let cv =
+      match Gate.controlling kind with Some b -> b | None -> assert false
+    in
     let final_is_controlling =
       match dir with Fault.Rising -> cv | Fault.Falling -> not cv
     in
-    if final_is_controlling then Req.stable (not cv) else Req.final (not cv)
+    let stable =
+      match criterion with Robust -> final_is_controlling | Non_robust -> false
+    in
+    side ~stable (not cv)
+  | Gate.Xor | Gate.Xnor -> side ~stable:true false
 
 let raw_conditions ?(criterion = Robust) c (fault : Fault.t) =
-  let reqs = ref [ (fault.Fault.path.Path.source, source_req fault.Fault.dir) ] in
+  let reqs =
+    ref [ (fault.Fault.path.Path.source, source_requirement fault.Fault.dir) ]
+  in
   let dir = ref fault.Fault.dir in
   Array.iter
     (fun (h : Path.hop) ->
       let g = (c : Circuit.t).gates.(h.Path.gate) in
-      let fanins = g.Circuit.fanins in
-      (match g.Circuit.kind with
-      | Gate.Not | Gate.Buff -> ()
-      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
-        let cv =
-          match Gate.controlling g.Circuit.kind with
-          | Some b -> b
-          | None -> assert false
-        in
-        let req = side_req ~criterion ~cv !dir in
+      (match side_requirement ~criterion g.Circuit.kind !dir with
+      | None -> ()
+      | Some req ->
         Array.iteri
           (fun pin fanin ->
             if pin <> h.Path.pin then reqs := (fanin, req) :: !reqs)
-          fanins
-      | Gate.Xor | Gate.Xnor ->
-        Array.iteri
-          (fun pin fanin ->
-            if pin <> h.Path.pin then reqs := (fanin, Req.stable false) :: !reqs)
-          fanins);
+          g.Circuit.fanins);
       if Gate.inverting g.Circuit.kind then dir := flip !dir)
     fault.Fault.path.Path.hops;
   List.rev !reqs

@@ -21,6 +21,21 @@ type criterion =
           non-controlling value under the second pattern — detection is
           then conditional on no other path being slow *)
 
+val source_requirement : Fault.direction -> Pdf_values.Req.t
+(** The source transition of [A(p)]: [0x1] for {!Fault.Rising}, [1x0]
+    for {!Fault.Falling}. *)
+
+val side_requirement :
+  ?criterion:criterion ->
+  Pdf_circuit.Gate.kind ->
+  Fault.direction ->
+  Pdf_values.Req.t option
+(** What each side input of a gate of this kind must hold when the
+    on-path transition [dir] enters the gate; [None] for NOT and BUFF,
+    which have no side input.  The one definition of a hop's part of
+    [A(p)], read by {!raw_conditions} and by {!Undetectable.filter}.
+    Default criterion is {!Robust}. *)
+
 val raw_conditions :
   ?criterion:criterion ->
   Pdf_circuit.Circuit.t ->

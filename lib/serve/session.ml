@@ -324,6 +324,7 @@ let enrich ?ledger t ~circuit:name ~params ~coverage =
               Atpg.enrich ?ledger ~justify:params.justify c ~seed:params.seed
                 ~faults ~p0 ~p1
             in
+            Pdf_experiments.Runner.set_enrich_gauges res ~p0 ~p1;
             let b = Buffer.create 256 in
             Printf.bprintf b
               "enrichment: %d/%d P0 and %d/%d P0 u P1 faults detected, %d \

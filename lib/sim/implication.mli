@@ -98,7 +98,9 @@ val assume :
 
 val mark : t -> int
 (** The current point of the trail.  Take marks on consistent states
-    only. *)
+    only.  The trail's length, also on a failed state: the difference
+    of two [mark]s counts the values assigned between them, a
+    conflicting {!extend}'s included. *)
 
 val undo : t -> int -> unit
 (** [undo st m] returns every value assigned since {!mark} returned [m]

@@ -39,6 +39,20 @@ let merge a b =
   | Some r1, Some r2, Some r3 -> Some { r1; r2; r3 }
   | _, _, _ -> None
 
+let bits r =
+  let one shift = function
+    | Any -> 0
+    | Must false -> 1 lsl shift
+    | Must true -> 2 lsl shift
+  in
+  one 0 r.r1 lor one 2 r.r2 lor one 4 r.r3
+
+let bits_conflict m = m land (m lsr 1) land 0b010101 <> 0
+
+let bits_pinned m =
+  let p = (m lor (m lsr 1)) land 0b010101 in
+  (p land 1) + ((p lsr 2) land 1) + ((p lsr 4) land 1)
+
 let component_satisfied bit c =
   match c with
   | Any -> true

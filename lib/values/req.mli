@@ -41,6 +41,20 @@ val merge : t -> t -> t option
 (** Componentwise intersection; [None] if some component is pinned to both
     [0] and [1] — a direct conflict. *)
 
+val bits : t -> int
+(** The pinned components as an int: two bits per component, [r1]
+    lowest, [01] for [Must false] and [10] for [Must true].  The [lor]
+    of several requirements' bits stands for their {!merge}, and a table
+    of these ints per net merges without allocating. *)
+
+val bits_conflict : int -> bool
+(** Whether some component of the merged {!bits} is pinned to both
+    values: {!merge} would be [None]. *)
+
+val bits_pinned : int -> int
+(** Components pinned in the merged {!bits}: {!count_pinned} of the
+    merge. *)
+
 val satisfied_by : Triple.t -> t -> bool
 (** A simulated triple satisfies a requirement iff every [Must b] component
     has the definite simulated value [b].  An [X] simulated value does not

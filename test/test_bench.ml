@@ -457,6 +457,38 @@ let test_fault_sim_gate () =
     ~expect:[ "allocation: s641/detect_matrix mask_words 1 > 0" ]
     (results ~mask_words:1.)
 
+let test_paths_gate () =
+  let results ?(drop = "") ~kept ~assignments () =
+    List.filter
+      (fun r -> r.Benchmark.r_case <> drop)
+      [
+        result "b09/enumerate" 1e-3 ~units:[ ("paths", 399.) ];
+        result "b09/undetectable" 1e-3
+          ~units:
+            [ ("faults", 798.); ("kept", kept); ("assignments", assignments) ];
+        result "b09/undetectable_per_fault" 2e-3
+          ~units:[ ("faults", 798.); ("kept", 49.); ("assignments", 64544.) ];
+      ]
+  in
+  check_gate "paths" "same faults, fewer assignments" ~expect:[]
+    (results ~kept:49. ~assignments:13658. ());
+  check_gate "paths" "as many assignments" ~expect:[]
+    (results ~kept:49. ~assignments:64544. ());
+  check_gate "paths" "another kept count"
+    ~expect:[ "kept: b09/undetectable kept 50, b09/undetectable_per_fault 49" ]
+    (results ~kept:50. ~assignments:13658. ());
+  check_gate "paths" "more assignments"
+    ~expect:
+      [
+        "sharing: b09/undetectable assignments 64545, \
+         b09/undetectable_per_fault 64544";
+      ]
+    (results ~kept:49. ~assignments:64545. ());
+  check_gate "paths" "reference missing"
+    ~expect:[ "presence: case b09/undetectable_per_fault missing" ]
+    (results ~drop:"b09/undetectable_per_fault" ~kept:49.
+       ~assignments:13658. ())
+
 let test_suite_names () =
   let names s = List.map (fun s -> s.Benchmark.suite_name) s in
   let all = names Pdf_serve.Serve_suite.all in
@@ -581,6 +613,7 @@ let () =
           Alcotest.test_case "serve" `Quick test_serve_gate;
           Alcotest.test_case "justify" `Quick test_justify_gate;
           Alcotest.test_case "fault_sim" `Quick test_fault_sim_gate;
+          Alcotest.test_case "paths" `Quick test_paths_gate;
           Alcotest.test_case "suite names" `Quick test_suite_names;
         ] );
       ( "span-alloc",

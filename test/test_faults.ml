@@ -413,6 +413,131 @@ let test_filter_soundness_s27 () =
           (Fault.to_string s27 f))
     removed
 
+(* The shared filter against the per-fault pass it replaced: the same
+   kept list, in order, the same stats, and the same ledger records —
+   with a ledger, whose records locate each conflict by the per-fault
+   pass, and without one, where the stats' split comes from the direct
+   clash check alone. *)
+let same_as_per_fault ~criterion c faults =
+  let l1 = Ledger.create () and l2 = Ledger.create () in
+  let k1, s1 = Undetectable.per_fault ~criterion ~ledger:l1 c faults in
+  let k2, s2 = Undetectable.filter ~criterion ~ledger:l2 c faults in
+  let k3, s3 = Undetectable.filter ~criterion c faults in
+  List.equal Fault.equal k1 k2
+  && List.equal Fault.equal k1 k3
+  && s1 = s2 && s1 = s3
+  && String.equal (Ledger.to_jsonl l1) (Ledger.to_jsonl l2)
+
+let both_criteria = [ Robust.Robust; Robust.Non_robust ]
+
+let enumerated_faults c ~n_p =
+  let r =
+    Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:(n_p / 2)
+  in
+  List.concat_map (fun (p, _) -> Fault.both p) r.Pdf_paths.Enumerate.paths
+
+(* A random circuit straight from [Builder]: every gate kind, XOR
+   included, fan-ins drawn from all earlier nets with repeats allowed,
+   and every net without fanout an output. *)
+let builder_circuit seed =
+  let rng = Pdf_util.Rng.create seed in
+  let b = Builder.create "rand" in
+  let num_pis = 2 + Pdf_util.Rng.int rng 4 in
+  let name i = Printf.sprintf "n%d" i in
+  for i = 0 to num_pis - 1 do
+    Builder.add_pi b (name i)
+  done;
+  let num_gates = 4 + Pdf_util.Rng.int rng 20 in
+  let kinds = Array.of_list Gate.all_kinds in
+  let read = Array.make (num_pis + num_gates) false in
+  for g = 0 to num_gates - 1 do
+    let out = num_pis + g in
+    let kind = kinds.(Pdf_util.Rng.int rng (Array.length kinds)) in
+    let arity =
+      match kind with
+      | Gate.Not | Gate.Buff -> 1
+      | _ -> 2 + Pdf_util.Rng.int rng 2
+    in
+    let fanins =
+      List.init arity (fun _ ->
+          (* Mostly recent nets, for depth. *)
+          let lo = max 0 (out - 4) in
+          let i =
+            if Pdf_util.Rng.int rng 3 = 0 then Pdf_util.Rng.int rng out
+            else lo + Pdf_util.Rng.int rng (out - lo)
+          in
+          read.(i) <- true;
+          name i)
+    in
+    Builder.add_gate b ~out:(name out) kind fanins
+  done;
+  Array.iteri
+    (fun i r -> if (not r) && i >= num_pis then Builder.add_po b (name i))
+    read;
+  Builder.finish_exn b
+
+(* On any fault list: shuffled, with repeats, so that faults sharing all
+   their chunks and branches in any order come up. *)
+let prop_filter_is_per_fault =
+  QCheck.Test.make ~name:"shared filter = per-fault pass (random circuits)"
+    ~count:150
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let c = builder_circuit seed in
+      let rng = Pdf_util.Rng.create (seed + 1) in
+      let faults = enumerated_faults c ~n_p:200 in
+      let a = Array.of_list faults in
+      let n = Array.length a in
+      let picks =
+        faults @ List.init (n / 4) (fun _ -> a.(Pdf_util.Rng.int rng n))
+      in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun f -> (Pdf_util.Rng.int rng 1_000_000, f)) picks))
+      in
+      List.for_all
+        (fun criterion ->
+          same_as_per_fault ~criterion c faults
+          && same_as_per_fault ~criterion c shuffled)
+        both_criteria)
+
+let profile_circuit name =
+  Pdf_synth.Profiles.circuit (Option.get (Pdf_synth.Profiles.find name))
+
+(* b09 shares much (1,290 of its 1,498 faults at N_P = 1500 are
+   eliminated, many below a shared conflict); dec6 shares nothing. *)
+let test_filter_is_per_fault_profiles () =
+  List.iter
+    (fun name ->
+      let c = profile_circuit name in
+      let faults = enumerated_faults c ~n_p:1500 in
+      List.iter
+        (fun criterion ->
+          check Alcotest.bool
+            (Printf.sprintf "%s %s" name
+               (match criterion with
+               | Robust.Robust -> "robust"
+               | Robust.Non_robust -> "non-robust"))
+            true
+            (same_as_per_fault ~criterion c faults))
+        both_criteria)
+    [ "b09"; "dec6" ]
+
+let test_filter_shares_work () =
+  let c = profile_circuit "b09" in
+  let faults = enumerated_faults c ~n_p:1500 in
+  let count f =
+    let a0 = Undetectable.assignments () in
+    ignore (f () : Fault.t list * Undetectable.stats);
+    Undetectable.assignments () - a0
+  in
+  let per_fault = count (fun () -> Undetectable.per_fault c faults) in
+  let shared = count (fun () -> Undetectable.filter c faults) in
+  if shared >= per_fault then
+    Alcotest.failf "b09: the filter assigned %d values, the per-fault pass %d"
+      shared per_fault
+
 (* ------------------------------------------------------------------ *)
 (* Target sets                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -627,6 +752,11 @@ let () =
             test_filter_soundness_s27;
           Alcotest.test_case "ledger records pinned (s1488, b09)" `Slow
             test_undetectable_records_pinned;
+          qcheck prop_filter_is_per_fault;
+          Alcotest.test_case "shared = per-fault (b09, dec6)" `Quick
+            test_filter_is_per_fault_profiles;
+          Alcotest.test_case "shares implication work (b09)" `Quick
+            test_filter_shares_work;
         ] );
       ( "criterion",
         [

@@ -235,6 +235,18 @@ let prop_req_merge_strengthens =
         (* satisfied(m) <=> satisfied(a) && satisfied(b) *)
         Req.satisfied_by t m = (Req.satisfied_by t a && Req.satisfied_by t b))
 
+let prop_req_bits_merge =
+  QCheck.Test.make ~name:"bits merge as merge does" ~count:500
+    QCheck.(pair arb_req arb_req)
+    (fun (a, b) ->
+      let m = Req.bits a lor Req.bits b in
+      match Req.merge a b with
+      | None -> Req.bits_conflict m
+      | Some r ->
+        (not (Req.bits_conflict m))
+        && m = Req.bits r
+        && Req.bits_pinned m = Req.count_pinned r)
+
 (* ------------------------------------------------------------------ *)
 (* Word                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -365,6 +377,7 @@ let () =
           qcheck prop_req_merge_idempotent;
           qcheck prop_req_merge_any_identity;
           qcheck prop_req_merge_strengthens;
+          qcheck prop_req_bits_merge;
         ] );
       ( "word",
         [
