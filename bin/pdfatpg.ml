@@ -16,6 +16,7 @@ module Atpg = Pdf_core.Atpg
 module Ordering = Pdf_core.Ordering
 module Justify = Pdf_core.Justify
 module Test_pair = Pdf_core.Test_pair
+module Test_io = Pdf_core.Test_io
 module Profiles = Pdf_synth.Profiles
 module Workload = Pdf_experiments.Workload
 module Hotspots = Pdf_experiments.Hotspots
@@ -268,15 +269,11 @@ let histogram_cmd =
 let criterion_conv =
   Arg.conv
     ( (fun s ->
-        match String.lowercase_ascii s with
-        | "robust" -> Ok Pdf_faults.Robust.Robust
-        | "nonrobust" | "non-robust" -> Ok Pdf_faults.Robust.Non_robust
-        | _ -> Error (`Msg ("unknown criterion " ^ s))),
+        match Pdf_faults.Robust.criterion_of_name s with
+        | Some c -> Ok c
+        | None -> Error (`Msg ("unknown criterion " ^ s))),
       fun ppf c ->
-        Format.pp_print_string ppf
-          (match c with
-          | Pdf_faults.Robust.Robust -> "robust"
-          | Pdf_faults.Robust.Non_robust -> "nonrobust") )
+        Format.pp_print_string ppf (Pdf_faults.Robust.criterion_name c) )
 
 let criterion_arg =
   let doc = "Sensitization criterion: robust (paper) or nonrobust." in
@@ -344,9 +341,7 @@ let dump_tests path tests =
   match path with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    List.iter (fun t -> output_string oc (Test_pair.to_string t ^ "\n")) tests;
-    close_out oc;
+    Test_io.write_file tests file;
     Printf.printf "wrote %d tests to %s\n" (List.length tests) file
 
 let atpg_cmd =
@@ -407,33 +402,22 @@ let enrich_cmd =
 let faultsim_cmd =
   let tests_file =
     Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"TESTS" ~doc:"Test file (one v1/v3 line per test).")
+         & info [] ~docv:"TESTS"
+             ~doc:"Test file: one v1/v3 line per test over {0,1}; blank \
+                   lines and $(b,#) comments are ignored.")
   in
   let run () name n_p n_p0 file =
     with_circuit name (fun c ->
-        let parse_line lineno line =
-          match String.split_on_char '/' (String.trim line) with
-          | [ a; b ]
-            when String.length a = c.Circuit.num_pis
-                 && String.length b = c.Circuit.num_pis ->
-            let bits s = Array.init (String.length s) (fun i -> s.[i] = '1') in
-            Test_pair.create (bits a) (bits b)
-          | _ ->
-            Printf.eprintf "%s:%d: malformed test line\n" file lineno;
+        let tests =
+          match Test_io.read_file ~num_pis:c.Circuit.num_pis file with
+          | Ok tests -> tests
+          | Error e ->
+            Printf.eprintf "%s: %s\n" file (Test_io.error_to_string e);
+            exit 1
+          | exception Sys_error msg ->
+            prerr_endline msg;
             exit 1
         in
-        let ic = open_in file in
-        let tests = ref [] in
-        let lineno = ref 0 in
-        (try
-           while true do
-             incr lineno;
-             let line = input_line ic in
-             if String.trim line <> "" then
-               tests := parse_line !lineno line :: !tests
-           done
-         with End_of_file -> close_in ic);
-        let tests = List.rev !tests in
         let model = Delay_model.lines c in
         let ts = Target_sets.build c model ~n_p ~n_p0 in
         let faults = Fault_sim.prepare c ts.Target_sets.p in

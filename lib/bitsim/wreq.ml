@@ -1,11 +1,5 @@
 module Bit = Pdf_values.Bit
-module Triple = Pdf_values.Triple
-module Word = Pdf_values.Word
 module Req = Pdf_values.Req
-
-(* ------------------------------------------------------------------ *)
-(* Test-lane direction: one fault's requirements against packed tests  *)
-(* ------------------------------------------------------------------ *)
 
 (* A pinned component [k] of a requirement on [net], pinned to [b], is
    the literal [(net lsl 3) lor (2k + b)]: the row of [Wsim.planes] that
@@ -38,86 +32,18 @@ let satisfied_mask (p : Wsim.planes) lits =
   done;
   !m
 
-(* ------------------------------------------------------------------ *)
-(* Fault-lane direction: packed requirement sets against scalar values *)
-(* ------------------------------------------------------------------ *)
-
-type constrained_net = {
-  cn_net : int;
-  cn_must0 : int array;  (* per component: lanes pinning it to 0 *)
-  cn_must1 : int array;  (* per component: lanes pinning it to 1 *)
-}
-
-type fault_pack = {
-  fp_base : int;
-  fp_lanes : int;
-  fp_mask : int;
-  fp_nets : constrained_net array;
-}
-
-let base t = t.fp_base
-
-let lanes t = t.fp_lanes
-
-let pack_faults (reqs : (int * Req.t) list array) =
-  let pack_one (lo, hi) =
-    let nets : (int, int array * int array) Hashtbl.t = Hashtbl.create 64 in
-    for f = lo to hi - 1 do
-      let lane_bit = 1 lsl (f - lo) in
-      List.iter
-        (fun (net, (r : Req.t)) ->
-          let must0, must1 =
-            match Hashtbl.find_opt nets net with
-            | Some masks -> masks
-            | None ->
-              let masks = (Array.make 3 0, Array.make 3 0) in
-              Hashtbl.add nets net masks;
-              masks
-          in
-          let pin k = function
-            | Req.Any -> ()
-            | Req.Must false -> must0.(k) <- must0.(k) lor lane_bit
-            | Req.Must true -> must1.(k) <- must1.(k) lor lane_bit
-          in
-          pin 0 r.Req.r1;
-          pin 1 r.Req.r2;
-          pin 2 r.Req.r3)
-        reqs.(f)
-    done;
-    let fp_nets =
-      Hashtbl.fold
-        (fun net (must0, must1) acc ->
-          { cn_net = net; cn_must0 = must0; cn_must1 = must1 } :: acc)
-        nets []
-      |> List.sort (fun a b -> Int.compare a.cn_net b.cn_net)
-      |> Array.of_list
-    in
-    {
-      fp_base = lo;
-      fp_lanes = hi - lo;
-      fp_mask = Word.lane_mask (hi - lo);
-      fp_nets;
-    }
-  in
-  Array.map pack_one (Wsim.batch_bounds (Array.length reqs))
-
-let fault_mask fp (values : Triple.t array) =
-  let violated (cn : constrained_net) k = function
-    | Bit.One -> cn.cn_must0.(k)
-    | Bit.Zero -> cn.cn_must1.(k)
-    | Bit.X -> cn.cn_must0.(k) lor cn.cn_must1.(k)
-  in
-  let m = ref fp.fp_mask in
-  let n = Array.length fp.fp_nets in
+let satisfied (values : Bit.t array array) lits =
+  let n = Array.length lits in
   let i = ref 0 in
-  while !m <> 0 && !i < n do
-    let cn = fp.fp_nets.(!i) in
-    let (v : Triple.t) = values.(cn.cn_net) in
-    m :=
-      !m
-      land lnot (violated cn 0 v.Triple.v1)
-      land lnot (violated cn 1 v.Triple.v2)
-      land lnot (violated cn 2 v.Triple.v3);
+  while
+    !i < n
+    &&
+    let l = lits.(!i) in
+    match values.((l land 7) lsr 1).(l lsr 3) with
+    | Bit.Zero -> l land 1 = 0
+    | Bit.One -> l land 1 = 1
+    | Bit.X -> false
+  do
     incr i
   done;
-  !m
+  !i = n

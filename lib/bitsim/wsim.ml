@@ -5,14 +5,9 @@ module Circuit = Pdf_circuit.Circuit
 module Gate = Pdf_circuit.Gate
 
 type planes = {
-  mutable p_lanes : int;
   mutable p_mask : int;
   rows : int array array;
 }
-
-let lanes t = t.p_lanes
-
-let mask t = t.p_mask
 
 let get t ~comp ~net ~lane =
   let b = 1 lsl lane in
@@ -38,11 +33,9 @@ let injected_bug = Atomic.make false
 
 let set_injected_bug b = Atomic.set injected_bug b
 
-let injected_bug_enabled () = Atomic.get injected_bug
-
 let create c =
   let n = Circuit.num_nets c in
-  { p_lanes = 0; p_mask = 0; rows = Array.init 6 (fun _ -> Array.make n 0) }
+  { p_mask = 0; rows = Array.init 6 (fun _ -> Array.make n 0) }
 
 (* One gate, all three planes and all lanes at once, written straight
    into the plane arrays at net [out].  The dual-rail formulas are the
@@ -144,7 +137,6 @@ let simulate_into c p ~lanes =
   for gi = 0 to Array.length gates - 1 do
     eval_gate gates.(gi) (np + gi) z0 o0 z1 o1 z2 o2
   done;
-  p.p_lanes <- lanes;
   p.p_mask <- Word.lane_mask lanes
 
 let simulate c ~(w1 : Word.t array) ~(w3 : Word.t array) ~lanes =

@@ -24,8 +24,9 @@
     lane for lane, including [X] lanes. *)
 
 type planes = {
-  mutable p_lanes : int;  (** occupied lanes *)
-  mutable p_mask : int;  (** [Word.lane_mask p_lanes] *)
+  mutable p_mask : int;
+      (** [Word.lane_mask lanes]: the occupied lanes of the last
+          simulation *)
   rows : int array array;
       (** the six rails, [6 x num_nets]: [rows.(2*comp + v).(net)] is
           the lane mask of the tests whose component [comp] of [net] is
@@ -49,7 +50,7 @@ val simulate_into : Pdf_circuit.Circuit.t -> planes -> lanes:int -> unit
     in components 0 and 2 of [p] (rows 0, 1, 4 and 5): it derives
     component 1 at the PIs,
     overwrites every gate net of all three components and sets
-    [p_lanes]/[p_mask].  Lanes at or above [lanes] are don't-cares that
+    [p_mask].  Lanes at or above [lanes] are don't-cares that
     consumers mask off.  Allocates nothing.  Raises [Invalid_argument]
     when [p] was not created for [c]'s net count or [lanes] is outside
     [1..63]. *)
@@ -78,14 +79,6 @@ val set_injected_bug : bool -> unit
     scalar reference simulator stays correct.  The differential oracles
     must then report a violation and shrink it to a small reproducer —
     the harness's own self-test.  Never enable outside tests. *)
-
-val injected_bug_enabled : unit -> bool
-
-val lanes : planes -> int
-
-val mask : planes -> int
-
-val get : planes -> comp:int -> net:int -> lane:int -> Pdf_values.Bit.t
 
 val triple : planes -> net:int -> lane:int -> Pdf_values.Triple.t
 (** One lane of one net re-assembled as a scalar value triple. *)

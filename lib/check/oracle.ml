@@ -395,34 +395,40 @@ let check_packed_detect { circuit = c; seed } =
            (Fault.to_string c faults.(i).Fault_sim.fault)
            packed.(i) scalar.(i))
     | None ->
-      (* The mask leg: Atpg's free check and drop scan read
-         [Wreq.fault_mask] lanes of one test's scalar values; each lane
-         must equal [detects_values] on every test. *)
-      let packs =
-        Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults)
-      in
+      (* The reader leg: Atpg's free check and drop scan read each
+         fault's literals ([Wreq.satisfied]) against one whole-circuit
+         [Cone_sim] state, driven from one test to the next as [Atpg]
+         drives it; every read must equal [detects_values] of the
+         test's own scalar simulation. *)
+      let sim = Cone_sim.create c in
       let violation = ref None in
       List.iteri
-        (fun t test ->
+        (fun t (test : Test_pair.t) ->
           if !violation = None then begin
+            for pi = 0 to c.Circuit.num_pis - 1 do
+              Cone_sim.set_pi sim pi
+                ~v1:(Bit.of_bool test.Test_pair.v1.(pi))
+                ~v3:(Bit.of_bool test.Test_pair.v3.(pi))
+            done;
+            Cone_sim.propagate sim;
             let values = Test_pair.simulate c test in
-            Array.iter
-              (fun fp ->
-                let m = Wreq.fault_mask fp values in
-                for l = 0 to Wreq.lanes fp - 1 do
-                  let i = Wreq.base fp + l in
-                  let want = Fault_sim.detects_values values faults.(i) in
-                  if !violation = None && want <> (m land (1 lsl l) <> 0) then
-                    violation :=
-                      Some
-                        (Printf.sprintf
-                           "fault_mask diverges on %s: test %d fault %d %s: \
-                            mask %b, detects_values %b"
-                           c.Circuit.name t i
-                           (Fault.to_string c faults.(i).Fault_sim.fault)
-                           (not want) want)
-                done)
-              packs
+            Array.iteri
+              (fun i (p : Fault_sim.prepared) ->
+                let want = Fault_sim.detects_values values p in
+                if
+                  !violation = None
+                  && Wreq.satisfied (Cone_sim.values sim) p.Fault_sim.lits
+                     <> want
+                then
+                  violation :=
+                    Some
+                      (Printf.sprintf
+                         "Wreq.satisfied diverges on %s: test %d fault %d \
+                          %s: reader %b, detects_values %b"
+                         c.Circuit.name t i
+                         (Fault.to_string c p.Fault_sim.fault)
+                         (not want) want))
+              faults
           end)
         tests;
       (match !violation with Some m -> Fail m | None -> Pass)
@@ -1333,7 +1339,8 @@ let all =
       check = check_inc_sim };
     { name = "packed-detect";
       doc = "detected_by_tests flags are the union of per-test scalar rows, \
-             and every fault_mask lane equals detects_values";
+             and every Wreq.satisfied read of a test driven through one \
+             Cone_sim state equals detects_values";
       check = check_packed_detect };
     { name = "packed-matrix";
       doc = "detect_matrix rows are the per-test scalar rows";

@@ -22,10 +22,11 @@
       from four shapes of packed word batches: sub-word (1–62 tests, one
       partly filled word), one word (63), a word plus one lane (64) and
       three words, the last partly filled (127–188); [packed-detect]
-      also checks, on every test, that each
-      {!Pdf_bitsim.Wreq.fault_mask} lane equals
-      {!Pdf_core.Fault_sim.detects_values} — the reads behind the ATPG
-      free check and drop scan;
+      also drives one whole-circuit {!Pdf_core.Cone_sim} state through
+      the set, one test after another as {!Pdf_core.Atpg} does, and
+      checks that every fault's {!Pdf_bitsim.Wreq.satisfied} read of it
+      equals {!Pdf_core.Fault_sim.detects_values} — the reads behind
+      the ATPG free check and drop scan;
     - [jobs-det] — detection flags and matrices with a 1-job pool vs a
       3-job pool, on a set drawn like [packed-detect]'s
       (byte-identical by the DESIGN.md §8.3 contract), and the 3-job

@@ -1,7 +1,5 @@
 module Req = Pdf_values.Req
 module Bit = Pdf_values.Bit
-module Triple = Pdf_values.Triple
-module Word = Pdf_values.Word
 module Implication = Pdf_sim.Implication
 module Wreq = Pdf_bitsim.Wreq
 module Circuit = Pdf_circuit.Circuit
@@ -146,15 +144,11 @@ let compute_ranks config (faults : Fault_sim.prepared array) =
 
 type test_state = {
   mutable test : Test_pair.t;
-  mutable values : Pdf_values.Triple.t array;
   acc : (int, Req.t) Hashtbl.t;
   implied : Implication.t;
       (** line values implied by [acc], extended on every acceptance;
           candidates contradicting them are provably un-addable and are
           rejected without a search *)
-  mutable det_masks : int array;
-      (** packed detection state of the current test against every target
-          (one word per 63 faults), refreshed whenever [values] changes *)
 }
 
 (* [acc] only grows within a test and its implied values are the least
@@ -198,11 +192,14 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   let implied = Implication.create c in
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
-  (* Per-test value refresh.  Consecutive accepted tests within one
+  (* The current test's values.  Consecutive accepted tests within one
      compaction pass differ in a handful of PI bits, so the refresh
      re-evaluates only the changed part of one persistent scalar state
-     over the whole circuit; the triples are those of
-     [Test_pair.simulate]. *)
+     over the whole circuit; its values are those of
+     [Test_pair.simulate].  Both the free check and the end-of-test drop
+     scan read each fault's literals against it ([Wreq.satisfied], which
+     equals [Fault_sim.detects_values], the scalar reference; checked by
+     the packed-detect oracle). *)
   let sim = Cone_sim.create ?attrib:sheet c in
   (* Candidate-scan attribution: charge every delta evaluation to the
      candidate's requirement nets (shadowing the bare [delta]). *)
@@ -229,10 +226,10 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         ~v1:(Bit.of_bool test.Test_pair.v1.(pi))
         ~v3:(Bit.of_bool test.Test_pair.v3.(pi))
     done;
-    Cone_sim.propagate sim;
-    let s = Cone_sim.values sim in
-    Array.init (Circuit.num_nets c) (fun net ->
-        Triple.make s.(0).(net) s.(1).(net) s.(2).(net))
+    Cone_sim.propagate sim
+  in
+  let detects i =
+    Wreq.satisfied (Cone_sim.values sim) faults.(i).Fault_sim.lits
   in
   let ord_name = Ordering.name config.ordering in
   (* Provenance (DESIGN.md §9): everything recorded in the ledger is
@@ -264,20 +261,6 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   let folded_this_test = ref 0 in
   let rng = Rng.create config.seed in
   let n = Array.length faults in
-  (* Word-packed condition sets of every target: one pass of
-     [Wreq.fault_mask] over the current test's values answers "which of
-     these 63 faults does the candidate assignment detect" for a whole
-     word of faults, so both the free check and the end-of-test drop
-     scan are mask reads.  Each lane agrees with
-     [Fault_sim.detects_values], the scalar reference (checked by the
-     packed-detect oracle). *)
-  let packs = Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults) in
-  let refresh_masks st =
-    st.det_masks <- Array.map (fun fp -> Wreq.fault_mask fp st.values) packs
-  in
-  let detects st i =
-    st.det_masks.(i / Word.lanes) land (1 lsl (i mod Word.lanes)) <> 0
-  in
   let detected = Array.make n false in
   let tried = Array.make n false in
   let rank = compute_ranks config faults in
@@ -370,7 +353,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       reject_reason.(i) <- `Conflict;
       None
     | Some (updates, _) ->
-      if detects st i then begin
+      if detects i then begin
         commit st updates;
         Metrics.incr m_free;
         Metrics.incr m_folded;
@@ -390,8 +373,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         with
         | Some test ->
           st.test <- test;
-          st.values <- simulate_test test;
-          refresh_masks st;
+          simulate_test test;
           commit st updates;
           Metrics.incr m_folded;
           incr folded_this_test;
@@ -504,16 +486,8 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         incr aborts;
         Metrics.incr m_primary_aborts
       | Some test ->
-        let st =
-          {
-            test;
-            values = simulate_test test;
-            acc = Hashtbl.create 64;
-            implied;
-            det_masks = [||];
-          }
-        in
-        refresh_masks st;
+        simulate_test test;
+        let st = { test; acc = Hashtbl.create 64; implied } in
         Implication.reset implied;
         commit st
           (match delta st.acc faults.(p0).Fault_sim.reqs with
@@ -536,12 +510,12 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         tests := st.test :: !tests;
         Metrics.incr m_tests;
         (* Fault simulation: drop everything the final test detects.  The
-           packed masks were refreshed with the last accepted assignment,
-           so this scan is a word-mask read per fault. *)
+           state was refreshed with the last accepted assignment, so this
+           scan reads each fault's literals against it. *)
         Span.with_ "fault-sim" (fun () ->
             Array.iteri
               (fun i _ ->
-                if (not detected.(i)) && detects st i then begin
+                if (not detected.(i)) && detects i then begin
                   detected.(i) <- true;
                   incr ndet;
                   let via =

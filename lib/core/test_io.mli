@@ -14,6 +14,10 @@ val of_string :
   num_pis:int -> string -> (Test_pair.t list, parse_error) result
 
 val write_file : Test_pair.t list -> string -> unit
+(** Writes {!to_string}; raises [Sys_error] when the file cannot be
+    written. *)
 
 val read_file :
   num_pis:int -> string -> (Test_pair.t list, parse_error) result
+(** {!of_string} of the file's contents; raises [Sys_error] when the
+    file cannot be read. *)

@@ -5,6 +5,14 @@ module Path = Pdf_paths.Path
 
 type criterion = Robust | Non_robust
 
+let criterion_name = function Robust -> "robust" | Non_robust -> "nonrobust"
+
+let criterion_of_name s =
+  match String.lowercase_ascii s with
+  | "robust" -> Some Robust
+  | "nonrobust" | "non-robust" -> Some Non_robust
+  | _ -> None
+
 let flip = function Fault.Rising -> Fault.Falling | Fault.Falling -> Fault.Rising
 
 let source_requirement = function

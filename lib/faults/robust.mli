@@ -21,6 +21,15 @@ type criterion =
           non-controlling value under the second pattern — detection is
           then conditional on no other path being slow *)
 
+val criterion_name : criterion -> string
+(** ["robust"] / ["nonrobust"] — the names used by the CLI's
+    [--criterion] flag, the serve protocol's ["criterion"] field and the
+    session cache keys. *)
+
+val criterion_of_name : string -> criterion option
+(** Case-insensitive parse of {!criterion_name} (["non-robust"] also
+    accepted). *)
+
 val source_requirement : Fault.direction -> Pdf_values.Req.t
 (** The source transition of [A(p)]: [0x1] for {!Fault.Rising}, [1x0]
     for {!Fault.Falling}. *)

@@ -107,10 +107,9 @@ let get_params fields =
     match get_string fields "criterion" with
     | None -> d.Session.criterion
     | Some s -> (
-      match String.lowercase_ascii s with
-      | "robust" -> Pdf_faults.Robust.Robust
-      | "nonrobust" | "non-robust" -> Pdf_faults.Robust.Non_robust
-      | _ -> raise (Bad (Printf.sprintf "unknown criterion %S" s)))
+      match Pdf_faults.Robust.criterion_of_name s with
+      | Some c -> c
+      | None -> raise (Bad (Printf.sprintf "unknown criterion %S" s)))
   in
   let justify =
     match get_string fields "justify" with

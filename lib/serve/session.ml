@@ -98,12 +98,10 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let criterion_name = function
-  | Pdf_faults.Robust.Robust -> "robust"
-  | Pdf_faults.Robust.Non_robust -> "nonrobust"
-
 let params_key p =
-  Printf.sprintf "%s|%d|%d" (criterion_name p.criterion) p.n_p p.n_p0
+  Printf.sprintf "%s|%d|%d"
+    (Pdf_faults.Robust.criterion_name p.criterion)
+    p.n_p p.n_p0
 
 (* [justify] keys the seeded layers only: the analysis cache (target
    sets, prepared faults) is backend-independent, while generation

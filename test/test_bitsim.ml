@@ -1,7 +1,7 @@
 (* Tests for Pdf_bitsim and the packed fault-simulation paths: the
    scalar simulator is the reference, and every packed result — planes,
-   satisfaction masks, fault masks, detection flags, dictionaries — must
-   agree with it bit for bit, at any jobs count. *)
+   satisfaction masks, literal reads, detection flags, dictionaries —
+   must agree with it bit for bit, at any jobs count. *)
 
 module Bit = Pdf_values.Bit
 module Triple = Pdf_values.Triple
@@ -16,6 +16,7 @@ module Atpg = Pdf_core.Atpg
 module Fault_sim = Pdf_core.Fault_sim
 module Test_pair = Pdf_core.Test_pair
 module Diagnose = Pdf_core.Diagnose
+module Cone_sim = Pdf_core.Cone_sim
 module Target_sets = Pdf_faults.Target_sets
 module Delay_model = Pdf_paths.Delay_model
 module Generators = Pdf_synth.Generators
@@ -155,41 +156,87 @@ let prop_literals_encode_reqs =
                  0 p.Fault_sim.reqs)
         faults)
 
-(* Fault-lane packing: one scalar simulation checked against 63 packed
-   condition sets equals per-fault detects_values. *)
-let prop_fault_mask_matches_scalar =
-  QCheck.Test.make ~name:"Wreq.fault_mask = detects_values per lane"
-    ~count:40
+(* The scalar reader: a whole-circuit [Cone_sim] state driven through a
+   random sequence of assignments, some with X input bits, as [Atpg]
+   drives it from test to test.  After each pass, [Wreq.satisfied] on
+   every prepared fault's literals equals the [Req.satisfied_by] fold
+   over its requirements on the same three components; so does each
+   requirement alone, over its own literals, which a random state
+   satisfies far more often than a whole set. *)
+let prop_satisfied_matches_scalar =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 100_000 >>= fun seed ->
+      let np = (circuit_of_seed seed).Circuit.num_pis in
+      let step =
+        oneofl [ 0; 0; 15 ] >>= fun x_pct ->
+        let bit =
+          int_range 0 99 >>= fun r ->
+          if r < x_pct then return Bit.X else map Bit.of_bool bool
+        in
+        pair (array_size (return np) bit) (array_size (return np) bit)
+      in
+      pair (return seed) (list_size (int_range 1 8) step))
+  in
+  QCheck.Test.make ~name:"Wreq.satisfied = Req.satisfied_by" ~count:40
     (QCheck.make
-       ~print:(fun (seed, _) -> Printf.sprintf "seed=%d" seed)
-       QCheck.Gen.(
-         int_range 0 100_000 >>= fun seed ->
-         let c = circuit_of_seed seed in
-         let np = c.Circuit.num_pis in
-         pair (return seed) (pair (array_size (return np) bool)
-                               (array_size (return np) bool))))
-    (fun (seed, (v1, v3)) ->
+       ~print:(fun (seed, steps) ->
+         Printf.sprintf "seed=%d steps=%d" seed (List.length steps))
+       gen)
+    (fun (seed, steps) ->
       let c = circuit_of_seed seed in
       let ts = Target_sets.build c (Delay_model.lines c) ~n_p:15 ~n_p0:5 in
       let faults = Fault_sim.prepare c ts.Target_sets.p in
-      let packs =
-        Wreq.pack_faults
-          (Array.map (fun p -> p.Fault_sim.reqs) faults)
+      let sim = Cone_sim.create c in
+      let s = Cone_sim.values sim in
+      let agrees lits reqs =
+        Wreq.satisfied s lits
+        = List.for_all
+            (fun (net, req) ->
+              Req.satisfied_by
+                (Triple.make s.(0).(net) s.(1).(net) s.(2).(net))
+                req)
+            reqs
       in
-      let values = Test_pair.simulate c (Test_pair.create v1 v3) in
-      Array.for_all
-        (fun fp ->
-          let m = Wreq.fault_mask fp values in
-          let ok = ref true in
-          for l = 0 to Wreq.lanes fp - 1 do
-            let i = Wreq.base fp + l in
-            if
-              Fault_sim.detects_values values faults.(i)
-              <> (m land (1 lsl l) <> 0)
-            then ok := false
-          done;
-          !ok)
-        packs)
+      List.for_all
+        (fun (b1, b3) ->
+          Array.iteri (fun pi v1 -> Cone_sim.set_pi sim pi ~v1 ~v3:b3.(pi)) b1;
+          Cone_sim.propagate sim;
+          Array.for_all
+            (fun (p : Fault_sim.prepared) ->
+              agrees p.Fault_sim.lits p.Fault_sim.reqs
+              && List.for_all
+                   (fun r -> agrees (Wreq.literals [ r ]) [ r ])
+                   p.Fault_sim.reqs)
+            faults)
+        steps)
+
+(* An X component satisfies no literal, whichever value it is pinned
+   to; a definite one satisfies exactly the literal of its value, and
+   no literal at all is always satisfied. *)
+let test_satisfied_x () =
+  let values =
+    [| [| Bit.X; Bit.Zero |]; [| Bit.X; Bit.One |]; [| Bit.X; Bit.Zero |] |]
+  in
+  let lit net k b = (net lsl 3) lor ((2 * k) + Bool.to_int b) in
+  for k = 0 to 2 do
+    List.iter
+      (fun b ->
+        check Alcotest.bool
+          (Printf.sprintf "X component %d pinned to %b" k b)
+          false
+          (Wreq.satisfied values [| lit 0 k b |]);
+        check Alcotest.bool
+          (Printf.sprintf "definite component %d pinned to %b" k b)
+          (Bit.equal values.(k).(1) (Bit.of_bool b))
+          (Wreq.satisfied values [| lit 1 k b |]))
+      [ false; true ]
+  done;
+  check Alcotest.bool "one X among definite literals" false
+    (Wreq.satisfied values [| lit 1 0 false; lit 0 1 true; lit 1 2 false |]);
+  check Alcotest.bool "a final-value requirement on an X net" false
+    (Wreq.satisfied values (Wreq.literals [ (0, Req.final true) ]));
+  check Alcotest.bool "no literal" true (Wreq.satisfied values [||])
 
 (* A full pass allocates its six plane arrays and nothing per gate.  On
    s9234* (1700 gates, 1840 nets) the planes are major-heap blocks, so
@@ -263,7 +310,6 @@ let test_mask_allocation () =
 (* Incremental simulation: Cone_sim vs the full pass                   *)
 (* ------------------------------------------------------------------ *)
 
-module Cone_sim = Pdf_core.Cone_sim
 module Rng = Pdf_util.Rng
 
 (* Drive one randomized flip sequence over a persistent [Cone_sim]
@@ -719,7 +765,8 @@ let () =
           qcheck prop_wsim_matches_scalar;
           qcheck prop_satisfied_mask_matches_scalar;
           qcheck prop_literals_encode_reqs;
-          qcheck prop_fault_mask_matches_scalar;
+          qcheck prop_satisfied_matches_scalar;
+          Alcotest.test_case "X satisfies no literal" `Quick test_satisfied_x;
           Alcotest.test_case "simulate allocates only planes" `Quick
             test_simulate_allocation;
           Alcotest.test_case "mask pass allocates nothing" `Quick

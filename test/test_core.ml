@@ -9,6 +9,7 @@ module Fault = Pdf_faults.Fault
 module Robust = Pdf_faults.Robust
 module Target_sets = Pdf_faults.Target_sets
 module Test_pair = Pdf_core.Test_pair
+module Test_io = Pdf_core.Test_io
 module Justify = Pdf_core.Justify
 module Fault_sim = Pdf_core.Fault_sim
 module Ordering = Pdf_core.Ordering
@@ -57,6 +58,80 @@ let test_pair_simulate_matches_two_pattern () =
       check Alcotest.bool "same triple" true
         (Pdf_values.Triple.equal v direct.(net)))
     values
+
+(* ------------------------------------------------------------------ *)
+(* Test_io                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let io_tests =
+  let rng = Rng.create 11 in
+  List.init 9 (fun _ ->
+      let pattern () = Array.init 7 (fun _ -> Rng.bool rng) in
+      Test_pair.create (pattern ()) (pattern ()))
+
+let parsed = function
+  | Ok tests -> List.map Test_pair.to_string tests
+  | Error e -> Alcotest.failf "unexpected %s" (Test_io.error_to_string e)
+
+let test_io_roundtrip () =
+  let text = Test_io.to_string io_tests in
+  check Alcotest.string "one line per test"
+    (String.concat ""
+       (List.map (fun t -> Test_pair.to_string t ^ "\n") io_tests))
+    text;
+  check
+    Alcotest.(list string)
+    "of_string . to_string"
+    (List.map Test_pair.to_string io_tests)
+    (parsed (Test_io.of_string ~num_pis:7 text));
+  let path = Filename.temp_file "test_io" ".tests" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Test_io.write_file io_tests path;
+      check
+        Alcotest.(list string)
+        "read_file . write_file"
+        (List.map Test_pair.to_string io_tests)
+        (parsed (Test_io.read_file ~num_pis:7 path)));
+  check Alcotest.(list string) "empty set" []
+    (parsed (Test_io.of_string ~num_pis:7 (Test_io.to_string [])))
+
+let test_io_comments () =
+  let text =
+    "# s27 tests\n\n  1010101/0101010  # first\n\t\n#0000000/1111111\n\
+     1111111/0000000\n"
+  in
+  check
+    Alcotest.(list string)
+    "comments and blank lines skipped"
+    [ "1010101/0101010"; "1111111/0000000" ]
+    (parsed (Test_io.of_string ~num_pis:7 text))
+
+let test_io_rejections () =
+  let rejects what text ~line ~message =
+    match Test_io.of_string ~num_pis:7 text with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+      check Alcotest.int (what ^ ": line") line e.Test_io.line;
+      check Alcotest.string (what ^ ": message") message e.Test_io.message
+  in
+  rejects "non-binary" "xx2q000/1111111\n" ~line:1
+    ~message:"patterns must be over {0,1}";
+  rejects "non-binary second pattern" "# c\n1111111/00x0000\n" ~line:2
+    ~message:"patterns must be over {0,1}";
+  rejects "wrong width" "1010101/0101010\n\n101010/010101\n" ~line:3
+    ~message:"expected 7 bits per pattern";
+  rejects "no slash" "1010101/0101010\n1010101 0101010\n" ~line:2
+    ~message:"expected exactly one '/'";
+  rejects "two slashes" "1010101/0101010/1111111\n" ~line:1
+    ~message:"expected exactly one '/'";
+  check Alcotest.string "error_to_string" "line 3: expected 7 bits per pattern"
+    (Test_io.error_to_string
+       { Test_io.line = 3; message = "expected 7 bits per pattern" });
+  match Test_io.read_file ~num_pis:7 "no/such/file.tests" with
+  | exception Sys_error _ -> ()
+  | _ -> Alcotest.fail "a missing file must raise Sys_error"
 
 (* ------------------------------------------------------------------ *)
 (* Justify                                                              *)
@@ -1760,6 +1835,13 @@ let () =
           Alcotest.test_case "length mismatch" `Quick test_pair_length_mismatch;
           Alcotest.test_case "simulate matches two-pattern" `Quick
             test_pair_simulate_matches_two_pattern;
+        ] );
+      ( "test_io",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
+          Alcotest.test_case "comments and blank lines" `Quick
+            test_io_comments;
+          Alcotest.test_case "rejections" `Quick test_io_rejections;
         ] );
       ( "justify",
         [

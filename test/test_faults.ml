@@ -666,6 +666,26 @@ let test_non_robust_detects_more () =
   check Alcotest.bool "non-robust keeps at least as many" true
     (non.Undetectable.kept >= rob.Undetectable.kept)
 
+(* The one name table: each criterion's name parses back to it, in any
+   case; the hyphenated spelling the ablation tables print parses too,
+   and an unknown name does not. *)
+let test_criterion_names () =
+  List.iter
+    (fun c ->
+      let name = Robust.criterion_name c in
+      check Alcotest.bool ("roundtrip " ^ name) true
+        (Robust.criterion_of_name name = Some c);
+      check Alcotest.bool ("upper case " ^ name) true
+        (Robust.criterion_of_name (String.uppercase_ascii name) = Some c))
+    [ Robust.Robust; Robust.Non_robust ];
+  check Alcotest.string "robust" "robust" (Robust.criterion_name Robust.Robust);
+  check Alcotest.string "nonrobust" "nonrobust"
+    (Robust.criterion_name Robust.Non_robust);
+  check Alcotest.bool "non-robust" true
+    (Robust.criterion_of_name "Non-Robust" = Some Robust.Non_robust);
+  check Alcotest.bool "unknown" true (Robust.criterion_of_name "strong" = None);
+  check Alcotest.bool "empty" true (Robust.criterion_of_name "" = None)
+
 (* ------------------------------------------------------------------ *)
 (* Multi-set split                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -763,6 +783,7 @@ let () =
           Alcotest.test_case "non-robust weaker" `Quick test_non_robust_weaker;
           Alcotest.test_case "non-robust detects more" `Quick
             test_non_robust_detects_more;
+          Alcotest.test_case "names" `Quick test_criterion_names;
         ] );
       ( "split_multi",
         [
