@@ -55,13 +55,34 @@ let seed_arg =
   let doc = "Random seed (all randomness in the tool is seeded)." in
   Arg.(value & opt int Workload.default_seed & info [ "seed" ] ~doc)
 
+(* An integer flag bounded below by the library: a smaller value is a
+   usage error (exit 124), not an [Invalid_argument] escaping the run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let n_p_conv = int_at_least Target_sets.min_n_p
+let n_p0_conv = int_at_least Target_sets.min_n_p0
+
 let n_p_arg =
   let doc = "Fault budget N_P for the enumerated set P." in
-  Arg.(value & opt int 2000 & info [ "n-p" ] ~doc)
+  Arg.(value & opt n_p_conv 2000 & info [ "n-p" ] ~doc)
 
 let n_p0_arg =
   let doc = "Size threshold N_P0 for the first target set P0." in
-  Arg.(value & opt int 200 & info [ "n-p0" ] ~doc)
+  Arg.(value & opt n_p0_conv 200 & info [ "n-p0" ] ~doc)
+
+(* Write an output file through [write], or say why not and exit 1. *)
+let write_or_die path write =
+  try write path
+  with Sys_error msg ->
+    Printf.eprintf "pdfatpg: cannot write %s: %s\n" path msg;
+    exit 1
 
 let with_circuit name f =
   match Session.resolve name with
@@ -217,7 +238,8 @@ let info_cmd =
 
 let paths_cmd =
   let max_paths =
-    Arg.(value & opt int 20 & info [ "max-paths" ] ~doc:"Bound on |P|.")
+    Arg.(value & opt (int_at_least Enumerate.min_max_paths) 20
+         & info [ "max-paths" ] ~doc:"Bound on |P|.")
   in
   let simple =
     Arg.(value & flag & info [ "simple" ]
@@ -332,7 +354,7 @@ let ledger_out_arg =
 let write_ledger path ledger =
   match (path, ledger) with
   | Some path, Some l ->
-    Pdf_obs.Ledger.write_jsonl l path;
+    write_or_die path (Pdf_obs.Ledger.write_jsonl l);
     Printf.printf "wrote %d ledger records to %s\n" (Pdf_obs.Ledger.size l)
       path
   | _ -> ()
@@ -341,7 +363,7 @@ let dump_tests path tests =
   match path with
   | None -> ()
   | Some file ->
-    Test_io.write_file tests file;
+    write_or_die file (Test_io.write_file tests);
     Printf.printf "wrote %d tests to %s\n" (List.length tests) file
 
 let atpg_cmd =
@@ -458,9 +480,9 @@ let gen_cmd =
         match out with
         | None -> print_string text
         | Some file ->
-          let oc = open_out file in
-          output_string oc text;
-          close_out oc;
+          write_or_die file (fun file ->
+              Out_channel.with_open_text file (fun oc ->
+                  output_string oc text));
           Printf.printf "wrote %s\n" file)
   in
   Cmd.v
@@ -761,11 +783,12 @@ let tables_cmd =
       match csv with
       | None -> ()
       | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        write_or_die dir (fun dir ->
+            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
         List.iter
           (fun (stem, data) ->
             let path = Filename.concat dir (stem ^ ".csv") in
-            Pdf_util.Csv.write_file data path;
+            write_or_die path (Pdf_util.Csv.write_file data);
             Printf.eprintf "wrote %s\n" path)
           (Tables.csv_exports ~table_runs
              ~enrich_runs:(table_runs @ star_runs))
@@ -848,11 +871,7 @@ let profile_cmd =
         print_string (Hotspots.render ~k:top p);
         (match json_out with
         | None -> ()
-        | Some path -> (
-          try Hotspots.write_json ~k:top p path
-          with Sys_error msg ->
-            Printf.eprintf "pdfatpg: cannot write profile JSON: %s\n" msg;
-            exit 1));
+        | Some path -> write_or_die path (Hotspots.write_json ~k:top p));
         (* With --trace-out active, add the per-level effort histogram
            as a Perfetto counter track next to the span timeline. *)
         match !trace_collector with
@@ -1155,12 +1174,12 @@ let bench_cmd =
              ~doc:"Random two-pattern tests for simulation workloads.")
   in
   let bench_n_p_arg =
-    Arg.(value & opt int Pdf_experiments.Benchmark.default_params
+    Arg.(value & opt n_p_conv Pdf_experiments.Benchmark.default_params
                    .Pdf_experiments.Benchmark.n_p
          & info [ "n-p" ] ~docv:"N" ~doc:"Fault budget N_P.")
   in
   let bench_n_p0_arg =
-    Arg.(value & opt int Pdf_experiments.Benchmark.default_params
+    Arg.(value & opt n_p0_conv Pdf_experiments.Benchmark.default_params
                    .Pdf_experiments.Benchmark.n_p0
          & info [ "n-p0" ] ~docv:"N" ~doc:"Primary-set threshold N_P0.")
   in
@@ -1229,7 +1248,7 @@ let bench_cmd =
       (match out with
       | None -> ()
       | Some path ->
-        Benchmark.write_report report path;
+        write_or_die path (Benchmark.write_report report);
         Printf.printf "wrote %s\n" path);
       let gate_failures = suite.Benchmark.gate report.Benchmark.results in
       List.iter

@@ -5,59 +5,22 @@ module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
 module Attrib = Pdf_obs.Attrib
 
-(* All justification accounting lives in the pdf_obs metrics registry
-   (process-wide, monotonic); [runs]/[trials] below read these. *)
-let m_runs = Metrics.counter "justify.runs"
+(* The sim engine's own metrics: its trials, their overlay gate
+   evaluations (added once per search from [Cone_sim]) and its failed
+   searches.  What it shares with PODEM — runs, conflict hits,
+   backtracks, resimulation gates — its [Effort] account charges. *)
 let m_trials = Metrics.counter "justify.trials"
 let m_conflicts = Metrics.counter "justify.conflicts"
-let m_backtracks = Metrics.counter "justify.backtracks"
-
-(* Effort counters behind the attribution layer (DESIGN.md §14).  All
-   three are semantic — defined by the search, not the engine — so they
-   are byte-identical across [--jobs] and engine implementations:
-   [trial_evals] counts overlay gate evaluations (pure scalar code),
-   [resim_gates] charges every resimulation call its full-pass cost
-   (cone size), however few gates the pass evaluated, and
-   [conflict_hits] counts requirement-mismatch events wherever they are
-   detected.  The per-net counterparts live in {!Pdf_obs.Attrib} sheets;
-   the attrib oracle checks conservation between the two. *)
 let m_trial_evals = Metrics.counter "justify.trial_evals"
-let m_resim_gates = Metrics.counter "justify.resim_gates"
-let m_conflict_hits = Metrics.counter "justify.conflict_hits"
 
-let h_backtrack_depth =
-  Metrics.histogram
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-    "justify.backtrack_depth"
-
-(* [e_runs]/[e_trials] mirror the process-wide metric counters but are
-   per-engine, so callers measuring one phase get exact figures even
-   when other engines run concurrently on other domains.  An engine is
-   only ever driven from one domain at a time. *)
 type t = {
-  circuit : Circuit.t;
-  att : Attrib.sheet option;
-  mutable e_runs : int;
-  mutable e_trials : int;
-  mutable e_backtracks : int;
-  mutable e_resim_calls : int;
-  mutable e_resim_gates : int;
-  (* Abort forensics, maintained unconditionally (cheap scalar writes):
-     the most recent requirement-conflict net with its level, and the
-     deepest (highest-level) conflict net seen since the last
-     [reset_forensics].  Every conflict event is detected by scalar,
-     engine-independent code, so these are byte-identical across
-     engines and job counts. *)
-  mutable last_conflict_net : int;
-  mutable last_conflict_level : int;
-  mutable deepest_conflict_level : int;
+  effort : Effort.t;
   mutable search : search option; (* built by the first search *)
 }
 
 (* The search state, one per engine, reloaded by every search. *)
 and search = {
   c : Circuit.t;
-  eng : t; (* owning engine: effort accounting and forensics *)
   mutable rng : Rng.t;
   cone : Req_cone.t;
   a1 : Bit.t array; (* per PI *)
@@ -65,76 +28,29 @@ and search = {
   sim : Cone_sim.t; (* the cone's values, resimulated and trialled *)
   s : Bit.t array array; (* [sim]'s persistent state, 3 x nets *)
   mutable unspecified : int; (* the cone's open bits *)
-  mutable resims : int; (* resimulation calls, for deferred attribution *)
 }
 
 let create ?attrib circuit =
-  {
-    circuit;
-    att = attrib;
-    e_runs = 0;
-    e_trials = 0;
-    e_backtracks = 0;
-    e_resim_calls = 0;
-    e_resim_gates = 0;
-    last_conflict_net = -1;
-    last_conflict_level = -1;
-    deepest_conflict_level = -1;
-    search = None;
-  }
+  { effort = Effort.create ?attrib circuit; search = None }
 
-let runs t = t.e_runs
+let effort t = t.effort
 
-let trials t = t.e_trials
-
-let backtracks t = t.e_backtracks
-
-let resim_calls t = t.e_resim_calls
-
-let resim_gates t = t.e_resim_gates
-
-type forensics = { last_net : int; last_level : int; deepest_level : int }
-
-let forensics t =
-  {
-    last_net = t.last_conflict_net;
-    last_level = t.last_conflict_level;
-    deepest_level = t.deepest_conflict_level;
-  }
-
-let reset_forensics t =
-  t.last_conflict_net <- -1;
-  t.last_conflict_level <- -1;
-  t.deepest_conflict_level <- -1
-
-let note_conflict engine net =
-  Metrics.incr m_conflict_hits;
-  let level = engine.circuit.Circuit.level.(net) in
-  engine.last_conflict_net <- net;
-  engine.last_conflict_level <- level;
-  if level > engine.deepest_conflict_level then
-    engine.deepest_conflict_level <- level;
-  match engine.att with
-  | Some a ->
-    a.Attrib.conflicts.(net) <- a.Attrib.conflicts.(net) + 1;
-    a.Attrib.t_conflicts <- a.Attrib.t_conflicts + 1
-  | None -> ()
+type forensics = Effort.forensics = {
+  last_net : int;
+  last_level : int;
+  deepest_level : int;
+}
 
 exception No_test
 
 (* Bring [st.s] up to date with [st.a1]/[st.a3]: only cone PIs whose
    assignment changed seed the pass, and only the gates with a changed
-   fanin are re-evaluated. *)
-let resim st =
+   fanin are re-evaluated.  The account charges the pass a full cone
+   at the end of the search. *)
+let resim engine st =
+  let e = engine.effort in
+  e.Effort.passes <- e.Effort.passes + 1;
   let pis = st.cone.Req_cone.pis in
-  (* Semantic cost: a full pass over the cone.  Charged per call so the
-     global counter, the per-engine counter and (via [record_search])
-     the per-net attribution stay conserved and engine-invariant. *)
-  let cost = st.cone.Req_cone.n_gates in
-  st.resims <- st.resims + 1;
-  st.eng.e_resim_calls <- st.eng.e_resim_calls + 1;
-  st.eng.e_resim_gates <- st.eng.e_resim_gates + cost;
-  Metrics.add m_resim_gates cost;
   for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = pis.(i) in
     Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
@@ -146,9 +62,10 @@ let resim st =
    [true] when the trial conflicts with a requirement.  The persistent
    state is untouched, and nothing is allocated. *)
 let trial engine st pi j b =
+  let e = engine.effort in
   Metrics.incr m_trials;
-  engine.e_trials <- engine.e_trials + 1;
-  (match engine.att with
+  e.Effort.steps <- e.Effort.steps + 1;
+  (match e.Effort.sheet with
   | Some a ->
     a.Attrib.trials.(pi) <- a.Attrib.trials.(pi) + 1;
     a.Attrib.t_trials <- a.Attrib.t_trials + 1
@@ -157,7 +74,7 @@ let trial engine st pi j b =
   let v1 = if j = 1 then newv else st.a1.(pi) in
   let v3 = if j = 3 then newv else st.a3.(pi) in
   let net = Cone_sim.trial st.sim pi ~v1 ~v3 in
-  if net >= 0 then note_conflict engine net;
+  if net >= 0 then Effort.conflict e net;
   net >= 0
 
 let assign engine st pi j b =
@@ -166,10 +83,10 @@ let assign engine st pi j b =
   | 3 -> st.a3.(pi) <- Bit.of_bool b
   | _ -> invalid_arg "pattern");
   st.unspecified <- st.unspecified - 1;
-  resim st;
+  resim engine st;
   match Req_cone.conflict_net st.cone st.s with
   | Some net ->
-    note_conflict engine net;
+    Effort.conflict engine.effort net;
     raise No_test
   | None -> ()
 
@@ -262,12 +179,11 @@ let make_search engine rng merged =
     match engine.search with
     | Some st -> st
     | None ->
-      let c = engine.circuit in
-      let sim = Cone_sim.create ?attrib:engine.att c in
+      let c = engine.effort.Effort.circuit in
+      let sim = Cone_sim.create ?attrib:engine.effort.Effort.sheet c in
       let st =
         {
           c;
-          eng = engine;
           rng;
           cone = Req_cone.create c;
           a1 = Array.make c.Circuit.num_pis Bit.X;
@@ -275,7 +191,6 @@ let make_search engine rng merged =
           sim;
           s = Cone_sim.values sim;
           unspecified = 0;
-          resims = 0;
         }
       in
       engine.search <- Some st;
@@ -290,31 +205,18 @@ let make_search engine rng merged =
   Cone_sim.retarget st.sim st.cone;
   st.rng <- rng;
   st.unspecified <- 2 * st.cone.Req_cone.n_pis;
-  st.resims <- 0;
   st
 
-(* Fold this search's resimulation work into the sim.inc.* metrics.
-   When the engine carries an attribution sheet, the search's
-   resimulation effort is flushed here in one O(cone) pass — [resims x
-   cone] charged to every cone gate's output net — instead of a
-   per-call cone walk on the hot path.  The trial evaluation count
-   reaches its metric here too. *)
-let record_search st =
-  let gates = st.cone.Req_cone.gates and n = st.cone.Req_cone.n_gates in
+(* The search's resimulations reach the account, its trial
+   evaluations their metric, and its persistent passes the sim.inc.*
+   metrics: once per search, not per call. *)
+let record_search engine st =
   let evals = Cone_sim.trial_evals st.sim in
   if evals > 0 then Metrics.add m_trial_evals evals;
-  (match st.eng.att with
-  | Some a when st.resims > 0 ->
-    a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.resims;
-    a.Attrib.t_resim_gates <- a.Attrib.t_resim_gates + (st.resims * n);
-    for i = 0 to n - 1 do
-      let net = Circuit.net_of_gate st.c gates.(i) in
-      a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.resims
-    done
-  | Some _ | None -> ());
+  Effort.finish engine.effort st.cone;
   Cone_sim.record st.sim
 
-type complete_outcome =
+type complete_outcome = Podem.outcome =
   | Found of Test_pair.t
   | Proved_unsatisfiable
   | Gave_up
@@ -322,17 +224,11 @@ type complete_outcome =
 exception Budget_exhausted
 
 (* Deterministic branch-and-bound search over the cone input bits. *)
-let note_run engine =
-  Metrics.incr m_runs;
-  engine.e_runs <- engine.e_runs + 1;
-  match engine.att with
-  | Some a -> a.Attrib.t_runs <- a.Attrib.t_runs + 1
-  | None -> ()
-
 let run_complete ?(max_backtracks = 10_000) engine ~reqs =
   Span.with_ "justify" @@ fun () ->
-  note_run engine;
-  let c = engine.circuit in
+  let e = engine.effort in
+  Effort.run e;
+  let c = e.Effort.circuit in
   match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
@@ -346,27 +242,18 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
     (* The rng is never consulted: decisions are deterministic and
        non-cone bits are filled with zeros. *)
     let st = make_search engine (Rng.create 0) merged in
-    let backtracks = ref 0 in
+    let budget = e.Effort.backtracks + max_backtracks in
     let snapshot () = (Array.copy st.a1, Array.copy st.a3, st.unspecified) in
     let restore (a1, a3, unspecified) =
       Array.blit a1 0 st.a1 0 (Array.length a1);
       Array.blit a3 0 st.a3 0 (Array.length a3);
       st.unspecified <- unspecified;
-      resim st
+      resim engine st
     in
-    (* [pi] is the decision input being retracted; the backtrack is
-       charged to its net in the attribution sheet. *)
+    (* [pi] is the decision input being retracted. *)
     let spend depth pi =
-      incr backtracks;
-      engine.e_backtracks <- engine.e_backtracks + 1;
-      Metrics.incr m_backtracks;
-      Metrics.observe_int h_backtrack_depth depth;
-      (match engine.att with
-      | Some a ->
-        a.Attrib.backtracks.(pi) <- a.Attrib.backtracks.(pi) + 1;
-        a.Attrib.t_backtracks <- a.Attrib.t_backtracks + 1
-      | None -> ());
-      if !backtracks > max_backtracks then raise Budget_exhausted
+      Effort.backtrack e ~depth pi;
+      if e.Effort.backtracks > budget then raise Budget_exhausted
     in
     (* The paper's decision preference, made deterministic: stabilise a
        half-specified input first (copy value, then its complement), else
@@ -437,10 +324,10 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
     in
     let outcome =
       try
-        resim st;
+        resim engine st;
         match Req_cone.conflict_net st.cone st.s with
         | Some net ->
-          note_conflict engine net;
+          Effort.conflict e net;
           Metrics.incr m_conflicts;
           Proved_unsatisfiable
         | None -> (
@@ -449,15 +336,17 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
           | None ->
             Metrics.incr m_conflicts;
             Proved_unsatisfiable)
-      with Budget_exhausted -> Gave_up
+      with Budget_exhausted ->
+        Effort.abort e;
+        Gave_up
     in
-    record_search st;
+    record_search engine st;
     outcome)
 
 let run engine ~rng ~reqs =
   Span.with_ "justify" @@ fun () ->
-  note_run engine;
-  let c = engine.circuit in
+  Effort.run engine.effort;
+  let c = engine.effort.Effort.circuit in
   match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
@@ -471,10 +360,10 @@ let run engine ~rng ~reqs =
     let st = make_search engine rng merged in
     let result =
       try
-        resim st;
+        resim engine st;
         (match Req_cone.conflict_net st.cone st.s with
         | Some net ->
-          note_conflict engine net;
+          Effort.conflict engine.effort net;
           raise No_test
         | None -> ());
         while st.unspecified > 0 do
@@ -484,7 +373,7 @@ let run engine ~rng ~reqs =
         if Req_cone.satisfied st.cone st.s then Some (build_test st) else None
       with No_test -> None
     in
-    record_search st;
+    record_search engine st;
     if result = None then Metrics.incr m_conflicts;
     result
 
@@ -522,7 +411,7 @@ module Engine = struct
 
   type member_impl = Sim_member of sim_engine | Podem_member of Podem.t
 
-  type member = { label : string; impl : member_impl }
+  type member = { label : string; impl : member_impl; account : Effort.t }
 
   type t = {
     kind : kind;
@@ -537,9 +426,13 @@ module Engine = struct
   let restarts = 2
 
   let create ?attrib ?(kind = default_kind ()) circuit =
-    let sim label = { label; impl = Sim_member (create ?attrib circuit) } in
+    let sim label =
+      let e = create ?attrib circuit in
+      { label; impl = Sim_member e; account = e.effort }
+    in
     let podem () =
-      { label = "podem"; impl = Podem_member (Podem.create ?attrib circuit) }
+      let p = Podem.create ?attrib circuit in
+      { label = "podem"; impl = Podem_member p; account = Podem.effort p }
     in
     let members =
       match kind with
@@ -581,78 +474,44 @@ module Engine = struct
           | Podem_member p -> Podem.run p ~reqs
           | Sim_member e -> (
             match run e ~rng:(member_rng i) ~reqs with
-            | Some test -> Podem.Found test
-            | None -> Podem.Gave_up (* no claim either way *))
+            | Some test -> Found test
+            | None -> Gave_up (* no claim either way *))
         in
         match outcome with
-        | Podem.Found test ->
+        | Found test ->
           t.last_winner <- m.label;
           Some test
-        | Podem.Proved_unsatisfiable -> None
-        | Podem.Gave_up -> escalate (i + 1)
+        | Proved_unsatisfiable -> None
+        | Gave_up -> escalate (i + 1)
     in
     escalate 0
 
   let winner t = t.last_winner
 
-  let sum t f_sim f_podem =
-    Array.fold_left
-      (fun acc m ->
-        acc
-        +
-        match m.impl with
-        | Sim_member e -> f_sim e
-        | Podem_member p -> f_podem p)
-      0 t.members
+  (* Every figure folds the member accounts.  A PODEM account's steps
+     are its decisions, reported in the [trials] column so per-fault
+     effort stays one schema across backends (DESIGN.md §15). *)
+  let sum t field =
+    Array.fold_left (fun acc m -> acc + field m.account) 0 t.members
 
-  let runs t = sum t runs Podem.runs
-
-  (* The structural engine's unit of search work is the PI decision;
-     it is reported in the [trials] column so per-fault effort stays
-     one schema across backends (DESIGN.md §15). *)
-  let trials t = sum t trials Podem.decisions
-
-  let backtracks t = sum t backtracks Podem.backtracks
-
-  let resim_gates t = sum t resim_gates Podem.imply_gates
-
-  let aborts t = sum t (fun _ -> 0) Podem.aborts
-
-  let member_forensics m =
-    match m.impl with
-    | Sim_member e -> forensics e
-    | Podem_member p ->
-      let f = Podem.forensics p in
-      {
-        last_net = f.Podem.last_net;
-        last_level = f.Podem.last_level;
-        deepest_level = f.Podem.deepest_level;
-      }
+  let runs t = sum t (fun e -> e.Effort.runs)
+  let trials t = sum t (fun e -> e.Effort.steps)
+  let backtracks t = sum t (fun e -> e.Effort.backtracks)
+  let resim_gates t = sum t (fun e -> e.Effort.pass_gates)
+  let aborts t = sum t (fun e -> e.Effort.aborts)
 
   (* Deterministic combination: the deepest conflict level over all
      members, and the last-conflict net of the first member (in
      priority order) that recorded one. *)
   let forensics t =
-    let fs = Array.map member_forensics t.members in
+    let fs = Array.map (fun m -> Effort.forensics m.account) t.members in
     let deepest =
       Array.fold_left (fun acc f -> max acc f.deepest_level) (-1) fs
     in
-    let last =
-      let rec find i =
-        if i >= Array.length fs then
-          { last_net = -1; last_level = -1; deepest_level = deepest }
-        else if fs.(i).last_net >= 0 then fs.(i)
-        else find (i + 1)
-      in
-      find 0
-    in
-    { last with deepest_level = deepest }
+    match Array.find_opt (fun f -> f.last_net >= 0) fs with
+    | Some f -> { f with deepest_level = deepest }
+    | None -> { last_net = -1; last_level = -1; deepest_level = deepest }
 
   let reset_forensics t =
-    Array.iter
-      (fun m ->
-        match m.impl with
-        | Sim_member e -> reset_forensics e
-        | Podem_member p -> Podem.reset_forensics p)
-      t.members
+    Array.iter (fun m -> Effort.reset_forensics m.account) t.members
 end

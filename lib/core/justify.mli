@@ -35,21 +35,19 @@
     reloads it for every search after. *)
 
 type t
-(** A justification engine for one circuit.  Engines hold per-engine
-    effort counters and one search state, reused by every search: drive
+(** A justification engine for one circuit.  Engines hold an effort
+    account and one search state, reused by every search: drive
     each engine from a single domain at a time (create one engine per
     concurrent ATPG run). *)
 
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
-(** A fresh engine with zeroed {!runs}/{!trials} counters.  When
-    [attrib] is given, the engine charges per-net effort to the sheet
-    (DESIGN.md §14): trial simulations to the tried PI net, overlay
-    gate evaluations to the evaluated gate's output net, resimulation
-    calls to every cone gate (full-pass cost, engine-invariant),
-    requirement conflicts to the mismatching net, and complete-search
-    backtracks to the retracted decision input.  The sheet is bumped
-    without synchronisation — drive the engine from one domain at a
-    time, as always. *)
+(** A fresh engine with a zeroed {!effort} account.  When [attrib] is
+    given, the engine charges per-net effort to the sheet (DESIGN.md
+    §14): its trial simulations to the tried PI net, their gate
+    evaluations to each evaluated gate's output net, and through the
+    account resimulations, conflicts and backtracks.  The sheet is
+    bumped without synchronisation — drive the engine from one domain
+    at a time, as always. *)
 
 val run :
   t ->
@@ -60,57 +58,19 @@ val run :
     check fails.  [reqs] may list a net several times; entries are merged
     first (a direct conflict fails immediately). *)
 
-val runs : t -> int
-(** Number of [run]/[run_complete] invocations on {e this} engine.  The
-    process-wide [justify.runs] counter in {!Pdf_obs.Metrics} also counts
-    every invocation, but sums over all engines; the per-engine figure
-    stays exact when other engines run concurrently on other domains. *)
+val effort : t -> Effort.t
+(** The engine's account: its runs ([run] and [run_complete]), trial
+    simulations as steps, backtracks, resimulations as full-cone passes,
+    aborts and conflict forensics.  The process-wide [justify.trials]
+    and [justify.trial_evals] metrics count the trials and their gate
+    evaluations over all engines. *)
 
-val trials : t -> int
-(** Trial simulations performed by {e this} engine (effort metric);
-    per-engine, like {!runs} — the process-wide total is the
-    [justify.trials] metric.  Their gate evaluations are counted by the
-    [justify.trial_evals] metric, added once per call. *)
-
-val backtracks : t -> int
-(** Backtracks spent by {e this} engine's {!run_complete} searches;
-    per-engine, like {!runs} — the process-wide total is the
-    [justify.backtracks] metric. *)
-
-val resim_calls : t -> int
-(** Resimulation calls this engine performed (each brings the persistent
-    cone state up to date with the current assignment). *)
-
-val resim_gates : t -> int
-(** Semantic resimulation effort: every resimulation call charged its
-    full-pass cost (the requirement cone's gate count), however few
-    gates the event-driven pass evaluated.  Process-wide counterpart:
-    the [justify.resim_gates] metric. *)
-
-(** {2 Abort forensics}
-
-    Every requirement-conflict event — a trial overlay contradicting a
-    required value, or an assignment's resimulation revealing a
-    mismatch — records the blamed net.  All conflict detection is
-    scalar, engine-independent code, so the forensics are byte-identical
-    across engines and job counts.  [Atpg.generate] resets them before
-    each targeted justification and persists them into the ledger's
-    per-fault records, where [pdfatpg why] renders them. *)
-
-type forensics = {
-  last_net : int;  (** most recent conflicting net, [-1] when none *)
-  last_level : int;  (** its circuit level, [-1] when none *)
+type forensics = Effort.forensics = {
+  last_net : int;
+  last_level : int;
   deepest_level : int;
-      (** highest circuit level among all conflicting nets seen — how
-          deep into the cone the search frontier reached before giving
-          up; [-1] when none *)
 }
-
-val forensics : t -> forensics
-(** Conflict forensics accumulated since creation or the last
-    {!reset_forensics}. *)
-
-val reset_forensics : t -> unit
+(** {!Effort.type-forensics}, for the ledger code of {!Atpg}. *)
 
 (** {2 Complete search}
 
@@ -120,7 +80,7 @@ val reset_forensics : t -> unit
     that procedure: the same necessary-value machinery, but decisions are
     explored depth-first with backtracking, deterministically. *)
 
-type complete_outcome =
+type complete_outcome = Podem.outcome =
   | Found of Test_pair.t
   | Proved_unsatisfiable  (** the whole decision tree was refuted *)
   | Gave_up  (** backtrack budget exhausted *)
@@ -131,8 +91,8 @@ val run_complete :
   reqs:(int * Pdf_values.Req.t) list ->
   complete_outcome
 (** Deterministic branch-and-bound justification.  Default budget is
-    10000 backtracks.  Unsearched inputs (outside the requirement cone)
-    are filled with zeros. *)
+    10000 backtracks; an exhausted budget counts an abort.  Unsearched
+    inputs (outside the requirement cone) are filled with zeros. *)
 
 (** {2 Backend selection}
 
@@ -160,12 +120,12 @@ val default_kind : unit -> kind
     an unknown value — a silently ignored engine selection would be a
     debugging trap), else {!Sim}. *)
 
-(** The dispatching engine used by {!Atpg.generate}.  Counter and
-    forensics accessors mirror the simulation engine's, summed over the
-    backend members.  In portfolio mode the members run one after
-    another on the caller's domain, in the fixed priority order [podem;
-    sim; sim-r1; sim-r2], until one finds a test or PODEM proves the
-    requirements unsatisfiable; the test and the winner are those of
+(** The dispatching engine used by {!Atpg.generate}.  Its counter and
+    forensics accessors fold the members' {!Effort} accounts.  In
+    portfolio mode the members run one after another on the caller's
+    domain, in the fixed priority order [podem; sim; sim-r1; sim-r2],
+    until one finds a test or PODEM proves the requirements
+    unsatisfiable; the test and the winner are those of
     running every member to completion and taking the first success in
     that order (the [portfolio] oracle checks this), and counters and
     forensics cover only the members that ran. *)

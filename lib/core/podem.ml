@@ -4,9 +4,10 @@ module Two_pattern = Pdf_sim.Two_pattern
 module Implication = Pdf_sim.Implication
 module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
-module Attrib = Pdf_obs.Attrib
 
-(* Engine-specific observability.  The structural engine has no trial
+(* Engine-specific observability.  What PODEM shares with the sim
+   engine — runs, conflict hits, backtracks, full-cone passes — its
+   [Effort] account charges.  The structural engine has no trial
    simulations; its unit of search work is the PI decision and its unit
    of propagation work is the implication pass. *)
 let m_runs = Metrics.counter "podem.runs"
@@ -17,23 +18,6 @@ let m_conflict_hits = Metrics.counter "podem.conflict_hits"
 let m_implications = Metrics.counter "podem.implications"
 let m_imply_gates = Metrics.counter "podem.imply_gates"
 let m_aborts = Metrics.counter "podem.aborts"
-
-(* Shared justification-layer counters (registration is idempotent, so
-   these are the same counters justify.ml declares).  PODEM charges the
-   same semantic vocabulary the sim engine does — runs, backtracks,
-   resimulation gates (an implication pass costs one full cone pass,
-   exactly like [Justify]'s resim), conflict hits — so the attribution
-   sheets stay conserved against the process-wide metrics whichever
-   engine ran (the `attrib` oracle checks this under any PDF_JUSTIFY). *)
-let mj_runs = Metrics.counter "justify.runs"
-let mj_backtracks = Metrics.counter "justify.backtracks"
-let mj_resim_gates = Metrics.counter "justify.resim_gates"
-let mj_conflict_hits = Metrics.counter "justify.conflict_hits"
-
-let h_backtrack_depth =
-  Metrics.histogram
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-    "justify.backtrack_depth"
 
 (* Seeded mutation hook for the differential oracles (DESIGN.md §10):
    when enabled, the second-pattern implication of multi-input gates
@@ -47,20 +31,7 @@ let set_injected_bug b = Atomic.set injected_bug b
 let injected_bug_enabled () = Atomic.get injected_bug
 
 type t = {
-  circuit : Circuit.t;
-  att : Attrib.sheet option;
-  mutable e_runs : int;
-  mutable e_decisions : int;
-  mutable e_backtracks : int;
-  mutable e_imply_calls : int;
-  mutable e_imply_gates : int;
-  mutable e_aborts : int;
-  (* Abort forensics, same shape and semantics as [Justify]'s: the most
-     recent requirement-conflict net with its level, and the deepest
-     conflict level since the last reset. *)
-  mutable last_conflict_net : int;
-  mutable last_conflict_level : int;
-  mutable deepest_conflict_level : int;
+  effort : Effort.t;
   mutable search : state option; (* built by the first search *)
 }
 
@@ -84,7 +55,6 @@ and state = {
          and backward over the cone; in step with the decision stack *)
   s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
   read : (int -> Bit.t) array;  (* per component, reading [s] *)
-  mutable implies : int;  (* implication passes, for deferred attribution *)
   seen : int array;  (* per net: the backtrace walk that last visited it *)
   mutable walk : int;
   (* The objective [objective] picked, and the decision [backtrace]
@@ -107,55 +77,13 @@ and state = {
 }
 
 let create ?attrib circuit =
-  {
-    circuit;
-    att = attrib;
-    e_runs = 0;
-    e_decisions = 0;
-    e_backtracks = 0;
-    e_imply_calls = 0;
-    e_imply_gates = 0;
-    e_aborts = 0;
-    last_conflict_net = -1;
-    last_conflict_level = -1;
-    deepest_conflict_level = -1;
-    search = None;
-  }
+  { effort = Effort.create ?attrib circuit; search = None }
 
-let runs t = t.e_runs
-let decisions t = t.e_decisions
-let backtracks t = t.e_backtracks
-let imply_calls t = t.e_imply_calls
-let imply_gates t = t.e_imply_gates
-let aborts t = t.e_aborts
-
-type forensics = { last_net : int; last_level : int; deepest_level : int }
-
-let forensics t =
-  {
-    last_net = t.last_conflict_net;
-    last_level = t.last_conflict_level;
-    deepest_level = t.deepest_conflict_level;
-  }
-
-let reset_forensics t =
-  t.last_conflict_net <- -1;
-  t.last_conflict_level <- -1;
-  t.deepest_conflict_level <- -1
+let effort t = t.effort
 
 let note_conflict eng net =
   Metrics.incr m_conflict_hits;
-  Metrics.incr mj_conflict_hits;
-  let level = eng.circuit.Circuit.level.(net) in
-  eng.last_conflict_net <- net;
-  eng.last_conflict_level <- level;
-  if level > eng.deepest_conflict_level then
-    eng.deepest_conflict_level <- level;
-  match eng.att with
-  | Some a ->
-    a.Attrib.conflicts.(net) <- a.Attrib.conflicts.(net) + 1;
-    a.Attrib.t_conflicts <- a.Attrib.t_conflicts + 1
-  | None -> ()
+  Effort.conflict eng.effort net
 
 let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
 
@@ -195,17 +123,12 @@ let full_pass st =
    which is what makes chronological backtracking a plain
    unassign-and-reimply.  Event-driven: the pattern-bit writes since
    the last pass queued it, so the retractions of one backtrack seed
-   one pass together.  Every pass is charged a full cone pass, the
-   engine-invariant unit the sim engine's resimulation is charged. *)
+   one pass together.  The account charges every pass a full cone at
+   the end of the search, the unit the sim engine's resimulation is
+   charged. *)
 let imply st =
-  let eng = st.eng in
-  let cost = st.cone.Req_cone.n_gates in
-  st.implies <- st.implies + 1;
-  eng.e_imply_calls <- eng.e_imply_calls + 1;
-  eng.e_imply_gates <- eng.e_imply_gates + cost;
-  Metrics.incr m_implications;
-  Metrics.add m_imply_gates cost;
-  Metrics.add mj_resim_gates cost;
+  let e = st.eng.effort in
+  e.Effort.passes <- e.Effort.passes + 1;
   Cone_sim.propagate st.sim;
   if injected_bug_enabled () then full_pass st
 
@@ -377,7 +300,7 @@ let load_state eng merged =
     match eng.search with
     | Some st -> st
     | None ->
-      let c = eng.circuit in
+      let c = eng.effort.Effort.circuit in
       let sim = Cone_sim.create c in
       let s = Cone_sim.values sim in
       let np = c.Circuit.num_pis in
@@ -393,7 +316,6 @@ let load_state eng merged =
           imp = Implication.create ~within:cone.Req_cone.in_cone c;
           s;
           read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
-          implies = 0;
           seen = Array.make (Circuit.num_nets c) 0;
           walk = 0;
           obj_net = -1;
@@ -419,24 +341,8 @@ let load_state eng merged =
   Implication.reset st.imp;
   Req_cone.load st.cone merged;
   Cone_sim.retarget st.sim st.cone;
-  st.implies <- 0;
   ignore (Implication.extend st.imp merged : Implication.conflict option);
   st
-
-(* Deferred attribution flush, mirroring [Justify]'s [record_search]:
-   every implication pass charged its full cone cost to every cone
-   gate's output net, in one O(cone) pass at the end of the run. *)
-let record_state st =
-  let gates = st.cone.Req_cone.gates and n = st.cone.Req_cone.n_gates in
-  match st.eng.att with
-  | Some a when st.implies > 0 ->
-    a.Attrib.t_resim_calls <- a.Attrib.t_resim_calls + st.implies;
-    a.Attrib.t_resim_gates <- a.Attrib.t_resim_gates + (st.implies * n);
-    for i = 0 to n - 1 do
-      let net = Circuit.net_of_gate st.c gates.(i) in
-      a.Attrib.resim_cone.(net) <- a.Attrib.resim_cone.(net) + st.implies
-    done
-  | Some _ | None -> ()
 
 (* Fill unassigned bits with zeros, like [Justify.run_complete]: the
    implied values of assigned nets are monotone under completion
@@ -459,18 +365,12 @@ type outcome =
 
 exception Budget_exhausted
 
-let note_run eng =
-  Metrics.incr m_runs;
-  Metrics.incr mj_runs;
-  eng.e_runs <- eng.e_runs + 1;
-  match eng.att with
-  | Some a -> a.Attrib.t_runs <- a.Attrib.t_runs + 1
-  | None -> ()
-
 let run ?(max_backtracks = 10_000) eng ~reqs =
   Span.with_ "podem" @@ fun () ->
-  note_run eng;
-  let c = eng.circuit in
+  let e = eng.effort in
+  Metrics.incr m_runs;
+  Effort.run e;
+  let c = e.Effort.circuit in
   match Req_cone.merge reqs with
   | None ->
     Metrics.incr m_conflicts;
@@ -482,19 +382,11 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
          (Array.make c.Circuit.num_pis false))
   | Some merged ->
     let st = load_state eng merged in
-    let backtracks = ref 0 in
+    let budget = e.Effort.backtracks + max_backtracks in
     let spend pi =
-      incr backtracks;
-      eng.e_backtracks <- eng.e_backtracks + 1;
       Metrics.incr m_backtracks;
-      Metrics.incr mj_backtracks;
-      Metrics.observe_int h_backtrack_depth st.depth;
-      (match eng.att with
-      | Some a ->
-        a.Attrib.backtracks.(pi) <- a.Attrib.backtracks.(pi) + 1;
-        a.Attrib.t_backtracks <- a.Attrib.t_backtracks + 1
-      | None -> ());
-      if !backtracks > max_backtracks then raise Budget_exhausted
+      Effort.backtrack e ~depth:st.depth pi;
+      if e.Effort.backtracks > budget then raise Budget_exhausted
     in
     (* Chronological backtracking over the decision stack: flip the most
        recent unflipped decision, discarding everything above it.  The
@@ -513,7 +405,7 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
     let rec step () =
       if satisfied st then Some (build_test st)
       else if objective st && backtrace st then begin
-        eng.e_decisions <- eng.e_decisions + 1;
+        e.Effort.steps <- e.Effort.steps + 1;
         Metrics.incr m_decisions;
         descend (push st st.dec_pi st.dec_j st.dec_v)
       end
@@ -555,11 +447,14 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
             Metrics.incr m_conflicts;
             Proved_unsatisfiable)
       with Budget_exhausted ->
-        eng.e_aborts <- eng.e_aborts + 1;
+        Effort.abort e;
         Metrics.incr m_aborts;
         Gave_up
     in
-    record_state st;
+    let passes = e.Effort.passes in
+    Metrics.add m_implications passes;
+    Metrics.add m_imply_gates (passes * st.cone.Req_cone.n_gates);
+    Effort.finish e st.cone;
     outcome
 
 (* ------------------------------------------------------------------ *)

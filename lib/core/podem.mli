@@ -50,15 +50,15 @@
     sample (DESIGN.md §15.5). *)
 
 type t
-(** A PODEM engine for one circuit, holding per-engine effort counters,
-    conflict forensics and its one search state.  Drive each engine from
-    a single domain at a time. *)
+(** A PODEM engine for one circuit, holding its effort account and its
+    one search state.  Drive each engine from a single domain at a
+    time. *)
 
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
-(** A fresh engine.  When [attrib] is given, effort is charged to the
-    sheet with the same vocabulary as {!Justify}: implication passes as
-    resimulation cone cost, conflicts to the net implication blames, backtracks
-    to the retracted decision input — so attribution conservation holds
+(** A fresh engine.  When [attrib] is given, its account charges the
+    sheet as {!Justify}'s does: implication passes as resimulation cone
+    cost, conflicts to the net implication blames, backtracks to the
+    retracted decision input — so attribution conservation holds
     whichever engine runs. *)
 
 type outcome =
@@ -78,31 +78,13 @@ val run :
     satisfaction: implied definite values are monotone under completion.
     Default budget is 10000 backtracks. *)
 
-(** {2 Effort counters} *)
-
-val runs : t -> int
-val decisions : t -> int
-(** PI pattern-bit decisions made (the engine's unit of search work). *)
-
-val backtracks : t -> int
-val imply_calls : t -> int
-val imply_gates : t -> int
-(** Implication effort: every pass charged the full cone gate count,
-    however few gates it evaluated — the same semantic unit as
-    {!Justify.resim_gates}. *)
-
-val aborts : t -> int
-(** Runs that returned {!Gave_up}. *)
-
-(** {2 Abort forensics}
-
-    Same shape and semantics as {!Justify.forensics}; the dispatching
-    engine layer converts between the two. *)
-
-type forensics = { last_net : int; last_level : int; deepest_level : int }
-
-val forensics : t -> forensics
-val reset_forensics : t -> unit
+val effort : t -> Effort.t
+(** The engine's account: its runs, PI pattern-bit decisions as steps
+    (the engine's unit of search work), backtracks, implication passes
+    as full-cone passes, runs that returned {!Gave_up} as aborts, and
+    conflict forensics.  The [podem.*] metrics count the same events
+    over all PODEM engines; [podem.implications] and [podem.imply_gates]
+    are added once per search. *)
 
 (** {2 Differential-testing mutation hook}
 

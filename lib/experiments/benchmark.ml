@@ -15,6 +15,7 @@ module Wreq = Pdf_bitsim.Wreq
 module Test_pair = Pdf_core.Test_pair
 module Justify = Pdf_core.Justify
 module Podem = Pdf_core.Podem
+module Effort = Pdf_core.Effort
 module Generators = Pdf_synth.Generators
 module Atpg = Pdf_core.Atpg
 module Ordering = Pdf_core.Ordering
@@ -511,7 +512,7 @@ let justify_suite =
               then incr n
             done;
             let words = Gc.minor_words () -. w0 in
-            (!n, words /. float_of_int (max 1 (Justify.trials e)))
+            (!n, words /. float_of_int (max 1 (Justify.effort e).Effort.steps))
           in
           let podem_aborts, words_per_decision =
             let e = Podem.create s.cs_circuit in
@@ -523,7 +524,7 @@ let justify_suite =
               | Podem.Found _ | Podem.Proved_unsatisfiable -> ()
             done;
             let words = Gc.minor_words () -. w0 in
-            (!n, words /. float_of_int (max 1 (Podem.decisions e)))
+            (!n, words /. float_of_int (max 1 (Podem.effort e).Effort.steps))
           in
           let portfolio_aborts =
             let e =

@@ -29,9 +29,14 @@ let paper_n_p = 10_000
 
 let paper_n_p0 = 1_000
 
+let min_n_p = 2
+
+let min_n_p0 = 1
+
 let build ?(mode = Enumerate.Distance_pruned) ?(criterion = Robust.Robust)
     ?ledger c model ~n_p ~n_p0 =
-  if n_p < 2 then invalid_arg "Target_sets.build: n_p < 2";
+  if n_p < min_n_p then invalid_arg "Target_sets.build: n_p < 2";
+  if n_p0 < min_n_p0 then invalid_arg "Target_sets.build: n_p0 < 1";
   Span.with_ "target-sets" (fun () ->
   let enumeration =
     Enumerate.enumerate ~mode c model ~max_paths:(n_p / 2)

@@ -32,7 +32,15 @@ val build :
     during enumeration (two faults per path); [n_p0] is the [N_P0]
     threshold.  Default mode is {!Pdf_paths.Enumerate.Distance_pruned}.
     [ledger] is passed through to {!Undetectable.filter} so eliminated
-    faults get provenance records. *)
+    faults get provenance records.  Raises [Invalid_argument] when
+    [n_p < min_n_p] or [n_p0 < min_n_p0]. *)
+
+val min_n_p : int
+(** 2, one path's two faults: the smallest [n_p] {!build} accepts. *)
+
+val min_n_p0 : int
+(** 1: the smallest [n_p0] {!build} accepts.  The CLI and the serve
+    protocol reject values below both bounds. *)
 
 val paper_n_p : int
 (** 10000 — the paper's implementation constant. *)

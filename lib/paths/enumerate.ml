@@ -242,9 +242,12 @@ let run_simple c model dist ~max_paths ~max_steps ~record_events =
     events = List.rev !events;
   }
 
+let min_max_paths = 1
+
 let enumerate ?(mode = Distance_pruned) ?(record_events = false) ?max_steps c
     model ~max_paths =
-  if max_paths <= 0 then invalid_arg "Enumerate.enumerate: max_paths <= 0";
+  if max_paths < min_max_paths then
+    invalid_arg "Enumerate.enumerate: max_paths <= 0";
   let max_steps =
     match max_steps with Some s -> s | None -> (100 * max_paths) + 10_000
   in

@@ -44,4 +44,8 @@ val enumerate :
   max_paths:int ->
   result
 (** [enumerate c model ~max_paths].  Default mode is {!Distance_pruned};
-    default [max_steps] is [100 * max_paths + 10_000]. *)
+    default [max_steps] is [100 * max_paths + 10_000].  Raises
+    [Invalid_argument] when [max_paths < min_max_paths]. *)
+
+val min_max_paths : int
+(** 1: the smallest [max_paths] {!enumerate} accepts, the CLI's too. *)

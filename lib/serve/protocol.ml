@@ -102,7 +102,12 @@ let params_fields = [ "n_p"; "n_p0"; "seed"; "criterion"; "justify" ]
 
 let get_params fields =
   let d = Session.default_params in
-  let pos k v = if v < 1 then raise (Bad (Printf.sprintf "%S must be >= 1" k)); v in
+  (* The library's own bounds: a smaller value is a bad request, not an
+     internal error. *)
+  let at_least lo k v =
+    if v < lo then raise (Bad (Printf.sprintf "%S must be >= %d" k lo));
+    v
+  in
   let criterion =
     match get_string fields "criterion" with
     | None -> d.Session.criterion
@@ -123,11 +128,11 @@ let get_params fields =
     Session.n_p =
       (match get_int fields "n_p" with
       | None -> d.Session.n_p
-      | Some v -> pos "n_p" v);
+      | Some v -> at_least Pdf_faults.Target_sets.min_n_p "n_p" v);
     n_p0 =
       (match get_int fields "n_p0" with
       | None -> d.Session.n_p0
-      | Some v -> pos "n_p0" v);
+      | Some v -> at_least Pdf_faults.Target_sets.min_n_p0 "n_p0" v);
     seed = Option.value ~default:d.Session.seed (get_int fields "seed");
     criterion;
     justify;

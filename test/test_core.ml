@@ -11,6 +11,7 @@ module Target_sets = Pdf_faults.Target_sets
 module Test_pair = Pdf_core.Test_pair
 module Test_io = Pdf_core.Test_io
 module Justify = Pdf_core.Justify
+module Effort = Pdf_core.Effort
 module Fault_sim = Pdf_core.Fault_sim
 module Ordering = Pdf_core.Ordering
 module Atpg = Pdf_core.Atpg
@@ -205,10 +206,11 @@ let test_justify_requirement_on_pi () =
 let test_justify_counters () =
   let engine = Justify.create s27 in
   let rng = Rng.create 1 in
-  let before = Justify.runs engine in
+  let e = Justify.effort engine in
+  let before = e.Effort.runs in
   ignore (Justify.run engine ~rng ~reqs:[]);
-  check Alcotest.int "runs counted" (before + 1) (Justify.runs engine);
-  check Alcotest.bool "trials monotone" true (Justify.trials engine >= 0)
+  check Alcotest.int "runs counted" (before + 1) e.Effort.runs;
+  check Alcotest.bool "trials monotone" true (e.Effort.steps >= 0)
 
 let test_justify_deterministic_given_seed () =
   let run () =
@@ -1327,30 +1329,25 @@ let prop_engine_reuse =
         | Podem.Gave_up -> "gave up"
       in
       (* One search on the reused engine and on a fresh one: the
-         rendered answer, effort deltas and forensics of each. *)
+         rendered answer, the account's deltas and forensics of each. *)
+      let account_side (e : Effort.t) search =
+        let t0 = e.steps and b0 = e.backtracks and g0 = e.pass_gates in
+        Effort.reset_forensics e;
+        let answer = search () in
+        let f = Effort.forensics e in
+        Printf.sprintf "%s steps %d backtracks %d gates %d conflict %d/%d \
+                        deepest %d"
+          answer (e.steps - t0) (e.backtracks - b0) (e.pass_gates - g0)
+          f.Effort.last_net f.Effort.last_level f.Effort.deepest_level
+      in
       let sim_side run e a =
-        let t0 = Justify.trials e and b0 = Justify.backtracks e
-        and g0 = Justify.resim_gates e and v0 = evals a in
-        Justify.reset_forensics e;
-        let answer = run e in
-        let f = Justify.forensics e in
-        Printf.sprintf "%s trials %d backtracks %d gates %d evals %d \
-                        conflict %d/%d deepest %d"
-          answer (Justify.trials e - t0) (Justify.backtracks e - b0)
-          (Justify.resim_gates e - g0) (evals a - v0) f.Justify.last_net
-          f.Justify.last_level f.Justify.deepest_level
+        let v0 = evals a in
+        let answer = account_side (Justify.effort e) (fun () -> run e) in
+        Printf.sprintf "%s evals %d" answer (evals a - v0)
       in
       let podem_side e reqs =
-        let d0 = Podem.decisions e and b0 = Podem.backtracks e
-        and g0 = Podem.imply_gates e in
-        Podem.reset_forensics e;
-        let answer = show_podem (Podem.run ~max_backtracks:300 e ~reqs) in
-        let f = Podem.forensics e in
-        Printf.sprintf "%s decisions %d backtracks %d gates %d conflict \
-                        %d/%d deepest %d"
-          answer (Podem.decisions e - d0) (Podem.backtracks e - b0)
-          (Podem.imply_gates e - g0) f.Podem.last_net f.Podem.last_level
-          f.Podem.deepest_level
+        account_side (Podem.effort e) (fun () ->
+            show_podem (Podem.run ~max_backtracks:300 e ~reqs))
       in
       let failure = ref None in
       List.iteri
@@ -1508,6 +1505,52 @@ let test_portfolio_escalation () =
       ( "internal contradiction",
         [ (g8, Req.stable true); (g0, Req.stable true) ] );
     ]
+
+(* Each backend's folded accounts — the per-fault [effort] the ledger
+   records — against the attribution sheet [pdfatpg profile] renders,
+   charged by the same engine.  On s1488's consecutive fault pairs
+   PODEM gives up once, so the portfolio's sim members run too and
+   their accounts must be folded in: a dropped member or a search whose
+   passes never reach [pass_gates] breaks an identity. *)
+let test_engine_accounts_match_sheet () =
+  let c =
+    Pdf_synth.Profiles.circuit (Option.get (Pdf_synth.Profiles.find "s1488"))
+  in
+  let ts = Target_sets.build c (Delay_model.lines c) ~n_p:400 ~n_p0:80 in
+  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let n = min 60 (Array.length faults) in
+  let sets =
+    List.init (n - 1) (fun i ->
+        faults.(i).Fault_sim.reqs @ faults.(i + 1).Fault_sim.reqs)
+  in
+  let drive kind =
+    let a = Pdf_obs.Attrib.make_sheet ~nets:(Circuit.num_nets c) in
+    let e = Justify.Engine.create ~attrib:a ~kind c in
+    let rng = Rng.create 1 in
+    List.iter (fun reqs -> ignore (Justify.Engine.run e ~rng ~reqs)) sets;
+    let name what = Justify.kind_name kind ^ " " ^ what in
+    check Alcotest.int (name "runs") a.Pdf_obs.Attrib.t_runs
+      (Justify.Engine.runs e);
+    check Alcotest.int (name "backtracks") a.Pdf_obs.Attrib.t_backtracks
+      (Justify.Engine.backtracks e);
+    check Alcotest.int (name "resim gates") a.Pdf_obs.Attrib.t_resim_gates
+      (Justify.Engine.resim_gates e);
+    check Alcotest.int (name "resim cone sum") a.Pdf_obs.Attrib.t_resim_gates
+      (Array.fold_left ( + ) 0 a.Pdf_obs.Attrib.resim_cone);
+    check Alcotest.bool (name "passes charged") true
+      (Justify.Engine.resim_gates e > 0);
+    (e, a)
+  in
+  let sim, a = drive Justify.Sim in
+  check Alcotest.int "sim trials" a.Pdf_obs.Attrib.t_trials
+    (Justify.Engine.trials sim);
+  let podem, _ = drive Justify.Podem in
+  let portfolio, _ = drive Justify.Portfolio in
+  check Alcotest.bool "podem gives up" true (Justify.Engine.aborts podem > 0);
+  check Alcotest.bool "portfolio gives up" true
+    (Justify.Engine.aborts portfolio > 0);
+  check Alcotest.bool "sim members ran" true
+    (Justify.Engine.runs portfolio > Justify.Engine.runs podem)
 
 (* The ledger of [pdfatpg enrich C --n-p 1000 --n-p0 100 --seed 2002
    --justify podem]. *)
@@ -1961,6 +2004,8 @@ let () =
             test_trial_order_pinned;
           Alcotest.test_case "portfolio escalation on s27" `Quick
             test_portfolio_escalation;
+          Alcotest.test_case "engine accounts = attribution sheet" `Quick
+            test_engine_accounts_match_sheet;
           Alcotest.test_case "podem ledgers pinned" `Slow
             test_podem_ledgers_pinned;
           Alcotest.test_case "podem outcomes pinned" `Slow

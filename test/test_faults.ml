@@ -594,7 +594,9 @@ let test_target_sets_small_threshold () =
 let test_target_sets_bad_args () =
   let model = Delay_model.lines s27 in
   Alcotest.check_raises "n_p" (Invalid_argument "Target_sets.build: n_p < 2")
-    (fun () -> ignore (Target_sets.build s27 model ~n_p:1 ~n_p0:1))
+    (fun () -> ignore (Target_sets.build s27 model ~n_p:1 ~n_p0:1));
+  Alcotest.check_raises "n_p0" (Invalid_argument "Target_sets.build: n_p0 < 1")
+    (fun () -> ignore (Target_sets.build s27 model ~n_p:40 ~n_p0:0))
 
 let test_target_sets_paper_scale () =
   (* The paper's constants must be usable end-to-end on a real profile:

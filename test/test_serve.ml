@@ -76,6 +76,8 @@ let test_parse_errors () =
   expect_error "bad_params"
     "{\"req\":\"atpg\",\"circuit\":\"s27\",\"np\":200}";
   expect_error "bad_params" "{\"req\":\"atpg\",\"circuit\":\"s27\",\"n_p\":0}";
+  (* n_p = 1 is below Target_sets.build's bound: bad_params, not internal. *)
+  expect_error "bad_params" "{\"req\":\"atpg\",\"circuit\":\"s27\",\"n_p\":1}";
   expect_error "bad_params"
     "{\"req\":\"atpg\",\"circuit\":\"s27\",\"n_p\":\"many\"}";
   expect_error "bad_params" "{\"req\":\"atpg\"}";
