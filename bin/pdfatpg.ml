@@ -84,6 +84,17 @@ let write_or_die path write =
     Printf.eprintf "pdfatpg: cannot write %s: %s\n" path msg;
     exit 1
 
+(* Write an exporter's file when the command exits, through [write];
+   when it cannot, say why and exit 1, as for every other output file.
+   The [exit] runs the handlers not yet run, so the other exports are
+   still written. *)
+let export_at_exit what write =
+  at_exit (fun () ->
+      try write ()
+      with Sys_error msg ->
+        Printf.eprintf "pdfatpg: cannot write %s: %s\n" what msg;
+        exit 1)
+
 let with_circuit name f =
   match Session.resolve name with
   | Ok c -> f c
@@ -156,13 +167,9 @@ let obs_setup =
     (match metrics_out with
     | None -> ()
     | Some path ->
-      at_exit (fun () ->
-          try
-            if Filename.check_suffix path ".jsonl" then
-              Metrics.write_jsonl path
-            else Metrics.write_csv path
-          with Sys_error msg ->
-            Printf.eprintf "pdfatpg: cannot write metrics: %s\n" msg));
+      export_at_exit "metrics" (fun () ->
+          if Filename.check_suffix path ".jsonl" then Metrics.write_jsonl path
+          else Metrics.write_csv path));
     let trace_out =
       match trace_out with
       | Some _ -> trace_out
@@ -176,10 +183,7 @@ let obs_setup =
       (* Tee with whatever sink is already installed (the trace
          subcommand's aggregator) so both keep receiving spans. *)
       Span.set_sink (Span.tee (Span.sink ()) (Pdf_obs.Trace.sink coll));
-      at_exit (fun () ->
-          try Pdf_obs.Trace.write coll path
-          with Sys_error msg ->
-            Printf.eprintf "pdfatpg: cannot write trace: %s\n" msg));
+      export_at_exit "trace" (fun () -> Pdf_obs.Trace.write coll path));
     let prom_out =
       match prom_out with
       | Some _ -> prom_out
@@ -196,17 +200,14 @@ let obs_setup =
         let stop =
           Pdf_obs.Prom.start_periodic_flush ~period_s:period path
         in
-        at_exit stop (* stop performs the final write *)
+        (* stop performs the final write, and re-raises a failed one *)
+        export_at_exit "prometheus file" stop
       | Some period ->
         Printf.eprintf "pdfatpg: --prom-flush %g is invalid (want > 0)\n"
           period;
         exit 2
       | None ->
-        at_exit (fun () ->
-            try Pdf_obs.Prom.write path
-            with Sys_error msg ->
-              Printf.eprintf "pdfatpg: cannot write prometheus file: %s\n"
-                msg))
+        export_at_exit "prometheus file" (fun () -> Pdf_obs.Prom.write path))
   in
   Term.(const setup $ metrics_out $ trace_out $ prom_out $ prom_flush
         $ verbose $ jobs)

@@ -1,15 +1,93 @@
 module Bit = Pdf_values.Bit
+module Gate = Pdf_circuit.Gate
 module Circuit = Pdf_circuit.Circuit
-module Two_pattern = Pdf_sim.Two_pattern
 module Attrib = Pdf_obs.Attrib
 module Metrics = Pdf_obs.Metrics
+
+(* The three-valued algebra both passes evaluate gates with, written
+   here rather than called: under the default build's -opaque a call
+   into another module is neither inlined nor direct, and the shared
+   evaluator made one through a reader closure per fanin and one per
+   operator (DESIGN.md §13.2).  The test "kernel algebra = Bit and
+   Logic_sim" keeps this copy equal to [Pdf_values.Bit]'s.  [Bit.t]'s
+   constructors are constant, so physical equality is equality. *)
+let[@inline] equal (a : Bit.t) b = a == b
+
+let[@inline] not_ = function
+  | Bit.Zero -> Bit.One
+  | Bit.One -> Bit.Zero
+  | Bit.X -> Bit.X
+
+let[@inline] and_ a b =
+  match a, b with
+  | Bit.Zero, _ | _, Bit.Zero -> Bit.Zero
+  | Bit.One, Bit.One -> Bit.One
+  | (Bit.One | Bit.X), (Bit.One | Bit.X) -> Bit.X
+
+let[@inline] or_ a b =
+  match a, b with
+  | Bit.One, _ | _, Bit.One -> Bit.One
+  | Bit.Zero, Bit.Zero -> Bit.Zero
+  | (Bit.Zero | Bit.X), (Bit.Zero | Bit.X) -> Bit.X
+
+let[@inline] xor a b =
+  match a, b with
+  | Bit.X, _ | _, Bit.X -> Bit.X
+  | Bit.Zero, Bit.Zero | Bit.One, Bit.One -> Bit.Zero
+  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> Bit.One
+
+let[@inline] middle v1 v3 =
+  match v1, v3 with
+  | Bit.Zero, Bit.Zero -> Bit.Zero
+  | Bit.One, Bit.One -> Bit.One
+  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> Bit.X
+
+(* A definite value against the other definite requirement. *)
+let[@inline] mismatch req v =
+  match req, v with
+  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> true
+  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> false
+
+(* A gate folds its fanins left to right, then inverts when it is an
+   inverting kind.  NOT and BUFF have one fanin and fold nothing. *)
+let[@inline] combine kind acc v =
+  match kind with
+  | Gate.And | Gate.Nand -> and_ acc v
+  | Gate.Or | Gate.Nor -> or_ acc v
+  | Gate.Xor | Gate.Xnor -> xor acc v
+  | Gate.Not | Gate.Buff -> acc
+
+let[@inline] output kind acc =
+  match kind with
+  | Gate.Nand | Gate.Nor | Gate.Not | Gate.Xnor -> not_ acc
+  | Gate.And | Gate.Or | Gate.Buff | Gate.Xor -> acc
+
+let eval (g : Circuit.gate) (sk : Bit.t array) =
+  let f = g.Circuit.fanins and kind = g.Circuit.kind in
+  let acc = ref sk.(f.(0)) in
+  for i = 1 to Array.length f - 1 do
+    acc := combine kind !acc sk.(f.(i))
+  done;
+  output kind !acc
+
+(* A trial reads a net's value from the overlay when the running trial
+   [id] stamped it there, else from the persistent state. *)
+let[@inline] read ~(stamp : int array) ~(value : Bit.t array) ~base ~id net =
+  if stamp.(net) = id then value.(net) else base.(net)
+
+let eval_overlay (g : Circuit.gate) ~stamp ~value ~base ~id =
+  let f = g.Circuit.fanins and kind = g.Circuit.kind in
+  let acc = ref (read ~stamp ~value ~base ~id f.(0)) in
+  for i = 1 to Array.length f - 1 do
+    acc := combine kind !acc (read ~stamp ~value ~base ~id f.(i))
+  done;
+  output kind !acc
 
 (* A trial's private view of the values: the nets it changed, stamped
    with its id; every other net reads through to the persistent state. *)
 type overlay = {
   tval : Bit.t array array;
   tstamp : int array array;
-  mutable tread : (int -> Bit.t) array; (* per component, overlay over [s] *)
   mutable id : int; (* the current trial *)
 }
 
@@ -29,9 +107,9 @@ type memo = {
 }
 
 (* The per-gate loops of both passes live here, next to the heap they
-   drain: a call into another module is neither inlined nor direct in
-   the default build (-opaque), and one per popped gate measurably
-   slowed trials (DESIGN.md §13.2). *)
+   drain and the evaluator they call: a call into another module is
+   neither inlined nor direct in the default build (-opaque), and one
+   per popped gate measurably slowed trials (DESIGN.md §13.2). *)
 type t = {
   c : Circuit.t;
   set : int array; (* the set's gates, ascending; the first [size] *)
@@ -40,7 +118,6 @@ type t = {
       (* the requirements a trial checks, 3 x nets; empty over the
          whole circuit *)
   s : Bit.t array array; (* persistent state, 3 x nets *)
-  read : (int -> Bit.t) array; (* per component, reading [s] *)
   att : Attrib.sheet option;
   heap : int array; (* queued gate indices, a binary min-heap *)
   mutable len : int;
@@ -57,6 +134,8 @@ type t = {
   mutable n_touched : int; (* ... and their count *)
   mutable ov : overlay option; (* allocated by the first trial *)
   mutable memo : memo option; (* likewise *)
+  mutable contradictions : int;
+      (* persistent writes that contradicted a requirement *)
   mutable assigns : int;
   mutable resim_gates : int;
   mutable early_stops : int;
@@ -69,16 +148,16 @@ let trial_evals t = t.trial_evals
 
 let memo_hits t = match t.memo with Some m -> m.hits | None -> 0
 
+let contradictions t = t.contradictions
+
 let create ?attrib c =
   let n = Circuit.num_nets c and ng = Circuit.num_gates c in
-  let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   {
     c;
     set = Array.init ng Fun.id;
     size = ng;
     r = [||];
-    s;
-    read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
+    s = Array.init 3 (fun _ -> Array.make n Bit.X);
     att = attrib;
     heap = Array.make ng 0;
     len = 0;
@@ -91,6 +170,7 @@ let create ?attrib c =
     n_touched = 0;
     ov = None;
     memo = None;
+    contradictions = 0;
     assigns = 0;
     resim_gates = 0;
     early_stops = 0;
@@ -181,14 +261,26 @@ let end_pass t =
   t.len <- 0;
   t.pass <- t.pass + 1
 
+(* A persistent write of component [k] of [net]: counted when it
+   contradicts the net's requirement, so that a search whose state was
+   conflict-free scans its requirements only after a step that wrote a
+   conflict.  The whole circuit has no requirements. *)
+let[@inline] note t k net v =
+  if Array.length t.r > 0 && mismatch t.r.(k).(net) v then
+    t.contradictions <- t.contradictions + 1
+
 (* [s.(1)] holds the middle of [s.(0)] and [s.(2)] on every primary
    input, so comparing the two patterns compares all three components. *)
 let set_pi t pi ~v1 ~v3 =
   let s = t.s in
-  if not (Bit.equal s.(0).(pi) v1 && Bit.equal s.(2).(pi) v3) then begin
+  if not (equal s.(0).(pi) v1 && equal s.(2).(pi) v3) then begin
+    let mid = middle v1 v3 in
     s.(0).(pi) <- v1;
     s.(2).(pi) <- v3;
-    s.(1).(pi) <- Two_pattern.middle_of_pair v1 v3;
+    s.(1).(pi) <- mid;
+    note t 0 pi v1;
+    note t 2 pi v3;
+    note t 1 pi mid;
     if t.changed.(pi) <= t.base then begin
       t.touched.(t.n_touched) <- pi;
       t.n_touched <- t.n_touched + 1
@@ -211,9 +303,11 @@ let propagate t =
     | None -> ());
     let changed = ref false in
     for k = 0 to 2 do
-      let v = Pdf_sim.Logic_sim.eval_gate_get g t.read.(k) in
-      if not (Bit.equal v s.(k).(out)) then begin
-        s.(k).(out) <- v;
+      let sk = s.(k) in
+      let v = eval g sk in
+      if not (equal v sk.(out)) then begin
+        sk.(out) <- v;
+        note t k out v;
         changed := true
       end
     done;
@@ -232,13 +326,13 @@ let overlay t =
   | Some ov -> ov
   | None ->
     let n = Circuit.num_nets t.c in
-    let tval = Array.init 3 (fun _ -> Array.make n Bit.X) in
-    let tstamp = Array.init 3 (fun _ -> Array.make n 0) in
-    let ov = { tval; tstamp; tread = [||]; id = 0 } in
-    ov.tread <-
-      Array.init 3 (fun k ->
-          let tk = tstamp.(k) and vk = tval.(k) and sk = t.s.(k) in
-          fun net -> if tk.(net) = ov.id then vk.(net) else sk.(net));
+    let ov =
+      {
+        tval = Array.init 3 (fun _ -> Array.make n Bit.X);
+        tstamp = Array.init 3 (fun _ -> Array.make n 0);
+        id = 0;
+      }
+    in
     t.ov <- Some ov;
     ov
 
@@ -263,14 +357,14 @@ let memo t =
 
 (* Record a trial value in the overlay; [true] when it contradicts a
    requirement. *)
-let write t ov k net v =
+let[@inline] write t ov k net v =
   ov.tval.(k).(net) <- v;
   ov.tstamp.(k).(net) <- ov.id;
-  Req_cone.mismatch t.r.(k).(net) v
+  mismatch t.r.(k).(net) v
 
 (* Component [k] of the tried input, written when it differs from the
    persistent state. *)
-let seed_pi t ov k pi v = (not (Bit.equal t.s.(k).(pi) v)) && write t ov k pi v
+let seed_pi t ov k pi v = (not (equal t.s.(k).(pi) v)) && write t ov k pi v
 
 (* Double the running trial's memo list, which the trial pass appends
    each evaluated gate to: storage belongs to the engine, not the
@@ -284,7 +378,8 @@ let grow m =
    changed; the first conflicting net, or -1. *)
 let trial_pass t ov m k pi =
   if ov.tstamp.(k).(pi) = ov.id then queue_fanouts t pi;
-  let read = ov.tread.(k) and sk = t.s.(k) and np = t.c.Circuit.num_pis in
+  let stamp = ov.tstamp.(k) and value = ov.tval.(k) and base = t.s.(k) in
+  let id = ov.id and np = t.c.Circuit.num_pis in
   let conflict = ref (-1) in
   let gi = ref (pop t) in
   while !gi >= 0 do
@@ -298,8 +393,10 @@ let trial_pass t ov m k pi =
     if m.cur_len = Array.length m.cur then grow m;
     m.cur.(m.cur_len) <- !gi;
     m.cur_len <- m.cur_len + 1;
-    let v = Pdf_sim.Logic_sim.eval_gate_get t.c.Circuit.gates.(!gi) read in
-    if Bit.equal v sk.(out) then gi := pop t
+    let v =
+      eval_overlay t.c.Circuit.gates.(!gi) ~stamp ~value ~base ~id
+    in
+    if equal v base.(out) then gi := pop t
     else if write t ov k out v then begin
       conflict := out;
       gi := -1
@@ -317,7 +414,7 @@ let trial_pass t ov m k pi =
 let run_trial t m pi v1 v3 =
   let ov = overlay t in
   ov.id <- ov.id + 1;
-  let mid = Two_pattern.middle_of_pair v1 v3 in
+  let mid = middle v1 v3 in
   if seed_pi t ov 0 pi v1 || seed_pi t ov 2 pi v3 || seed_pi t ov 1 pi mid
   then pi
   else

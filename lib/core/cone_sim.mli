@@ -2,10 +2,10 @@
     requirement cone ({!Req_cone}), or the whole circuit.
 
     The one scalar evaluator behind {!Justify}'s resimulation and
-    trials, {!Podem}'s implication and {!Atpg}'s per-test values
-    (DESIGN.md §13.2).  It owns a persistent value state — three
-    components per net of {!Pdf_values.Bit.t}: 0 = first pattern,
-    1 = intermediate, 2 = second pattern — and a min-heap of gate
+    trials, {!Podem}'s implication and backtrace probes and {!Atpg}'s
+    per-test values (DESIGN.md §13.2).  It owns a persistent value
+    state — three components per net of {!Pdf_values.Bit.t}: 0 = first
+    pattern, 1 = intermediate, 2 = second pattern — and a min-heap of gate
     indices that both of its passes drain.  Gates pop in ascending gate
     index, a topological order, and every fanout has a higher index
     than the gate that queues it, so a pass evaluates each gate at most
@@ -63,6 +63,16 @@ val propagate : t -> unit
     every net of the set holds what a full simulation of the installed
     inputs computes. *)
 
+val contradictions : t -> int
+(** Persistent writes since {!create} — a component {!set_pi} installs
+    or {!propagate} changes — that put a definite value on a net whose
+    requirement in that component is the other definite value.  A step
+    ({!set_pi} calls, then {!propagate}) from a state that contradicts
+    no requirement leaves one that does only if it raised this count:
+    every net it did not write keeps its value.  {!Justify} scans its
+    requirements after an assignment only then.  Always 0 over the
+    whole circuit, which has no requirements. *)
+
 (** {2 The trial pass} *)
 
 val trial : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> int
@@ -98,6 +108,41 @@ val trial_evals : t -> int
 val memo_hits : t -> int
 (** Trials answered by the memo since {!create}.  For the property
     tests. *)
+
+(** {2 The gate kernel}
+
+    The three-valued algebra both passes evaluate gates with, written
+    in this module so that a pass calls nothing outside it per gate
+    (DESIGN.md §13.2).  It equals {!Pdf_values.Bit}'s operators,
+    {!Pdf_sim.Two_pattern.middle_of_pair} and the reference gate
+    evaluator of {!Pdf_sim.Logic_sim}: the test "kernel algebra = Bit
+    and Logic_sim" checks every gate kind and arity up to 4 over every
+    input. *)
+
+val eval :
+  Pdf_circuit.Circuit.gate -> Pdf_values.Bit.t array -> Pdf_values.Bit.t
+(** [eval g sk] evaluates [g] over the per-net values [sk], one
+    component of a state.  {!Podem}'s backtrace probes gates with it. *)
+
+val eval_overlay :
+  Pdf_circuit.Circuit.gate ->
+  stamp:int array ->
+  value:Pdf_values.Bit.t array ->
+  base:Pdf_values.Bit.t array ->
+  id:int ->
+  Pdf_values.Bit.t
+(** [eval_overlay g ~stamp ~value ~base ~id] evaluates [g] reading each
+    fanin from [value] when its [stamp] is [id], else from [base]: the
+    trial pass's read of its overlay over the persistent state. *)
+
+val not_ : Pdf_values.Bit.t -> Pdf_values.Bit.t
+val and_ : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
+val or_ : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
+val xor : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
+
+val middle : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
+(** The intermediate component of an input with pattern values [v1],
+    [v3]. *)
 
 (** {2 Accounting} *)
 

@@ -5,10 +5,10 @@ module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
 module Attrib = Pdf_obs.Attrib
 
-(* The sim engine's own metrics: its trials, their overlay gate
-   evaluations (added once per search from [Cone_sim]) and its failed
-   searches.  What it shares with PODEM — runs, conflict hits,
-   backtracks, resimulation gates — its [Effort] account charges. *)
+(* The sim engine's own metrics: its trials and their overlay gate
+   evaluations (both added once per search) and its failed searches.
+   What it shares with PODEM — runs, conflict hits, backtracks,
+   resimulation gates — its [Effort] account charges. *)
 let m_trials = Metrics.counter "justify.trials"
 let m_conflicts = Metrics.counter "justify.conflicts"
 let m_trial_evals = Metrics.counter "justify.trial_evals"
@@ -28,6 +28,7 @@ and search = {
   sim : Cone_sim.t; (* the cone's values, resimulated and trialled *)
   s : Bit.t array array; (* [sim]'s persistent state, 3 x nets *)
   mutable unspecified : int; (* the cone's open bits *)
+  mutable steps0 : int; (* the account's steps when the search began *)
 }
 
 let create ?attrib circuit =
@@ -57,13 +58,20 @@ let resim engine st =
   done;
   Cone_sim.propagate st.sim
 
+(* The same pass after an assignment to [pi] alone: every other cone
+   input is in step already, so [pi] alone seeds it. *)
+let resim_pi engine st pi =
+  let e = engine.effort in
+  e.Effort.passes <- e.Effort.passes + 1;
+  Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi);
+  Cone_sim.propagate st.sim
+
 (* Trial-assign pattern bit [j] of PI [pi] to [b] in the cone's overlay,
    first in the bit's own component, then in the intermediate one;
    [true] when the trial conflicts with a requirement.  The persistent
    state is untouched, and nothing is allocated. *)
 let trial engine st pi j b =
   let e = engine.effort in
-  Metrics.incr m_trials;
   e.Effort.steps <- e.Effort.steps + 1;
   (match e.Effort.sheet with
   | Some a ->
@@ -77,18 +85,25 @@ let trial engine st pi j b =
   if net >= 0 then Effort.conflict e net;
   net >= 0
 
+(* Every assignment starts from a state that contradicts no
+   requirement — a conflict ends the search or, in [run_complete], is
+   undone — so a new conflict sits on a net the pass wrote, and the
+   ordered scan runs only when [Cone_sim] saw such a write: the same
+   first net as scanning after every pass. *)
 let assign engine st pi j b =
   (match j with
   | 1 -> st.a1.(pi) <- Bit.of_bool b
   | 3 -> st.a3.(pi) <- Bit.of_bool b
   | _ -> invalid_arg "pattern");
   st.unspecified <- st.unspecified - 1;
-  resim engine st;
-  match Req_cone.conflict_net st.cone st.s with
-  | Some net ->
-    Effort.conflict engine.effort net;
-    raise No_test
-  | None -> ()
+  let seen = Cone_sim.contradictions st.sim in
+  resim_pi engine st pi;
+  if Cone_sim.contradictions st.sim > seen then
+    match Req_cone.conflict_net st.cone st.s with
+    | Some net ->
+      Effort.conflict engine.effort net;
+      raise No_test
+    | None -> ()
 
 (* Trial both values of pattern bit [j] of [pi] if it is open, and
    assign the other value when exactly one conflicts; [true] when a
@@ -191,6 +206,7 @@ let make_search engine rng merged =
           sim;
           s = Cone_sim.values sim;
           unspecified = 0;
+          steps0 = 0;
         }
       in
       engine.search <- Some st;
@@ -205,12 +221,15 @@ let make_search engine rng merged =
   Cone_sim.retarget st.sim st.cone;
   st.rng <- rng;
   st.unspecified <- 2 * st.cone.Req_cone.n_pis;
+  st.steps0 <- engine.effort.Effort.steps;
   st
 
-(* The search's resimulations reach the account, its trial
-   evaluations their metric, and its persistent passes the sim.inc.*
+(* The search's resimulations reach the account, its trials and their
+   evaluations their metrics, and its persistent passes the sim.inc.*
    metrics: once per search, not per call. *)
 let record_search engine st =
+  let trials = engine.effort.Effort.steps - st.steps0 in
+  if trials > 0 then Metrics.add m_trials trials;
   let evals = Cone_sim.trial_evals st.sim in
   if evals > 0 then Metrics.add m_trial_evals evals;
   Effort.finish engine.effort st.cone;

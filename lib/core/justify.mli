@@ -29,8 +29,10 @@
     re-trials cannot have changed: a trial none of whose read nets has
     changed since the same one ran in the same search is answered from
     an exact memo, charged what it would have cost.  An assignment
-    resimulates the cone event-driven, from the inputs it changed.
-    Both run on one {!Cone_sim}.  An engine builds its search state —
+    resimulates the cone event-driven, from the one input it changed,
+    and scans the requirements only when that pass wrote a value
+    contradicting one ({!Cone_sim.contradictions}).  Both run on one
+    {!Cone_sim}.  An engine builds its search state —
     the cone, the values, the memo — once, on its first search, and
     reloads it for every search after. *)
 
@@ -63,7 +65,7 @@ val effort : t -> Effort.t
     simulations as steps, backtracks, resimulations as full-cone passes,
     aborts and conflict forensics.  The process-wide [justify.trials]
     and [justify.trial_evals] metrics count the trials and their gate
-    evaluations over all engines. *)
+    evaluations over all engines, added once per search. *)
 
 type forensics = Effort.forensics = {
   last_net : int;

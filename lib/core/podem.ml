@@ -54,7 +54,6 @@ and state = {
       (* the merged requirements plus the assigned bits, implied forward
          and backward over the cone; in step with the decision stack *)
   s : Bit.t array array;  (* [sim]'s state, 3 x nets *)
-  read : (int -> Bit.t) array;  (* per component, reading [s] *)
   seen : int array;  (* per net: the backtrace walk that last visited it *)
   mutable walk : int;
   (* The objective [objective] picked, and the decision [backtrace]
@@ -85,8 +84,6 @@ let note_conflict eng net =
   Metrics.incr m_conflict_hits;
   Effort.conflict eng.effort net
 
-let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
-
 (* ------------------------------------------------------------------ *)
 (* Search state                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -94,7 +91,9 @@ let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
 (* One pass over the whole cone in ascending gate index (a topological
    order): the implication of [a1]/[a3], computed from them alone.  The
    reference the engine's event-driven passes are tested against, and
-   the pass that overwrites theirs while the injected bug is on. *)
+   the pass that overwrites theirs while the injected bug is on: then a
+   multi-input gate's second pattern reads fanin 0's first-pattern
+   value, lent to component 2 for the one evaluation. *)
 let full_pass st =
   let gates = st.cone.Req_cone.gates and pis = st.cone.Req_cone.pis in
   let s = st.s and bug = injected_bug_enabled () in
@@ -108,13 +107,15 @@ let full_pass st =
     let g = st.c.Circuit.gates.(gates.(i)) in
     let out = Circuit.net_of_gate st.c gates.(i) in
     for k = 0 to 2 do
-      let read =
-        if bug && k = 2 && Array.length g.Circuit.fanins > 1 then
-          let f0 = g.Circuit.fanins.(0) in
-          fun net -> if net = f0 then s.(0).(net) else s.(2).(net)
-        else st.read.(k)
-      in
-      s.(k).(out) <- eval_gate_get g read
+      if bug && k = 2 && Array.length g.Circuit.fanins > 1 then begin
+        let f0 = g.Circuit.fanins.(0) in
+        let own = s.(2).(f0) in
+        s.(2).(f0) <- s.(0).(f0);
+        let v = Cone_sim.eval g s.(2) in
+        s.(2).(f0) <- own;
+        s.(2).(out) <- v
+      end
+      else s.(k).(out) <- Cone_sim.eval g s.(k)
     done
   done
 
@@ -176,20 +177,20 @@ let rec objective_from st i k =
 let objective st = objective_from st 0 0
 
 (* Desired value for fanin [f] (implied X) so gate [g]'s component-[k]
-   output moves toward [v]: probe the shared evaluator with the fanin
+   output moves toward [v]: probe [Cone_sim]'s evaluator with the fanin
    written each way into the state, then restore its X.  When neither
    definite value settles the output (several X inputs on a
    non-controlled gate), the goal value is passed through unchanged —
    value quality only affects search order, never completeness,
    because the decision loop tries both PI values. *)
 let probe_value st g k f v =
-  let want = Bit.of_bool v and sk = st.s.(k) and read = st.read.(k) in
+  let want = Bit.of_bool v and sk = st.s.(k) in
   sk.(f) <- Bit.One;
   let toward =
-    if Bit.equal (eval_gate_get g read) want then true
+    if Bit.equal (Cone_sim.eval g sk) want then true
     else begin
       sk.(f) <- Bit.Zero;
-      if Bit.equal (eval_gate_get g read) want then false else v
+      if Bit.equal (Cone_sim.eval g sk) want then false else v
     end
   in
   sk.(f) <- Bit.X;
@@ -302,7 +303,6 @@ let load_state eng merged =
     | None ->
       let c = eng.effort.Effort.circuit in
       let sim = Cone_sim.create c in
-      let s = Cone_sim.values sim in
       let np = c.Circuit.num_pis in
       let cone = Req_cone.create c in
       let st =
@@ -314,8 +314,7 @@ let load_state eng merged =
           a3 = Array.make np Bit.X;
           sim;
           imp = Implication.create ~within:cone.Req_cone.in_cone c;
-          s;
-          read = Array.init 3 (fun k -> let sk = s.(k) in fun net -> sk.(net));
+          s = Cone_sim.values sim;
           seen = Array.make (Circuit.num_nets c) 0;
           walk = 0;
           obj_net = -1;

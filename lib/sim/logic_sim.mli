@@ -3,9 +3,11 @@
 val eval_gate_get :
   Pdf_circuit.Circuit.gate -> (int -> Pdf_values.Bit.t) -> Pdf_values.Bit.t
 (** [eval_gate_get g get] evaluates gate [g] reading fanin values through
-    [get].  The indirection serves callers that evaluate against an
-    overlay or trial assignment rather than a plain value array; it is
-    the single scalar gate evaluator shared across the code base. *)
+    [get], so a caller can evaluate against any per-net view without
+    copying.  It is the reference scalar gate evaluator: {!simulate}
+    runs on it, and so does {!Two_pattern.simulate}, the full pass the
+    tests and oracles compare the engines against; the incremental
+    engine's in-place kernel (DESIGN.md §13.2) is tested against it. *)
 
 val simulate :
   Pdf_circuit.Circuit.t -> Pdf_values.Bit.t array -> Pdf_values.Bit.t array

@@ -1281,6 +1281,174 @@ let prop_cone_sim_matches_full =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
+(* Cone_sim writes the three-valued algebra out itself, so that its
+   passes call no other module per gate (DESIGN.md §13.2); this pins
+   that copy to the reference.  Every operator on every pair of values,
+   and every gate kind at every arity from its minimum to 4 on every
+   input in {0, 1, X}^n: [eval] over a plain array, and [eval_overlay]
+   under every stamp pattern, each fanin's value on the side its stamp
+   selects and a different value on the other side, must equal
+   [Logic_sim.eval_gate_get] reading the inputs. *)
+let test_kernel_algebra () =
+  let module Gate = Pdf_circuit.Gate in
+  let bits = [ Bit.Zero; Bit.One; Bit.X ] in
+  let bit = Alcotest.testable Bit.pp Bit.equal in
+  List.iter
+    (fun a ->
+      check bit "not" (Bit.not_ a) (Cone_sim.not_ a);
+      List.iter
+        (fun b ->
+          check bit "and" (Bit.and_ a b) (Cone_sim.and_ a b);
+          check bit "or" (Bit.or_ a b) (Cone_sim.or_ a b);
+          check bit "xor" (Bit.xor a b) (Cone_sim.xor a b);
+          check bit "middle"
+            (Pdf_sim.Two_pattern.middle_of_pair a b)
+            (Cone_sim.middle a b))
+        bits)
+    bits;
+  let other = function
+    | Bit.Zero -> Bit.One
+    | Bit.One -> Bit.X
+    | Bit.X -> Bit.Zero
+  in
+  let rec pow3 i = if i = 0 then 1 else 3 * pow3 (i - 1) in
+  let vectors = ref 0 in
+  List.iter
+    (fun kind ->
+      let top =
+        match Gate.max_arity kind with Some m -> min m 4 | None -> 4
+      in
+      for n = Gate.min_arity kind to top do
+        let g = { Circuit.kind; fanins = Array.init n Fun.id } in
+        for code = 0 to pow3 n - 1 do
+          let v = Array.init n (fun i -> List.nth bits (code / pow3 i mod 3)) in
+          let want = Pdf_sim.Logic_sim.eval_gate_get g (fun net -> v.(net)) in
+          let name =
+            Printf.sprintf "%s %s" (Gate.kind_name kind)
+              (String.init n (fun i -> Bit.char v.(i)))
+          in
+          check bit (name ^ " eval") want (Cone_sim.eval g v);
+          for mask = 0 to (1 lsl n) - 1 do
+            let stamped i = mask land (1 lsl i) <> 0 and id = 7 in
+            let stamp =
+              Array.init n (fun i -> if stamped i then id else id - 1)
+            in
+            let value =
+              Array.init n (fun i -> if stamped i then v.(i) else other v.(i))
+            and base =
+              Array.init n (fun i -> if stamped i then other v.(i) else v.(i))
+            in
+            check bit
+              (Printf.sprintf "%s eval_overlay, stamps %d" name mask)
+              want
+              (Cone_sim.eval_overlay g ~stamp ~value ~base ~id)
+          done;
+          incr vectors
+        done
+      done)
+    Gate.all_kinds;
+  (* 2 unary kinds x 3 inputs, 6 binary kinds x (9 + 27 + 81) *)
+  check Alcotest.int "input vectors" ((2 * 3) + (6 * (9 + 27 + 81))) !vectors
+
+(* The sim engine scans its requirements after an assignment only when
+   Cone_sim counted a contradicting write ([Cone_sim.contradictions]):
+   from a state that contradicts no requirement, a step that leaves one
+   contradicting must have written the contradiction.  Random DAGs,
+   random requirement cones (on gate outputs and inputs alike), random
+   [set_pi] and [propagate] steps; a step that leaves a conflict is
+   undone the way [Justify.run_complete] restores, which must leave the
+   state conflict-free again.  A state over the whole circuit never
+   counts one. *)
+let prop_write_time_check =
+  QCheck.Test.make ~name:"contradicting writes flag every new conflict"
+    ~count:100
+    (QCheck.make (QCheck.Gen.int_range 0 100_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let params =
+        { Pdf_synth.Generators.num_pis = 4 + Rng.int rng 8;
+          num_gates = 10 + Rng.int rng 60; window = 15; max_fanout = 4;
+          reuse_pct = 20; restart_pct = 5; fanin3_pct = 20;
+          inverter_pct = 25; po_taps = 1 }
+      in
+      let c = Generators.random_dag ~name:"rand" ~seed params in
+      let np = c.Circuit.num_pis and n = Circuit.num_nets c in
+      let rand_bit () =
+        match Rng.int rng 3 with 0 -> Bit.X | 1 -> Bit.Zero | _ -> Bit.One
+      in
+      let rand_reqs () =
+        List.init (1 + Rng.int rng 4) (fun _ ->
+            let req =
+              match Rng.int rng 6 with
+              | 0 -> Req.rising
+              | 1 -> Req.falling
+              | 2 -> Req.stable (Rng.bool rng)
+              | 3 -> Req.final (Rng.bool rng)
+              | 4 -> Req.initial (Rng.bool rng)
+              | _ ->
+                Option.get
+                  (Req.of_string (if Rng.bool rng then "x1x" else "x0x"))
+            in
+            (Rng.int rng n, req))
+      in
+      let failure = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun m -> if !failure = None then failure := Some m) fmt
+      in
+      let cone = Req_cone.create c in
+      let sim = Cone_sim.create c in
+      let s = Cone_sim.values sim in
+      for cone_i = 1 to 4 do
+        match Req_cone.merge (rand_reqs ()) with
+        | None -> ()
+        | Some merged ->
+          Req_cone.load cone merged;
+          Cone_sim.retarget sim cone;
+          let pis = Array.sub cone.Req_cone.pis 0 cone.Req_cone.n_pis in
+          let a1 = Array.make np Bit.X and a3 = Array.make np Bit.X in
+          if Req_cone.conflict_net cone s <> None then
+            fail "cone %d: a retargeted state conflicts" cone_i;
+          for step = 1 to 16 do
+            let saved1 = Array.copy a1 and saved3 = Array.copy a3 in
+            let before = Cone_sim.contradictions sim in
+            for _ = 0 to Rng.int rng 2 do
+              let pi = pis.(Rng.int rng (Array.length pis)) in
+              if Rng.bool rng then a1.(pi) <- rand_bit ();
+              if Rng.bool rng then a3.(pi) <- rand_bit ();
+              Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi)
+            done;
+            Cone_sim.propagate sim;
+            let wrote = Cone_sim.contradictions sim > before in
+            match Req_cone.conflict_net cone s with
+            | None -> ()
+            | Some net ->
+              if not wrote then
+                fail "cone %d, step %d: net %d conflicts, no write flagged"
+                  cone_i step net;
+              Array.iter
+                (fun pi ->
+                  a1.(pi) <- saved1.(pi);
+                  a3.(pi) <- saved3.(pi);
+                  Cone_sim.set_pi sim pi ~v1:a1.(pi) ~v3:a3.(pi))
+                pis;
+              Cone_sim.propagate sim;
+              if Req_cone.conflict_net cone s <> None then
+                fail "cone %d, step %d: the restored state conflicts" cone_i
+                  step
+          done
+      done;
+      let whole = Cone_sim.create c in
+      for _ = 1 to 8 do
+        let pi = Rng.int rng np in
+        Cone_sim.set_pi whole pi ~v1:(rand_bit ()) ~v3:(rand_bit ());
+        Cone_sim.propagate whole
+      done;
+      if Cone_sim.contradictions whole <> 0 then
+        fail "a state over the whole circuit counted a contradiction";
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 (* Each engine builds its search state once and reloads it for every
    search: requirement cone, values, the sim engine's trial memo,
    PODEM's decision stack.  A sequence of searches on one engine must
@@ -1981,7 +2149,13 @@ let () =
           Alcotest.test_case "complete on c17 (vs brute force)" `Slow
             test_bnb_complete_on_c17;
         ] );
-      ("cone_sim", [ qcheck prop_cone_sim_matches_full ]);
+      ( "cone_sim",
+        [
+          qcheck prop_cone_sim_matches_full;
+          Alcotest.test_case "kernel algebra = Bit and Logic_sim" `Quick
+            test_kernel_algebra;
+          qcheck prop_write_time_check;
+        ] );
       ( "podem",
         [
           Alcotest.test_case "finds every s27 fault" `Quick
