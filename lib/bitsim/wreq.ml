@@ -47,3 +47,27 @@ let satisfied (values : Bit.t array array) lits =
     incr i
   done;
   !i = n
+
+(* A literal's low three bits [2k + b] are the index of the bit it sets
+   in [Req.bits]; the other bit of its component is [2k + 1 - b]. *)
+let count_new ~(seen : int array) ~(pinned : int array) ~(stamp : int)
+    (acc : int array) (lits : int array) =
+  let n = Array.length lits in
+  let count = ref 0 and i = ref 0 in
+  while !i < n do
+    let l = lits.(!i) in
+    let net = l lsr 3 in
+    let cur = if seen.(net) = stamp then pinned.(net) else acc.(net) in
+    if cur land (1 lsl ((l land 7) lxor 1)) <> 0 then begin
+      count := -1;
+      i := n
+    end
+    else begin
+      let bit = 1 lsl (l land 7) in
+      if cur land bit = 0 then incr count;
+      seen.(net) <- stamp;
+      pinned.(net) <- cur lor bit;
+      incr i
+    end
+  done;
+  !count

@@ -9,7 +9,12 @@
 
     {b One test.}  {!satisfied} reads the same literals against one
     scalar simulation state: the check behind the ATPG free check and
-    drop scan.  The literal encoding is decoded only here. *)
+    drop scan.
+
+    {b New pins.}  {!count_new} counts what the same literals pin on
+    top of an accumulated requirement set held as per-net bits: the
+    value-based secondary scan's [n_Delta].  The literal encoding is
+    decoded only here. *)
 
 val literals : (int * Pdf_values.Req.t) list -> int array
 (** The pinned components of a requirement list, one literal each, in
@@ -38,3 +43,27 @@ val satisfied : Pdf_values.Bit.t array array -> int array -> bool
     {!Pdf_values.Req.satisfied_by} over the requirement list, and so to
     [Fault_sim.detects_values] on the same simulation.  Stops at the
     first literal the state does not satisfy; allocates nothing. *)
+
+val count_new :
+  seen:int array ->
+  pinned:int array ->
+  stamp:int ->
+  int array ->
+  int array ->
+  int
+(** [count_new ~seen ~pinned ~stamp acc lits]: how many components the
+    requirements whose {!literals} are [lits] pin on top of [acc] —
+    per net, the merged {!Pdf_values.Req.bits} of an accumulated
+    requirement set, 0 where it holds none — or -1 if one of them
+    contradicts [acc] or an earlier requirement of the list (their
+    {!Pdf_values.Req.merge} would be [None]).  This is the ATPG's
+    [n_Delta].  A literal's low three bits [2k + b] are exactly the
+    index of the bit it sets in {!Pdf_values.Req.bits}, so the count
+    needs no requirement record.  [seen] and [pinned] are per-net
+    scratch arrays and [stamp] a value [seen] does not hold yet:
+    [seen.(net) = stamp] once a literal fell on [net], whose merged
+    bits are then [pinned.(net)], so a net listed twice merges with its
+    first listing.  Equal to counting with {!Pdf_values.Req.merge} over
+    the requirement list, conflicts included (checked by a property
+    test); stops at the first contradicting literal; allocates
+    nothing. *)

@@ -8,6 +8,7 @@ module Rng = Pdf_util.Rng
 type profile = {
   profile_name : string;
   grid : Generators.dag_params list;
+  xor_pct : int;
 }
 
 (* The grid spans the topology axes the oracles are sensitive to: depth
@@ -36,6 +37,7 @@ let tiny =
         { base with Generators.num_pis = 5; num_gates = 14; window = 8 };
         { base with Generators.num_pis = 6; num_gates = 18; window = 8 };
       ];
+    xor_pct = 0;
   }
 
 (* Depth is capped near the robust-testability frontier: path length ~20
@@ -51,6 +53,7 @@ let deep =
         { base with Generators.num_gates = 30; window = 5; restart_pct = 5 };
         { base with Generators.num_gates = 35; window = 6; restart_pct = 5 };
       ];
+    xor_pct = 0;
   }
 
 let wide =
@@ -74,6 +77,7 @@ let wide =
           po_taps = 3;
         };
       ];
+    xor_pct = 0;
   }
 
 let reconv =
@@ -91,6 +95,7 @@ let reconv =
           po_taps = 2;
         };
       ];
+    xor_pct = 0;
   }
 
 let fanin3 =
@@ -112,6 +117,7 @@ let fanin3 =
           inverter_pct = 10;
         };
       ];
+    xor_pct = 0;
   }
 
 (* Incremental-simulation stress (DESIGN.md §13): bigger, bushier DAGs
@@ -145,15 +151,30 @@ let scale =
           po_taps = 4;
         };
       ];
+    xor_pct = 0;
+  }
+
+(* XOR/XNOR gates, which the other profiles never draw: a third of the
+   logic gates, on the default grid's small, deep and reconvergent
+   shapes.  XOR has no controlling value, so its forward and backward
+   implication rules and its simulation differ from every other kind's
+   (DESIGN.md §5.1).  Not part of [default_profile], whose campaigns
+   draw no XOR share. *)
+let xor =
+  {
+    profile_name = "xor";
+    grid = [ base; List.hd deep.grid; List.hd reconv.grid; List.nth tiny.grid 2 ];
+    xor_pct = 33;
   }
 
 let default_profile =
   {
     profile_name = "default";
     grid = tiny.grid @ deep.grid @ wide.grid @ reconv.grid @ fanin3.grid;
+    xor_pct = 0;
   }
 
-let profiles = [ default_profile; tiny; deep; wide; reconv; fanin3; scale ]
+let profiles = [ default_profile; tiny; deep; wide; reconv; fanin3; xor; scale ]
 
 let profile_of_name n =
   List.find_opt (fun p -> String.equal p.profile_name n) profiles
@@ -314,7 +335,7 @@ let run ?ledger cfg =
       Metrics.incr m_rounds;
       let params = List.nth cfg.profile.grid (!r mod grid_len) in
       let circuit =
-        Generators.random_dag
+        Generators.random_dag ~xor_pct:cfg.profile.xor_pct
           ~name:(Printf.sprintf "fuzz_r%d" !r)
           ~seed:circuit_seed params
       in

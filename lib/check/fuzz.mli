@@ -23,13 +23,17 @@ type profile = {
   profile_name : string;
   grid : Pdf_synth.Generators.dag_params list;
       (** round [r] uses entry [r mod length] *)
+  xor_pct : int;
+      (** every circuit's XOR/XNOR share
+          ({!Pdf_synth.Generators.random_dag}'s [xor_pct]) *)
 }
 
 val profiles : profile list
 (** [default] (a mix of everything) plus the focused profiles [tiny],
-    [deep], [wide], [reconv] and [fanin3], and the nightly-sized
-    [scale] profile (600/1500-gate DAGs stressing the event-driven
-    simulator; not part of [default]). *)
+    [deep], [wide], [reconv] and [fanin3], the [xor] profile (a third of
+    the logic gates XOR/XNOR, which no other profile draws; not part of
+    [default]) and the nightly-sized [scale] profile (600/1500-gate DAGs
+    stressing the event-driven simulator; not part of [default]). *)
 
 val profile_of_name : string -> profile option
 

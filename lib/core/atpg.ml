@@ -26,11 +26,13 @@ type result = {
   runtime_s : float;
 }
 
-(* [delta acc reqs] — the requirement values a candidate fault adds on top
-   of the accumulated set: [None] on a direct conflict, otherwise the
-   per-net merged updates together with [n_Delta], the number of newly
-   pinned components (the paper's value-based selection metric). *)
-let delta acc reqs =
+(* [delta acc_bits reqs] — the requirement values a candidate fault adds
+   on top of the accumulated set, whose merged [Req.bits] per net are
+   [acc_bits] (0 where it holds none): [None] on a direct conflict,
+   otherwise the per-net merged updates together with [n_Delta], the
+   number of newly pinned components (the paper's value-based selection
+   metric). *)
+let delta acc_bits reqs =
   let count_new (current : Req.t) (want : Req.t) =
     let one cur_c want_c =
       match cur_c, want_c with
@@ -58,10 +60,7 @@ let delta acc reqs =
           let current =
             match Hashtbl.find_opt updates net with
             | Some r -> r
-            | None -> (
-              match Hashtbl.find_opt acc net with
-              | Some r -> r
-              | None -> Req.any)
+            | None -> Req.of_bits acc_bits.(net)
           in
           match count_new current req with
           | None -> raise Clash
@@ -78,37 +77,14 @@ let delta acc reqs =
     Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [], n)
   with Clash -> None
 
-(* [n_delta ~seen ~pinned ~stamp acc reqs] — [delta]'s count alone, or
-   -1 on a direct conflict, without its table or its update list:
-   [seen.(net) = stamp] once an earlier requirement of [reqs] fell on
-   [net], whose merged [Req.bits] are then [pinned.(net)].  The two
-   arrays belong to the run, and [stamp] is fresh per call. *)
-let n_delta ~seen ~pinned ~stamp acc reqs =
-  Metrics.incr m_delta_evals;
-  let rec go n = function
-    | [] -> n
-    | (net, req) :: rest ->
-      let current =
-        if seen.(net) = stamp then pinned.(net)
-        else
-          match Hashtbl.find acc net with
-          | r -> Req.bits r
-          | exception Not_found -> 0
-      in
-      let m = current lor Req.bits req in
-      if Req.bits_conflict m then -1
-      else begin
-        seen.(net) <- stamp;
-        pinned.(net) <- m;
-        go (n + Req.bits_pinned m - Req.bits_pinned current) rest
-      end
-  in
-  go 0 reqs
-
-let reqs_with acc updates =
+(* [reqs_with ~seen ~stamp acc updates] — the accumulated requirements
+   the updates leave as they are, then the updates: what a candidate's
+   re-justification must satisfy.  [stamp] is fresh: it marks the
+   updated nets in [seen], the run's per-net stamps. *)
+let reqs_with ~(seen : int array) ~(stamp : int) acc updates =
+  List.iter (fun (net, _) -> seen.(net) <- stamp) updates;
   Hashtbl.fold
-    (fun net req l ->
-      if List.mem_assoc net updates then l else (net, req) :: l)
+    (fun net req l -> if seen.(net) = stamp then l else (net, req) :: l)
     acc updates
 
 let shuffle rng ids =
@@ -145,26 +121,49 @@ let compute_ranks config (faults : Fault_sim.prepared array) =
 type test_state = {
   mutable test : Test_pair.t;
   acc : (int, Req.t) Hashtbl.t;
+  acc_bits : int array;
+      (** per net, the [Req.bits] of [acc]'s requirement, 0 where it
+          holds none; the run's array, cleared after each test *)
   implied : Implication.t;
-      (** line values implied by [acc], extended on every acceptance;
+      (** line values implied by [acc], as of the last {!implied} read;
           candidates contradicting them are provably un-addable and are
           rejected without a search *)
+  mutable pending : (int * Req.t) list list;
+      (** the commits [implied] has not seen yet, latest first *)
 }
 
-(* [acc] only grows within a test and its implied values are the least
-   fixpoint of its requirements, so extending them by each commit's
-   updates equals re-inferring them from the whole of [acc]. *)
 let commit st updates =
-  List.iter (fun (net, req) -> Hashtbl.replace st.acc net req) updates;
-  match Implication.extend st.implied updates with
-  | None -> ()
-  | Some _ ->
-    (* [acc] is always witnessed satisfiable by the current test. *)
-    assert false
+  List.iter
+    (fun (net, req) ->
+      Hashtbl.replace st.acc net req;
+      st.acc_bits.(net) <- Req.bits req)
+    updates;
+  st.pending <- updates :: st.pending
+
+(* The values implied by [acc], extended on demand by the queued commits
+   in commit order.  [acc] only grows within a test and its implied
+   values are the least fixpoint of its requirements, so the values
+   equal re-inferring them from the whole of [acc], and a test whose
+   candidates never reach this check implies nothing. *)
+let implied st =
+  (match st.pending with
+  | [] -> ()
+  | pending ->
+    List.iter
+      (fun updates ->
+        match Implication.extend st.implied updates with
+        | None -> ()
+        | Some _ ->
+          (* [acc] is always witnessed satisfiable by the current test. *)
+          assert false)
+      (List.rev pending);
+    st.pending <- []);
+  st.implied
 
 (* A candidate's conditions contradict the values implied by the
    accumulated requirements: adding it can never succeed. *)
-let contradicts_implied implied reqs =
+let contradicts_implied st reqs =
+  let implied = implied st in
   List.exists
     (fun (net, (req : Req.t)) ->
       not
@@ -189,7 +188,26 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     match justify with Some k -> k | None -> Justify.default_kind ()
   in
   let engine = Justify.Engine.create ?attrib:sheet ~kind:jkind c in
-  let implied = Implication.create c in
+  (* Every value the implication state is seeded with or read at lies on
+     a requirement net of a primary or pooled fault, so it is restricted
+     to the fan-in cone of those nets: on the cone its values are the
+     whole circuit's (Implication's restriction, DESIGN.md §5.1). *)
+  let implied =
+    let np = c.Circuit.num_pis in
+    let within = Array.make (Circuit.num_nets c) false in
+    List.iter
+      (List.iter (fun i ->
+           List.iter (fun (net, _) -> within.(net) <- true)
+             faults.(i).Fault_sim.reqs))
+      (primaries :: secondary_pools);
+    for g = Circuit.num_gates c - 1 downto 0 do
+      if within.(np + g) then
+        Array.iter (fun net -> within.(net) <- true)
+          c.Circuit.gates.(g).Circuit.fanins
+    done;
+    Implication.create ~within c
+  in
+  let acc_bits = Array.make (Circuit.num_nets c) 0 in
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
   (* The current test's values.  Consecutive accepted tests within one
@@ -203,22 +221,31 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   let sim = Cone_sim.create ?attrib:sheet c in
   (* Candidate-scan attribution: charge every delta evaluation to the
      candidate's requirement nets (shadowing the bare [delta]). *)
-  let delta acc reqs =
-    (match sheet with
-    | Some a -> Attrib.note_cand_scan a reqs
-    | None -> ());
-    delta acc reqs
+  let note_scan reqs =
+    match sheet with Some a -> Attrib.note_cand_scan a reqs | None -> ()
   in
-  let n_delta =
-    let seen = Array.make (Circuit.num_nets c) 0
-    and pinned = Array.make (Circuit.num_nets c) 0
-    and stamp = ref 0 in
-    fun acc reqs ->
-      (match sheet with
-      | Some a -> Attrib.note_cand_scan a reqs
-      | None -> ());
-      incr stamp;
-      n_delta ~seen ~pinned ~stamp:!stamp acc reqs
+  let delta acc_bits reqs =
+    note_scan reqs;
+    delta acc_bits reqs
+  in
+  (* Per-net stamps the run owns; each use takes a fresh stamp. *)
+  let seen = Array.make (Circuit.num_nets c) 0
+  and pinned = Array.make (Circuit.num_nets c) 0
+  and stamp = ref 0 in
+  let fresh_stamp () =
+    incr stamp;
+    !stamp
+  in
+  let charge_scan i =
+    note_scan faults.(i).Fault_sim.reqs;
+    Metrics.incr m_delta_evals
+  in
+  (* [delta]'s count alone, -1 on a direct conflict: the candidate's
+     literals against [acc_bits], building nothing. *)
+  let n_delta i =
+    charge_scan i;
+    Wreq.count_new ~seen ~pinned ~stamp:(fresh_stamp ()) acc_bits
+      faults.(i).Fault_sim.lits
   in
   let simulate_test test =
     for pi = 0 to c.Circuit.num_pis - 1 do
@@ -347,7 +374,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
      acceptance, return the requirement values newly pinned ([Delta]). *)
   let try_candidate st i =
     Metrics.incr m_cand;
-    match delta st.acc faults.(i).Fault_sim.reqs with
+    match delta st.acc_bits faults.(i).Fault_sim.reqs with
     | None ->
       Metrics.incr m_rej_conflict;
       reject_reason.(i) <- `Conflict;
@@ -361,7 +388,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         note_folded i "free";
         Some updates
       end
-      else if contradicts_implied st.implied faults.(i).Fault_sim.reqs then begin
+      else if contradicts_implied st faults.(i).Fault_sim.reqs then begin
         Metrics.incr m_rej_implied;
         reject_reason.(i) <- `Implied;
         None
@@ -369,7 +396,8 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       else begin
         match
           targeted_run i (fun () ->
-              Justify.Engine.run engine ~rng ~reqs:(reqs_with st.acc updates))
+              Justify.Engine.run engine ~rng
+                ~reqs:(reqs_with ~seen ~stamp:(fresh_stamp ()) st.acc updates))
         with
         | Some test ->
           st.test <- test;
@@ -394,14 +422,24 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   (* Value-based scan: repeatedly attempt the candidate adding the fewest
      new required values.  [n_Delta] is cached per candidate and refreshed
      through a net -> candidates index only when an acceptance pins new
-     values on one of the candidate's lines, so each pass is linear. *)
+     values on one of the candidate's lines, so each pass is linear.  An
+     acceptance refreshes a candidate once however many of its lines it
+     updated: every refresh reads the same [acc], so a repeat would count
+     the same.  A repeat visit is charged as the refresh it replaces.
+     The scan's state is the run's: per fault, whether it is in the pool
+     being scanned (all clear between scans), its cached [n_Delta] and
+     the acceptance that last refreshed it; per net, the index's
+     candidates, valid while [bucket_scan] holds the current scan. *)
+  let in_pool = Array.make n false and nd = Array.make n max_int in
+  let refreshed = Array.make n 0 and acceptances = ref 0 in
+  let buckets = Array.make (Circuit.num_nets c) []
+  and bucket_scan = Array.make (Circuit.num_nets c) 0
+  and scans = ref 0 in
   let scan_pool_value_based st pool =
-    let nf = Array.length faults in
-    let in_pool = Array.make nf false in
-    let nd = Array.make nf max_int in
-    let buckets : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+    incr scans;
+    let scan = !scans in
     let refresh i =
-      let d = n_delta st.acc faults.(i).Fault_sim.reqs in
+      let d = n_delta i in
       if d < 0 then begin
         in_pool.(i) <- false (* direct conflict: rejected *);
         reject_reason.(i) <- `Conflict
@@ -416,12 +454,12 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
           if in_pool.(i) then
             List.iter
               (fun (net, _) ->
-                let ids =
-                  match Hashtbl.find_opt buckets net with
-                  | Some ids -> ids
-                  | None -> []
-                in
-                Hashtbl.replace buckets net (i :: ids))
+                if bucket_scan.(net) = scan then
+                  buckets.(net) <- i :: buckets.(net)
+                else begin
+                  bucket_scan.(net) <- scan;
+                  buckets.(net) <- [ i ]
+                end)
               faults.(i).Fault_sim.reqs
         end)
       pool;
@@ -449,12 +487,19 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         (match try_candidate st i with
         | None -> ()
         | Some updates ->
+          incr acceptances;
           List.iter
             (fun (net, _) ->
-              match Hashtbl.find_opt buckets net with
-              | None -> ()
-              | Some ids ->
-                List.iter (fun j -> if in_pool.(j) then refresh j) ids)
+              if bucket_scan.(net) = scan then
+                List.iter
+                  (fun j ->
+                    if in_pool.(j) then
+                      if refreshed.(j) = !acceptances then charge_scan j
+                      else begin
+                        refreshed.(j) <- !acceptances;
+                        refresh j
+                      end)
+                  buckets.(net))
             updates)
     done
   in
@@ -487,10 +532,12 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         Metrics.incr m_primary_aborts
       | Some test ->
         simulate_test test;
-        let st = { test; acc = Hashtbl.create 64; implied } in
+        let st =
+          { test; acc = Hashtbl.create 64; acc_bits; implied; pending = [] }
+        in
         Implication.reset implied;
         commit st
-          (match delta st.acc faults.(p0).Fault_sim.reqs with
+          (match delta st.acc_bits faults.(p0).Fault_sim.reqs with
           | Some (updates, _) -> updates
           | None -> assert false);
         folded_this_test := 0;
@@ -505,6 +552,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
               List.iter (fun pool -> scan_pool_in_order st pool) pools
             | Ordering.Value_based ->
               List.iter (fun pool -> scan_pool_value_based st pool) pools);
+        Hashtbl.iter (fun net _ -> acc_bits.(net) <- 0) st.acc;
         Metrics.observe_int h_folded_per_test !folded_this_test;
         Hashtbl.replace test_engine id (Justify.Engine.winner engine);
         tests := st.test :: !tests;

@@ -677,25 +677,28 @@ let kernels_suite =
           (Array.make big.Circuit.num_pis false)
           (Array.make big.Circuit.num_pis false)
     in
-    (* Table 4 kernel: one value-based secondary scan step — merge every
-       candidate's conditions against an accumulated requirement set. *)
-    let delta_scan () =
-      let acc = Hashtbl.create 64 in
+    (* Table 4 kernel: one value-based secondary scan step — every
+       candidate's [n_Delta] against an accumulated requirement set, over
+       its literals and the set's per-net bits, as [Atpg] counts it; the
+       count is of the candidates that do not conflict. *)
+    let delta_scan =
+      let nn = Circuit.num_nets big in
+      let acc = Array.make nn 0 in
       List.iter
-        (fun (net, req) -> Hashtbl.replace acc net req)
+        (fun (net, req) -> acc.(net) <- acc.(net) lor Pdf_values.Req.bits req)
         faults.(0).Fault_sim.reqs;
-      Array.fold_left
-        (fun count (p : Fault_sim.prepared) ->
-          let compatible =
-            List.for_all
-              (fun (net, req) ->
-                match Hashtbl.find_opt acc net with
-                | None -> true
-                | Some cur -> Option.is_some (Pdf_values.Req.merge cur req))
-              p.Fault_sim.reqs
-          in
-          if compatible then count + 1 else count)
-        0 faults
+      let seen = Array.make nn 0 and pinned = Array.make nn 0 in
+      let stamp = ref 0 in
+      fun () ->
+        Array.fold_left
+          (fun count (p : Fault_sim.prepared) ->
+            incr stamp;
+            if
+              Wreq.count_new ~seen ~pinned ~stamp:!stamp acc p.Fault_sim.lits
+              >= 0
+            then count + 1
+            else count)
+          0 faults
     in
     [
       (* Table 1: bounded enumeration on s27. *)

@@ -17,10 +17,14 @@ type dag_params = {
 let net_name i = Printf.sprintf "n%d" i
 
 (* Pick a gate kind with an ISCAS-like mix: mostly NAND/NOR with some
-   AND/OR, plus the configured share of inverters/buffers. *)
-let pick_kind rng ~inverter_pct =
+   AND/OR, plus the configured shares of inverters/buffers and of
+   XOR/XNOR.  A zero XOR share draws nothing from [rng], so a seed
+   builds the same circuit with the argument at 0 as without it. *)
+let pick_kind rng ~inverter_pct ~xor_pct =
   if Rng.int rng 100 < inverter_pct then
     if Rng.int rng 100 < 70 then Gate.Not else Gate.Buff
+  else if xor_pct > 0 && Rng.int rng 100 < xor_pct then
+    if Rng.bool rng then Gate.Xor else Gate.Xnor
   else
     match Rng.int rng 10 with
     | 0 | 1 | 2 -> Gate.Nand
@@ -33,7 +37,7 @@ let pick_kind rng ~inverter_pct =
    0 PIs / 0 gates / a window below 2 would otherwise surface as an
    obscure [Rng.int] or [Builder] failure from deep inside the build
    loop (or, for a non-positive fanout cap, silently ignore the cap). *)
-let validate_params (p : dag_params) =
+let validate_params ~xor_pct (p : dag_params) =
   let fail fmt = Printf.ksprintf invalid_arg ("Generators.random_dag: " ^^ fmt) in
   if p.num_pis < 2 then fail "num_pis must be >= 2 (got %d)" p.num_pis;
   if p.num_gates < 1 then fail "num_gates must be >= 1 (got %d)" p.num_gates;
@@ -46,10 +50,11 @@ let validate_params (p : dag_params) =
   pct "restart_pct" p.restart_pct;
   pct "fanin3_pct" p.fanin3_pct;
   pct "inverter_pct" p.inverter_pct;
+  pct "xor_pct" xor_pct;
   if p.po_taps < 0 then fail "po_taps must be >= 0 (got %d)" p.po_taps
 
-let random_dag ~name ~seed (p : dag_params) =
-  validate_params p;
+let random_dag ?(xor_pct = 0) ~name ~seed (p : dag_params) =
+  validate_params ~xor_pct p;
   let rng = Rng.create seed in
   let b = Builder.create name in
   for i = 0 to p.num_pis - 1 do
@@ -59,7 +64,7 @@ let random_dag ~name ~seed (p : dag_params) =
   let fanout = Array.make total 0 in
   for g = 0 to p.num_gates - 1 do
     let out = p.num_pis + g in
-    let kind = pick_kind rng ~inverter_pct:p.inverter_pct in
+    let kind = pick_kind rng ~inverter_pct:p.inverter_pct ~xor_pct in
     let arity =
       match kind with
       | Gate.Not | Gate.Buff -> 1

@@ -32,12 +32,15 @@ type dag_params = {
 }
 
 val random_dag :
-  name:string -> seed:int -> dag_params -> Pdf_circuit.Circuit.t
+  ?xor_pct:int -> name:string -> seed:int -> dag_params -> Pdf_circuit.Circuit.t
 (** Every net without fanout becomes a primary output, so no path dead
-    ends.  Raises [Invalid_argument] with a field-specific message on
-    degenerate parameters: [num_pis < 2], [num_gates < 1], [window < 2],
-    [max_fanout < 1], any percentage outside [0..100], or
-    [po_taps < 0]. *)
+    ends.  [xor_pct] (default 0) is the percentage of the non-inverter
+    gates that are XOR or XNOR (one of the two, evenly); at 0 the
+    generator draws nothing for it, so a seed builds the same circuit
+    as without the argument.  Raises [Invalid_argument] with a
+    field-specific message on degenerate parameters: [num_pis < 2],
+    [num_gates < 1], [window < 2], [max_fanout < 1], any percentage
+    outside [0..100] ([xor_pct] included), or [po_taps < 0]. *)
 
 val ripple_adder : bits:int -> Pdf_circuit.Circuit.t
 (** [a + b + cin] with sum and carry-out outputs, AND/OR/XOR full adders. *)

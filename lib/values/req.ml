@@ -49,10 +49,6 @@ let bits r =
 
 let bits_conflict m = m land (m lsr 1) land 0b010101 <> 0
 
-let bits_pinned m =
-  let p = (m lor (m lsr 1)) land 0b010101 in
-  (p land 1) + ((p lsr 2) land 1) + ((p lsr 4) land 1)
-
 let component_satisfied bit c =
   match c with
   | Any -> true
@@ -92,6 +88,11 @@ let intern t =
   interned.((9 * component_index t.r1)
             + (3 * component_index t.r2)
             + component_index t.r3)
+
+(* A component's two bits in [bits] are its index above. *)
+let of_bits m =
+  if m land lnot 0b111111 <> 0 || bits_conflict m then invalid_arg "Req.of_bits"
+  else interned.((9 * (m land 3)) + (3 * ((m lsr 2) land 3)) + ((m lsr 4) land 3))
 
 let component_of_char = function
   | '0' -> Some (Must false)

@@ -43,17 +43,21 @@ val merge : t -> t -> t option
 
 val bits : t -> int
 (** The pinned components as an int: two bits per component, [r1]
-    lowest, [01] for [Must false] and [10] for [Must true].  The [lor]
-    of several requirements' bits stands for their {!merge}, and a table
-    of these ints per net merges without allocating. *)
+    lowest, [01] for [Must false] and [10] for [Must true], so component
+    [k] pinned to [b] (as 0 or 1) is bit [2k + b] — the low three bits
+    of its literal in [Pdf_bitsim.Wreq.literals].  The [lor] of several
+    requirements' bits stands for their {!merge}, and a table of these
+    ints per net merges without allocating. *)
+
+val of_bits : int -> t
+(** The requirement whose {!bits} are the argument, {!intern}ed: no
+    allocation.  Raises [Invalid_argument] on an int that no
+    requirement's bits equal (a {!bits_conflict}, or a bit above the
+    sixth). *)
 
 val bits_conflict : int -> bool
 (** Whether some component of the merged {!bits} is pinned to both
     values: {!merge} would be [None]. *)
-
-val bits_pinned : int -> int
-(** Components pinned in the merged {!bits}: {!count_pinned} of the
-    merge. *)
 
 val satisfied_by : Triple.t -> t -> bool
 (** A simulated triple satisfies a requirement iff every [Must b] component

@@ -211,6 +211,109 @@ let prop_satisfied_matches_scalar =
             faults)
         steps)
 
+(* [n_Delta] the way [Req.merge] defines it: the components a
+   requirement list pins on top of [acc] (one requirement per net,
+   [Req.any] where none), a net listed twice merging with its first
+   listing; [None] on a direct conflict. *)
+let merge_count (acc : Req.t array) reqs =
+  let cur = Hashtbl.create 8 in
+  List.fold_left
+    (fun n (net, req) ->
+      match n with
+      | None -> None
+      | Some n -> (
+        let c =
+          match Hashtbl.find_opt cur net with Some r -> r | None -> acc.(net)
+        in
+        match Req.merge c req with
+        | None -> None
+        | Some m ->
+          Hashtbl.replace cur net m;
+          Some (n + Req.count_pinned m - Req.count_pinned c)))
+    (Some 0) reqs
+
+let opposite (r : Req.t) =
+  let flip = function Req.Any -> Req.Any | Req.Must b -> Req.Must (not b) in
+  { Req.r1 = flip r.Req.r1; r2 = flip r.Req.r2; r3 = flip r.Req.r3 }
+
+(* The literal count against per-net bits equals [merge_count] over the
+   requirement list, conflicts included.  The accumulated set merges
+   the conditions of random faults, each only when it stays consistent,
+   as an ATPG test's set grows; the candidates are every fault's own
+   list, lists that repeat nets (two faults' lists concatenated, one
+   list twice) and lists that contradict themselves (a requirement
+   followed by its opposite on the same net).  One pair of scratch
+   arrays serves every count, each under a fresh stamp, as in the
+   ATPG run. *)
+let prop_count_new_matches_merge =
+  QCheck.Test.make ~name:"Wreq.count_new = n_Delta by Req.merge" ~count:60
+    (QCheck.make
+       ~print:(fun (seed, picks) ->
+         Printf.sprintf "seed=%d picks=[%s]" seed
+           (String.concat ";" (List.map string_of_int picks)))
+       QCheck.Gen.(
+         pair (int_range 0 100_000) (list_size (int_range 0 6) (int_range 0 999))))
+    (fun (seed, picks) ->
+      let c = circuit_of_seed seed in
+      let ts = Target_sets.build c (Delay_model.lines c) ~n_p:15 ~n_p0:5 in
+      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let nf = Array.length faults and nn = Circuit.num_nets c in
+      QCheck.assume (nf > 0);
+      let acc = Array.make nn Req.any in
+      List.iter
+        (fun k ->
+          let reqs = faults.(k mod nf).Fault_sim.reqs in
+          if merge_count acc reqs <> None then
+            List.iter
+              (fun (net, r) -> acc.(net) <- Option.get (Req.merge acc.(net) r))
+              reqs)
+        picks;
+      let acc_bits = Array.map Req.bits acc in
+      let seen = Array.make nn 0 and pinned = Array.make nn 0 and stamp = ref 0 in
+      let agrees ?lits reqs =
+        incr stamp;
+        let lits =
+          match lits with Some l -> l | None -> Wreq.literals reqs
+        in
+        let got = Wreq.count_new ~seen ~pinned ~stamp:!stamp acc_bits lits in
+        match merge_count acc reqs with None -> got = -1 | Some n -> got = n
+      in
+      List.for_all
+        (fun i ->
+          let reqs = faults.(i).Fault_sim.reqs in
+          let next = faults.((i + 1) mod nf).Fault_sim.reqs in
+          agrees ~lits:faults.(i).Fault_sim.lits reqs
+          && agrees (reqs @ next)
+          && agrees (reqs @ reqs)
+          &&
+          match reqs with
+          | (net, r) :: _ -> agrees (reqs @ [ (net, opposite r) ])
+          | [] -> true)
+        (List.init nf Fun.id))
+
+(* Hand-made lists that repeat a net: a repeat merges with the first
+   listing (and counts only what it adds), a contradicting repeat is a
+   conflict even where the accumulated set holds nothing, and the
+   accumulated bits count as pinned. *)
+let test_count_new_repeats () =
+  let acc = Array.make 4 0 in
+  acc.(2) <- Req.bits (Req.initial false);
+  let seen = Array.make 4 0 and pinned = Array.make 4 0 and stamp = ref 0 in
+  let count reqs =
+    incr stamp;
+    Wreq.count_new ~seen ~pinned ~stamp:!stamp acc (Wreq.literals reqs)
+  in
+  check Alcotest.int "final then stable" 3
+    (count [ (1, Req.final true); (1, Req.stable true) ]);
+  check Alcotest.int "same twice" 2 (count [ (1, Req.rising); (1, Req.rising) ]);
+  check Alcotest.int "repeat contradicts" (-1)
+    (count [ (1, Req.rising); (3, Req.final true); (1, Req.falling) ]);
+  check Alcotest.int "on top of acc" 2
+    (count [ (2, Req.final false); (2, Req.stable false) ]);
+  check Alcotest.int "contradicts acc" (-1) (count [ (2, Req.falling) ]);
+  check Alcotest.int "nothing new" 0 (count [ (2, Req.initial false) ]);
+  check Alcotest.int "no literal" 0 (count [])
+
 (* An X component satisfies no literal, whichever value it is pinned
    to; a definite one satisfies exactly the literal of its value, and
    no literal at all is always satisfied. *)
@@ -766,6 +869,9 @@ let () =
           qcheck prop_satisfied_mask_matches_scalar;
           qcheck prop_literals_encode_reqs;
           qcheck prop_satisfied_matches_scalar;
+          qcheck prop_count_new_matches_merge;
+          Alcotest.test_case "count_new: repeated nets" `Quick
+            test_count_new_repeats;
           Alcotest.test_case "X satisfies no literal" `Quick test_satisfied_x;
           Alcotest.test_case "simulate allocates only planes" `Quick
             test_simulate_allocation;

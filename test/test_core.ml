@@ -1118,12 +1118,12 @@ let prop_podem_implication_in_step =
       | Some msg -> QCheck.Test.fail_report msg)
 
 (* The scalar evaluator both engines and Atpg run on, over random DAGs
-   and random requirement cones, with one state retargeted through
-   three cones the way an engine serves its searches.  (a) Right after
-   a retarget the state equals a fresh [create]'s on every net; after
-   any sequence of [set_pi] calls on cone inputs and persistent passes,
-   every cone net holds the full simulation's value and every other
-   net stays X.  (b) Every trial — two fresh keys after each step, then
+   (half of them with XOR/XNOR gates) and random requirement cones,
+   with one state retargeted through three cones the way an engine
+   serves its searches.  (a) Right after a retarget the state equals a
+   fresh [create]'s on every net; after any sequence of [set_pi] calls
+   on cone inputs and persistent passes, every cone net holds the full
+   simulation's value and every other net stays X.  (b) Every trial — two fresh keys after each step, then
    every earlier key of the cone again, so that memo hits and
    invalidations both occur — returns the conflict net and evaluation
    count of the ascending cone scan ({!Pdf_check.Trial_ref}), hits
@@ -1149,7 +1149,17 @@ let prop_cone_sim_matches_full =
           reuse_pct = 20; restart_pct = 5; fanin3_pct = 20;
           inverter_pct = 25; po_taps = 1 }
       in
-      let c = Generators.random_dag ~name:"rand" ~seed params in
+      (* Odd seeds draw from the fuzz [xor] profile: XOR/XNOR gates,
+         which no other random circuit holds. *)
+      let c =
+        if seed mod 2 = 0 then Generators.random_dag ~name:"rand" ~seed params
+        else
+          let xor = Option.get (Pdf_check.Fuzz.profile_of_name "xor") in
+          let grid = xor.Pdf_check.Fuzz.grid in
+          Generators.random_dag ~xor_pct:xor.Pdf_check.Fuzz.xor_pct
+            ~name:"xor" ~seed
+            (List.nth grid (seed / 2 mod List.length grid))
+      in
       let np = c.Circuit.num_pis and n = Circuit.num_nets c in
       let rand_reqs () =
         List.init (1 + Rng.int rng 3) (fun _ ->
@@ -1720,23 +1730,23 @@ let test_engine_accounts_match_sheet () =
   check Alcotest.bool "sim members ran" true
     (Justify.Engine.runs portfolio > Justify.Engine.runs podem)
 
-(* The ledger of [pdfatpg enrich C --n-p 1000 --n-p0 100 --seed 2002
-   --justify podem]. *)
-let podem_ledger name =
+(* The ledger of [pdfatpg enrich C --n-p N_P --n-p0 N_P0 --seed 2002
+   --justify J], the run's attribution sheet charged into [attrib]. *)
+let enrich_ledger ?attrib ~n_p ~n_p0 ~justify name =
   let profile = Option.get (Pdf_synth.Profiles.find name) in
   let c = Pdf_synth.Profiles.circuit profile in
   let ledger = Ledger.create () in
-  let ts =
-    Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
-  in
+  let ts = Target_sets.build ~ledger c (Delay_model.lines c) ~n_p ~n_p0 in
   let faults = Fault_sim.prepare c ts.Target_sets.p in
   let n0 = List.length ts.Target_sets.p0 in
   let p0 = List.init n0 Fun.id in
   let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
   ignore
-    (Atpg.enrich ~ledger ~justify:Justify.Podem c ~seed:2002 ~faults ~p0 ~p1
+    (Atpg.enrich ~ledger ?attrib ~justify c ~seed:2002 ~faults ~p0 ~p1
       : Atpg.result);
   ledger
+
+let podem_ledger = enrich_ledger ~n_p:1000 ~n_p0:100 ~justify:Justify.Podem
 
 let ledger_digest l = Digest.to_hex (Digest.string (Ledger.to_jsonl l))
 
@@ -1775,6 +1785,37 @@ let test_podem_outcomes_pinned () =
   check Alcotest.int "records" 1032 (Ledger.size masked);
   check Alcotest.string "digest" "0646432a0d0e68b8ec3a1c663ba8d664"
     (ledger_digest masked)
+
+(* The value-based scan over a non-empty [P1] (31 faults on b03 at
+   700/12, 91 on s1488 at 800/16: the enrich-sim benchmark's scales),
+   pinned under both pure backends: the ledger's bytes, the scan's
+   [atpg.delta_evals] and the sheet's candidate scans, which must stay
+   equal — a refresh skipped or repeated, or an implied value read
+   before its commit, changes them. *)
+let test_p1_scan_pinned () =
+  let evals = Pdf_obs.Metrics.counter "atpg.delta_evals" in
+  List.iter
+    (fun (name, n_p, n_p0, justify, count, digest, scans) ->
+      let what = Printf.sprintf "%s %s" name (Justify.kind_name justify) in
+      let c =
+        Pdf_synth.Profiles.circuit (Option.get (Pdf_synth.Profiles.find name))
+      in
+      let store = Pdf_obs.Attrib.create ~nets:(Circuit.num_nets c) in
+      let e0 = Pdf_obs.Metrics.value evals in
+      let ledger = enrich_ledger ~attrib:store ~n_p ~n_p0 ~justify name in
+      let sheet = Pdf_obs.Attrib.snapshot store in
+      check Alcotest.int (what ^ " records") count (Ledger.size ledger);
+      check Alcotest.string (what ^ " digest") digest (ledger_digest ledger);
+      check Alcotest.int (what ^ " delta evals") scans
+        (Pdf_obs.Metrics.value evals - e0);
+      check Alcotest.int (what ^ " cand scans") scans
+        sheet.Pdf_obs.Attrib.t_cand_scans)
+    [
+      ("b03", 700, 12, Justify.Sim, 707, "5a473e30528bb4d9100f5a01a7d54dc2", 1690);
+      ("b03", 700, 12, Justify.Podem, 707, "44e0482deae861f21942db0f854cd882", 1681);
+      ("s1488", 800, 16, Justify.Sim, 807, "c96ab02f3f2edcf5ef7e0f3bfaca6dbb", 1937);
+      ("s1488", 800, 16, Justify.Podem, 807, "db6212cb7c42ff718fc5e9e7ed97bafd", 1937);
+    ]
 
 let test_engine_records_name_winner () =
   (* Every test and detected-fault record carries the winning member's
@@ -2184,6 +2225,8 @@ let () =
             test_podem_ledgers_pinned;
           Alcotest.test_case "podem outcomes pinned" `Slow
             test_podem_outcomes_pinned;
+          Alcotest.test_case "P1 scan pinned (sim, podem)" `Slow
+            test_p1_scan_pinned;
           qcheck prop_engine_reuse;
         ] );
       ( "timing",

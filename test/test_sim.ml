@@ -429,21 +429,47 @@ let fanin_cone c nets =
 (* Restricted to the fan-in cone of the required nets, a state reaches
    the whole-circuit state's conflict verdict and its values on every
    cone net, and leaves every other net X. *)
+let restricted_agrees c parts =
+  let within = fanin_cone c (List.map fst (List.concat parts)) in
+  let cone = Implication.create ~within c and whole = Implication.create c in
+  match (extend_parts cone parts, extend_parts whole parts) with
+  | None, None ->
+    let got = state_values c cone and want = state_values c whole in
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun net (t : Triple.t) ->
+           if within.(net) then t = want.(net) else all_x [| t |])
+         got)
+  | Some _, Some _ -> true
+  | None, Some _ | Some _, None -> false
+
 let prop_restricted_equals_whole (name, c) =
   QCheck.Test.make ~name:("restricted = whole on " ^ name) ~count:300
-    (arb_parts c) (fun parts ->
-      let within = fanin_cone c (List.map fst (List.concat parts)) in
-      let cone = Implication.create ~within c and whole = Implication.create c in
-      match (extend_parts cone parts, extend_parts whole parts) with
-      | None, None ->
-        let got = state_values c cone and want = state_values c whole in
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun net (t : Triple.t) ->
-               if within.(net) then t = want.(net) else all_x [| t |])
-             got)
-      | Some _, Some _ -> true
-      | None, Some _ | Some _, None -> false)
+    (arb_parts c) (restricted_agrees c)
+
+(* The same over random DAGs of the fuzz [xor] profile, a third of
+   whose logic gates are XOR/XNOR: no controlling value, so their
+   forward and backward rules are the ones no other random circuit
+   reaches. *)
+let prop_restricted_equals_whole_xor =
+  let profile = Option.get (Pdf_check.Fuzz.profile_of_name "xor") in
+  let grid = Array.of_list profile.Pdf_check.Fuzz.grid in
+  let circuit seed =
+    Pdf_synth.Generators.random_dag ~xor_pct:profile.Pdf_check.Fuzz.xor_pct
+      ~name:"xor" ~seed
+      grid.(seed mod Array.length grid)
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 100_000 >>= fun seed ->
+      map (fun parts -> (seed, parts)) (QCheck.gen (arb_parts (circuit seed))))
+  in
+  QCheck.Test.make ~name:"restricted = whole on random XOR DAGs" ~count:300
+    (QCheck.make
+       ~print:(fun (seed, parts) ->
+         Printf.sprintf "seed=%d parts=%d" seed (List.length parts))
+       gen)
+    (fun (seed, parts) -> restricted_agrees (circuit seed) parts)
 
 (* Implication is sound but incomplete: whenever brute force finds a test
    for the set, [consistent] holds and every implied value is the
@@ -525,5 +551,6 @@ let () =
               qcheck (prop_restricted_equals_whole c);
               qcheck (prop_consistent_vs_brute_force c);
             ])
-          state_circuits );
+          state_circuits
+        @ [ qcheck prop_restricted_equals_whole_xor ] );
     ]

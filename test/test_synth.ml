@@ -2,6 +2,7 @@
    against arithmetic reference models), random DAGs, profiles. *)
 
 module Circuit = Pdf_circuit.Circuit
+module Gate = Pdf_circuit.Gate
 module Logic_sim = Pdf_sim.Logic_sim
 module Generators = Pdf_synth.Generators
 module Profiles = Pdf_synth.Profiles
@@ -313,6 +314,30 @@ let test_random_dag_bad_params () =
         "po_taps must be >= 0 (got -1)" );
     ]
 
+(* A zero XOR share draws nothing: every seed builds the netlist it
+   builds without the argument.  A positive share puts both XOR and
+   XNOR gates in, and the circuits validate. *)
+let test_random_dag_xor_share () =
+  let kinds c =
+    Array.to_list (Array.map (fun g -> g.Circuit.kind) c.Circuit.gates)
+  in
+  for seed = 0 to 20 do
+    check Alcotest.string
+      (Printf.sprintf "seed %d, share 0" seed)
+      (Pdf_circuit.Bench_io.to_string
+         (Generators.random_dag ~name:"r" ~seed dag_params))
+      (Pdf_circuit.Bench_io.to_string
+         (Generators.random_dag ~xor_pct:0 ~name:"r" ~seed dag_params))
+  done;
+  let c = Generators.random_dag ~xor_pct:33 ~name:"r" ~seed:7 dag_params in
+  check Alcotest.(result unit string) "valid" (Ok ()) (Circuit.validate c);
+  check Alcotest.bool "XOR drawn" true (List.mem Gate.Xor (kinds c));
+  check Alcotest.bool "XNOR drawn" true (List.mem Gate.Xnor (kinds c));
+  Alcotest.check_raises "share above 100"
+    (Invalid_argument "Generators.random_dag: xor_pct must be in 0..100 (got 101)")
+    (fun () ->
+      ignore (Generators.random_dag ~xor_pct:101 ~name:"r" ~seed:0 dag_params))
+
 let test_random_dag_boundary_params_ok () =
   (* The smallest legal parameter set builds and validates. *)
   let p =
@@ -394,6 +419,7 @@ let () =
           Alcotest.test_case "bad params" `Quick test_random_dag_bad_params;
           Alcotest.test_case "boundary params" `Quick
             test_random_dag_boundary_params_ok;
+          Alcotest.test_case "XOR share" `Quick test_random_dag_xor_share;
         ] );
       ( "profiles",
         [

@@ -243,9 +243,25 @@ let prop_req_bits_merge =
       match Req.merge a b with
       | None -> Req.bits_conflict m
       | Some r ->
-        (not (Req.bits_conflict m))
-        && m = Req.bits r
-        && Req.bits_pinned m = Req.count_pinned r)
+        (not (Req.bits_conflict m)) && m = Req.bits r)
+
+(* [of_bits] inverts [bits] on all 27 requirements, returning the
+   interned value, and rejects every other int of six bits (a
+   conflicting component) and any higher bit. *)
+let test_req_of_bits () =
+  for m = 0 to 63 do
+    if Req.bits_conflict m then
+      Alcotest.check_raises (Printf.sprintf "conflict %d" m)
+        (Invalid_argument "Req.of_bits") (fun () -> ignore (Req.of_bits m))
+    else begin
+      let r = Req.of_bits m in
+      check Alcotest.int (Printf.sprintf "bits of %d" m) m (Req.bits r);
+      check Alcotest.bool (Printf.sprintf "%d interned" m) true
+        (Req.intern r == r)
+    end
+  done;
+  Alcotest.check_raises "bit 6" (Invalid_argument "Req.of_bits") (fun () ->
+      ignore (Req.of_bits 64))
 
 (* ------------------------------------------------------------------ *)
 (* Word                                                                 *)
@@ -378,6 +394,7 @@ let () =
           qcheck prop_req_merge_any_identity;
           qcheck prop_req_merge_strengthens;
           qcheck prop_req_bits_merge;
+          Alcotest.test_case "of_bits inverts bits" `Quick test_req_of_bits;
         ] );
       ( "word",
         [
