@@ -15,6 +15,7 @@ module Fault_sim = Pdf_core.Fault_sim
 module Atpg = Pdf_core.Atpg
 module Ordering = Pdf_core.Ordering
 module Justify = Pdf_core.Justify
+module Job = Pdf_core.Job
 module Test_pair = Pdf_core.Test_pair
 module Test_io = Pdf_core.Test_io
 module Profiles = Pdf_synth.Profiles
@@ -53,7 +54,7 @@ let circuit_arg =
 
 let seed_arg =
   let doc = "Random seed (all randomness in the tool is seeded)." in
-  Arg.(value & opt int Workload.default_seed & info [ "seed" ] ~doc)
+  Arg.(value & opt int Job.default.Job.seed & info [ "seed" ] ~doc)
 
 (* An integer flag bounded below by the library: a smaller value is a
    usage error (exit 124), not an [Invalid_argument] escaping the run. *)
@@ -71,11 +72,11 @@ let n_p0_conv = int_at_least Target_sets.min_n_p0
 
 let n_p_arg =
   let doc = "Fault budget N_P for the enumerated set P." in
-  Arg.(value & opt n_p_conv 2000 & info [ "n-p" ] ~doc)
+  Arg.(value & opt n_p_conv Job.default.Job.n_p & info [ "n-p" ] ~doc)
 
 let n_p0_arg =
   let doc = "Size threshold N_P0 for the first target set P0." in
-  Arg.(value & opt n_p0_conv 200 & info [ "n-p0" ] ~doc)
+  Arg.(value & opt n_p0_conv Job.default.Job.n_p0 & info [ "n-p0" ] ~doc)
 
 (* Write an output file through [write], or say why not and exit 1. *)
 let write_or_die path write =
@@ -106,10 +107,9 @@ let with_circuit name f =
    --verbose lowers the event-log threshold (also settable via PDF_LOG),
    --metrics-out dumps the metrics registry when the command finishes
    (CSV, or JSON lines when the file name ends in .jsonl), --trace-out
-   collects every span into a Chrome trace-event file (also settable via
-   PDF_TRACE_OUT; load in Perfetto or chrome://tracing, one track per
-   pool domain), --prom-out writes the registry in Prometheus text
-   exposition format (also settable via PDF_PROM_OUT; --prom-flush
+   collects every span into a Chrome trace-event file (load in Perfetto
+   or chrome://tracing, one track per pool domain), --prom-out writes
+   the registry in Prometheus text exposition format (--prom-flush
    rewrites it periodically for watching long runs), --jobs sets the
    degree of parallelism of the process default pool (also settable via
    PDF_JOBS; 1 = fully sequential, the default). *)
@@ -125,14 +125,13 @@ let obs_setup =
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:"Write a Chrome trace-event JSON file of every span to \
                    $(docv) on exit (Perfetto-loadable; one track per \
-                   pool domain).  Defaults to $(b,PDF_TRACE_OUT).")
+                   pool domain).")
   in
   let prom_out =
     Arg.(value & opt (some string) None
          & info [ "prom-out" ] ~docv:"FILE"
              ~doc:"Write the metrics registry in Prometheus text \
-                   exposition format to $(docv) on exit.  Defaults to \
-                   $(b,PDF_PROM_OUT).")
+                   exposition format to $(docv) on exit.")
   in
   let prom_flush =
     Arg.(value & opt (some float) None
@@ -170,11 +169,6 @@ let obs_setup =
       export_at_exit "metrics" (fun () ->
           if Filename.check_suffix path ".jsonl" then Metrics.write_jsonl path
           else Metrics.write_csv path));
-    let trace_out =
-      match trace_out with
-      | Some _ -> trace_out
-      | None -> Sys.getenv_opt "PDF_TRACE_OUT"
-    in
     (match trace_out with
     | None -> ()
     | Some path ->
@@ -184,11 +178,6 @@ let obs_setup =
          subcommand's aggregator) so both keep receiving spans. *)
       Span.set_sink (Span.tee (Span.sink ()) (Pdf_obs.Trace.sink coll));
       export_at_exit "trace" (fun () -> Pdf_obs.Trace.write coll path));
-    let prom_out =
-      match prom_out with
-      | Some _ -> prom_out
-      | None -> Sys.getenv_opt "PDF_PROM_OUT"
-    in
     match (prom_out, prom_flush) with
     | None, None -> ()
     | None, Some _ ->
@@ -320,11 +309,18 @@ let justify_arg =
   in
   Arg.(value & opt (some justify_conv) None & info [ "justify" ] ~doc)
 
-(* The flag wins over PDF_JUSTIFY; neither set means the paper's
-   simulation engine. *)
-let resolve_justify = function
-  | Some k -> k
-  | None -> Justify.default_kind ()
+(* The enrichment job's parameters, one flag each.  The --justify flag
+   wins over PDF_JUSTIFY; neither set means the paper's simulation
+   engine. *)
+let job_term =
+  let make n_p n_p0 seed criterion justify =
+    let justify =
+      match justify with Some k -> k | None -> Justify.default_kind ()
+    in
+    { Job.n_p; n_p0; seed; criterion; justify }
+  in
+  Term.(const make $ n_p_arg $ n_p0_arg $ seed_arg $ criterion_arg
+        $ justify_arg)
 
 let ordering_conv =
   Arg.conv
@@ -374,11 +370,8 @@ let atpg_cmd =
              ~doc:"Report how many input bits the tests actually need \
                    (don't-care extraction).")
   in
-  let run () name n_p n_p0 seed ordering criterion justify relax dump
-      ledger_out =
+  let run () name params ordering relax dump ledger_out =
     let ledger = Option.map (fun _ -> Pdf_obs.Ledger.create ()) ledger_out in
-    let justify = resolve_justify justify in
-    let params = { Session.n_p; n_p0; seed; criterion; justify } in
     let ans =
       answer_or_die
         (Session.atpg ?ledger (Lazy.force session) ~circuit:name ~params
@@ -391,9 +384,8 @@ let atpg_cmd =
   Cmd.v
     (Cmd.info "atpg"
        ~doc:"Basic test generation for the P0 target faults (paper Sec. 2).")
-    Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg $ seed_arg
-          $ ordering_arg $ criterion_arg $ justify_arg $ relax_flag $ dump_arg
-          $ ledger_out_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ job_term $ ordering_arg
+          $ relax_flag $ dump_arg $ ledger_out_arg)
 
 let enrich_cmd =
   let coverage_flag =
@@ -402,10 +394,8 @@ let enrich_cmd =
              ~doc:"Print a per-path-length coverage comparison of the basic \
                    and enriched test sets.")
   in
-  let run () name n_p n_p0 seed criterion justify coverage dump ledger_out =
+  let run () name params coverage dump ledger_out =
     let ledger = Option.map (fun _ -> Pdf_obs.Ledger.create ()) ledger_out in
-    let justify = resolve_justify justify in
-    let params = { Session.n_p; n_p0; seed; criterion; justify } in
     let ans =
       answer_or_die
         (Session.enrich ?ledger (Lazy.force session) ~circuit:name ~params
@@ -418,9 +408,8 @@ let enrich_cmd =
   Cmd.v
     (Cmd.info "enrich"
        ~doc:"Test enrichment with target sets P0 and P1 (paper Sec. 3).")
-    Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg $ seed_arg
-          $ criterion_arg $ justify_arg $ coverage_flag $ dump_arg
-          $ ledger_out_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ job_term $ coverage_flag
+          $ dump_arg $ ledger_out_arg)
 
 let faultsim_cmd =
   let tests_file =
@@ -441,22 +430,13 @@ let faultsim_cmd =
             prerr_endline msg;
             exit 1
         in
-        let model = Delay_model.lines c in
-        let ts = Target_sets.build c model ~n_p ~n_p0 in
-        let faults = Fault_sim.prepare c ts.Target_sets.p in
+        let { Job.faults; p0; p1; _ } = Job.analyse c ~n_p ~n_p0 in
         let detected = Fault_sim.detected_by_tests c tests faults in
-        let n0 = List.length ts.Target_sets.p0 in
-        let count_in lo hi =
-          let n = ref 0 in
-          Array.iteri (fun i d -> if d && i >= lo && i < hi then incr n) detected;
-          !n
-        in
+        let count_in ids = List.length (List.filter (Array.get detected) ids) in
         Printf.printf
           "%d tests: detect %d/%d of P0, %d/%d of P1, %d/%d of P0 u P1\n"
-          (List.length tests) (count_in 0 n0) n0
-          (count_in n0 (Array.length faults))
-          (Array.length faults - n0)
-          (Fault_sim.count detected) (Array.length faults))
+          (List.length tests) (count_in p0) (List.length p0) (count_in p1)
+          (List.length p1) (Fault_sim.count detected) (Array.length faults))
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -573,8 +553,7 @@ let timing_cmd =
   let run () name n_p n_p0 seed rank extra =
     with_circuit name (fun c ->
         let model = Delay_model.lines c in
-        let ts = Target_sets.build c model ~n_p ~n_p0 in
-        let faults = Fault_sim.prepare c ts.Target_sets.p in
+        let { Job.faults; _ } = Job.analyse c ~n_p ~n_p0 in
         if rank < 0 || rank >= Array.length faults then begin
           Printf.eprintf "fault rank out of range (P has %d faults)\n"
             (Array.length faults);
@@ -626,17 +605,13 @@ let diagnose_cmd =
   let run () name n_p n_p0 seed rank top =
     with_circuit name (fun c ->
         let model = Delay_model.lines c in
-        let ts = Target_sets.build c model ~n_p ~n_p0 in
-        let faults = Fault_sim.prepare c ts.Target_sets.p in
+        let { Job.faults; p0; p1; _ } = Job.analyse c ~n_p ~n_p0 in
         if rank < 0 || rank >= Array.length faults then begin
           Printf.eprintf "fault rank out of range (P has %d faults)\n"
             (Array.length faults);
           exit 1
         end;
         let true_fault = faults.(rank) in
-        let n0 = List.length ts.Target_sets.p0 in
-        let p0 = List.init n0 (fun i -> i) in
-        let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
         let res = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
         let tests = res.Atpg.tests in
         let period = Pdf_core.Timing.nominal_period c model in
@@ -809,9 +784,7 @@ let explain_cmd =
              ~doc:"Fault id (integer) or a substring of the fault name \
                    (e.g. a net on the path).")
   in
-  let run () name query n_p n_p0 seed criterion justify =
-    let justify = resolve_justify justify in
-    let params = { Session.n_p; n_p0; seed; criterion; justify } in
+  let run () name query params =
     let ans =
       answer_or_die
         (Session.explain (Lazy.force session) ~circuit:name ~params ~query)
@@ -824,8 +797,7 @@ let explain_cmd =
              fault's disposition: which test detects it (and how it was \
              folded in), or why it was aborted, left uncovered, or \
              eliminated as undetectable.")
-    Term.(const run $ obs_setup $ circuit_arg $ query_arg $ n_p_arg
-          $ n_p0_arg $ seed_arg $ criterion_arg $ justify_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ query_arg $ job_term)
 
 let why_cmd =
   let query_arg =
@@ -834,9 +806,7 @@ let why_cmd =
              ~doc:"Fault id (integer) or a substring of the fault name \
                    (e.g. a net on the path).")
   in
-  let run () name query n_p n_p0 seed criterion justify =
-    let justify = resolve_justify justify in
-    let params = { Session.n_p; n_p0; seed; criterion; justify } in
+  let run () name query params =
     let ans =
       answer_or_die
         (Session.why (Lazy.force session) ~circuit:name ~params ~query)
@@ -850,8 +820,7 @@ let why_cmd =
              evals) and its abort forensics: the last requirement \
              conflict hit while targeting it and the deepest conflict \
              level reached.")
-    Term.(const run $ obs_setup $ circuit_arg $ query_arg $ n_p_arg
-          $ n_p0_arg $ seed_arg $ criterion_arg $ justify_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ query_arg $ job_term)
 
 let profile_cmd =
   let top_arg =
@@ -865,10 +834,9 @@ let profile_cmd =
              ~doc:"Also write the profile as a pdf-profile-report/1 JSON \
                    document to $(docv).")
   in
-  let run () name n_p n_p0 seed criterion justify top json_out =
-    let justify = resolve_justify justify in
+  let run () name job top json_out =
     with_circuit name (fun c ->
-        let p = Hotspots.profile ~criterion ~n_p ~n_p0 ~seed ~justify c in
+        let p = Hotspots.profile job c in
         print_string (Hotspots.render ~k:top p);
         (match json_out with
         | None -> ()
@@ -885,13 +853,11 @@ let profile_cmd =
              where the justification work went: semantic effort totals, \
              a per-level histogram, and the hottest nets.  Output is \
              byte-identical across --jobs values.")
-    Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg
-          $ seed_arg $ criterion_arg $ justify_arg $ top_arg $ json_out_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ job_term $ top_arg
+          $ json_out_arg)
 
 let report_cmd =
-  let run () name n_p n_p0 seed criterion justify ledger_out =
-    let justify = resolve_justify justify in
-    let params = { Session.n_p; n_p0; seed; criterion; justify } in
+  let run () name params ledger_out =
     let s = Lazy.force session in
     let ans = answer_or_die (Session.report s ~circuit:name ~params) in
     print_string ans.Session.text;
@@ -910,8 +876,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Run enrichment with a provenance ledger and print the \
              disposition summary and per-test provenance tables.")
-    Term.(const run $ obs_setup $ circuit_arg $ n_p_arg $ n_p0_arg
-          $ seed_arg $ criterion_arg $ justify_arg $ ledger_out_arg)
+    Term.(const run $ obs_setup $ circuit_arg $ job_term $ ledger_out_arg)
 
 let trace_cmd =
   let run () name n_p n_p0 seed criterion =
@@ -926,18 +891,11 @@ let trace_cmd =
         let prev_sink = Span.sink () in
         Span.set_sink (Span.tee prev_sink (Span.agg_sink agg));
         let t0 = Unix.gettimeofday () in
-        let ts, faults, p0, p1, res =
+        let { Job.sets = ts; faults; p0; p1 }, res =
           Span.with_ "total" (fun () ->
-              let model = Delay_model.lines c in
-              let ts = Target_sets.build ~criterion c model ~n_p ~n_p0 in
-              let faults = Fault_sim.prepare ~criterion c ts.Target_sets.p in
-              let n0 = List.length ts.Target_sets.p0 in
-              let p0 = List.init n0 Fun.id in
-              let p1 =
-                List.init (Array.length faults - n0) (fun i -> n0 + i)
-              in
-              let res = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
-              (ts, faults, p0, p1, res))
+              let job = Job.analyse ~criterion c ~n_p ~n_p0 in
+              let { Job.faults; p0; p1; _ } = job in
+              (job, Atpg.enrich c ~seed ~faults ~p0 ~p1))
         in
         let wall = Unix.gettimeofday () -. t0 in
         Span.set_sink prev_sink;
@@ -1149,11 +1107,11 @@ let bench_cmd =
                    of the two runs.")
   in
   let warmup_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 0) 1
          & info [ "warmup" ] ~docv:"N" ~doc:"Untimed warmup executions.")
   in
   let repeat_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt (int_at_least 1) 10
          & info [ "repeat" ] ~docv:"N" ~doc:"Timed repetitions per case.")
   in
   let min_sample_arg =
@@ -1169,7 +1127,7 @@ let bench_cmd =
                    smoke set b03,b09,s641).")
   in
   let tests_arg =
-    Arg.(value & opt int Pdf_experiments.Benchmark.default_params
+    Arg.(value & opt (int_at_least 0) Pdf_experiments.Benchmark.default_params
                    .Pdf_experiments.Benchmark.n_tests
          & info [ "tests" ] ~docv:"N"
              ~doc:"Random two-pattern tests for simulation workloads.")
@@ -1352,6 +1310,8 @@ let bench_cmd =
           $ bench_n_p0_arg $ seed_arg)
 
 let serve_cmd =
+  (* The flags' defaults are the server's own; the bind is not read. *)
+  let defaults = Server.default_config (Server.Unix_path "") in
   let unix_arg =
     Arg.(value & opt (some string) None
          & info [ "unix" ] ~docv:"PATH"
@@ -1364,28 +1324,28 @@ let serve_cmd =
              ~doc:"Listen on a TCP socket, e.g. 127.0.0.1:7333.")
   in
   let max_clients_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_at_least 1) defaults.Server.max_clients
          & info [ "max-clients" ] ~docv:"N"
              ~doc:"Concurrent connections; excess connections get a \
                    $(b,busy) error frame.")
   in
   let max_line_arg =
-    Arg.(value & opt int (1024 * 1024)
+    Arg.(value & opt (int_at_least 1) defaults.Server.max_line_bytes
          & info [ "max-line-bytes" ] ~docv:"BYTES"
              ~doc:"Longest accepted request line ($(b,line_too_long)).")
   in
   let max_n_p_serve_arg =
-    Arg.(value & opt int 20000
+    Arg.(value & opt int defaults.Server.max_n_p
          & info [ "max-n-p" ] ~docv:"N"
              ~doc:"Per-request cap on n_p ($(b,budget_exceeded)).")
   in
   let max_n_p0_serve_arg =
-    Arg.(value & opt int 2000
+    Arg.(value & opt int defaults.Server.max_n_p0
          & info [ "max-n-p0" ] ~docv:"N"
              ~doc:"Per-request cap on n_p0 ($(b,budget_exceeded)).")
   in
   let chunk_arg =
-    Arg.(value & opt int 8192
+    Arg.(value & opt (int_at_least 1) defaults.Server.chunk_bytes
          & info [ "chunk" ] ~docv:"BYTES"
              ~doc:"Answer-streaming slice size per chunk frame.")
   in

@@ -10,6 +10,7 @@ module Ordering = Pdf_core.Ordering
 module Atpg = Pdf_core.Atpg
 module Fault_sim = Pdf_core.Fault_sim
 module Target_sets = Pdf_faults.Target_sets
+module Job = Pdf_core.Job
 
 let () =
   let profile_name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "s641" in
@@ -21,21 +22,17 @@ let () =
       exit 1
   in
   let c = Pdf_synth.Profiles.circuit profile in
-  let model = Pdf_paths.Delay_model.lines c in
-  let ts = Target_sets.build c model ~n_p:1000 ~n_p0:100 in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let job = Job.analyse c ~n_p:1000 ~n_p0:100 in
+  let { Job.sets = ts; faults; p0; p1 } = job in
   let n = Array.length faults in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 (fun i -> i) in
-  let p1 = List.init (n - n0) (fun i -> n0 + i) in
+  let n0 = List.length p0 in
   Printf.printf "circuit %s: |P0| = %d (length >= %d), |P1| = %d\n\n"
     profile_name n0 ts.Target_sets.cutoff_length (n - n0);
 
   (* Basic: target P0 only, then fault-simulate P0 u P1 under its tests. *)
-  let faults0 = Array.of_list (List.map (fun i -> faults.(i)) p0) in
   let basic =
     Atpg.basic c { Atpg.ordering = Ordering.Value_based; seed = 11 }
-      ~faults:faults0
+      ~faults:(Job.p0_faults job)
   in
   let accidental = Fault_sim.detected_by_tests c basic.Atpg.tests faults in
   let acc_p1 =

@@ -4,9 +4,9 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Circuit = Pdf_circuit.Circuit
-module Delay_model = Pdf_paths.Delay_model
 module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
+module Job = Pdf_core.Job
 module Atpg = Pdf_core.Atpg
 module Test_pair = Pdf_core.Test_pair
 
@@ -19,9 +19,10 @@ let () =
 
   (* 2. Target faults: enumerate the longest paths under the paper's
      line-counting delay model and split them into the critical set P0
-     and the next-to-longest set P1. *)
-  let model = Delay_model.lines c in
-  let ts = Target_sets.build c model ~n_p:40 ~n_p0:10 in
+     and the next-to-longest set P1, prepared for simulation with P0's
+     faults first. *)
+  let job = Job.analyse c ~n_p:40 ~n_p0:10 in
+  let ts = job.Job.sets in
   Printf.printf "P0: %d faults on paths of length >= %d; P1: %d faults\n\n"
     (List.length ts.Target_sets.p0)
     ts.Target_sets.cutoff_length
@@ -29,10 +30,7 @@ let () =
 
   (* 3. Enriched test generation: P0 faults determine the test count,
      P1 faults ride along for free. *)
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 (fun i -> i) in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let { Job.faults; p0; p1; _ } = job in
   let result = Atpg.enrich c ~seed:42 ~faults ~p0 ~p1 in
 
   Printf.printf "generated %d two-pattern tests:\n"
@@ -45,6 +43,6 @@ let () =
   Printf.printf
     "\ndetected: %d/%d of P0, %d/%d of P0 u P1\n"
     (Atpg.count_detected result ~ids:p0)
-    n0
+    (List.length p0)
     (Fault_sim.count result.Atpg.detected)
     (Array.length faults)

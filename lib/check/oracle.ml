@@ -7,7 +7,7 @@ module Two_pattern = Pdf_sim.Two_pattern
 module Wsim = Pdf_bitsim.Wsim
 module Wreq = Pdf_bitsim.Wreq
 module Fault = Pdf_faults.Fault
-module Target_sets = Pdf_faults.Target_sets
+module Job = Pdf_core.Job
 module Delay_model = Pdf_paths.Delay_model
 module Fault_sim = Pdf_core.Fault_sim
 module Cone_sim = Pdf_core.Cone_sim
@@ -98,9 +98,7 @@ let random_tests rng c n =
    fault-based oracle with an empty pool (a permanent Skip). *)
 let target_faults c =
   let model = Delay_model.lines c in
-  let ts = Target_sets.build c model ~n_p:240 ~n_p0:40 in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  (model, ts, faults)
+  (model, Job.analyse c ~n_p:240 ~n_p0:40)
 
 (* The robust conditions of every enumerated fault without a direct
    conflict — the undetectability filter's input. *)
@@ -376,7 +374,7 @@ let rows_union rows nf =
   Array.init nf (fun i -> Array.exists (fun row -> row.(i)) rows)
 
 let check_packed_detect { circuit = c; seed } =
-  let _, _, faults = target_faults c in
+  let _, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
@@ -434,7 +432,7 @@ let check_packed_detect { circuit = c; seed } =
       (match !violation with Some m -> Fail m | None -> Pass)
 
 let check_packed_matrix { circuit = c; seed } =
-  let _, _, faults = target_faults c in
+  let _, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
@@ -476,7 +474,7 @@ let sole_detector rows nf =
   find 0
 
 let check_jobs_det { circuit = c; seed } =
-  let _, _, faults = target_faults c in
+  let _, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
     let rng = Rng.create seed in
@@ -538,10 +536,8 @@ let check_jobs_det { circuit = c; seed } =
 (* sizes, down to the ledger bytes                                      *)
 (* ------------------------------------------------------------------ *)
 
-let enrich_run c seed faults n0 =
+let enrich_run c seed { Job.faults; p0; p1; _ } =
   let ledger = Ledger.create () in
-  let p0 = List.init n0 (fun i -> i) in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
   let res = Atpg.enrich ~ledger c ~seed ~faults ~p0 ~p1 in
   (res, Ledger.to_jsonl ledger)
 
@@ -572,15 +568,13 @@ let compare_runs what c (a : Atpg.result) ja (b : Atpg.result) jb =
       else Pass
 
 let check_atpg_jobs { circuit = c; seed } =
-  let _, ts, faults = target_faults c in
-  if Array.length faults = 0 then Skip "no detectable target faults"
+  let _, job = target_faults c in
+  if Array.length job.Job.faults = 0 then Skip "no detectable target faults"
+  else if job.Job.p0 = [] then Skip "empty P0"
   else
-    let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-    if n0 = 0 then Skip "empty P0"
-    else
-      let r1, j1 = with_default_jobs 1 (fun () -> enrich_run c seed faults n0) in
-      let r3, j3 = with_default_jobs 3 (fun () -> enrich_run c seed faults n0) in
-      compare_runs "1-job vs 3-job enrichment" c r1 j1 r3 j3
+    let r1, j1 = with_default_jobs 1 (fun () -> enrich_run c seed job) in
+    let r3, j3 = with_default_jobs 3 (fun () -> enrich_run c seed job) in
+    compare_runs "1-job vs 3-job enrichment" c r1 j1 r3 j3
 
 (* ------------------------------------------------------------------ *)
 (* justify-brute: justification claims vs exhaustive enumeration        *)
@@ -592,7 +586,7 @@ let max_justify_pis = 8
    unsatisfiability needs brute force, so only that claim is limited to
    circuits of at most [max_justify_pis] PIs. *)
 let check_justify_brute { circuit = c; seed } =
-  let _, _, faults = target_faults c in
+  let _, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else begin
     let rng = Rng.create seed in
@@ -649,7 +643,7 @@ let check_justify_brute { circuit = c; seed } =
    [Podem.set_injected_bug] implication mutation.  [Gave_up] makes no
    claim and is never a violation. *)
 let check_justify_podem { circuit = c; seed } =
-  let _, _, faults = target_faults c in
+  let _, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else begin
     let pod = Podem.create c in
@@ -716,7 +710,7 @@ let check_justify_podem { circuit = c; seed } =
 let max_timing_pairs = 80
 
 let check_robust_timing { circuit = c; seed } =
-  let model, _, faults = target_faults c in
+  let model, { Job.faults; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else begin
     let period = Timing.nominal_period c model in
@@ -778,15 +772,13 @@ let check_robust_timing { circuit = c; seed } =
    from-scratch re-simulation of the final test set; and (c) the ledger
    dispositions agree with the flags.  See DESIGN.md §10. *)
 let check_enrich_p0 { circuit = c; seed } =
-  let _, ts, faults = target_faults c in
+  let _, { Job.faults; p0; p1; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
   else
-    let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
+    let n0 = List.length p0 in
     if n0 = 0 then Skip "empty P0"
     else begin
       let ledger = Ledger.create () in
-      let p0 = List.init n0 (fun i -> i) in
-      let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
       let res = Atpg.enrich ~ledger c ~seed ~faults ~p0 ~p1 in
       let covered = Atpg.count_detected res ~ids:p0 in
       if covered < n0 - res.Atpg.primary_aborts then
@@ -857,77 +849,73 @@ let attrib_ledger_lines (s : Attrib.sheet) =
   ]
 
 let check_attrib { circuit = c; seed } =
-  let _, ts, faults = target_faults c in
+  let _, { Job.faults; p0; p1; _ } = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
-  else
-    let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-    if n0 = 0 then Skip "empty P0"
-    else begin
-      let metric name = Metrics.value (Metrics.counter name) in
-      let run_with jobs =
-        with_default_jobs jobs (fun () ->
-            let attrib = Attrib.create ~nets:(Circuit.num_nets c) in
-            let names = List.map (fun (n, _, _) -> n) (attrib_ledger_lines (Attrib.snapshot attrib)) in
-            let before = List.map metric names in
-            let p0 = List.init n0 (fun i -> i) in
-            let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-            let res = Atpg.enrich ~attrib c ~seed ~faults ~p0 ~p1 in
-            (* A batch fault-sim pass inside the conservation window:
-               it charges no sheet, so it must move no mirrored
-               counter either. *)
-            ignore (Fault_sim.detected_by_tests c res.Atpg.tests faults);
-            let after = List.map metric names in
-            (Attrib.snapshot attrib, List.map2 ( - ) after before))
-      in
-      let s1, d1 = run_with 1 in
-      let s3, d3 = run_with 3 in
-      let violation = ref None in
-      let check_run jobs (s : Attrib.sheet) deltas =
-        List.iter2
-          (fun (name, total, per_net) delta ->
-            if !violation = None then
-              if total <> delta then
-                violation :=
-                  Some
-                    (Printf.sprintf
-                       "effort not conserved on %s (%d jobs): sheet total \
-                        %d <> %s delta %d"
-                       c.Circuit.name jobs total name delta)
-              else
-                match per_net with
-                | Some sum when sum <> total ->
-                  violation :=
-                    Some
-                      (Printf.sprintf
-                         "per-net attribution of %s does not sum to its \
-                          total on %s (%d jobs): %d <> %d"
-                         name c.Circuit.name jobs sum total)
-                | _ -> ())
-          (attrib_ledger_lines s) deltas
-      in
-      check_run 1 s1 d1;
-      check_run 3 s3 d3;
-      if !violation = None then begin
-        (* Merged sheets must be jobs-invariant, the engine-variant
-           [inc_resims] included: every sheet is charged by one run on
-           one domain. *)
-        let arrays (s : Attrib.sheet) =
-          [ s.Attrib.trials; s.Attrib.trial_evals; s.Attrib.resim_cone;
-            s.Attrib.conflicts; s.Attrib.backtracks; s.Attrib.cand_evals;
-            s.Attrib.inc_resims ]
-        in
-        List.iter2
-          (fun a b ->
-            if !violation = None && a <> b then
+  else if p0 = [] then Skip "empty P0"
+  else begin
+    let metric name = Metrics.value (Metrics.counter name) in
+    let run_with jobs =
+      with_default_jobs jobs (fun () ->
+          let attrib = Attrib.create ~nets:(Circuit.num_nets c) in
+          let names = List.map (fun (n, _, _) -> n) (attrib_ledger_lines (Attrib.snapshot attrib)) in
+          let before = List.map metric names in
+          let res = Atpg.enrich ~attrib c ~seed ~faults ~p0 ~p1 in
+          (* A batch fault-sim pass inside the conservation window:
+             it charges no sheet, so it must move no mirrored
+             counter either. *)
+          ignore (Fault_sim.detected_by_tests c res.Atpg.tests faults);
+          let after = List.map metric names in
+          (Attrib.snapshot attrib, List.map2 ( - ) after before))
+    in
+    let s1, d1 = run_with 1 in
+    let s3, d3 = run_with 3 in
+    let violation = ref None in
+    let check_run jobs (s : Attrib.sheet) deltas =
+      List.iter2
+        (fun (name, total, per_net) delta ->
+          if !violation = None then
+            if total <> delta then
               violation :=
                 Some
                   (Printf.sprintf
-                     "merged attribution depends on the pool size on %s"
-                     c.Circuit.name))
-          (arrays s1) (arrays s3)
-      end;
-      match !violation with Some m -> Fail m | None -> Pass
-    end
+                     "effort not conserved on %s (%d jobs): sheet total \
+                      %d <> %s delta %d"
+                     c.Circuit.name jobs total name delta)
+            else
+              match per_net with
+              | Some sum when sum <> total ->
+                violation :=
+                  Some
+                    (Printf.sprintf
+                       "per-net attribution of %s does not sum to its \
+                        total on %s (%d jobs): %d <> %d"
+                       name c.Circuit.name jobs sum total)
+              | _ -> ())
+        (attrib_ledger_lines s) deltas
+    in
+    check_run 1 s1 d1;
+    check_run 3 s3 d3;
+    if !violation = None then begin
+      (* Merged sheets must be jobs-invariant, the engine-variant
+         [inc_resims] included: every sheet is charged by one run on
+         one domain. *)
+      let arrays (s : Attrib.sheet) =
+        [ s.Attrib.trials; s.Attrib.trial_evals; s.Attrib.resim_cone;
+          s.Attrib.conflicts; s.Attrib.backtracks; s.Attrib.cand_evals;
+          s.Attrib.inc_resims ]
+      in
+      List.iter2
+        (fun a b ->
+          if !violation = None && a <> b then
+            violation :=
+              Some
+                (Printf.sprintf
+                   "merged attribution depends on the pool size on %s"
+                   c.Circuit.name))
+        (arrays s1) (arrays s3)
+    end;
+    match !violation with Some m -> Fail m | None -> Pass
+  end
 
 (* ------------------------------------------------------------------ *)
 (* implication: the event-driven engine vs the reference sweep          *)

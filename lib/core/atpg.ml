@@ -29,24 +29,9 @@ type result = {
 (* [delta acc_bits reqs] — the requirement values a candidate fault adds
    on top of the accumulated set, whose merged [Req.bits] per net are
    [acc_bits] (0 where it holds none): [None] on a direct conflict,
-   otherwise the per-net merged updates together with [n_Delta], the
-   number of newly pinned components (the paper's value-based selection
-   metric). *)
+   otherwise the per-net merged updates.  The paper's value-based
+   selection metric [n_Delta] is [Wreq.count_new]'s. *)
 let delta acc_bits reqs =
-  let count_new (current : Req.t) (want : Req.t) =
-    let one cur_c want_c =
-      match cur_c, want_c with
-      | _, Req.Any -> Some 0
-      | Req.Any, Req.Must _ -> Some 1
-      | Req.Must a, Req.Must b -> if a = b then Some 0 else None
-    in
-    match
-      one current.Req.r1 want.Req.r1, one current.Req.r2 want.Req.r2,
-      one current.Req.r3 want.Req.r3
-    with
-    | Some a, Some b, Some c -> Some (a + b + c)
-    | _, _, _ -> None
-  in
   let exception Clash in
   Metrics.incr m_delta_evals;
   try
@@ -54,27 +39,18 @@ let delta acc_bits reqs =
        the assoc-list accumulator this replaces was quadratic in the
        requirement count on the hottest compaction path. *)
     let updates : (int, Req.t) Hashtbl.t = Hashtbl.create 16 in
-    let n =
-      List.fold_left
-        (fun n (net, req) ->
-          let current =
-            match Hashtbl.find_opt updates net with
-            | Some r -> r
-            | None -> Req.of_bits acc_bits.(net)
-          in
-          match count_new current req with
-          | None -> raise Clash
-          | Some added ->
-            let merged =
-              match Req.merge current req with
-              | Some m -> m
-              | None -> assert false (* count_new succeeded *)
-            in
-            Hashtbl.replace updates net merged;
-            n + added)
-        0 reqs
-    in
-    Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [], n)
+    List.iter
+      (fun (net, req) ->
+        let current =
+          match Hashtbl.find_opt updates net with
+          | Some r -> r
+          | None -> Req.of_bits acc_bits.(net)
+        in
+        match Req.merge current req with
+        | Some merged -> Hashtbl.replace updates net merged
+        | None -> raise Clash)
+      reqs;
+    Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [])
   with Clash -> None
 
 (* [reqs_with ~seen ~stamp acc updates] — the accumulated requirements
@@ -379,7 +355,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       Metrics.incr m_rej_conflict;
       reject_reason.(i) <- `Conflict;
       None
-    | Some (updates, _) ->
+    | Some updates ->
       if detects i then begin
         commit st updates;
         Metrics.incr m_free;
@@ -538,7 +514,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         Implication.reset implied;
         commit st
           (match delta st.acc_bits faults.(p0).Fault_sim.reqs with
-          | Some (updates, _) -> updates
+          | Some updates -> updates
           | None -> assert false);
         folded_this_test := 0;
         let id = !next_test_id in

@@ -4,6 +4,7 @@ module Robust = Pdf_faults.Robust
 module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
 module Atpg = Pdf_core.Atpg
+module Job = Pdf_core.Job
 module Static = Pdf_core.Static_compaction
 module Profiles = Pdf_synth.Profiles
 
@@ -52,18 +53,11 @@ let multiset ?(seed = Workload.default_seed) (scale : Workload.scale) profiles
   List.iter
     (fun profile ->
       let c = Profiles.circuit profile in
-      let model = Delay_model.lines c in
-      let ts =
-        Target_sets.build c model ~n_p:scale.Workload.n_p
-          ~n_p0:scale.Workload.n_p0
+      let { Job.sets = ts; faults; p0; p1 } =
+        Job.analyse c ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
       in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
       let n = Array.length faults in
-      let n0 = List.length ts.Target_sets.p0 in
-      let two_pools =
-        [ List.init n0 (fun i -> i);
-          List.init (n - n0) (fun i -> n0 + i) ]
-      in
+      let two_pools = [ p0; p1 ] in
       let three_pools =
         slice_ids
           (Target_sets.split_multi ts
@@ -101,16 +95,11 @@ let static_compaction ?(seed = Workload.default_seed)
   List.iter
     (fun profile ->
       let c = Profiles.circuit profile in
-      let model = Delay_model.lines c in
-      let ts =
-        Target_sets.build c model ~n_p:scale.Workload.n_p
-          ~n_p0:scale.Workload.n_p0
+      let job =
+        Job.analyse c ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
       in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
-      let n0 = List.length ts.Target_sets.p0 in
-      let p0 = List.init n0 (fun i -> i) in
-      let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-      let faults0 = Array.of_list (List.map (fun i -> faults.(i)) p0) in
+      let { Job.faults; p0; p1; _ } = job in
+      let faults0 = Job.p0_faults job in
       let basic =
         Atpg.basic c
           { Atpg.ordering = Pdf_core.Ordering.Value_based; seed }
@@ -157,25 +146,18 @@ let criterion ?(seed = Workload.default_seed) (scale : Workload.scale)
   List.iter
     (fun profile ->
       let c = Profiles.circuit profile in
-      let model = Delay_model.lines c in
       List.iter
         (fun (label, crit) ->
-          let ts =
-            Target_sets.build ~criterion:crit c model
-              ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
+          let { Job.faults; p0; p1; _ } =
+            Job.analyse ~criterion:crit c ~n_p:scale.Workload.n_p
+              ~n_p0:scale.Workload.n_p0
           in
-          let faults =
-            Fault_sim.prepare ~criterion:crit c ts.Target_sets.p
-          in
-          let n = Array.length faults in
-          let n0 = List.length ts.Target_sets.p0 in
-          let p0 = List.init n0 (fun i -> i) in
-          let p1 = List.init (n - n0) (fun i -> n0 + i) in
           let res = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
           Table.add_row table
             [
-              profile.Profiles.name; label; string_of_int n;
-              string_of_int n0;
+              profile.Profiles.name; label;
+              string_of_int (Array.length faults);
+              string_of_int (List.length p0);
               string_of_int (Atpg.count_detected res ~ids:p0);
               string_of_int (Fault_sim.count res.Atpg.detected);
               string_of_int (List.length res.Atpg.tests);
@@ -251,22 +233,19 @@ let scaling ?(seed = Workload.default_seed) (scale : Workload.scale) ~n_p0s
       ]
   in
   let c = Profiles.circuit profile in
-  let model = Delay_model.lines c in
   List.iter
     (fun n_p0 ->
-      let ts = Target_sets.build c model ~n_p:scale.Workload.n_p ~n_p0 in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
-      let n = Array.length faults in
-      let n0 = List.length ts.Target_sets.p0 in
-      let p0 = List.init n0 (fun i -> i) in
-      let p1 = List.init (n - n0) (fun i -> n0 + i) in
+      let { Job.faults; p0; p1; _ } =
+        Job.analyse c ~n_p:scale.Workload.n_p ~n_p0
+      in
       let res = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
       Table.add_row table
         [
-          profile.Profiles.name; string_of_int n_p0; string_of_int n0;
+          profile.Profiles.name; string_of_int n_p0;
+          string_of_int (List.length p0);
           string_of_int (Atpg.count_detected res ~ids:p0);
           string_of_int (Fault_sim.count res.Atpg.detected);
-          string_of_int n;
+          string_of_int (Array.length faults);
           string_of_int (List.length res.Atpg.tests);
         ])
     n_p0s;

@@ -18,6 +18,7 @@ module Podem = Pdf_core.Podem
 module Effort = Pdf_core.Effort
 module Generators = Pdf_synth.Generators
 module Atpg = Pdf_core.Atpg
+module Job = Pdf_core.Job
 module Ordering = Pdf_core.Ordering
 module Pool = Pdf_par.Pool
 module Span = Pdf_obs.Span
@@ -42,7 +43,7 @@ let default_params =
     n_tests = 126;
     n_p = 400;
     n_p0 = 80;
-    seed = 2002;
+    seed = Job.default.Job.seed;
   }
 
 let profiles_of_spec spec =
@@ -121,36 +122,26 @@ let random_tests c ~n ~seed =
 type circuit_setup = {
   cs_profile : Profiles.t;
   cs_circuit : Circuit.t;
-  cs_faults : Fault_sim.prepared array;
-  cs_n0 : int;  (** |P0| *)
+  cs_job : Job.analysis;
   cs_tests : Test_pair.t list;
 }
 
 let circuit_setup params profile =
   let c = Profiles.circuit profile in
-  let ts =
-    Target_sets.build c (Delay_model.lines c) ~n_p:params.n_p
-      ~n_p0:params.n_p0
-  in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
+  let job = Job.analyse c ~n_p:params.n_p ~n_p0:params.n_p0 in
   {
     cs_profile = profile;
     cs_circuit = c;
-    cs_faults = faults;
-    cs_n0 = List.length ts.Target_sets.p0;
+    cs_job = job;
     cs_tests =
       random_tests c ~n:params.n_tests
         ~seed:(params.seed + Hashtbl.hash profile.Profiles.name);
   }
 
 (* One P0 u P1 enrichment run over the set-up's faults. *)
-let enrich_run s ~seed =
-  let p0 = List.init s.cs_n0 Fun.id in
-  let p1 =
-    List.init (Array.length s.cs_faults - s.cs_n0) (fun i -> s.cs_n0 + i)
-  in
-  fun ?attrib () ->
-    Atpg.enrich ?attrib s.cs_circuit ~seed ~faults:s.cs_faults ~p0 ~p1
+let enrich_run s ~seed ?attrib () =
+  let { Job.faults; p0; p1; _ } = s.cs_job in
+  Atpg.enrich ?attrib s.cs_circuit ~seed ~faults ~p0 ~p1
 
 let word_batches n_tests = (n_tests + 62) / 63
 
@@ -207,13 +198,14 @@ let fault_sim_suite =
     List.concat_map
       (fun profile ->
         let s = circuit_setup params profile in
+        let faults = s.cs_job.Job.faults in
         let pool = Pool.default () in
         let tests = Array.of_list s.cs_tests in
         (* The scalar reference: one [detected_by_test] row per test,
            on the same pool. *)
         let scalar_rows () =
           Pool.map_array pool
-            (fun t -> Fault_sim.detected_by_test s.cs_circuit t s.cs_faults)
+            (fun t -> Fault_sim.detected_by_test s.cs_circuit t faults)
             tests
         in
         (* Equivalence smoke: the batch entry point must reproduce the
@@ -221,14 +213,14 @@ let fault_sim_suite =
            contract of the retired standalone fault_sim_bench
            executable. *)
         if
-          Fault_sim.detect_matrix ~pool s.cs_circuit s.cs_tests s.cs_faults
+          Fault_sim.detect_matrix ~pool s.cs_circuit s.cs_tests faults
           <> scalar_rows ()
         then
           failwith
             (Printf.sprintf
                "fault_sim suite: packed detection differs from scalar on %s"
                profile.Profiles.name);
-        let n_faults = Array.length s.cs_faults in
+        let n_faults = Array.length faults in
         let name kernel = profile.Profiles.name ^ "/" ^ kernel in
         [
           {
@@ -241,7 +233,7 @@ let fault_sim_suite =
                   float_of_int
                     (word_batches params.n_tests
                     * Circuit.num_gates s.cs_circuit) );
-                ("mask_words", mask_words s.cs_circuit s.cs_tests s.cs_faults);
+                ("mask_words", mask_words s.cs_circuit s.cs_tests faults);
               ];
             (* The batch entry point, packed at every set size — the
                case the regression gate watches. *)
@@ -249,7 +241,7 @@ let fault_sim_suite =
               (fun () ->
                 ignore
                   (Fault_sim.detect_matrix ~pool s.cs_circuit s.cs_tests
-                     s.cs_faults
+                     faults
                     : bool array array));
           };
           {
@@ -272,7 +264,7 @@ let fault_sim_suite =
               (fun () ->
                 ignore
                   (Fault_sim.detected_by_tests ~pool s.cs_circuit s.cs_tests
-                     s.cs_faults
+                     faults
                     : bool array));
           };
         ])
@@ -295,7 +287,7 @@ let atpg_suite =
       (fun profile ->
         let s = circuit_setup params profile in
         let name kernel = profile.Profiles.name ^ "/" ^ kernel in
-        let faults0 = Array.sub s.cs_faults 0 s.cs_n0 in
+        let faults0 = Job.p0_faults s.cs_job in
         (* One untimed run of each generator learns the test count, so
            the throughput units are exact (the run is deterministic). *)
         let basic () =
@@ -312,7 +304,7 @@ let atpg_suite =
             units =
               [
                 ("tests", float_of_int basic_tests);
-                ("faults", float_of_int s.cs_n0);
+                ("faults", float_of_int (Array.length faults0));
               ];
             thunk = (fun () -> ignore (basic () : Atpg.result));
           };
@@ -321,7 +313,7 @@ let atpg_suite =
             units =
               [
                 ("tests", float_of_int enrich_tests);
-                ("faults", float_of_int (Array.length s.cs_faults));
+                ("faults", float_of_int (Array.length s.cs_job.Job.faults));
               ];
             thunk = (fun () -> ignore (enrich () : Atpg.result));
           };
@@ -485,14 +477,15 @@ let justify_suite =
       List.concat_map
         (fun profile ->
           let s = circuit_setup params profile in
+          let faults = s.cs_job.Job.faults in
           let name kernel = profile.Profiles.name ^ "/" ^ kernel in
           let engine = Justify.create s.cs_circuit in
           let podem_engine = Podem.create s.cs_circuit in
           let portfolio_engine =
             Justify.Engine.create ~kind:Justify.Portfolio s.cs_circuit
           in
-          let k_sim = min 20 (Array.length s.cs_faults) in
-          let k_complete = min 10 (Array.length s.cs_faults) in
+          let k_sim = min 20 (Array.length faults) in
+          let k_complete = min 10 (Array.length faults) in
           (* The "aborts" telemetry unit: failed justifications among the
              timed faults, measured once at setup on fresh engines so the
              number is deterministic in (circuit, seed).  It rides in the
@@ -508,7 +501,7 @@ let justify_suite =
             let n = ref 0 in
             let w0 = Gc.minor_words () in
             for i = 0 to k_sim - 1 do
-              if Justify.run e ~rng ~reqs:s.cs_faults.(i).Fault_sim.reqs = None
+              if Justify.run e ~rng ~reqs:faults.(i).Fault_sim.reqs = None
               then incr n
             done;
             let words = Gc.minor_words () -. w0 in
@@ -519,7 +512,7 @@ let justify_suite =
             let n = ref 0 in
             let w0 = Gc.minor_words () in
             for i = 0 to k_complete - 1 do
-              match Podem.run e ~reqs:s.cs_faults.(i).Fault_sim.reqs with
+              match Podem.run e ~reqs:faults.(i).Fault_sim.reqs with
               | Podem.Gave_up -> incr n
               | Podem.Found _ | Podem.Proved_unsatisfiable -> ()
             done;
@@ -534,7 +527,7 @@ let justify_suite =
             let n = ref 0 in
             for i = 0 to k_complete - 1 do
               if
-                Justify.Engine.run e ~rng ~reqs:s.cs_faults.(i).Fault_sim.reqs
+                Justify.Engine.run e ~rng ~reqs:faults.(i).Fault_sim.reqs
                 = None
               then incr n
             done;
@@ -557,7 +550,7 @@ let justify_suite =
                   for i = 0 to k_sim - 1 do
                     ignore
                       (Justify.run engine ~rng
-                         ~reqs:s.cs_faults.(i).Fault_sim.reqs
+                         ~reqs:faults.(i).Fault_sim.reqs
                         : Test_pair.t option)
                   done);
             };
@@ -569,7 +562,7 @@ let justify_suite =
                   for i = 0 to k_complete - 1 do
                     ignore
                       (Justify.run_complete ~max_backtracks:2000 engine
-                         ~reqs:s.cs_faults.(i).Fault_sim.reqs
+                         ~reqs:faults.(i).Fault_sim.reqs
                         : Justify.complete_outcome)
                   done);
             };
@@ -586,7 +579,7 @@ let justify_suite =
                   for i = 0 to k_complete - 1 do
                     ignore
                       (Podem.run podem_engine
-                         ~reqs:s.cs_faults.(i).Fault_sim.reqs
+                         ~reqs:faults.(i).Fault_sim.reqs
                         : Podem.outcome)
                   done);
             };
@@ -603,7 +596,7 @@ let justify_suite =
                   for i = 0 to k_complete - 1 do
                     ignore
                       (Justify.Engine.run portfolio_engine ~rng
-                         ~reqs:s.cs_faults.(i).Fault_sim.reqs
+                         ~reqs:faults.(i).Fault_sim.reqs
                         : Test_pair.t option)
                   done);
             };
@@ -622,13 +615,7 @@ let justify_suite =
           po_taps = 1 }
       in
       let c = Generators.random_dag ~name:"deep7" ~seed:7 dp in
-      let ts =
-        Target_sets.build c (Delay_model.lines c) ~n_p:240 ~n_p0:40
-      in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
-      let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-      let p0 = List.init n0 Fun.id in
-      let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+      let { Job.faults; p0; p1; _ } = Job.analyse c ~n_p:240 ~n_p0:40 in
       let enrich kind =
         Atpg.enrich c ~seed:9 ~justify:kind ~faults ~p0 ~p1
       in
@@ -664,9 +651,9 @@ let kernels_suite =
   let cases params =
     let s27 = Pdf_synth.Iscas.s27 () in
     let big = Profiles.circuit (profile_exn "s953") in
-    let model = Delay_model.lines big in
-    let target_sets = Target_sets.build big model ~n_p:params.n_p ~n_p0:50 in
-    let faults = Fault_sim.prepare big target_sets.Target_sets.p in
+    let { Job.sets = target_sets; faults; _ } =
+      Job.analyse big ~n_p:params.n_p ~n_p0:50
+    in
     let engine = Justify.create big in
     let rng = Pdf_util.Rng.create 99 in
     let test =

@@ -61,19 +61,14 @@ let run ?(seed = Workload.default_seed) ~noise_pct (scale : Workload.scale)
   let rng = Rng.create (seed lxor 0xe57e) in
   let true_model = perturbed_model c rng ~noise_pct nominal in
   (* Nominal flow: target sets and both test sets. *)
-  let ts =
-    Target_sets.build c nominal ~n_p:scale.Workload.n_p
-      ~n_p0:scale.Workload.n_p0
+  let job =
+    Pdf_core.Job.analyse c ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
   in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 (fun i -> i) in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-  let faults0 = Array.of_list (List.map (fun i -> faults.(i)) p0) in
+  let { Pdf_core.Job.sets = ts; faults; p0; p1 } = job in
   let basic =
     Atpg.basic c
       { Atpg.ordering = Pdf_core.Ordering.Value_based; seed }
-      ~faults:faults0
+      ~faults:(Pdf_core.Job.p0_faults job)
   in
   let enriched = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
   (* The truth: the critical faults under the perturbed delays. *)
@@ -84,11 +79,11 @@ let run ?(seed = Workload.default_seed) ~noise_pct (scale : Workload.scale)
   let true_critical = Fault_sim.prepare c true_ts.Target_sets.p0 in
   (* Where did the estimator put them? *)
   let nominal_set = Hashtbl.create 256 in
-  List.iteri
-    (fun i (e : Target_sets.entry) ->
-      Hashtbl.replace nominal_set (fault_key e.Target_sets.fault)
-        (if i < n0 then `P0 else `P1))
-    (ts.Target_sets.p0 @ ts.Target_sets.p1);
+  let note set (e : Target_sets.entry) =
+    Hashtbl.replace nominal_set (fault_key e.Target_sets.fault) set
+  in
+  List.iter (note `P0) ts.Target_sets.p0;
+  List.iter (note `P1) ts.Target_sets.p1;
   let in_p0 = ref 0 and in_p1 = ref 0 and outside = ref 0 in
   Array.iter
     (fun (p : Fault_sim.prepared) ->

@@ -1,7 +1,7 @@
 module Circuit = Pdf_circuit.Circuit
-module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
 module Atpg = Pdf_core.Atpg
+module Job = Pdf_core.Job
 module Attrib = Pdf_obs.Attrib
 module Trace = Pdf_obs.Trace
 module Table = Pdf_util.Table
@@ -17,9 +17,7 @@ module Json = Pdf_obs.Json_text
 
 type t = {
   circuit : Circuit.t;
-  n_p : int;
-  n_p0 : int;
-  seed : int;
+  job : Job.params;
   tests : int;
   faults : int;
   detected : int;
@@ -27,16 +25,14 @@ type t = {
   sheet : Attrib.sheet;
 }
 
-let profile ?(criterion = Pdf_faults.Robust.Robust) ?(n_p = 2000)
-    ?(n_p0 = 200) ?(seed = Workload.default_seed) ?justify c =
+let profile (job : Job.params) c =
   let attrib = Attrib.create ~nets:(Circuit.num_nets c) in
-  let model = Pdf_paths.Delay_model.lines c in
-  let ts = Target_sets.build ~criterion c model ~n_p ~n_p0 in
-  let faults = Fault_sim.prepare ~criterion c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-  let result = Atpg.enrich ~attrib ?justify c ~seed ~faults ~p0 ~p1 in
+  let { Job.faults; p0; p1; _ } =
+    Job.analyse ~criterion:job.criterion c ~n_p:job.n_p ~n_p0:job.n_p0
+  in
+  let result =
+    Atpg.enrich ~attrib ~justify:job.justify c ~seed:job.seed ~faults ~p0 ~p1
+  in
   (* A verification fault-sim pass over the generated tests: its
      detection flags must agree with the generation loop's own
      bookkeeping. *)
@@ -44,9 +40,7 @@ let profile ?(criterion = Pdf_faults.Robust.Robust) ?(n_p = 2000)
   assert (flags = result.Atpg.detected);
   {
     circuit = c;
-    n_p;
-    n_p0;
-    seed;
+    job;
     tests = List.length result.Atpg.tests;
     faults = Array.length faults;
     detected = Fault_sim.count result.Atpg.detected;
@@ -133,7 +127,7 @@ let render ?(k = 10) t =
   let s = t.sheet in
   let b = Buffer.create 1024 in
   Printf.bprintf b "%s: effort profile (n_p %d, n_p0 %d, seed %d)\n"
-    t.circuit.Circuit.name t.n_p t.n_p0 t.seed;
+    t.circuit.Circuit.name t.job.n_p t.job.n_p0 t.job.seed;
   Printf.bprintf b "%d tests, %d/%d faults detected, %d primary abort(s)\n\n"
     t.tests t.detected t.faults t.aborts;
   Printf.bprintf b
@@ -197,8 +191,8 @@ let to_json ?(k = 10) t =
   Printf.bprintf b "  \"circuit\": %s,\n"
     (Json.quote t.circuit.Circuit.name);
   Printf.bprintf b
-    "  \"params\": {\"n_p\": %d, \"n_p0\": %d, \"seed\": %d},\n" t.n_p
-    t.n_p0 t.seed;
+    "  \"params\": {\"n_p\": %d, \"n_p0\": %d, \"seed\": %d},\n"
+    t.job.n_p t.job.n_p0 t.job.seed;
   Printf.bprintf b "  \"nets\": %d,\n  \"gates\": %d,\n"
     (Circuit.num_nets t.circuit)
     (Circuit.num_gates t.circuit);

@@ -16,9 +16,7 @@
 
 type t = {
   circuit : Pdf_circuit.Circuit.t;
-  n_p : int;
-  n_p0 : int;
-  seed : int;
+  job : Pdf_core.Job.params;  (** the job profiled *)
   tests : int;  (** generated tests *)
   faults : int;  (** prepared faults *)
   detected : int;  (** faults detected by the run *)
@@ -26,17 +24,9 @@ type t = {
   sheet : Pdf_obs.Attrib.sheet;  (** merged attribution snapshot *)
 }
 
-val profile :
-  ?criterion:Pdf_faults.Robust.criterion ->
-  ?n_p:int ->
-  ?n_p0:int ->
-  ?seed:int ->
-  ?justify:Pdf_core.Justify.kind ->
-  Pdf_circuit.Circuit.t ->
-  t
-(** Run the enrichment workload with attribution on and snapshot the
-    merged sheet.  Defaults mirror {!Provenance.build}: [n_p = 2000],
-    [n_p0 = 200], [seed = Workload.default_seed].  Also runs a
+val profile : Pdf_core.Job.params -> Pdf_circuit.Circuit.t -> t
+(** Run the job ({!Pdf_core.Job.analyse}, then enrichment) with
+    attribution on and snapshot the merged sheet.  Also runs a
     verification fault-sim pass over the generated tests, whose flags
     must equal the run's own. *)
 

@@ -1,6 +1,7 @@
 module Target_sets = Pdf_faults.Target_sets
 module Fault_sim = Pdf_core.Fault_sim
 module Atpg = Pdf_core.Atpg
+module Job = Pdf_core.Job
 module Ledger = Pdf_obs.Ledger
 module Table = Pdf_util.Table
 
@@ -12,17 +13,16 @@ type t = {
   ledger : Ledger.t;
 }
 
-let build ?(criterion = Pdf_faults.Robust.Robust) ?(n_p = 2000) ?(n_p0 = 200)
-    ?(seed = Workload.default_seed) ?justify c =
+let build (job : Job.params) c =
   let ledger = Ledger.create () in
-  let model = Pdf_paths.Delay_model.lines c in
-  let ts = Target_sets.build ~criterion ~ledger c model ~n_p ~n_p0 in
-  let faults = Fault_sim.prepare ~criterion c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-  let result = Atpg.enrich ~ledger ?justify c ~seed ~faults ~p0 ~p1 in
-  { circuit = c; target_sets = ts; faults; result; ledger }
+  let { Job.sets; faults; p0; p1 } =
+    Job.analyse ~criterion:job.criterion ~ledger c ~n_p:job.n_p
+      ~n_p0:job.n_p0
+  in
+  let result =
+    Atpg.enrich ~ledger ~justify:job.justify c ~seed:job.seed ~faults ~p0 ~p1
+  in
+  { circuit = c; target_sets = sets; faults; result; ledger }
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)

@@ -17,19 +17,12 @@ type t = {
   ledger : Pdf_obs.Ledger.t;
 }
 
-val build :
-  ?criterion:Pdf_faults.Robust.criterion ->
-  ?n_p:int ->
-  ?n_p0:int ->
-  ?seed:int ->
-  ?justify:Pdf_core.Justify.kind ->
-  Pdf_circuit.Circuit.t ->
-  t
-(** Defaults: robust criterion, [n_p = 2000], [n_p0 = 200],
-    [Workload.default_seed], [justify] per {!Pdf_core.Justify.default_kind}.
-    The attached ledger is deterministic: byte-identical across [--jobs]
-    values (the portfolio backend included — its members run one after
-    another on the caller's domain, in a fixed priority order). *)
+val build : Pdf_core.Job.params -> Pdf_circuit.Circuit.t -> t
+(** Run the job ({!Pdf_core.Job.analyse}, then enrichment) with a
+    ledger attached.  The ledger is deterministic: byte-identical
+    across [--jobs] values (the portfolio backend included — its
+    members run one after another on the caller's domain, in a fixed
+    priority order). *)
 
 val explain : t -> string -> (string, string) result
 (** [explain t query] — a human-readable account of the matching

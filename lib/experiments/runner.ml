@@ -2,6 +2,7 @@ module Ordering = Pdf_core.Ordering
 module Atpg = Pdf_core.Atpg
 module Fault_sim = Pdf_core.Fault_sim
 module Target_sets = Pdf_faults.Target_sets
+module Job = Pdf_core.Job
 module Profiles = Pdf_synth.Profiles
 module Metrics = Pdf_obs.Metrics
 module Span = Pdf_obs.Span
@@ -51,16 +52,11 @@ let run ?pool ?(seed = Workload.default_seed) ?(with_basics = true)
   Log.info "runner: %s (scale=%s seed=%d jobs=%d)" profile.Profiles.name
     scale.Workload.label seed (Pdf_par.Pool.jobs pool);
   let c = Profiles.circuit profile in
-  let model = Pdf_paths.Delay_model.lines c in
-  let ts =
-    Target_sets.build c model ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
+  let job =
+    Job.analyse c ~n_p:scale.Workload.n_p ~n_p0:scale.Workload.n_p0
   in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n = Array.length faults in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0_ids = List.init n0 (fun i -> i) in
-  let p1_ids = List.init (n - n0) (fun i -> n0 + i) in
-  let faults0 = Array.of_list (List.map (fun i -> faults.(i)) p0_ids) in
+  let { Job.sets = ts; faults; p0 = p0_ids; p1 = p1_ids } = job in
+  let faults0 = Job.p0_faults job in
   let orderings =
     if with_basics then Ordering.all else [ Ordering.Value_based ]
   in
@@ -108,8 +104,8 @@ let run ?pool ?(seed = Workload.default_seed) ?(with_basics = true)
     scale;
     i0 = ts.Target_sets.i0;
     cutoff_length = ts.Target_sets.cutoff_length;
-    p_total = n;
-    p0_total = n0;
+    p_total = Array.length faults;
+    p0_total = List.length p0_ids;
     histogram = ts.Target_sets.histogram;
     basics;
     enrich_p0_detected = Atpg.count_detected er ~ids:p0_ids;

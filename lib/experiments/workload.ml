@@ -4,7 +4,12 @@ type scale = {
   n_p0 : int;
 }
 
-let small = { label = "small"; n_p = 2000; n_p0 = 200 }
+let small =
+  {
+    label = "small";
+    n_p = Pdf_core.Job.default.n_p;
+    n_p0 = Pdf_core.Job.default.n_p0;
+  }
 
 let paper = { label = "paper"; n_p = 10_000; n_p0 = 1_000 }
 
@@ -14,4 +19,4 @@ let of_label s =
   | "paper" -> Some paper
   | _ -> None
 
-let default_seed = 2002
+let default_seed = Pdf_core.Job.default.seed

@@ -101,7 +101,7 @@ let check_fields fields allowed =
 let params_fields = [ "n_p"; "n_p0"; "seed"; "criterion"; "justify" ]
 
 let get_params fields =
-  let d = Session.default_params in
+  let d = Pdf_core.Job.default in
   (* The library's own bounds: a smaller value is a bad request, not an
      internal error. *)
   let at_least lo k v =

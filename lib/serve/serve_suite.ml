@@ -34,7 +34,7 @@ let cases (p : Benchmark.params) =
       let circuit = profile.Profiles.name in
       let params =
         {
-          Session.default_params with
+          Pdf_core.Job.default with
           Session.n_p = p.Benchmark.n_p;
           n_p0 = p.Benchmark.n_p0;
           seed = p.Benchmark.seed;

@@ -11,6 +11,7 @@ module Coverage = Pdf_core.Coverage
 module Relax = Pdf_core.Relax
 module Test_pair = Pdf_core.Test_pair
 module Justify = Pdf_core.Justify
+module Job = Pdf_core.Job
 module Profiles = Pdf_synth.Profiles
 module Provenance = Pdf_experiments.Provenance
 module Metrics = Pdf_obs.Metrics
@@ -30,22 +31,13 @@ let c_enrichment_hits = Metrics.counter "serve.session.enrichment_hits"
 let c_answers = Metrics.counter "serve.session.answers"
 let c_answer_hits = Metrics.counter "serve.session.answer_hits"
 
-type params = {
+type params = Job.params = {
   n_p : int;
   n_p0 : int;
   seed : int;
   criterion : Pdf_faults.Robust.criterion;
   justify : Justify.kind;
 }
-
-let default_params =
-  {
-    n_p = 2000;
-    n_p0 = 200;
-    seed = Pdf_experiments.Workload.default_seed;
-    criterion = Pdf_faults.Robust.Robust;
-    justify = Justify.Sim;
-  }
 
 (* The server-wide default for requests that omit the "justify" field:
    the serve CLI's [--justify] flag, else [PDF_JUSTIFY], else the
@@ -64,13 +56,12 @@ let error_message = function Unknown_circuit m | No_match m -> m
 
 type answer = { text : string; tests : Test_pair.t list; cached : bool }
 
-(* One (criterion, n_p, n_p0) analysis of a compiled circuit.  The two
-   prepared-fault views are lazy: `atpg` only needs P0, `enrich` needs
-   all of P, and either warms the Robust.conditions cache the other
-   benefits from. *)
+(* One (criterion, n_p, n_p0) analysis of a compiled circuit: its target
+   sets, built at once, and two lazy prepared-fault views of them.
+   `atpg` only needs P0, `enrich` needs the job's prepared P, and either
+   warms the Robust.conditions cache the other benefits from. *)
 type analysis = {
-  ts : Target_sets.t;
-  faults_p : Fault_sim.prepared array Lazy.t;
+  job : Job.analysis Lazy.t;
   faults_p0 : Fault_sim.prepared array Lazy.t;
 }
 
@@ -162,10 +153,7 @@ let make_analysis ?ledger comp ~params =
       comp.model ~n_p:params.n_p ~n_p0:params.n_p0
   in
   {
-    ts;
-    faults_p =
-      lazy (Fault_sim.prepare ~criterion:params.criterion comp.circuit
-              ts.Target_sets.p);
+    job = lazy (Job.of_sets ~criterion:params.criterion comp.circuit ts);
     faults_p0 =
       lazy (Fault_sim.prepare ~criterion:params.criterion comp.circuit
               ts.Target_sets.p0);
@@ -199,11 +187,7 @@ let provenance_of comp ~params =
     p
   | None ->
     Metrics.incr c_enrichments;
-    let p =
-      Provenance.build ~criterion:params.criterion ~n_p:params.n_p
-        ~n_p0:params.n_p0 ~seed:params.seed ~justify:params.justify
-        comp.circuit
-    in
+    let p = Provenance.build params comp.circuit in
     Hashtbl.add comp.provenances key p;
     p
 
@@ -312,12 +296,8 @@ let enrich ?ledger t ~circuit:name ~params ~coverage =
           | Ok comp ->
             let c = comp.circuit in
             let a = analysis ?ledger comp ~params in
-            let faults = Lazy.force a.faults_p in
-            let n0 = List.length a.ts.Target_sets.p0 in
-            let p0 = List.init n0 (fun i -> i) in
-            let p1 =
-              List.init (Array.length faults - n0) (fun i -> n0 + i)
-            in
+            let job = Lazy.force a.job in
+            let { Job.faults; p0; p1; _ } = job in
             let res =
               Atpg.enrich ?ledger ~justify:params.justify c ~seed:params.seed
                 ~faults ~p0 ~p1
@@ -328,18 +308,15 @@ let enrich ?ledger t ~circuit:name ~params ~coverage =
               "enrichment: %d/%d P0 and %d/%d P0 u P1 faults detected, %d \
                tests\n"
               (Atpg.count_detected res ~ids:p0)
-              n0
+              (List.length p0)
               (Fault_sim.count res.Atpg.detected)
               (Array.length faults)
               (List.length res.Atpg.tests);
             if coverage then begin
-              let faults0 =
-                Array.of_list (List.map (fun i -> faults.(i)) p0)
-              in
               let basic =
                 Atpg.basic ~justify:params.justify c
                   { Atpg.ordering = Ordering.Value_based; seed = params.seed }
-                  ~faults:faults0
+                  ~faults:(Job.p0_faults job)
               in
               let basic_flags =
                 Fault_sim.detected_by_tests c basic.Atpg.tests faults

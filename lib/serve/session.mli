@@ -6,8 +6,9 @@
 
     + {b compiled circuits} — parsing/levelizing a profile name or a
       [.bench]/[.v] netlist file, keyed by the circuit argument string;
-    + {b analyses} — [Target_sets.build] plus [Fault_sim.prepare]
-      (which also warms the bounded {!Pdf_faults.Robust.conditions}
+    + {b analyses} — [Target_sets.build], then, on first use,
+      {!Pdf_core.Job.of_sets} (the job's prepared [P]) or [P0] prepared
+      alone (either warms the bounded {!Pdf_faults.Robust.conditions}
       cache), keyed by [(criterion, n_p, n_p0)] per circuit;
     + {b enrichment provenances} — one full ledgered enrichment run
       ({!Pdf_experiments.Provenance.build}), keyed by
@@ -34,22 +35,17 @@ type t
 
 val create : unit -> t
 
-(** Query parameters shared by every analysis-backed query; mirrors the
-    CLI's [--n-p]/[--n-p0]/[--seed]/[--criterion]/[--justify] flags. *)
-type params = {
+(** Query parameters shared by every analysis-backed query: the
+    enrichment job's ({!Pdf_core.Job.params}, whose {!Pdf_core.Job.default}
+    the CLI and the protocol share).  [justify] keys the answer and
+    provenance caches; the analysis cache is backend-independent. *)
+type params = Pdf_core.Job.params = {
   n_p : int;
   n_p0 : int;
   seed : int;
   criterion : Pdf_faults.Robust.criterion;
   justify : Pdf_core.Justify.kind;
-      (** justification backend for the generation half of the query;
-          keys the answer and provenance caches (the analysis cache is
-          backend-independent) *)
 }
-
-val default_params : params
-(** [n_p = 2000], [n_p0 = 200], [Workload.default_seed], robust,
-    simulation-based justification — the CLI defaults. *)
 
 val set_default_justify : Pdf_core.Justify.kind -> unit
 (** Set the server-wide default backend for requests that omit the

@@ -503,11 +503,9 @@ let prop_inc_matches_full =
    resimulation that the event-driven one replaced: a pass that missed
    a changed gate, or charged one it should not, changes them. *)
 let test_enrich_jobs_identity () =
-  let ts = Target_sets.build s27 (Delay_model.lines s27) ~n_p:40 ~n_p0:10 in
-  let faults = Fault_sim.prepare s27 ts.Target_sets.p in
-  let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let { Pdf_core.Job.faults; p0; p1; _ } =
+    Pdf_core.Job.analyse s27 ~n_p:40 ~n_p0:10
+  in
   let run ~jobs =
     let before = Pool.default_jobs () in
     Pool.set_default_jobs jobs;

@@ -15,6 +15,7 @@ module Effort = Pdf_core.Effort
 module Fault_sim = Pdf_core.Fault_sim
 module Ordering = Pdf_core.Ordering
 module Atpg = Pdf_core.Atpg
+module Job = Pdf_core.Job
 module Ledger = Pdf_obs.Ledger
 module Rng = Pdf_util.Rng
 
@@ -23,12 +24,8 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 let s27 = Pdf_synth.Iscas.s27 ()
 
-let s27_sets = Target_sets.build s27 (Delay_model.lines s27) ~n_p:40 ~n_p0:10
-let s27_faults = Fault_sim.prepare s27 s27_sets.Target_sets.p
-let s27_n0 = List.length s27_sets.Target_sets.p0
-let s27_p0 = List.init s27_n0 (fun i -> i)
-let s27_p1 =
-  List.init (Array.length s27_faults - s27_n0) (fun i -> s27_n0 + i)
+let { Job.faults = s27_faults; p0 = s27_p0; p1 = s27_p1; _ } =
+  Job.analyse s27 ~n_p:40 ~n_p0:10
 
 (* ------------------------------------------------------------------ *)
 (* Test_pair                                                            *)
@@ -251,6 +248,53 @@ let prop_justify_sound =
         faults)
 
 (* ------------------------------------------------------------------ *)
+(* Job                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The P0-first layout every enrichment run relies on: P0's faults are
+   the ids [0, n0) of the prepared P, and preparing P0 alone (Session's
+   basic-ATPG view, Runner's basic runs) yields that prefix. *)
+let test_job_layout () =
+  List.iter
+    (fun name ->
+      let c =
+        Pdf_synth.Profiles.circuit (Option.get (Pdf_synth.Profiles.find name))
+      in
+      List.iter
+        (fun criterion ->
+          let what s =
+            Printf.sprintf "%s %s: %s" name
+              (Pdf_faults.Robust.criterion_name criterion) s
+          in
+          let a =
+            Job.analyse ~criterion c ~n_p:Job.default.Job.n_p
+              ~n_p0:Job.default.Job.n_p0
+          in
+          let n = Array.length a.Job.faults in
+          let n0 = List.length a.Job.sets.Target_sets.p0 in
+          check Alcotest.bool (what "non-empty P0") true (n0 > 0);
+          check Alcotest.int (what "P prepared whole")
+            (List.length a.Job.sets.Target_sets.p) n;
+          check Alcotest.(list int) (what "p0") (List.init n0 Fun.id) a.Job.p0;
+          check Alcotest.(list int) (what "p1")
+            (List.init (n - n0) (fun i -> n0 + i))
+            a.Job.p1;
+          Array.iteri
+            (fun i (p : Fault_sim.prepared) ->
+              check Alcotest.int (what "id") i p.Fault_sim.id)
+            a.Job.faults;
+          let alone =
+            Fault_sim.prepare ~criterion c a.Job.sets.Target_sets.p0
+          in
+          check Alcotest.int (what "P0 alone") n0 (Array.length alone);
+          check Alcotest.bool (what "P0 alone is the prefix") true
+            (alone = Array.sub a.Job.faults 0 n0);
+          check Alcotest.bool (what "p0_faults") true
+            (Job.p0_faults a = alone))
+        [ Pdf_faults.Robust.Robust; Pdf_faults.Robust.Non_robust ])
+    [ "s27"; "b03"; "b09" ]
+
+(* ------------------------------------------------------------------ *)
 (* Fault_sim                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -462,14 +506,9 @@ let prop_atpg_sound_random =
           inverter_pct = 30; po_taps = 1 }
       in
       let c = Pdf_synth.Generators.random_dag ~name:"rand" ~seed params in
-      let model = Delay_model.lines c in
-      let ts = Target_sets.build c model ~n_p:30 ~n_p0:10 in
-      let faults = Fault_sim.prepare c ts.Target_sets.p in
+      let { Job.faults; p0; p1; _ } = Job.analyse c ~n_p:30 ~n_p0:10 in
       if Array.length faults = 0 then true
       else begin
-        let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-        let p0 = List.init n0 (fun i -> i) in
-        let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
         let res = Atpg.enrich c ~seed ~faults ~p0 ~p1 in
         let resim = Fault_sim.detected_by_tests c res.Atpg.tests faults in
         resim = res.Atpg.detected
@@ -1563,12 +1602,7 @@ let prop_engine_reuse =
 (* ------------------------------------------------------------------ *)
 
 let enrich_with c ~seed kind ~n_p ~n_p0 =
-  let model = Delay_model.lines c in
-  let ts = Target_sets.build c model ~n_p ~n_p0 in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let { Job.faults; p0; p1; _ } = Job.analyse c ~n_p ~n_p0 in
   Atpg.enrich c ~seed ~justify:kind ~faults ~p0 ~p1
 
 (* Fixed-seed circuits drawn from the fuzz harness's deep and reconv
@@ -1736,11 +1770,7 @@ let enrich_ledger ?attrib ~n_p ~n_p0 ~justify name =
   let profile = Option.get (Pdf_synth.Profiles.find name) in
   let c = Pdf_synth.Profiles.circuit profile in
   let ledger = Ledger.create () in
-  let ts = Target_sets.build ~ledger c (Delay_model.lines c) ~n_p ~n_p0 in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let { Job.faults; p0; p1; _ } = Job.analyse ~ledger c ~n_p ~n_p0 in
   ignore
     (Atpg.enrich ~ledger ?attrib ~justify c ~seed:2002 ~faults ~p0 ~p1
       : Atpg.result);
@@ -1862,13 +1892,7 @@ let test_trial_order_pinned () =
   let profile = Option.get (Pdf_synth.Profiles.find "s1488") in
   let c = Pdf_synth.Profiles.circuit profile in
   let ledger = Ledger.create () in
-  let ts =
-    Target_sets.build ~ledger c (Delay_model.lines c) ~n_p:1000 ~n_p0:100
-  in
-  let faults = Fault_sim.prepare c ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
+  let { Job.faults; p0; p1; _ } = Job.analyse ~ledger c ~n_p:1000 ~n_p0:100 in
   let attrib = Pdf_obs.Attrib.create ~nets:(Circuit.num_nets c) in
   ignore
     (Atpg.enrich ~ledger ~attrib ~justify:Justify.Sim c ~seed:2002 ~faults
@@ -2110,6 +2134,7 @@ let () =
             test_justify_deterministic_given_seed;
           qcheck prop_justify_sound;
         ] );
+      ("job", [ Alcotest.test_case "P0-first layout" `Quick test_job_layout ]);
       ( "fault_sim",
         [
           Alcotest.test_case "ids are indices" `Quick test_fault_sim_ids_are_indices;

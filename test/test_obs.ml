@@ -469,16 +469,10 @@ let test_ledger_jsonl () =
 let s27 = Pdf_synth.Iscas.s27 ()
 
 let enrich_result () =
-  let module Target_sets = Pdf_faults.Target_sets in
-  let module Fault_sim = Pdf_core.Fault_sim in
   let module Atpg = Pdf_core.Atpg in
-  let ts =
-    Target_sets.build s27 (Pdf_paths.Delay_model.lines s27) ~n_p:40 ~n_p0:10
+  let { Pdf_core.Job.faults; p0; p1; _ } =
+    Pdf_core.Job.analyse s27 ~n_p:40 ~n_p0:10
   in
-  let faults = Fault_sim.prepare s27 ts.Target_sets.p in
-  let n0 = List.length ts.Target_sets.p0 in
-  let p0 = List.init n0 Fun.id in
-  let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
   let res = Atpg.enrich s27 ~seed:2002 ~faults ~p0 ~p1 in
   ( List.map Pdf_core.Test_pair.to_string res.Atpg.tests,
     Array.to_list res.Atpg.detected )
@@ -527,23 +521,20 @@ let test_counters_deterministic () =
 
 module Provenance = Pdf_experiments.Provenance
 
-(* The explain/why goldens below pin simulation-engine effort numbers,
-   so the fixture requests that backend explicitly (the default follows
-   PDF_JUSTIFY, which CI sweeps). *)
-let s27_provenance =
-  lazy
-    (Provenance.build ~n_p:40 ~n_p0:10 ~seed:2002 ~justify:Pdf_core.Justify.Sim
-       s27)
+(* The s27 job the provenance and profile fixtures run.  The explain/why
+   goldens below pin simulation-engine effort numbers, so their fixture
+   keeps the default job's backend, sim; the profile tests follow
+   PDF_JUSTIFY, which CI sweeps. *)
+let s27_job = { Pdf_core.Job.default with n_p = 40; n_p0 = 10 }
+
+let s27_provenance = lazy (Provenance.build s27_job s27)
 
 let test_ledger_packed_scalar_identical () =
   (* DESIGN.md §9: the ledger is part of the §7.3/§8.3 determinism
      contract.  The digest pins the bytes that the scalar and the
      word-packed detection checks both produced when either could still
      be forced.  (CI additionally diffs --jobs 1 vs 4.) *)
-  let p =
-    Provenance.build ~n_p:40 ~n_p0:10 ~seed:2002 ~justify:Pdf_core.Justify.Sim
-      s27
-  in
+  let p = Provenance.build s27_job s27 in
   let jsonl = Pdf_obs.Ledger.to_jsonl p.Provenance.ledger in
   check Alcotest.int "ledger records" 46
     (List.length (String.split_on_char '\n' jsonl) - 1);
@@ -594,6 +585,11 @@ let test_report_consistent () =
 module Attrib = Pdf_obs.Attrib
 module Hotspots = Pdf_experiments.Hotspots
 
+let profile_s27 () =
+  Hotspots.profile
+    { s27_job with Pdf_core.Job.justify = Pdf_core.Justify.default_kind () }
+    s27
+
 let contains s sub =
   let ls = String.length s and lu = String.length sub in
   let rec at i = i + lu <= ls && (String.sub s i lu = sub || at (i + 1)) in
@@ -640,7 +636,7 @@ let test_profile_grid_identical () =
     List.map
       (fun jobs ->
         Pdf_par.Pool.set_default_jobs jobs;
-        let p = Hotspots.profile ~n_p:40 ~n_p0:10 ~seed:2002 s27 in
+        let p = profile_s27 () in
         (Hotspots.render p, Hotspots.to_json p))
       [ 1; 4 ]
   in
@@ -661,7 +657,7 @@ let test_profile_grid_identical () =
       rest
 
 let test_profile_conservation () =
-  let p = Hotspots.profile ~n_p:40 ~n_p0:10 ~seed:2002 s27 in
+  let p = profile_s27 () in
   let levels = Hotspots.per_level p in
   check Alcotest.int "per-level histogram sums to the grand total"
     (Attrib.grand_total p.Hotspots.sheet)
@@ -677,7 +673,7 @@ let test_profile_conservation () =
     hot
 
 let test_profile_counter_track () =
-  let p = Hotspots.profile ~n_p:40 ~n_p0:10 ~seed:2002 s27 in
+  let p = profile_s27 () in
   let coll = Trace.collector () in
   Hotspots.counter_track p coll;
   let json = Trace.to_json ~process_name:"unit" coll in

@@ -17,7 +17,7 @@ let check = Alcotest.check
    matrix); the reference session must resolve it the same way for the
    byte-diff contract to be meaningful. *)
 let params =
-  { Session.default_params with Session.n_p = 200; n_p0 = 50; seed = 7;
+  { Pdf_core.Job.default with Session.n_p = 200; n_p0 = 50; seed = 7;
     justify = Session.effective_default_justify () }
 
 let ok = function
@@ -51,10 +51,10 @@ let test_parse_defaults () =
     Protocol.parse_request "{\"req\":\"atpg\",\"circuit\":\"s27\"}"
   with
   | Ok (0, Protocol.Atpg { params = p; ordering; relax; _ }) ->
-    check Alcotest.int "default n_p" Session.default_params.Session.n_p
-      p.Session.n_p;
-    check Alcotest.int "default n_p0" Session.default_params.Session.n_p0
-      p.Session.n_p0;
+    let d = Pdf_core.Job.default in
+    check Alcotest.int "default n_p" d.Session.n_p p.Session.n_p;
+    check Alcotest.int "default n_p0" d.Session.n_p0 p.Session.n_p0;
+    check Alcotest.int "default seed" d.Session.seed p.Session.seed;
     check Alcotest.bool "default relax" false relax;
     check Alcotest.string "default ordering" "values"
       (Pdf_core.Ordering.name ordering)
