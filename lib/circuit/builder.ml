@@ -14,6 +14,7 @@ type error =
   | Bad_arity of string * Gate.kind * int
   | No_outputs
   | Unknown_output of string
+  | Duplicate_input of string
 
 let error_to_string = function
   | Undriven_net n -> "net used but never driven: " ^ n
@@ -25,6 +26,7 @@ let error_to_string = function
       (Gate.kind_name kind) n
   | No_outputs -> "circuit has no primary outputs"
   | Unknown_output n -> "declared output is not a net: " ^ n
+  | Duplicate_input n -> "input declared more than once: " ^ n
 
 let create name = { name; pis = []; pos = []; pending = [] }
 
@@ -56,7 +58,11 @@ let finish t =
     List.iter check_arity pending;
     let gate_by_out = Hashtbl.create 64 in
     let pi_set = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace pi_set p ()) pis;
+    List.iter
+      (fun p ->
+        if Hashtbl.mem pi_set p then raise (Err (Duplicate_input p));
+        Hashtbl.replace pi_set p ())
+      pis;
     List.iter
       (fun g ->
         if Hashtbl.mem gate_by_out g.out_name || Hashtbl.mem pi_set g.out_name

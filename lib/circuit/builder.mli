@@ -12,6 +12,7 @@ type error =
   | Bad_arity of string * Gate.kind * int
   | No_outputs
   | Unknown_output of string
+  | Duplicate_input of string  (** an input declared twice *)
 
 val error_to_string : error -> string
 

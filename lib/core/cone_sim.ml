@@ -4,84 +4,75 @@ module Circuit = Pdf_circuit.Circuit
 module Attrib = Pdf_obs.Attrib
 module Metrics = Pdf_obs.Metrics
 
-(* The three-valued algebra both passes evaluate gates with, written
-   here rather than called: under the default build's -opaque a call
-   into another module is neither inlined nor direct, and the shared
-   evaluator made one through a reader closure per fanin and one per
-   operator (DESIGN.md §13.2).  The test "kernel algebra = Bit and
-   Logic_sim" keeps this copy equal to [Pdf_values.Bit]'s.  [Bit.t]'s
-   constructors are constant, so physical equality is equality. *)
-let[@inline] equal (a : Bit.t) b = a == b
+(* Both passes evaluate gates by lookup in [Bit]'s operator tables
+   (DESIGN.md §13.2): the gate kind picks two tables once per gate, and
+   each fanin costs one read, with no call — the default build's -opaque
+   makes every call into another module a real one — and no branch on
+   its value.  [index] is the tables' row and column: the constructors'
+   order, so it compiles to arithmetic on the immediate, here rather
+   than in [Bit] for the same reason.  [Bit.t]'s constructors are
+   constant, so physical equality is equality. *)
+let[@inline] index (v : Bit.t) =
+  match v with Bit.Zero -> 0 | Bit.One -> 1 | Bit.X -> 2
 
-let[@inline] not_ = function
-  | Bit.Zero -> Bit.One
-  | Bit.One -> Bit.Zero
-  | Bit.X -> Bit.X
-
-let[@inline] and_ a b =
-  match a, b with
-  | Bit.Zero, _ | _, Bit.Zero -> Bit.Zero
-  | Bit.One, Bit.One -> Bit.One
-  | (Bit.One | Bit.X), (Bit.One | Bit.X) -> Bit.X
-
-let[@inline] or_ a b =
-  match a, b with
-  | Bit.One, _ | _, Bit.One -> Bit.One
-  | Bit.Zero, Bit.Zero -> Bit.Zero
-  | (Bit.Zero | Bit.X), (Bit.Zero | Bit.X) -> Bit.X
-
-let[@inline] xor a b =
-  match a, b with
-  | Bit.X, _ | _, Bit.X -> Bit.X
-  | Bit.Zero, Bit.Zero | Bit.One, Bit.One -> Bit.Zero
-  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> Bit.One
-
-let[@inline] middle v1 v3 =
-  match v1, v3 with
-  | Bit.Zero, Bit.Zero -> Bit.Zero
-  | Bit.One, Bit.One -> Bit.One
-  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> Bit.X
-
-(* A definite value against the other definite requirement. *)
+(* A definite value against the other definite requirement: their xor
+   is one. *)
 let[@inline] mismatch req v =
-  match req, v with
-  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> true
-  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> false
+  Bit.xor_table.((3 * index req) + index v) == Bit.One
 
-(* A gate folds its fanins left to right, then inverts when it is an
-   inverting kind.  NOT and BUFF have one fanin and fold nothing. *)
-let[@inline] combine kind acc v =
-  match kind with
-  | Gate.And | Gate.Nand -> and_ acc v
-  | Gate.Or | Gate.Nor -> or_ acc v
-  | Gate.Xor | Gate.Xnor -> xor acc v
-  | Gate.Not | Gate.Buff -> acc
+let[@inline] middle v1 v3 = Bit.middle_table.((3 * index v1) + index v3)
 
-let[@inline] output kind acc =
-  match kind with
-  | Gate.Nand | Gate.Nor | Gate.Not | Gate.Xnor -> not_ acc
-  | Gate.And | Gate.Or | Gate.Buff | Gate.Xor -> acc
+(* A gate folds its fanins left to right through [op], the last one
+   through [last] — the kind's operator, inverted for an inverting
+   kind.  A one-fanin gate reads [last] at (fanin, fanin): BUFF is AND
+   and NOT is NAND there. *)
+let[@inline] fold (op : Bit.t array) (last : Bit.t array) (f : int array)
+    (sk : Bit.t array) =
+  let n = Array.length f - 1 in
+  let acc = ref (index sk.(f.(0))) in
+  for i = 1 to n - 1 do
+    acc := index op.((3 * !acc) + index sk.(f.(i)))
+  done;
+  last.((3 * !acc) + index sk.(f.(n)))
 
 let eval (g : Circuit.gate) (sk : Bit.t array) =
-  let f = g.Circuit.fanins and kind = g.Circuit.kind in
-  let acc = ref sk.(f.(0)) in
-  for i = 1 to Array.length f - 1 do
-    acc := combine kind !acc sk.(f.(i))
-  done;
-  output kind !acc
+  let f = g.Circuit.fanins in
+  match g.Circuit.kind with
+  | Gate.And | Gate.Buff -> fold Bit.and_table Bit.and_table f sk
+  | Gate.Nand | Gate.Not -> fold Bit.and_table Bit.nand_table f sk
+  | Gate.Or -> fold Bit.or_table Bit.or_table f sk
+  | Gate.Nor -> fold Bit.or_table Bit.nor_table f sk
+  | Gate.Xor -> fold Bit.xor_table Bit.xor_table f sk
+  | Gate.Xnor -> fold Bit.xor_table Bit.xnor_table f sk
 
 (* A trial reads a net's value from the overlay when the running trial
    [id] stamped it there, else from the persistent state. *)
 let[@inline] read ~(stamp : int array) ~(value : Bit.t array) ~base ~id net =
   if stamp.(net) = id then value.(net) else base.(net)
 
-let eval_overlay (g : Circuit.gate) ~stamp ~value ~base ~id =
-  let f = g.Circuit.fanins and kind = g.Circuit.kind in
-  let acc = ref (read ~stamp ~value ~base ~id f.(0)) in
-  for i = 1 to Array.length f - 1 do
-    acc := combine kind !acc (read ~stamp ~value ~base ~id f.(i))
+let[@inline] fold_overlay (op : Bit.t array) (last : Bit.t array)
+    (f : int array) ~stamp ~value ~base ~id =
+  let n = Array.length f - 1 in
+  let acc = ref (index (read ~stamp ~value ~base ~id f.(0))) in
+  for i = 1 to n - 1 do
+    acc := index op.((3 * !acc) + index (read ~stamp ~value ~base ~id f.(i)))
   done;
-  output kind !acc
+  last.((3 * !acc) + index (read ~stamp ~value ~base ~id f.(n)))
+
+let eval_overlay (g : Circuit.gate) ~stamp ~value ~(base : Bit.t array) ~id =
+  let f = g.Circuit.fanins in
+  match g.Circuit.kind with
+  | Gate.And | Gate.Buff ->
+    fold_overlay Bit.and_table Bit.and_table f ~stamp ~value ~base ~id
+  | Gate.Nand | Gate.Not ->
+    fold_overlay Bit.and_table Bit.nand_table f ~stamp ~value ~base ~id
+  | Gate.Or -> fold_overlay Bit.or_table Bit.or_table f ~stamp ~value ~base ~id
+  | Gate.Nor ->
+    fold_overlay Bit.or_table Bit.nor_table f ~stamp ~value ~base ~id
+  | Gate.Xor ->
+    fold_overlay Bit.xor_table Bit.xor_table f ~stamp ~value ~base ~id
+  | Gate.Xnor ->
+    fold_overlay Bit.xor_table Bit.xnor_table f ~stamp ~value ~base ~id
 
 (* A trial's private view of the values: the nets it changed, stamped
    with its id; every other net reads through to the persistent state. *)
@@ -273,7 +264,7 @@ let[@inline] note t k net v =
    input, so comparing the two patterns compares all three components. *)
 let set_pi t pi ~v1 ~v3 =
   let s = t.s in
-  if not (equal s.(0).(pi) v1 && equal s.(2).(pi) v3) then begin
+  if not (s.(0).(pi) == v1 && s.(2).(pi) == v3) then begin
     let mid = middle v1 v3 in
     s.(0).(pi) <- v1;
     s.(2).(pi) <- v3;
@@ -305,7 +296,7 @@ let propagate t =
     for k = 0 to 2 do
       let sk = s.(k) in
       let v = eval g sk in
-      if not (equal v sk.(out)) then begin
+      if v != sk.(out) then begin
         sk.(out) <- v;
         note t k out v;
         changed := true
@@ -364,7 +355,7 @@ let[@inline] write t ov k net v =
 
 (* Component [k] of the tried input, written when it differs from the
    persistent state. *)
-let seed_pi t ov k pi v = (not (equal t.s.(k).(pi) v)) && write t ov k pi v
+let seed_pi t ov k pi v = t.s.(k).(pi) != v && write t ov k pi v
 
 (* Double the running trial's memo list, which the trial pass appends
    each evaluated gate to: storage belongs to the engine, not the
@@ -396,7 +387,7 @@ let trial_pass t ov m k pi =
     let v =
       eval_overlay t.c.Circuit.gates.(!gi) ~stamp ~value ~base ~id
     in
-    if equal v base.(out) then gi := pop t
+    if v == base.(out) then gi := pop t
     else if write t ov k out v then begin
       conflict := out;
       gi := -1
@@ -447,12 +438,10 @@ let valid t m slot pi =
   done;
   !ok
 
-let code v = match v with Bit.Zero -> 0 | Bit.One -> 1 | Bit.X -> 2
-
 let trial t pi ~v1 ~v3 =
   if Array.length t.r = 0 then invalid_arg "Cone_sim.trial: no cone";
   let m = memo t in
-  let slot = (9 * pi) + (3 * code v1) + code v3 in
+  let slot = (9 * pi) + (3 * index v1) + index v3 in
   if valid t m slot pi then begin
     (* A hit charges what the trial it replaces would have. *)
     m.hits <- m.hits + 1;

@@ -111,13 +111,18 @@ val memo_hits : t -> int
 
 (** {2 The gate kernel}
 
-    The three-valued algebra both passes evaluate gates with, written
-    in this module so that a pass calls nothing outside it per gate
-    (DESIGN.md §13.2).  It equals {!Pdf_values.Bit}'s operators,
-    {!Pdf_sim.Two_pattern.middle_of_pair} and the reference gate
-    evaluator of {!Pdf_sim.Logic_sim}: the test "kernel algebra = Bit
-    and Logic_sim" checks every gate kind and arity up to 4 over every
-    input. *)
+    Both passes evaluate a gate by lookup, not by matching on values:
+    the gate's kind picks two of {!Pdf_values.Bit}'s operator tables
+    once per gate — its operator, and for the last fanin the inverting
+    form when the kind inverts — and each fanin costs one table read,
+    with no call outside this module and no branch on its value
+    (DESIGN.md §13.2).  Requirement checks read {!Pdf_values.Bit.xor_table}
+    and an input's intermediate component
+    {!Pdf_values.Bit.middle_table}.  The test "kernel algebra = Bit and
+    Logic_sim" checks every table entry against the operator it was
+    built from and both evaluators against the reference gate evaluator
+    of {!Pdf_sim.Logic_sim}, for every gate kind and arity up to 4 over
+    every input. *)
 
 val eval :
   Pdf_circuit.Circuit.gate -> Pdf_values.Bit.t array -> Pdf_values.Bit.t
@@ -134,15 +139,6 @@ val eval_overlay :
 (** [eval_overlay g ~stamp ~value ~base ~id] evaluates [g] reading each
     fanin from [value] when its [stamp] is [id], else from [base]: the
     trial pass's read of its overlay over the persistent state. *)
-
-val not_ : Pdf_values.Bit.t -> Pdf_values.Bit.t
-val and_ : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
-val or_ : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
-val xor : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
-
-val middle : Pdf_values.Bit.t -> Pdf_values.Bit.t -> Pdf_values.Bit.t
-(** The intermediate component of an input with pattern values [v1],
-    [v3]. *)
 
 (** {2 Accounting} *)
 

@@ -44,6 +44,11 @@ type forensics = Effort.forensics = {
 
 exception No_test
 
+(* [Bit.of_bool], and below [==] for [Bit.equal]: the search steps call
+   no other module for them, which -opaque would make real calls.
+   [Bit.t]'s constructors are immediate, so [==] compares them. *)
+let[@inline] bit b = if b then Bit.One else Bit.Zero
+
 (* Bring [st.s] up to date with [st.a1]/[st.a3]: only cone PIs whose
    assignment changed seed the pass, and only the gates with a changed
    fanin are re-evaluated.  The account charges the pass a full cone
@@ -78,7 +83,7 @@ let trial engine st pi j b =
     a.Attrib.trials.(pi) <- a.Attrib.trials.(pi) + 1;
     a.Attrib.t_trials <- a.Attrib.t_trials + 1
   | None -> ());
-  let newv = Bit.of_bool b in
+  let newv = bit b in
   let v1 = if j = 1 then newv else st.a1.(pi) in
   let v3 = if j = 3 then newv else st.a3.(pi) in
   let net = Cone_sim.trial st.sim pi ~v1 ~v3 in
@@ -92,8 +97,8 @@ let trial engine st pi j b =
    first net as scanning after every pass. *)
 let assign engine st pi j b =
   (match j with
-  | 1 -> st.a1.(pi) <- Bit.of_bool b
-  | 3 -> st.a3.(pi) <- Bit.of_bool b
+  | 1 -> st.a1.(pi) <- bit b
+  | 3 -> st.a3.(pi) <- bit b
   | _ -> invalid_arg "pattern");
   st.unspecified <- st.unspecified - 1;
   let seen = Cone_sim.contradictions st.sim in
@@ -110,7 +115,7 @@ let assign engine st pi j b =
    value was assigned. *)
 let necessary_bit engine st pi j =
   let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
-  if not (Bit.equal current Bit.X) then false
+  if current != Bit.X then false
   else
     let c0 = trial engine st pi j false in
     let c1 = trial engine st pi j true in
@@ -138,7 +143,7 @@ let rec half_specified_from st i =
   if i >= st.cone.Req_cone.n_pis then -1
   else
     let pi = st.cone.Req_cone.pis.(i) in
-    if Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi) then pi
+    if (st.a1.(pi) == Bit.X) <> (st.a3.(pi) == Bit.X) then pi
     else half_specified_from st (i + 1)
 
 let half_specified st = half_specified_from st 0
@@ -147,7 +152,7 @@ let half_specified st = half_specified_from st 0
    bit 1 on each input; encoded [4 * pi + j] so nothing is allocated. *)
 let rec open_bit_from st i k =
   let pi = st.cone.Req_cone.pis.(i) in
-  let o3 = Bit.equal st.a3.(pi) Bit.X and o1 = Bit.equal st.a1.(pi) Bit.X in
+  let o3 = st.a3.(pi) == Bit.X and o1 = st.a1.(pi) == Bit.X in
   if o3 && k = 0 then (4 * pi) + 3
   else
     let k = if o3 then k - 1 else k in
@@ -160,9 +165,9 @@ let rec open_bit_from st i k =
 let decide engine st =
   let pi = half_specified st in
   if pi >= 0 then
-    if Bit.is_definite st.a1.(pi) then
-      assign engine st pi 3 (Bit.equal st.a1.(pi) Bit.One)
-    else assign engine st pi 1 (Bit.equal st.a3.(pi) Bit.One)
+    if st.a1.(pi) != Bit.X then
+      assign engine st pi 3 (st.a1.(pi) == Bit.One)
+    else assign engine st pi 1 (st.a3.(pi) == Bit.One)
   else if st.unspecified > 0 then begin
     let bit = open_bit_from st 0 (Rng.int st.rng st.unspecified) in
     assign engine st (bit lsr 2) (bit land 3) (Rng.bool st.rng)
@@ -174,8 +179,8 @@ let random_pattern rng n = Array.init n (fun _ -> Rng.bool rng)
 let fill_test st v1 v3 =
   for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = st.cone.Req_cone.pis.(i) in
-    v1.(pi) <- Bit.equal st.a1.(pi) Bit.One;
-    v3.(pi) <- Bit.equal st.a3.(pi) Bit.One
+    v1.(pi) <- st.a1.(pi) == Bit.One;
+    v3.(pi) <- st.a3.(pi) == Bit.One
   done;
   Test_pair.create v1 v3
 
@@ -280,18 +285,18 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
     let next_decision () =
       let pi = half_specified st in
       if pi >= 0 then
-        if Bit.is_definite st.a1.(pi) then
-          let b = Bit.equal st.a1.(pi) Bit.One in
+        if st.a1.(pi) != Bit.X then
+          let b = st.a1.(pi) == Bit.One in
           Some (pi, 3, [ b; not b ])
         else
-          let b = Bit.equal st.a3.(pi) Bit.One in
+          let b = st.a3.(pi) == Bit.One in
           Some (pi, 1, [ b; not b ])
       else if st.unspecified = 0 then None
       else
         (* the first input with an open bit, bit 1 before bit 3 *)
         let bit = open_bit_from st 0 0 in
         let pi = bit lsr 2 in
-        if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, [ false; true ])
+        if st.a1.(pi) == Bit.X then Some (pi, 1, [ false; true ])
         else Some (pi, 3, [ false; true ])
     in
     let build_deterministic_test () =

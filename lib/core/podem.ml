@@ -80,6 +80,11 @@ let create ?attrib circuit =
 
 let effort t = t.effort
 
+(* [Bit.of_bool], and below [==] for [Bit.equal]: the search steps call
+   no other module for them, which -opaque would make real calls.
+   [Bit.t]'s constructors are immediate, so [==] compares them. *)
+let[@inline] bit b = if b then Bit.One else Bit.Zero
+
 let note_conflict eng net =
   Metrics.incr m_conflict_hits;
   Effort.conflict eng.effort net
@@ -155,7 +160,7 @@ let frontier st =
              match r.(k).(net) with
              | Bit.X -> None
              | Bit.Zero | Bit.One ->
-               if Bit.equal st.s.(k).(net) Bit.X then Some (net, k) else None)
+               if st.s.(k).(net) == Bit.X then Some (net, k) else None)
            [ 0; 1; 2 ])
 
 (* The frontier's first entry at or after component [k] of the [i]th
@@ -167,10 +172,10 @@ let rec objective_from st i k =
   else
     let net = nets.(i) in
     match st.cone.Req_cone.r.(k).(net) with
-    | (Bit.Zero | Bit.One) as v when Bit.equal st.s.(k).(net) Bit.X ->
+    | (Bit.Zero | Bit.One) as v when st.s.(k).(net) == Bit.X ->
       st.obj_net <- net;
       st.obj_k <- k;
-      st.obj_v <- Bit.equal v Bit.One;
+      st.obj_v <- v == Bit.One;
       true
     | Bit.Zero | Bit.One | Bit.X -> objective_from st i (k + 1)
 
@@ -184,13 +189,13 @@ let objective st = objective_from st 0 0
    value quality only affects search order, never completeness,
    because the decision loop tries both PI values. *)
 let probe_value st g k f v =
-  let want = Bit.of_bool v and sk = st.s.(k) in
+  let want = bit v and sk = st.s.(k) in
   sk.(f) <- Bit.One;
   let toward =
-    if Bit.equal (Cone_sim.eval g sk) want then true
+    if Cone_sim.eval g sk == want then true
     else begin
       sk.(f) <- Bit.Zero;
-      if Bit.equal (Cone_sim.eval g sk) want then false else v
+      if Cone_sim.eval g sk == want then false else v
     end
   in
   sk.(f) <- Bit.X;
@@ -226,8 +231,8 @@ let rec backtrace_net st net v =
       let pi = net in
       if st.obj_k = 0 then decide_bit st pi 1 v
       else if st.obj_k = 2 then decide_bit st pi 3 v
-      else if Bit.equal st.a1.(pi) Bit.X then decide_bit st pi 1 v
-      else if Bit.equal st.a3.(pi) Bit.X then decide_bit st pi 3 v
+      else if st.a1.(pi) == Bit.X then decide_bit st pi 1 v
+      else if st.a3.(pi) == Bit.X then decide_bit st pi 3 v
       else false (* assigned unequal: the middle is X permanently *)
   end
 
@@ -235,7 +240,7 @@ and backtrace_fanins st g i v =
   i < Array.length g.Circuit.fanins
   &&
   let f = g.Circuit.fanins.(i) and k = st.obj_k in
-  (Bit.equal st.s.(k).(f) Bit.X && backtrace_net st f (probe_value st g k f v))
+  (st.s.(k).(f) == Bit.X && backtrace_net st f (probe_value st g k f v))
   || backtrace_fanins st g (i + 1) v
 
 let backtrace st =
@@ -251,13 +256,13 @@ let write_bit st pi j v =
   | _ -> invalid_arg "pattern");
   Cone_sim.set_pi st.sim pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
 
-let set_bit st pi j b = write_bit st pi j (Bit.of_bool b)
+let set_bit st pi j b = write_bit st pi j (bit b)
 let clear_bit st pi j = write_bit st pi j Bit.X
 
 (* Pattern bit [j] of [pi] into the implication: its component is [j]
    too.  The net implication blames, or -1 when it stays consistent. *)
 let assume_bit st pi j v =
-  match Implication.assume st.imp ~component:j pi (Bit.of_bool v) with
+  match Implication.assume st.imp ~component:j pi (bit v) with
   | None -> -1
   | Some { Implication.net; _ } -> net
 
@@ -352,8 +357,8 @@ let build_test st =
   let v1 = Array.make m false and v3 = Array.make m false in
   for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = st.cone.Req_cone.pis.(i) in
-    v1.(pi) <- Bit.equal st.a1.(pi) Bit.One;
-    v3.(pi) <- Bit.equal st.a3.(pi) Bit.One
+    v1.(pi) <- st.a1.(pi) == Bit.One;
+    v3.(pi) <- st.a3.(pi) == Bit.One
   done;
   Test_pair.create v1 v3
 

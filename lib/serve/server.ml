@@ -311,7 +311,21 @@ let make_listen_socket bind =
     Unix.bind fd (Unix.ADDR_INET (addr, port));
     fd
 
+(* A bound below 1 makes no progress: [split_raw] would never advance
+   at [chunk_bytes = 0], and no request or client could be taken. *)
+let check_config cfg =
+  List.iter
+    (fun (name, v) ->
+      if v < 1 then
+        invalid_arg (Printf.sprintf "Server.run: %s is %d, below 1" name v))
+    [
+      ("chunk_bytes", cfg.chunk_bytes);
+      ("max_line_bytes", cfg.max_line_bytes);
+      ("max_clients", cfg.max_clients);
+    ]
+
 let run ?(session = Session.create ()) ?ready cfg =
+  check_config cfg;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd = make_listen_socket cfg.bind in

@@ -51,5 +51,7 @@ val run : ?session:Session.t -> ?ready:(unit -> unit) -> config -> unit
     close every connection (and unlink a Unix socket path) and return.
     [ready] is called once, after the socket is listening — in-process
     harnesses use it to know when to connect.  [session] defaults to a
-    fresh empty session.  Raises [Unix.Unix_error] when the bind itself
-    fails (address in use, permission). *)
+    fresh empty session.  Raises [Invalid_argument] before making the
+    socket when [chunk_bytes], [max_line_bytes] or [max_clients] is below
+    1, and [Unix.Unix_error] when the bind itself fails (address in use,
+    permission). *)

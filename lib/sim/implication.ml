@@ -70,15 +70,23 @@ let touch st net =
     mark_gate st (fst fanouts.(k))
   done
 
-(* [Bit.t]'s constructors are immediate, so [==] compares them; the
-   rules below call no other module and build no closure. *)
-let not_ = function Bit.Zero -> Bit.One | Bit.One -> Bit.Zero | Bit.X -> Bit.X
+(* Forward values by lookup in [Bit]'s operator tables, as in
+   [Pdf_core.Cone_sim]: no call into another module and no branch on a
+   value per fanin.  [index] is the tables' row and column; [Bit.t]'s
+   constructors are immediate, so [==] compares them. *)
+let[@inline] index (v : Bit.t) =
+  match v with Bit.Zero -> 0 | Bit.One -> 1 | Bit.X -> 2
 
-let xor a b =
-  match a, b with
-  | Bit.X, _ | _, Bit.X -> Bit.X
-  | Bit.Zero, Bit.Zero | Bit.One, Bit.One -> Bit.Zero
-  | Bit.Zero, Bit.One | Bit.One, Bit.Zero -> Bit.One
+(* [layer]'s values on [fanins] folded left to right through [op], the
+   last one through [last]: a gate's forward value. *)
+let[@inline] forward (layer : Bit.t array) (op : Bit.t array)
+    (last : Bit.t array) (fanins : int array) =
+  let n = Array.length fanins - 1 in
+  let acc = ref (index layer.(fanins.(0))) in
+  for i = 1 to n - 1 do
+    acc := index op.((3 * !acc) + index layer.(fanins.(i)))
+  done;
+  last.((3 * !acc) + index layer.(fanins.(n)))
 
 let assign st ~component ~net value =
   let layer = st.layers.(component - 1) in
@@ -91,86 +99,93 @@ let assign st ~component ~net value =
   | (Bit.Zero | Bit.One | Bit.X), Bit.X -> ()
   | old, v -> if old != v then raise (Stop (net, component))
 
+(* BUFF and NOT on one layer: [last] is the kind's table, read at
+   (v, v) — AND there for BUFF, NAND for NOT — which maps the input to
+   the output and a definite output back to the input. *)
+let[@inline] imply_unary st ~component ~out fanins last =
+  let layer = st.layers.(component - 1) in
+  assign st ~component ~net:out last.(4 * index layer.(fanins.(0)));
+  match layer.(out) with
+  | (Bit.Zero | Bit.One) as v ->
+    assign st ~component ~net:fanins.(0) last.(4 * index v)
+  | Bit.X -> ()
+
+(* AND, NAND, OR and NOR on one layer: [op] is the kind's operator,
+   [last] its form for the last fanin (inverted when the kind inverts),
+   [cv] the controlling input value and [ncv] the other. *)
+let[@inline] imply_controlled st ~component ~out fanins op last ~cv ~ncv =
+  let layer = st.layers.(component - 1) in
+  let n = Array.length fanins in
+  (* The output when every input is non-controlling. *)
+  let out_all_nc = last.(4 * index ncv) in
+  (* Forward. *)
+  assign st ~component ~net:out (forward layer op last fanins);
+  (* Backward. *)
+  match layer.(out) with
+  | Bit.X -> ()
+  | v when v == out_all_nc ->
+    for i = 0 to n - 1 do
+      assign st ~component ~net:fanins.(i) ncv
+    done
+  | Bit.Zero | Bit.One ->
+    (* Output is controlled: if exactly one input is unknown and every
+       other input is non-controlling, the unknown one must be
+       controlling. *)
+    let unknown = ref (-1) and count = ref 0 and rest_nc = ref true in
+    for i = 0 to n - 1 do
+      match layer.(fanins.(i)) with
+      | Bit.X ->
+        incr count;
+        unknown := fanins.(i)
+      | v -> if v != ncv then rest_nc := false
+    done;
+    if !count = 1 && !rest_nc then assign st ~component ~net:!unknown cv
+    else if !count = 0 && !rest_nc then
+      (* all inputs non-controlling but output controlled *)
+      raise (Stop (out, component))
+
+(* XOR and XNOR on one layer: [last] is the kind's table. *)
+let[@inline] imply_parity st ~component ~out fanins last =
+  let layer = st.layers.(component - 1) in
+  (* Forward. *)
+  assign st ~component ~net:out (forward layer Bit.xor_table last fanins);
+  (* Backward: output and all-but-one inputs known. *)
+  match layer.(out) with
+  | Bit.X -> ()
+  | out_v ->
+    let unknown = ref (-1) and count = ref 0 and acc = ref 0 in
+    for i = 0 to Array.length fanins - 1 do
+      match layer.(fanins.(i)) with
+      | Bit.X ->
+        incr count;
+        unknown := fanins.(i)
+      | v -> acc := index Bit.xor_table.((3 * !acc) + index v)
+    done;
+    if !count = 1 then
+      assign st ~component ~net:!unknown last.((3 * index out_v) + !acc)
+
 (* Forward + backward rules for one gate on one layer. *)
 let imply_gate st ~component gate_index =
-  let layer = st.layers.(component - 1) in
   let g = st.circuit.Circuit.gates.(gate_index) in
   let out = st.num_pis + gate_index in
   let fanins = g.Circuit.fanins in
-  let n = Array.length fanins in
   match g.Circuit.kind with
-  | Gate.Buff -> (
-    assign st ~component ~net:out layer.(fanins.(0));
-    match layer.(out) with
-    | (Bit.Zero | Bit.One) as v -> assign st ~component ~net:fanins.(0) v
-    | Bit.X -> ())
-  | Gate.Not -> (
-    assign st ~component ~net:out (not_ layer.(fanins.(0)));
-    match layer.(out) with
-    | (Bit.Zero | Bit.One) as v ->
-      assign st ~component ~net:fanins.(0) (not_ v)
-    | Bit.X -> ())
-  | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind -> (
-    let cv = if kind == Gate.And || kind == Gate.Nand then Bit.Zero else Bit.One
-    and inv = kind == Gate.Nand || kind == Gate.Nor in
-    let ncv = not_ cv in
-    let out_controlled = if inv then ncv else cv
-    and out_all_nc = if inv then cv else ncv in
-    (* Forward. *)
-    let any_cv = ref false and all_ncv = ref true in
-    for i = 0 to n - 1 do
-      let v = layer.(fanins.(i)) in
-      if v == cv then any_cv := true;
-      if v != ncv then all_ncv := false
-    done;
-    if !any_cv then assign st ~component ~net:out out_controlled
-    else if !all_ncv then assign st ~component ~net:out out_all_nc;
-    (* Backward. *)
-    match layer.(out) with
-    | Bit.X -> ()
-    | v when v == out_all_nc ->
-      for i = 0 to n - 1 do
-        assign st ~component ~net:fanins.(i) ncv
-      done
-    | Bit.Zero | Bit.One ->
-      (* Output is controlled: if exactly one input is unknown and every
-         other input is non-controlling, the unknown one must be
-         controlling. *)
-      let unknown = ref (-1) and count = ref 0 and rest_nc = ref true in
-      for i = 0 to n - 1 do
-        match layer.(fanins.(i)) with
-        | Bit.X ->
-          incr count;
-          unknown := fanins.(i)
-        | v -> if v != ncv then rest_nc := false
-      done;
-      if !count = 1 && !rest_nc then assign st ~component ~net:!unknown cv
-      else if !count = 0 && !rest_nc then
-        (* all inputs non-controlling but output controlled *)
-        raise (Stop (out, component)))
-  | Gate.Xor | Gate.Xnor ->
-    let inv = g.Circuit.kind == Gate.Xnor in
-    (* Forward. *)
-    let acc = ref Bit.Zero in
-    for i = 0 to n - 1 do
-      acc := xor !acc layer.(fanins.(i))
-    done;
-    assign st ~component ~net:out (if inv then not_ !acc else !acc);
-    (* Backward: output and all-but-one inputs known. *)
-    (match layer.(out) with
-    | Bit.X -> ()
-    | out_v ->
-      let unknown = ref (-1) and count = ref 0 and acc = ref Bit.Zero in
-      for i = 0 to n - 1 do
-        match layer.(fanins.(i)) with
-        | Bit.X ->
-          incr count;
-          unknown := fanins.(i)
-        | v -> acc := xor !acc v
-      done;
-      if !count = 1 then
-        assign st ~component ~net:!unknown
-          (xor (if inv then not_ out_v else out_v) !acc))
+  | Gate.Buff -> imply_unary st ~component ~out fanins Bit.and_table
+  | Gate.Not -> imply_unary st ~component ~out fanins Bit.nand_table
+  | Gate.And ->
+    imply_controlled st ~component ~out fanins Bit.and_table Bit.and_table
+      ~cv:Bit.Zero ~ncv:Bit.One
+  | Gate.Nand ->
+    imply_controlled st ~component ~out fanins Bit.and_table Bit.nand_table
+      ~cv:Bit.Zero ~ncv:Bit.One
+  | Gate.Or ->
+    imply_controlled st ~component ~out fanins Bit.or_table Bit.or_table
+      ~cv:Bit.One ~ncv:Bit.Zero
+  | Gate.Nor ->
+    imply_controlled st ~component ~out fanins Bit.or_table Bit.nor_table
+      ~cv:Bit.One ~ncv:Bit.Zero
+  | Gate.Xor -> imply_parity st ~component ~out fanins Bit.xor_table
+  | Gate.Xnor -> imply_parity st ~component ~out fanins Bit.xnor_table
 
 (* Coupling between layers on one net: a definite intermediate value
    forces the same end values anywhere; stable end values force the

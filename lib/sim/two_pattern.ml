@@ -5,11 +5,7 @@ module Circuit = Pdf_circuit.Circuit
 
 type pi_pair = { b1 : Bit.t; b3 : Bit.t }
 
-let middle_of_pair b1 b3 =
-  match b1, b3 with
-  | Bit.Zero, Bit.Zero -> Bit.Zero
-  | Bit.One, Bit.One -> Bit.One
-  | (Bit.Zero | Bit.One | Bit.X), (Bit.Zero | Bit.One | Bit.X) -> Bit.X
+let middle_of_pair = Bit.middle
 
 let simulate c (pis : pi_pair array) =
   if Array.length pis <> c.Circuit.num_pis then

@@ -31,6 +31,25 @@ let xor a b =
   | Zero, Zero | One, One -> Zero
   | Zero, One | One, Zero -> One
 
+let middle a b =
+  match a, b with
+  | Zero, Zero -> Zero
+  | One, One -> One
+  | (Zero | One | X), (Zero | One | X) -> X
+
+(* Entry [3 * index a + index b] of an operator's table holds [op a b]. *)
+let table op =
+  let of_index = [| Zero; One; X |] in
+  Array.init 9 (fun i -> op of_index.(i / 3) of_index.(i mod 3))
+
+let and_table = table and_
+let nand_table = table (fun a b -> not_ (and_ a b))
+let or_table = table or_
+let nor_table = table (fun a b -> not_ (or_ a b))
+let xor_table = table xor
+let xnor_table = table (fun a b -> not_ (xor a b))
+let middle_table = table middle
+
 let char = function Zero -> '0' | One -> '1' | X -> 'x'
 
 let of_char = function

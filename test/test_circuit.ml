@@ -187,6 +187,37 @@ let test_builder_duplicate_driver () =
       Builder.add_gate b ~out:"y" Gate.Buff [ "a" ])
     "net driven more than once: y"
 
+(* An input declared twice is an error, not two inputs of one name —
+   through the builder and through both parsers. *)
+let test_duplicate_input () =
+  expect_error "duplicate input"
+    (fun b ->
+      Builder.add_pi b "a";
+      Builder.add_pi b "a";
+      Builder.add_po b "y";
+      Builder.add_gate b ~out:"y" Gate.Not [ "a" ])
+    "input declared more than once: a";
+  let expect what = function
+    | Ok _ -> Alcotest.failf "%s: accepted a repeated input" what
+    | Error message ->
+      check Alcotest.string what "line 0: input declared more than once: a"
+        message
+  in
+  expect ".bench INPUT(a) twice"
+    (Result.map_error Bench_io.error_to_string
+       (Bench_io.parse_string ~name:"t"
+          "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"));
+  let module V = Pdf_circuit.Verilog_io in
+  List.iter
+    (fun decl ->
+      expect ("verilog " ^ decl)
+        (Result.map_error V.error_to_string
+           (V.parse_string ~name:"t"
+              (Printf.sprintf
+                 "module t (a, y); %s output y; not g (y, a); endmodule"
+                 decl))))
+    [ "input a; input a;"; "input a, a;" ]
+
 let test_builder_cycle () =
   let b = Builder.create "t" in
   Builder.add_pi b "a";
@@ -467,6 +498,7 @@ let () =
           Alcotest.test_case "bad arity" `Quick test_builder_bad_arity;
           Alcotest.test_case "PI as PO" `Quick test_builder_pi_as_po;
           Alcotest.test_case "fanout tables" `Quick test_builder_fanout_tables;
+          Alcotest.test_case "duplicate input" `Quick test_duplicate_input;
         ] );
       ( "bench_io",
         [

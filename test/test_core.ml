@@ -1330,31 +1330,46 @@ let prop_cone_sim_matches_full =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
-(* Cone_sim writes the three-valued algebra out itself, so that its
-   passes call no other module per gate (DESIGN.md §13.2); this pins
-   that copy to the reference.  Every operator on every pair of values,
-   and every gate kind at every arity from its minimum to 4 on every
-   input in {0, 1, X}^n: [eval] over a plain array, and [eval_overlay]
-   under every stamp pattern, each fanin's value on the side its stamp
-   selects and a different value on the other side, must equal
-   [Logic_sim.eval_gate_get] reading the inputs. *)
+(* Cone_sim and Implication evaluate gates by lookup in Bit's operator
+   tables, so that their passes call no other module per gate and
+   branch on no value (DESIGN.md §13.2); this pins the tables and the
+   kernel to the reference.  Every entry of every table against the
+   operator it was built from, the middle table against
+   [Two_pattern.middle_of_pair]; and every gate kind at every arity from
+   its minimum to 4 on every input in {0, 1, X}^n: [eval] over a plain
+   array, and [eval_overlay] under every stamp pattern, each fanin's
+   value on the side its stamp selects and a different value on the
+   other side, must equal [Logic_sim.eval_gate_get] reading the
+   inputs. *)
 let test_kernel_algebra () =
   let module Gate = Pdf_circuit.Gate in
   let bits = [ Bit.Zero; Bit.One; Bit.X ] in
   let bit = Alcotest.testable Bit.pp Bit.equal in
+  let tables =
+    [
+      ("and", Bit.and_table, Bit.and_);
+      ("nand", Bit.nand_table, fun a b -> Bit.not_ (Bit.and_ a b));
+      ("or", Bit.or_table, Bit.or_);
+      ("nor", Bit.nor_table, fun a b -> Bit.not_ (Bit.or_ a b));
+      ("xor", Bit.xor_table, Bit.xor);
+      ("xnor", Bit.xnor_table, fun a b -> Bit.not_ (Bit.xor a b));
+      ("middle", Bit.middle_table, Pdf_sim.Two_pattern.middle_of_pair);
+    ]
+  in
   List.iter
-    (fun a ->
-      check bit "not" (Bit.not_ a) (Cone_sim.not_ a);
-      List.iter
-        (fun b ->
-          check bit "and" (Bit.and_ a b) (Cone_sim.and_ a b);
-          check bit "or" (Bit.or_ a b) (Cone_sim.or_ a b);
-          check bit "xor" (Bit.xor a b) (Cone_sim.xor a b);
-          check bit "middle"
-            (Pdf_sim.Two_pattern.middle_of_pair a b)
-            (Cone_sim.middle a b))
+    (fun (name, table, op) ->
+      check Alcotest.int (name ^ " entries") 9 (Array.length table);
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              check bit
+                (Printf.sprintf "%s %c%c" name (Bit.char a) (Bit.char b))
+                (op a b)
+                table.((3 * i) + j))
+            bits)
         bits)
-    bits;
+    tables;
   let other = function
     | Bit.Zero -> Bit.One
     | Bit.One -> Bit.X

@@ -313,6 +313,25 @@ let test_server_error_codes () =
       check Alcotest.string "parse error" "parse_error" (code e4);
       close_in ic)
 
+(* A bound below 1 is refused before the socket exists: at
+   [chunk_bytes = 0] the answer streamer would never advance.  A server
+   that starts anyway stops at once through [ready]. *)
+let test_config_below_one_rejected () =
+  List.iter
+    (fun (name, set) ->
+      let path = sock_path ("bad_" ^ name) in
+      let cfg = set (Server.default_config (Server.Unix_path path)) in
+      (match Server.run ~ready:(fun () -> raise Exit) cfg with
+      | () | (exception Exit) -> Alcotest.failf "%s: the server started" name
+      | exception Invalid_argument _ -> ());
+      check Alcotest.bool (name ^ ": no socket file") false
+        (Sys.file_exists path))
+    [
+      ("chunk_bytes", fun c -> { c with Server.chunk_bytes = 0 });
+      ("max_line_bytes", fun c -> { c with Server.max_line_bytes = 0 });
+      ("max_clients", fun c -> { c with Server.max_clients = -1 });
+    ]
+
 let test_concurrent_clients_demultiplexed () =
   with_server "concurrent" (fun ~connect ~send ~request:_ ->
       (* Four clients, requests interleaved before any response is
@@ -409,5 +428,7 @@ let () =
           Alcotest.test_case "4 concurrent clients demultiplexed" `Quick
             test_concurrent_clients_demultiplexed;
           Alcotest.test_case "/metrics over HTTP" `Quick test_metrics_over_http;
+          Alcotest.test_case "config below 1 rejected" `Quick
+            test_config_below_one_rejected;
         ] );
     ]
