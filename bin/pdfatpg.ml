@@ -721,61 +721,81 @@ let tables_cmd =
          & info [ "csv" ] ~docv:"DIR"
              ~doc:"Also write Tables 3-7 as CSV files into $(docv).")
   in
-  let run () scale which csv seed =
+  let check =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:"Instead of printing the tables, check the paper's claims \
+                   under Tables 3-6 on their runs (one predicate per claim, \
+                   EXPERIMENTS.md gives the margins) under the backend \
+                   $(b,PDF_JUSTIFY) selects; exit 1 on a violation, naming \
+                   the claim, circuit, backend and values.")
+  in
+  let run () scale which csv check seed =
     let module Tables = Pdf_experiments.Tables in
     let module Runner = Pdf_experiments.Runner in
+    let module Claims = Pdf_experiments.Claims in
+    (* Each circuit run is independent (own seed-derived RNGs, own
+       justification engine); fan them out across the default pool.
+       Pool.map keeps the Profiles rows' order, so the rendered tables
+       are identical whatever --jobs is. *)
+    let pool = Pdf_par.Pool.default () in
+    let runs ?with_basics rows =
+      Pdf_par.Pool.map pool
+        (fun p ->
+          Log.raw_line (Printf.sprintf "running %s..." p.Profiles.name);
+          Runner.run ~pool ~seed ?with_basics scale p)
+        rows
+    in
     let need n =
       match which with None -> true | Some w -> w = n
     in
-    if need 1 then print_string (Tables.table1 ());
-    if need 2 then print_string (Tables.table2 scale);
-    if need 3 || need 4 || need 5 || need 6 || need 7 then begin
-      (* Each circuit run is independent (own seed-derived RNGs, own
-         justification engine); fan them out across the default pool.
-         Pool.map keeps the Profiles.table_rows order, so the rendered
-         tables are identical whatever --jobs is. *)
-      let pool = Pdf_par.Pool.default () in
-      let table_runs =
-        Pdf_par.Pool.map pool
-          (fun p ->
-            Log.raw_line (Printf.sprintf "running %s..." p.Profiles.name);
-            Runner.run ~pool ~seed scale p)
-          Profiles.table_rows
+    if check then begin
+      let verdicts =
+        Claims.check
+          (runs Profiles.table_rows
+          @ runs ~with_basics:false Profiles.star_rows)
       in
-      let star_runs =
-        if need 6 then
-          Pdf_par.Pool.map pool
-            (fun p ->
-              Log.raw_line (Printf.sprintf "running %s..." p.Profiles.name);
-              Runner.run ~pool ~seed ~with_basics:false scale p)
-            Profiles.star_rows
-        else []
-      in
-      if need 3 then print_string (Tables.table3 table_runs);
-      if need 4 then print_string (Tables.table4 table_runs);
-      if need 5 then print_string (Tables.table5 table_runs);
-      if need 6 then print_string (Tables.table6 (table_runs @ star_runs));
-      if need 7 then print_string (Tables.table7 table_runs);
-      match csv with
-      | None -> ()
-      | Some dir ->
-        write_or_die dir (fun dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-        List.iter
-          (fun (stem, data) ->
-            let path = Filename.concat dir (stem ^ ".csv") in
-            write_or_die path (Pdf_util.Csv.write_file data);
-            Printf.eprintf "wrote %s\n" path)
-          (Tables.csv_exports ~table_runs
-             ~enrich_runs:(table_runs @ star_runs))
-    end;
-    if which = None then print_string (Tables.paper_reference ())
+      print_string
+        (Claims.render
+           ~backend:(Justify.kind_name (Justify.default_kind ()))
+           verdicts);
+      if List.exists (fun v -> not v.Claims.holds) verdicts then exit 1
+    end
+    else begin
+      if need 1 then print_string (Tables.table1 ());
+      if need 2 then print_string (Tables.table2 scale);
+      if need 3 || need 4 || need 5 || need 6 || need 7 then begin
+        let table_runs = runs Profiles.table_rows in
+        let star_runs =
+          if need 6 then runs ~with_basics:false Profiles.star_rows else []
+        in
+        if need 3 then print_string (Tables.table3 table_runs);
+        if need 4 then print_string (Tables.table4 table_runs);
+        if need 5 then print_string (Tables.table5 table_runs);
+        if need 6 then print_string (Tables.table6 (table_runs @ star_runs));
+        if need 7 then print_string (Tables.table7 table_runs);
+        match csv with
+        | None -> ()
+        | Some dir ->
+          write_or_die dir (fun dir ->
+              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+          List.iter
+            (fun (stem, data) ->
+              let path = Filename.concat dir (stem ^ ".csv") in
+              write_or_die path (Pdf_util.Csv.write_file data);
+              Printf.eprintf "wrote %s\n" path)
+            (Tables.csv_exports ~table_runs
+               ~enrich_runs:(table_runs @ star_runs))
+      end;
+      if which = None then print_string (Tables.paper_reference ())
+    end
   in
   Cmd.v
     (Cmd.info "tables"
        ~doc:"Regenerate the paper's tables; without $(b,--table), end with \
              the published values for comparison.")
-    Term.(const run $ obs_setup $ scale_arg $ which $ csv_dir $ seed_arg)
+    Term.(const run $ obs_setup $ scale_arg $ which $ csv_dir $ check
+          $ seed_arg)
 
 let explain_cmd =
   let query_arg =

@@ -221,10 +221,8 @@ let check_cone_trials c rng sim =
         (List.init (1 + Rng.int rng 3) (fun _ ->
              conds.(Rng.int rng (Array.length conds))))
     in
-    match Req_cone.merge reqs with
-    | None -> ()
-    | Some merged when !violation = None ->
-      Req_cone.load cone merged;
+    if !violation = None && Req_cone.merge cone reqs then begin
+      Req_cone.load cone;
       Cone_sim.retarget sim cone;
       for net = 0 to n - 1 do
         for k = 0 to 2 do
@@ -286,7 +284,7 @@ let check_cone_trials c rng sim =
             !keys
         end
       done
-    | Some _ -> ()
+    end
   done;
   !violation
 
@@ -1069,11 +1067,9 @@ let check_implication { circuit = c; seed } =
       end;
       (* The restriction leg. *)
       (if !violation = None then
-         match Req_cone.merge reqs with
-         | None -> ()
-         | Some merged -> (
+         if Req_cone.merge cone reqs then (
            Implication.reset restricted;
-           Req_cone.load cone merged;
+           Req_cone.load cone;
            let conflict = extend_parts restricted parts in
            match (want, conflict) with
            | Implication_ref.Conflict _, Some _ -> ()

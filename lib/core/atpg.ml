@@ -26,43 +26,6 @@ type result = {
   runtime_s : float;
 }
 
-(* [delta acc_bits reqs] — the requirement values a candidate fault adds
-   on top of the accumulated set, whose merged [Req.bits] per net are
-   [acc_bits] (0 where it holds none): [None] on a direct conflict,
-   otherwise the per-net merged updates.  The paper's value-based
-   selection metric [n_Delta] is [Wreq.count_new]'s. *)
-let delta acc_bits reqs =
-  let exception Clash in
-  Metrics.incr m_delta_evals;
-  try
-    (* Small hash table keyed by net: requirement lists repeat nets, and
-       the assoc-list accumulator this replaces was quadratic in the
-       requirement count on the hottest compaction path. *)
-    let updates : (int, Req.t) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (net, req) ->
-        let current =
-          match Hashtbl.find_opt updates net with
-          | Some r -> r
-          | None -> Req.of_bits acc_bits.(net)
-        in
-        match Req.merge current req with
-        | Some merged -> Hashtbl.replace updates net merged
-        | None -> raise Clash)
-      reqs;
-    Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [])
-  with Clash -> None
-
-(* [reqs_with ~seen ~stamp acc updates] — the accumulated requirements
-   the updates leave as they are, then the updates: what a candidate's
-   re-justification must satisfy.  [stamp] is fresh: it marks the
-   updated nets in [seen], the run's per-net stamps. *)
-let reqs_with ~(seen : int array) ~(stamp : int) acc updates =
-  List.iter (fun (net, _) -> seen.(net) <- stamp) updates;
-  Hashtbl.fold
-    (fun net req l -> if seen.(net) = stamp then l else (net, req) :: l)
-    acc updates
-
 let shuffle rng ids =
   let a = Array.of_list ids in
   for i = Array.length a - 1 downto 1 do
@@ -96,10 +59,6 @@ let compute_ranks config (faults : Fault_sim.prepared array) =
 
 type test_state = {
   mutable test : Test_pair.t;
-  acc : (int, Req.t) Hashtbl.t;
-  acc_bits : int array;
-      (** per net, the [Req.bits] of [acc]'s requirement, 0 where it
-          holds none; the run's array, cleared after each test *)
   implied : Implication.t;
       (** line values implied by [acc], as of the last {!implied} read;
           candidates contradicting them are provably un-addable and are
@@ -107,14 +66,6 @@ type test_state = {
   mutable pending : (int * Req.t) list list;
       (** the commits [implied] has not seen yet, latest first *)
 }
-
-let commit st updates =
-  List.iter
-    (fun (net, req) ->
-      Hashtbl.replace st.acc net req;
-      st.acc_bits.(net) <- Req.bits req)
-    updates;
-  st.pending <- updates :: st.pending
 
 (* The values implied by [acc], extended on demand by the queued commits
    in commit order.  [acc] only grows within a test and its implied
@@ -183,7 +134,19 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     done;
     Implication.create ~within c
   in
-  let acc_bits = Array.make (Circuit.num_nets c) 0 in
+  (* The test's accumulated requirements [acc] in per-net arrays the
+     run owns: merged [Req.bits] (0 where none), whether [acc] lists the
+     net (an [Any] one too), the listed nets.  [seen]/[pinned] are
+     per-net stamps (a fresh stamp per use) and a candidate's merge. *)
+  let nets = Circuit.num_nets c in
+  let acc_bits = Array.make nets 0 and in_acc = Array.make nets false in
+  let acc_nets = Array.make nets 0 and n_acc = ref 0 in
+  let seen = Array.make nets 0 and pinned = Array.make nets 0 in
+  let stamp = ref 0 and upd_nets = Array.make nets 0 and n_upd = ref 0 in
+  let fresh_stamp () =
+    incr stamp;
+    !stamp
+  in
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
   (* The current test's values.  Consecutive accepted tests within one
@@ -196,25 +159,57 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
      the packed-detect oracle). *)
   let sim = Cone_sim.create ?attrib:sheet c in
   (* Candidate-scan attribution: charge every delta evaluation to the
-     candidate's requirement nets (shadowing the bare [delta]). *)
+     candidate's requirement nets. *)
   let note_scan reqs =
     match sheet with Some a -> Attrib.note_cand_scan a reqs | None -> ()
-  in
-  let delta acc_bits reqs =
-    note_scan reqs;
-    delta acc_bits reqs
-  in
-  (* Per-net stamps the run owns; each use takes a fresh stamp. *)
-  let seen = Array.make (Circuit.num_nets c) 0
-  and pinned = Array.make (Circuit.num_nets c) 0
-  and stamp = ref 0 in
-  let fresh_stamp () =
-    incr stamp;
-    !stamp
   in
   let charge_scan i =
     note_scan faults.(i).Fault_sim.reqs;
     Metrics.incr m_delta_evals
+  in
+  (* [delta i] — the values candidate [i] adds to [acc]: [false] on a
+     direct conflict, else each net it lists once in [upd_nets], merged
+     in [pinned].  The paper's [n_Delta] is [Wreq.count_new]'s. *)
+  let delta i =
+    charge_scan i;
+    let s = fresh_stamp () in
+    n_upd := 0;
+    List.for_all
+      (fun (net, req) ->
+        if seen.(net) <> s then begin
+          seen.(net) <- s;
+          pinned.(net) <- acc_bits.(net);
+          upd_nets.(!n_upd) <- net;
+          incr n_upd
+        end;
+        pinned.(net) <- pinned.(net) lor Req.bits req;
+        not (Req.bits_conflict pinned.(net)))
+      faults.(i).Fault_sim.reqs
+  in
+  (* What a candidate's search must satisfy, right after its [delta]:
+     [acc] with its updates.  The engines sort it ([Req_cone.merge]). *)
+  let reqs_with () =
+    let req bits net = (net, Req.of_bits bits.(net)) in
+    let l = ref (List.init !n_upd (fun k -> req pinned upd_nets.(k))) in
+    for i = 0 to !n_acc - 1 do
+      let net = acc_nets.(i) in
+      if seen.(net) <> !stamp then l := req acc_bits net :: !l
+    done;
+    !l
+  in
+  (* [delta]'s updates into [acc], and the list they merge queued for
+     [implied]: seeded on [acc]'s values it implies what they would. *)
+  let commit st reqs =
+    for i = 0 to !n_upd - 1 do
+      let net = upd_nets.(i) in
+      if not in_acc.(net) then begin
+        in_acc.(net) <- true;
+        acc_nets.(!n_acc) <- net;
+        incr n_acc
+      end;
+      acc_bits.(net) <- pinned.(net)
+    done;
+    st.pending <- reqs :: st.pending
   in
   (* [delta]'s count alone, -1 on a direct conflict: the candidate's
      literals against [acc_bits], building nothing. *)
@@ -347,47 +342,46 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     Metrics.gauge ("atpg." ^ ord_name ^ ".progress_detected")
   in
   (* Attempt to add candidate [i] to the current test's fault set; on
-     acceptance, return the requirement values newly pinned ([Delta]). *)
+     acceptance its new requirement values ([Delta]) are [upd_nets]'s. *)
   let try_candidate st i =
     Metrics.incr m_cand;
-    match delta st.acc_bits faults.(i).Fault_sim.reqs with
-    | None ->
+    let reqs = faults.(i).Fault_sim.reqs in
+    if not (delta i) then begin
       Metrics.incr m_rej_conflict;
       reject_reason.(i) <- `Conflict;
-      None
-    | Some updates ->
-      if detects i then begin
-        commit st updates;
-        Metrics.incr m_free;
+      false
+    end
+    else if detects i then begin
+      commit st reqs;
+      Metrics.incr m_free;
+      Metrics.incr m_folded;
+      incr folded_this_test;
+      note_folded i "free";
+      true
+    end
+    else if contradicts_implied st reqs then begin
+      Metrics.incr m_rej_implied;
+      reject_reason.(i) <- `Implied;
+      false
+    end
+    else begin
+      match
+        targeted_run i (fun () ->
+            Justify.Engine.run engine ~rng ~reqs:(reqs_with ()))
+      with
+      | Some test ->
+        st.test <- test;
+        simulate_test test;
+        commit st reqs;
         Metrics.incr m_folded;
         incr folded_this_test;
-        note_folded i "free";
-        Some updates
-      end
-      else if contradicts_implied st faults.(i).Fault_sim.reqs then begin
-        Metrics.incr m_rej_implied;
-        reject_reason.(i) <- `Implied;
-        None
-      end
-      else begin
-        match
-          targeted_run i (fun () ->
-              Justify.Engine.run engine ~rng
-                ~reqs:(reqs_with ~seen ~stamp:(fresh_stamp ()) st.acc updates))
-        with
-        | Some test ->
-          st.test <- test;
-          simulate_test test;
-          commit st updates;
-          Metrics.incr m_folded;
-          incr folded_this_test;
-          note_folded i "justified";
-          Some updates
-        | None ->
-          Metrics.incr m_rej_search;
-          reject_reason.(i) <- `Search;
-          None
-      end
+        note_folded i "justified";
+        true
+      | None ->
+        Metrics.incr m_rej_search;
+        reject_reason.(i) <- `Search;
+        false
+    end
   in
   let scan_pool_in_order st pool =
     List.iter
@@ -460,23 +454,22 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       | None -> continue := false
       | Some i ->
         in_pool.(i) <- false;
-        (match try_candidate st i with
-        | None -> ()
-        | Some updates ->
+        if try_candidate st i then begin
           incr acceptances;
-          List.iter
-            (fun (net, _) ->
-              if bucket_scan.(net) = scan then
-                List.iter
-                  (fun j ->
-                    if in_pool.(j) then
-                      if refreshed.(j) = !acceptances then charge_scan j
-                      else begin
-                        refreshed.(j) <- !acceptances;
-                        refresh j
-                      end)
-                  buckets.(net))
-            updates)
+          for k = 0 to !n_upd - 1 do
+            let net = upd_nets.(k) in
+            if bucket_scan.(net) = scan then
+              List.iter
+                (fun j ->
+                  if in_pool.(j) then
+                    if refreshed.(j) = !acceptances then charge_scan j
+                    else begin
+                      refreshed.(j) <- !acceptances;
+                      refresh j
+                    end)
+                buckets.(net)
+          done
+        end
     done
   in
   let next_primary () =
@@ -508,14 +501,10 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         Metrics.incr m_primary_aborts
       | Some test ->
         simulate_test test;
-        let st =
-          { test; acc = Hashtbl.create 64; acc_bits; implied; pending = [] }
-        in
+        let st = { test; implied; pending = [] } in
         Implication.reset implied;
-        commit st
-          (match delta st.acc_bits faults.(p0).Fault_sim.reqs with
-          | Some updates -> updates
-          | None -> assert false);
+        if not (delta p0) then assert false;
+        commit st faults.(p0).Fault_sim.reqs;
         folded_this_test := 0;
         let id = !next_test_id in
         incr next_test_id;
@@ -528,7 +517,11 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
               List.iter (fun pool -> scan_pool_in_order st pool) pools
             | Ordering.Value_based ->
               List.iter (fun pool -> scan_pool_value_based st pool) pools);
-        Hashtbl.iter (fun net _ -> acc_bits.(net) <- 0) st.acc;
+        for i = 0 to !n_acc - 1 do
+          acc_bits.(acc_nets.(i)) <- 0;
+          in_acc.(acc_nets.(i)) <- false
+        done;
+        n_acc := 0;
         Metrics.observe_int h_folded_per_test !folded_this_test;
         Hashtbl.replace test_engine id (Justify.Engine.winner engine);
         tests := st.test :: !tests;

@@ -109,6 +109,10 @@ let prepare ?(criterion = Robust.Robust) c entries =
   Metrics.set_int g_prepared (Array.length a);
   a
 
+let with_reqs p reqs =
+  let reqs, lits = compile reqs in
+  { p with reqs; lits }
+
 let detects_values values p =
   List.for_all (fun (net, req) -> Req.satisfied_by values.(net) req) p.reqs
 

@@ -57,6 +57,10 @@ val prepare :
     conditions conflict directly (undetectable) are dropped — {!Pdf_faults.Target_sets}
     already filters them, so this is normally the identity. *)
 
+val with_reqs : prepared -> (int * Pdf_values.Req.t) list -> prepared
+(** [p] with its requirement list replaced — by the same conditions in
+    another order, say — interned, and their literals. *)
+
 val detects_values :
   Pdf_values.Triple.t array -> prepared -> bool
 (** Check one fault against an existing simulation result. *)

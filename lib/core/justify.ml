@@ -192,42 +192,49 @@ let build_test st =
 (* Shared state construction for both search strategies: the engine's
    one search state, built by its first search — everything a search
    or a trial touches, the trial memo included (DESIGN.md §13.2) — and
-   loaded with [merged] by every search.  Only the previous search's
-   inputs need clearing: a search assigns cone inputs alone. *)
-let make_search engine rng merged =
-  let st =
-    match engine.search with
-    | Some st -> st
-    | None ->
-      let c = engine.effort.Effort.circuit in
-      let sim = Cone_sim.create ?attrib:engine.effort.Effort.sheet c in
-      let st =
-        {
-          c;
-          rng;
-          cone = Req_cone.create c;
-          a1 = Array.make c.Circuit.num_pis Bit.X;
-          a3 = Array.make c.Circuit.num_pis Bit.X;
-          sim;
-          s = Cone_sim.values sim;
-          unspecified = 0;
-          steps0 = 0;
-        }
-      in
-      engine.search <- Some st;
-      st
-  in
+   its cone holding the search's merged requirements ({!merge}). *)
+let search_state engine rng =
+  match engine.search with
+  | Some st -> st
+  | None ->
+    let c = engine.effort.Effort.circuit in
+    let sim = Cone_sim.create ?attrib:engine.effort.Effort.sheet c in
+    let st =
+      {
+        c;
+        rng;
+        cone = Req_cone.create c;
+        a1 = Array.make c.Circuit.num_pis Bit.X;
+        a3 = Array.make c.Circuit.num_pis Bit.X;
+        sim;
+        s = Cone_sim.values sim;
+        unspecified = 0;
+        steps0 = 0;
+      }
+    in
+    engine.search <- Some st;
+    st
+
+(* Merge [reqs] into the search state's cone: [None] on a direct
+   conflict. *)
+let merge engine rng reqs =
+  let st = search_state engine rng in
+  if Req_cone.merge st.cone reqs then Some st else None
+
+(* Start a search on the merged requirements: the cone built and the
+   state retargeted.  Only the previous search's inputs need clearing:
+   a search assigns cone inputs alone. *)
+let start_search engine st rng =
   for i = 0 to st.cone.Req_cone.n_pis - 1 do
     let pi = st.cone.Req_cone.pis.(i) in
     st.a1.(pi) <- Bit.X;
     st.a3.(pi) <- Bit.X
   done;
-  Req_cone.load st.cone merged;
+  Req_cone.load st.cone;
   Cone_sim.retarget st.sim st.cone;
   st.rng <- rng;
   st.unspecified <- 2 * st.cone.Req_cone.n_pis;
-  st.steps0 <- engine.effort.Effort.steps;
-  st
+  st.steps0 <- engine.effort.Effort.steps
 
 (* The search's resimulations reach the account, its trials and their
    evaluations their metrics, and its persistent passes the sim.inc.*
@@ -253,19 +260,20 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
   let e = engine.effort in
   Effort.run e;
   let c = e.Effort.circuit in
-  match Req_cone.merge reqs with
+  (* The rng is never consulted: decisions are deterministic and
+     non-cone bits are filled with zeros. *)
+  let rng = Rng.create 0 in
+  match merge engine rng reqs with
   | None ->
     Metrics.incr m_conflicts;
     Proved_unsatisfiable
-  | Some [] ->
+  | Some st when st.cone.Req_cone.n_req = 0 ->
     Found
       (Test_pair.create
          (Array.make c.Circuit.num_pis false)
          (Array.make c.Circuit.num_pis false))
-  | Some merged -> (
-    (* The rng is never consulted: decisions are deterministic and
-       non-cone bits are filled with zeros. *)
-    let st = make_search engine (Rng.create 0) merged in
+  | Some st -> (
+    start_search engine st rng;
     let budget = e.Effort.backtracks + max_backtracks in
     let snapshot () = (Array.copy st.a1, Array.copy st.a3, st.unspecified) in
     let restore (a1, a3, unspecified) =
@@ -371,17 +379,17 @@ let run engine ~rng ~reqs =
   Span.with_ "justify" @@ fun () ->
   Effort.run engine.effort;
   let c = engine.effort.Effort.circuit in
-  match Req_cone.merge reqs with
+  match merge engine rng reqs with
   | None ->
     Metrics.incr m_conflicts;
     None
-  | Some [] ->
+  | Some st when st.cone.Req_cone.n_req = 0 ->
     Some
       (Test_pair.create
          (random_pattern rng c.Circuit.num_pis)
          (random_pattern rng c.Circuit.num_pis))
-  | Some merged ->
-    let st = make_search engine rng merged in
+  | Some st ->
+    start_search engine st rng;
     let result =
       try
         resim engine st;

@@ -296,12 +296,10 @@ let pop st =
   clear_bit st st.d_pi.(d) st.d_j.(d);
   st.depth <- d
 
-(* The engine's one search state, built by its first search, loaded
-   with [merged]: the assignment and the decision stack cleared, the
-   cone and its values retargeted, the implication reset and seeded
-   with [merged] — a conflict there refutes the whole set.  [walk]
-   carries on, so [seen] needs no clearing. *)
-let load_state eng merged =
+(* The engine's one search state, built by its first search, its cone
+   holding the search's merged requirements: [None] on a direct
+   conflict. *)
+let merge eng reqs =
   let st =
     match eng.search with
     | Some st -> st
@@ -339,14 +337,22 @@ let load_state eng merged =
       eng.search <- Some st;
       st
   in
+  if Req_cone.merge st.cone reqs then Some st else None
+
+(* Load the merged requirements [reqs]: the assignment and the decision
+   stack cleared, the cone built and its values retargeted, the
+   implication reset and seeded with [reqs] — a conflict there refutes
+   the whole set.  Seeded unmerged, they imply what the merged ones
+   would: [merge] found no direct conflict.  [walk] carries on, so
+   [seen] needs no clearing. *)
+let load_state st reqs =
   Array.fill st.a1 0 (Array.length st.a1) Bit.X;
   Array.fill st.a3 0 (Array.length st.a3) Bit.X;
   st.depth <- 0;
   Implication.reset st.imp;
-  Req_cone.load st.cone merged;
+  Req_cone.load st.cone;
   Cone_sim.retarget st.sim st.cone;
-  ignore (Implication.extend st.imp merged : Implication.conflict option);
-  st
+  ignore (Implication.extend st.imp reqs : Implication.conflict option)
 
 (* Fill unassigned bits with zeros, like [Justify.run_complete]: the
    implied values of assigned nets are monotone under completion
@@ -375,17 +381,17 @@ let run ?(max_backtracks = 10_000) eng ~reqs =
   Metrics.incr m_runs;
   Effort.run e;
   let c = e.Effort.circuit in
-  match Req_cone.merge reqs with
+  match merge eng reqs with
   | None ->
     Metrics.incr m_conflicts;
     Proved_unsatisfiable
-  | Some [] ->
+  | Some st when st.cone.Req_cone.n_req = 0 ->
     Found
       (Test_pair.create
          (Array.make c.Circuit.num_pis false)
          (Array.make c.Circuit.num_pis false))
-  | Some merged ->
-    let st = load_state eng merged in
+  | Some st ->
+    load_state st reqs;
     let budget = e.Effort.backtracks + max_backtracks in
     let spend pi =
       Metrics.incr m_backtracks;
@@ -469,12 +475,12 @@ module Internal = struct
   type nonrec state = state
 
   let prepare eng ~reqs =
-    match Req_cone.merge reqs with
-    | None -> None
-    | Some merged ->
-      let st = load_state eng merged in
-      imply st;
-      Some st
+    Option.map
+      (fun st ->
+        load_state st reqs;
+        imply st;
+        st)
+      (merge eng reqs)
 
   let imply = imply
   let full_pass = full_pass

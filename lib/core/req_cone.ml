@@ -12,25 +12,10 @@ type t = {
   pis : int array;
   mutable n_pis : int;
   in_cone : bool array;
+  bits : int array;
+  listed : int array;
+  mutable merges : int;
 }
-
-let merge reqs =
-  let acc = Hashtbl.create 16 in
-  let ok =
-    List.for_all
-      (fun (net, req) ->
-        let current =
-          match Hashtbl.find_opt acc net with Some r -> r | None -> Req.any
-        in
-        match Req.merge current req with
-        | Some merged ->
-          Hashtbl.replace acc net merged;
-          true
-        | None -> false)
-      reqs
-  in
-  if ok then Some (Hashtbl.fold (fun net req l -> (net, req) :: l) acc [])
-  else None
 
 let create c =
   let n = Circuit.num_nets c in
@@ -44,19 +29,64 @@ let create c =
     pis = Array.make c.Circuit.num_pis 0;
     n_pis = 0;
     in_cone = Array.make n false;
+    bits = Array.make n 0;
+    listed = Array.make n 0;
+    merges = 0;
   }
 
-let comp_bit = function Req.Any -> Bit.X | Req.Must b -> Bit.of_bool b
+(* A component's value from its two bits in [Req.bits]. *)
+let comp_bit = [| Bit.X; Bit.Zero; Bit.One |]
 
-let rec add_reqs t = function
-  | [] -> ()
-  | (net, (req : Req.t)) :: rest ->
-    t.req_nets.(t.n_req) <- net;
-    t.n_req <- t.n_req + 1;
-    t.r.(0).(net) <- comp_bit req.Req.r1;
-    t.r.(1).(net) <- comp_bit req.Req.r2;
-    t.r.(2).(net) <- comp_bit req.Req.r3;
-    add_reqs t rest
+(* The nets of [lo .. hi] that merge [stamp] listed, ascending, into
+   [req_nets], and their merged bits into [r]. *)
+let collect t stamp lo hi =
+  for net = lo to hi do
+    if t.listed.(net) = stamp then begin
+      let m = t.bits.(net) in
+      t.req_nets.(t.n_req) <- net;
+      t.n_req <- t.n_req + 1;
+      t.r.(0).(net) <- comp_bit.(m land 3);
+      t.r.(1).(net) <- comp_bit.((m lsr 2) land 3);
+      t.r.(2).(net) <- comp_bit.(m lsr 4)
+    end
+  done
+
+(* Each requirement's bits [lor]ed into its net's, the lowest and
+   highest net listed carried along. *)
+let rec merge_from t stamp lo hi = function
+  | [] ->
+    collect t stamp lo hi;
+    true
+  | (net, req) :: rest ->
+    let b = Req.bits req in
+    if t.listed.(net) = stamp then begin
+      let m = t.bits.(net) lor b in
+      (not (Req.bits_conflict m))
+      &&
+      (t.bits.(net) <- m;
+       merge_from t stamp lo hi rest)
+    end
+    else begin
+      t.listed.(net) <- stamp;
+      t.bits.(net) <- b;
+      merge_from t stamp
+        (if net < lo then net else lo)
+        (if net > hi then net else hi)
+        rest
+    end
+
+(* Clear the previous problem's requirements — only the entries it
+   set — then merge the new ones. *)
+let merge t reqs =
+  for i = 0 to t.n_req - 1 do
+    let net = t.req_nets.(i) in
+    for k = 0 to 2 do
+      t.r.(k).(net) <- Bit.X
+    done
+  done;
+  t.n_req <- 0;
+  t.merges <- t.merges + 1;
+  merge_from t t.merges max_int (-1) reqs
 
 let rec visit t net =
   if not t.in_cone.(net) then begin
@@ -70,25 +100,17 @@ let rec visit t net =
     end
   end
 
-(* Clear the previous problem — only the entries it set — then build
-   the new one.  The cone's members come out of one ascending scan of
-   the gates and one of the inputs. *)
-let load t merged =
+(* Clear the previous cone — only the entries it set — then build the
+   new one.  Its members come out of one ascending scan of the gates
+   and one of the inputs. *)
+let load t =
   let np = t.c.Circuit.num_pis in
-  for i = 0 to t.n_req - 1 do
-    let net = t.req_nets.(i) in
-    for k = 0 to 2 do
-      t.r.(k).(net) <- Bit.X
-    done
-  done;
   for i = 0 to t.n_gates - 1 do
     t.in_cone.(np + t.gates.(i)) <- false
   done;
   for i = 0 to t.n_pis - 1 do
     t.in_cone.(t.pis.(i)) <- false
   done;
-  t.n_req <- 0;
-  add_reqs t merged;
   for i = 0 to t.n_req - 1 do
     visit t t.req_nets.(i)
   done;

@@ -26,26 +26,14 @@ let equal a b =
 
 let is_any t = equal t any
 
-let merge_component a b =
-  match a, b with
-  | Any, c | c, Any -> Some c
-  | Must x, Must y -> if x = y then Some (Must x) else None
-
-let merge a b =
-  match
-    merge_component a.r1 b.r1, merge_component a.r2 b.r2,
-    merge_component a.r3 b.r3
-  with
-  | Some r1, Some r2, Some r3 -> Some { r1; r2; r3 }
-  | _, _, _ -> None
+(* A component's two bits in [bits] are its index below: 0 for [Any],
+   1 for [Must false], 2 for [Must true]. *)
+let component_index = function Any -> 0 | Must false -> 1 | Must true -> 2
 
 let bits r =
-  let one shift = function
-    | Any -> 0
-    | Must false -> 1 lsl shift
-    | Must true -> 2 lsl shift
-  in
-  one 0 r.r1 lor one 2 r.r2 lor one 4 r.r3
+  component_index r.r1
+  lor (component_index r.r2 lsl 2)
+  lor (component_index r.r3 lsl 4)
 
 let bits_conflict m = m land (m lsr 1) land 0b010101 <> 0
 
@@ -71,10 +59,8 @@ let count_pinned t =
 
 (* The 27 requirements, each one shared value, built over one shared
    value per component: index [9 r1 + 3 r2 + r3], a component's index
-   being 0 for [Any], 1 for [Must false], 2 for [Must true]. *)
+   being its bits' above. *)
 let components = [| Any; Must false; Must true |]
-
-let component_index = function Any -> 0 | Must false -> 1 | Must true -> 2
 
 let interned =
   Array.init 27 (fun i ->
@@ -84,15 +70,22 @@ let interned =
         r3 = components.(i mod 3);
       })
 
-let intern t =
-  interned.((9 * component_index t.r1)
-            + (3 * component_index t.r2)
-            + component_index t.r3)
+let index_of_bits m =
+  (9 * (m land 3)) + (3 * ((m lsr 2) land 3)) + ((m lsr 4) land 3)
 
-(* A component's two bits in [bits] are its index above. *)
+let intern t = interned.(index_of_bits (bits t))
+
 let of_bits m =
   if m land lnot 0b111111 <> 0 || bits_conflict m then invalid_arg "Req.of_bits"
-  else interned.((9 * (m land 3)) + (3 * ((m lsr 2) land 3)) + ((m lsr 4) land 3))
+  else interned.(index_of_bits m)
+
+(* [merge]'s answers, one shared [Some] per requirement: merging is the
+   [lor] of the bits, so it allocates nothing. *)
+let merged = Array.map Option.some interned
+
+let merge a b =
+  let m = bits a lor bits b in
+  if bits_conflict m then None else merged.(index_of_bits m)
 
 let component_of_char = function
   | '0' -> Some (Must false)

@@ -39,7 +39,8 @@ val is_any : t -> bool
 
 val merge : t -> t -> t option
 (** Componentwise intersection; [None] if some component is pinned to both
-    [0] and [1] — a direct conflict. *)
+    [0] and [1] — a direct conflict.  The answer is {!intern}ed, its
+    [Some] shared too: merging allocates nothing. *)
 
 val bits : t -> int
 (** The pinned components as an int: two bits per component, [r1]

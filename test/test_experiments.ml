@@ -250,6 +250,103 @@ let test_ablation_static_compaction_safe () =
   let s = Ablations.static_compaction ~seed:3 tiny_scale [ s27_profile ] in
   check Alcotest.bool "coverage preserved everywhere" false (contains s "NO")
 
+(* ------------------------------------------------------------------ *)
+(* Claims                                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Claims = Pdf_experiments.Claims
+module Ordering = Pdf_core.Ordering
+
+(* A circuit run with chosen figures: |P0| 100, |P| 200; the four basic
+   runs' tests, P0 detected and P0 u P1 detected in column order;
+   enrichment's tests, P0 detected and P0 u P1 detected.  Every claim
+   holds on [figures ()] with room to spare except [enrich-tests], which
+   sits at its margin. *)
+let figures ?(tests = [ 30; 10; 10; 10 ]) ?(p0 = [ 100; 100; 100; 100 ])
+    ?(p = [ 150; 145; 145; 145 ]) ?(enrich = (11, 100, 170)) () =
+  let basics =
+    List.map2
+      (fun ordering (t, (d0, d)) ->
+        { Runner.ordering; tests = t; p0_detected = d0; p_detected = d;
+          runtime_s = 0. })
+      Ordering.all
+      (List.combine tests (List.combine p0 p))
+  in
+  let e_tests, e_p0, e_p = enrich in
+  { run with Runner.p0_total = 100; p_total = 200; basics;
+    enrich_tests = e_tests; enrich_p0_detected = e_p0;
+    enrich_p_detected = e_p }
+
+let verdict_of id verdicts =
+  List.find (fun v -> v.Claims.claim.Claims.id = id) verdicts
+
+let test_claims_hold () =
+  check Alcotest.int "eight claims" 8 (List.length Claims.claims);
+  let verdicts = Claims.check [ figures () ] in
+  check
+    Alcotest.(list string)
+    "one verdict per claim, in claim order"
+    (List.map (fun c -> c.Claims.id) Claims.claims)
+    (List.map (fun v -> v.Claims.claim.Claims.id) verdicts);
+  List.iter
+    (fun v ->
+      check Alcotest.bool (v.Claims.claim.Claims.id ^ " holds") true
+        v.Claims.holds;
+      check Alcotest.string "circuit" "s27" v.Claims.circuit)
+    verdicts;
+  check Alcotest.bool "summary" true
+    (contains
+       (Claims.render ~backend:"sim" verdicts)
+       "claims check (backend sim): 8 of 8 predicates hold")
+
+(* Each predicate fails just past its margin, and the report names the
+   claim, the circuit, the backend and the figures read. *)
+let test_claims_violations () =
+  let fails id run =
+    let verdicts = Claims.check [ run ] in
+    check Alcotest.bool (id ^ " violated") false
+      (verdict_of id verdicts).Claims.holds;
+    check Alcotest.int (id ^ " alone violated") 1
+      (List.length (List.filter (fun v -> not v.Claims.holds) verdicts));
+    check Alcotest.bool (id ^ " reported") true
+      (contains
+         (Claims.render ~backend:"podem" verdicts)
+         (Printf.sprintf "violated: claim %s on s27 (backend podem): " id))
+  in
+  fails "fewer-tests" (figures ~tests:[ 14; 10; 10; 10 ] ());
+  fails "small-spread" (figures ~p0:[ 89; 100; 100; 100 ] ());
+  fails "values-competitive"
+    (figures ~tests:[ 30; 10; 10; 12 ] ~enrich:(12, 100, 170) ());
+  fails "p1-missed"
+    (figures ~p:[ 176; 176; 176; 176 ] ~enrich:(11, 100, 200) ());
+  fails "uncomp-slightly-more" (figures ~p:[ 150; 150; 150; 129 ] ());
+  fails "enrich-more" (figures ~enrich:(11, 100, 159) ());
+  fails "enrich-tests" (figures ~enrich:(12, 100, 170) ());
+  fails "enrich-p0" (figures ~enrich:(11, 96, 170) ())
+
+(* A resynthesized row runs only the value-based set: the claims that
+   compare the four basic sets are not evaluated there, nor are the
+   P1 claims on a circuit whose P1 is empty. *)
+let test_claims_applicability () =
+  let ids verdicts = List.map (fun v -> v.Claims.claim.Claims.id) verdicts in
+  let values_only =
+    { (figures ()) with
+      Runner.basics =
+        List.filter
+          (fun b -> b.Runner.ordering = Ordering.Value_based)
+          (figures ()).Runner.basics }
+  in
+  check
+    Alcotest.(list string)
+    "value-based only" [ "enrich-more"; "enrich-tests"; "enrich-p0" ]
+    (ids (Claims.check [ values_only ]));
+  check
+    Alcotest.(list string)
+    "empty P1"
+    [ "fewer-tests"; "small-spread"; "values-competitive";
+      "uncomp-slightly-more"; "enrich-tests"; "enrich-p0" ]
+    (ids (Claims.check [ { (figures ()) with Runner.p_total = 100 } ]))
+
 let () =
   Alcotest.run "pdf_experiments"
     [
@@ -290,5 +387,14 @@ let () =
             test_ablation_static_compaction_safe;
           Alcotest.test_case "scaling sweep monotone" `Quick
             test_ablation_scaling_monotone;
+        ] );
+      ( "claims",
+        [
+          Alcotest.test_case "claims hold within their margins" `Quick
+            test_claims_hold;
+          Alcotest.test_case "a violation names claim, circuit, backend"
+            `Quick test_claims_violations;
+          Alcotest.test_case "claims apply where their runs exist" `Quick
+            test_claims_applicability;
         ] );
     ]

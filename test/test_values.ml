@@ -245,6 +245,59 @@ let prop_req_bits_merge =
       | Some r ->
         (not (Req.bits_conflict m)) && m = Req.bits r)
 
+(* [merge] on all 27 x 27 pairs: the component-wise intersection,
+   interned, and a loop over every pair allocates nothing. *)
+let test_req_merge_all_pairs () =
+  let all =
+    Array.of_list
+      (List.filter_map
+         (fun m -> if Req.bits_conflict m then None else Some (Req.of_bits m))
+         (List.init 64 Fun.id))
+  in
+  check Alcotest.int "27 requirements" 27 (Array.length all);
+  let component a b =
+    match a, b with
+    | Req.Any, c | c, Req.Any -> Some c
+    | Req.Must x, Req.Must y -> if x = y then Some a else None
+  in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          let what = Req.to_string a ^ " & " ^ Req.to_string b in
+          let reference =
+            match
+              ( component a.Req.r1 b.Req.r1,
+                component a.Req.r2 b.Req.r2,
+                component a.Req.r3 b.Req.r3 )
+            with
+            | Some r1, Some r2, Some r3 -> Some { Req.r1; r2; r3 }
+            | _, _, _ -> None
+          in
+          match reference, Req.merge a b with
+          | None, None -> ()
+          | Some r, Some m ->
+            check Alcotest.string what (Req.to_string r) (Req.to_string m);
+            check Alcotest.bool (what ^ " interned") true (Req.intern m == m)
+          | Some _, None | None, Some _ ->
+            Alcotest.failf "%s: merge disagrees on the conflict" what)
+        all)
+    all;
+  let merged = ref 0 in
+  let minor0 = Gc.minor_words () in
+  for i = 0 to Array.length all - 1 do
+    for j = 0 to Array.length all - 1 do
+      match Req.merge all.(i) all.(j) with
+      | Some _ -> incr merged
+      | None -> ()
+    done
+  done;
+  let minor = Gc.minor_words () -. minor0 in
+  ignore (Sys.opaque_identity !merged);
+  (* per component, 7 of the 9 pairs merge *)
+  check Alcotest.int "compatible pairs" (7 * 7 * 7) !merged;
+  check (Alcotest.float 0.) "minor words of 729 merges" 0. minor
+
 (* [of_bits] inverts [bits] on all 27 requirements, returning the
    interned value, and rejects every other int of six bits (a
    conflicting component) and any higher bit. *)
@@ -395,6 +448,8 @@ let () =
           qcheck prop_req_merge_strengthens;
           qcheck prop_req_bits_merge;
           Alcotest.test_case "of_bits inverts bits" `Quick test_req_of_bits;
+          Alcotest.test_case "merge on all pairs, allocation-free" `Quick
+            test_req_merge_all_pairs;
         ] );
       ( "word",
         [
